@@ -261,10 +261,12 @@ class Space(ABC):
     def exact_flow(self, p: StatePoint, t: float) -> StatePoint:
         raise UnsupportedFlowError(f"{self.name}: no closed-form flow registered")
 
-    def exact_flow_chart(self, y0: np.ndarray, times) -> np.ndarray:
-        """The closed-form flow from chart point y0, sampled at each of
-        `times`, as an (n_t, dimension) chart array.  Chart-level like
-        chart_energy_value: y0 is not validated."""
+    def exact_flow_chart(self, y0: np.ndarray, t) -> np.ndarray:
+        """The closed-form flow from chart points y0 (..., dimension) at
+        times t, which broadcast against y0[..., 0]; the result has shape
+        broadcast(t, y0[..., 0]) + (dimension,).  One point (dimension,)
+        at n_t times (n_t,) gives the (n_t, dimension) samples of its flow.
+        Chart-level like chart_energy_value: y0 is not validated."""
         raise UnsupportedFlowError(f"{self.name}: no closed-form flow registered")
 
     # -- sampling ------------------------------------------------------------

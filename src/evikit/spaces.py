@@ -5,7 +5,8 @@ Four families are implemented, each through its flat chart:
 * ``cir`` -- the positive half-line with the singular metric g(x) = 1/x,
   distance d(x, y) = 2|sqrt(x) - sqrt(y)|, and the mean-reversion energy
   E(x) = -mu log x + x - (mu - mu log mu).  The drift grad E(x) = x - mu
-  is the deterministic Cox-Ingersoll-Ross relaxation; E is 1-convex.
+  is the deterministic Cox-Ingersoll-Ross relaxation; E is 1/2-convex
+  (kappa = 1/2).
 * ``quadratic`` -- R^n with E(x) = kappa |x|^2 / 2 + sum_i F(x_i) for a
   convex coordinatewise perturbation F; n = 1, F = 0 is the
   Ornstein-Uhlenbeck case.
@@ -165,9 +166,9 @@ class CirSpace(Space):
         self.validate_point(p)
         return StatePoint.of(self.mu + (p.coords[0] - self.mu) * math.exp(-t))
 
-    def exact_flow_chart(self, y0: np.ndarray, times) -> np.ndarray:
+    def exact_flow_chart(self, y0: np.ndarray, t) -> np.ndarray:
         # the same mean reversion in the chart y = sqrt(x)
-        decay = np.exp(-np.asarray(times, dtype=float))[:, None]
+        decay = np.exp(-np.asarray(t, dtype=float))[..., None]
         return np.sqrt(self.mu + (np.square(y0) - self.mu) * decay)
 
     def sample_point(self, rng: np.random.Generator) -> StatePoint:
@@ -243,11 +244,11 @@ class QuadraticSpace(Space):
         self.validate_point(p)
         return StatePoint.of(p.array * math.exp(-self.kappa * t))
 
-    def exact_flow_chart(self, y0: np.ndarray, times) -> np.ndarray:
+    def exact_flow_chart(self, y0: np.ndarray, t) -> np.ndarray:
         if self.perturbation is not None:
             raise UnsupportedFlowError("quadratic flow with perturbation has no closed form")
-        decay = np.exp(-self.kappa * np.asarray(times, dtype=float))
-        return decay[:, None] * np.asarray(y0, dtype=float)[None, :]
+        decay = np.exp(-self.kappa * np.asarray(t, dtype=float))
+        return decay[..., None] * np.asarray(y0, dtype=float)
 
     def sample_point(self, rng: np.random.Generator) -> StatePoint:
         return StatePoint.of(rng.normal(0.0, self.desc.scale, self.dimension))
@@ -478,13 +479,11 @@ class Wasserstein1DSpace(Space):
     def exact_flow(self, p: StatePoint, t: float) -> StatePoint:
         """Heat flow of the pure entropy energy on the Gaussian family:
         N(mean, s^2) evolves to N(mean, s^2 + 2t)."""
-        mean, sd, z = self._require_heat_family(p.array)
-        return StatePoint.of(mean + math.sqrt(sd**2 + 2.0 * t) * z)
+        return StatePoint.of(self.exact_flow_chart(p.array, t))
 
-    def exact_flow_chart(self, y0: np.ndarray, times) -> np.ndarray:
+    def exact_flow_chart(self, y0: np.ndarray, t) -> np.ndarray:
         mean, sd, z = self._require_heat_family(np.asarray(y0, dtype=float))
-        spread = np.sqrt(sd**2 + 2.0 * np.asarray(times, dtype=float))
-        return mean + spread[:, None] * z[None, :]
+        return mean + np.sqrt(sd**2 + 2.0 * np.asarray(t, dtype=float)[..., None]) * z
 
     def _require_heat_family(self, q: np.ndarray):
         fam = self._heat_family(q)
@@ -496,8 +495,9 @@ class Wasserstein1DSpace(Space):
         return fam
 
     def _heat_family(self, q: np.ndarray):
-        """(mean, sd, z) when the quantile vector q is N(mean, sd^2) sampled
-        at the midpoint levels, z = Phi^{-1}(levels); None otherwise."""
+        """(mean, sd, z) when every quantile vector q[..., :] is
+        N(mean, sd^2) sampled at the midpoint levels, z = Phi^{-1}(levels);
+        mean and sd keep a trailing axis of length 1.  None otherwise."""
         if self.internal is None or self.internal.name != "entropy":
             return None
         if self.potential is not None or self.interaction is not None:
@@ -505,13 +505,12 @@ class Wasserstein1DSpace(Space):
         from scipy.special import ndtri
 
         z = ndtri(self.levels)
-        mean = float(np.mean(q))
-        denom = float(np.dot(z, z))
-        sd = float(np.dot(q - mean, z)) / denom
-        if sd <= 0:
+        mean = np.mean(q, axis=-1, keepdims=True)
+        sd = np.vecdot(q - mean, z)[..., None] / float(np.dot(z, z))
+        if np.any(sd <= 0):
             return None
-        resid = float(np.max(np.abs(q - mean - sd * z)))
-        if resid > 1e-8 * max(1.0, sd):
+        resid = np.max(np.abs(q - mean - sd * z), axis=-1, keepdims=True)
+        if np.any(resid > 1e-8 * np.maximum(1.0, sd)):
             return None
         return mean, sd, z
 
@@ -541,27 +540,22 @@ class Wasserstein1DSpace(Space):
 
 def pava_nondecreasing(y: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators projection onto nondecreasing vectors
-    (euclidean, unweighted)."""
-    n = len(y)
-    vals = np.empty(n)
-    wts = np.empty(n)
-    k = 0
-    for i in range(n):
-        cv, cw = y[i], 1.0
-        while k > 0 and vals[k - 1] > cv:
-            cv = (wts[k - 1] * vals[k - 1] + cw * cv) / (wts[k - 1] + cw)
-            cw += wts[k - 1]
-            k -= 1
-        vals[k] = cv
-        wts[k] = cw
-        k += 1
-    out = np.empty(n)
-    idx = 0
-    for j in range(k):
-        cnt = int(round(wts[j]))
-        out[idx:idx + cnt] = vals[j]
-        idx += cnt
-    return out
+    (euclidean, unweighted).  Input that is already nondecreasing is
+    returned as a float copy; a NaN anywhere takes the pooling loop."""
+    y = np.asarray(y, dtype=float)
+    if np.all(y[1:] >= y[:-1]):
+        return y.copy()
+    vals: list[float] = []
+    counts: list[int] = []
+    for cv in y.tolist():
+        cw = 1
+        while vals and vals[-1] > cv:
+            pv, pw = vals.pop(), counts.pop()
+            cv = (pw * pv + cw * cv) / (pw + cw)
+            cw += pw
+        vals.append(cv)
+        counts.append(cw)
+    return np.repeat(vals, counts)
 
 
 def wasserstein_information(space: Wasserstein1DSpace, p: StatePoint) -> float:

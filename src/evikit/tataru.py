@@ -11,17 +11,17 @@ the infimum is attained inside [0, d(pi, rho)].  The minimizer is
 bracketed by a coarse scan over flow samples at resolution flow_dt, in
 chart coordinates, and then located by golden-section refinement.
 
-Which flow the scan and the refinement evaluate depends on the state:
+Every entry point -- ``tataru_distance``, ``tataru_batch``, the property
+suites and ``tataru_batch_csv`` -- makes one call of one kernel that works
+on arrays of pairs, and every pair gets the same scan and the same
+refinement rule:
 
 * when the space registers a closed-form flow for rho
-  (``Space.exact_flow_chart``), both the scan samples and every
-  refinement query come from that closed form, so no trajectory of
-  ``StatePoint`` objects is built;
-* otherwise the flow is computed by minimizing movement (``flow_any``)
-  and the refinement queries the chart-linear interpolant of its samples.
-
-``tataru_batch`` shares the scan samples but always refines on the
-chart-linear interpolant.
+  (``Space.exact_flow_chart``), the scan samples it on multiples of
+  flow_dt up to d(pi, rho), plus d(pi, rho) itself, and every refinement
+  query evaluates the closed form;
+* otherwise the flow is computed by minimizing movement and the
+  refinement queries the chart-linear interpolant of its samples.
 
 d_T is not symmetric, 1-Lipschitz in each argument with respect to d,
 1-Lipschitz along the flow in its first argument, and satisfies the
@@ -38,9 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Space, StatePoint, UsageError
-from .flow import _time_grid, flow_any
+from .flow import FlowConfig, flow_any, flow_mms
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Bound on the (pairs x scan times x dimension) chart array of one scan
+# block; it keeps the kernel's peak memory flat in the number of pairs.
+_BLOCK_ELEMENTS = 2**17
 
 
 @dataclass
@@ -53,131 +56,192 @@ class TataruResult:
     flow_samples_used: int
 
 
-def _chart_interp(times: np.ndarray, chart_states: np.ndarray,
-                  t_arr: np.ndarray) -> np.ndarray:
-    """Chart-linear interpolation of flow samples at times t_arr within
-    [times[0], times[-1]]; one (dim,) row per query time."""
-    idx = np.clip(np.searchsorted(times, t_arr, side="right") - 1, 0, len(times) - 2)
-    t0, t1 = times[idx], times[idx + 1]
-    lam = ((t_arr - t0) / (t1 - t0))[:, None]
-    return (1.0 - lam) * chart_states[idx] + lam * chart_states[idx + 1]
+# ---------------------------------------------------------------------------
+# The kernel
+# ---------------------------------------------------------------------------
+
+def _closed_form_scan(space: Space, y_rho: np.ndarray, d0: np.ndarray, flow_dt: float):
+    """Scan rows on the closed-form flow.  Row i holds the times of
+    flow._time_grid(d0[i], min(flow_dt, d0[i])): the multiples of flow_dt
+    up to d0 on a shared row, then d0 itself where that row misses it
+    (so a pair with d0 < flow_dt gets [0, d0])."""
+    def scan(rows):
+        d = d0[rows]
+        short = d < flow_dt
+        n = np.where(short, 0, np.floor(d / flow_dt + 1e-12)).astype(np.int64)
+        counts = n + 1 + (short | (flow_dt * n < d - 1e-12 * np.maximum(1.0, d)))
+        cols = np.arange(int(counts.max()))
+        times = np.where(cols == n[:, None] + 1, d[:, None], flow_dt * cols)
+        y_r = y_rho if len(y_rho) == 1 else y_rho[rows]
+        return times, counts, space.exact_flow_chart(y_r[:, None, :], times)
+    return scan
 
 
-def _flow_samples(space: Space, rho: StatePoint, horizon: float,
-                  flow_dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """The flow from rho on [0, horizon] at resolution min(flow_dt, horizon),
-    as sample times and an (n_t, dim) chart array: the closed form where
-    one is registered for rho, else minimizing movement."""
-    dt = min(flow_dt, horizon)
-    if space.has_exact_flow(rho):
-        times = _time_grid(horizon, dt)
-        return times, space.exact_flow_chart(space.to_chart(rho), times)
-    traj = flow_any(space, rho, horizon, dt)
-    return traj.times, np.stack([space.to_chart(s) for s in traj.states])
+def _sampled_scan(space: Space, y_rho: np.ndarray, d0: np.ndarray, flow_dt: float):
+    """Scan rows on minimizing-movement samples at step min(flow_dt,
+    horizon).  Each pair flows its own rho over [0, d0]; one y_rho row is
+    flowed once, as far as the largest d0, and the pairs share prefixes."""
+    def flow(y, horizon):
+        cfg = FlowConfig(dt=min(flow_dt, horizon), horizon=horizon)
+        traj = flow_mms(space, space.from_chart(y), cfg)
+        return traj.times, np.stack([space.to_chart(s) for s in traj.states])
+
+    shared = flow(y_rho[0], float(d0.max())) if len(y_rho) == 1 else None
+
+    def scan(rows):
+        flows = [shared or flow(y_rho[i], float(d0[i])) for i in rows]
+        counts = np.array([math.ceil(d0[i] / t[1] - 1e-12) + 1
+                           for i, (t, _) in zip(rows, flows)])
+        times = np.zeros((len(rows), int(counts.max())))
+        states = np.zeros(times.shape + (y_rho.shape[1],))
+        for j, ((t, y), c) in enumerate(zip(flows, counts)):
+            times[j, :c], states[j, :c] = t[:c], y[:c]
+        return times, counts, states
+    return scan
+
+
+def _window_interp(times: np.ndarray, states: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Chart-linear interpolation at t[i] of row i's three consecutive
+    samples; a window past the trajectory end has time +inf there."""
+    rows = np.arange(len(t))
+    idx = np.clip(np.sum(times <= t[:, None], axis=1) - 1, 0, 1)
+    t0, t1 = times[rows, idx], times[rows, idx + 1]
+    lam = ((t - t0) / (t1 - t0))[:, None]
+    return (1.0 - lam) * states[rows, idx] + lam * states[rows, idx + 1]
+
+
+def _minimize(space: Space, y_pi: np.ndarray, y_rho: np.ndarray, d0: np.ndarray,
+              flow_dt: float, closed: bool):
+    """Scan and golden-section refinement of phi for pairs with d0 > 0 that
+    all flow in closed form (closed) or all by minimizing movement."""
+    n, dim = y_pi.shape
+    kappa_hat = min(0.0, space.kappa)
+    a, b, best, t_best = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    samples = np.empty(n, dtype=np.int64)
+    if closed:
+        scan = _closed_form_scan(space, y_rho, d0, flow_dt)
+
+        def flow_at(t):
+            return space.exact_flow_chart(y_rho, t)
+    else:
+        scan = _sampled_scan(space, y_rho, d0, flow_dt)
+        win_t, win_s = np.empty((n, 3)), np.empty((n, 3, dim))
+
+        def flow_at(t):
+            return _window_interp(win_t, win_s, t)
+
+    # scan, in blocks of pairs sorted by d0 whose chart arrays stay bounded
+    order = np.argsort(d0, kind="stable")
+    width = (np.floor(d0[order] / flow_dt + 1e-12).astype(np.int64) + 2) * dim
+    start = 0
+    for stop in range(1, n + 1):
+        if stop < n and (stop - start + 1) * width[stop] <= _BLOCK_ELEMENTS:
+            continue
+        rows = order[start:stop]
+        start = stop
+        times, counts, states = scan(rows)
+        idx = np.arange(len(rows))
+        dist = space.chart_scale * np.linalg.norm(states - y_pi[rows, None, :], axis=-1)
+        phi = times + np.exp(kappa_hat * times) * dist
+        phi = np.where(np.arange(times.shape[1]) < counts[:, None], phi, np.inf)
+        k = np.argmin(phi, axis=1)
+        best[rows], t_best[rows] = phi[idx, k], times[idx, k]
+        a[rows] = times[idx, np.maximum(k - 1, 0)]
+        b[rows] = times[idx, np.minimum(k + 1, counts - 1)]
+        samples[rows] = counts
+        if not closed:
+            # the bracket [t_{k-1}, t_{k+1}] lies within three consecutive samples
+            cols = np.clip(k - 1, 0, np.maximum(counts - 3, 0))[:, None] + np.arange(3)
+            inside = cols < counts[:, None]
+            cols = np.minimum(cols, counts[:, None] - 1)
+            win_t[rows] = np.where(inside, times[idx[:, None], cols], np.inf)
+            win_s[rows] = states[idx[:, None], cols]
+
+    def phi_at(t):
+        diff = y_pi - flow_at(t)
+        return t + np.exp(kappa_hat * t) * (space.chart_scale * np.sqrt(np.vecdot(diff, diff)))
+
+    # golden section, every pair to its own tolerance
+    tol = 1e-10 * np.maximum(1.0, d0)
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = phi_at(c), phi_at(d)
+    while True:
+        active = b - a > tol
+        if not active.any():
+            break
+        left = active & (fc < fd)
+        right = active & ~(fc < fd)
+        a, b, c, d, fc, fd = (np.where(right, c, a), np.where(left, d, b),
+                              np.where(right, d, c), np.where(left, c, d),
+                              np.where(right, fd, fc), np.where(left, fc, fd))
+        t = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        ft = phi_at(t)
+        c, fc = np.where(left, t, c), np.where(left, ft, fc)
+        d, fd = np.where(right, t, d), np.where(right, ft, fd)
+    t_star = 0.5 * (a + b)
+    value = phi_at(t_star)
+    grid = best < value
+    return np.where(grid, best, value), np.where(grid, t_best, t_star), samples
+
+
+def _tataru_kernel(space: Space, y_pi: np.ndarray, y_rho: np.ndarray,
+                   exact: np.ndarray, flow_dt: float):
+    """d_T(pi_i, rho_i) for chart rows y_pi (n, dim) and y_rho (n or 1, dim);
+    exact[j] says whether a closed-form flow is registered for y_rho[j].
+    Returns (values, t_stars, scan sample counts), each of length n."""
+    n = len(y_pi)
+    values, t_stars = np.zeros(n), np.zeros(n)
+    samples = np.zeros(n, dtype=np.int64)
+    diff = y_pi - y_rho
+    d0 = space.chart_scale * np.sqrt(np.vecdot(diff, diff))
+    exact = np.broadcast_to(exact, n)
+    for closed in (True, False):
+        pairs = np.flatnonzero((d0 > 0.0) & (exact == closed))
+        if len(pairs):
+            rho = y_rho if len(y_rho) == 1 else y_rho[pairs]
+            values[pairs], t_stars[pairs], samples[pairs] = _minimize(
+                space, y_pi[pairs], rho, d0[pairs], flow_dt, closed)
+    return values, t_stars, samples
+
+
+def _charts(space: Space, points: list[StatePoint]) -> np.ndarray:
+    return np.array([space.to_chart(p) for p in points]).reshape(len(points), space.dimension)
+
+
+def _tataru_pairs(space: Space, pis: list[StatePoint], rhos: list[StatePoint],
+                  flow_dt: float):
+    """The kernel on validated point pairs (pis[i], rhos[i])."""
+    for p in (*pis, *rhos):
+        space.validate_point(p)
+    exact = np.array([space.has_exact_flow(r) for r in rhos], dtype=bool)
+    return _tataru_kernel(space, _charts(space, pis), _charts(space, rhos), exact, flow_dt)
 
 
 def tataru_distance(space: Space, pi: StatePoint, rho: StatePoint,
                     flow_dt: float = 1e-2) -> TataruResult:
     """Minimize phi(t) = t + exp(kappa_hat t) d(pi, rho(t)) over [0, d(pi, rho)].
 
-    pi and rho are validated once, here; everything after works on chart
-    arrays.  A coarse scan over flow samples at resolution flow_dt
-    brackets the minimizer, and golden-section refinement inside the
-    bracket queries the closed-form flow when one is registered for rho,
-    else the chart-linear interpolant of the minimizing-movement
-    trajectory.  The better of the refined and the best scanned value is
-    returned.
+    pi and rho are validated once, here; the kernel works on chart arrays.
+    A coarse scan over flow samples at resolution flow_dt brackets the
+    minimizer, and golden-section refinement inside the bracket queries
+    the closed-form flow when one is registered for rho, else the
+    chart-linear interpolant of the minimizing-movement trajectory.  The
+    better of the refined and the best scanned value is returned.
     """
-    space.validate_point(pi)
-    space.validate_point(rho)
-    kappa_hat = min(0.0, space.kappa)
-    y_pi, y_rho = space.to_chart(pi), space.to_chart(rho)
-
-    def dist(y: np.ndarray) -> float:
-        return space.chart_scale * float(np.linalg.norm(y_pi - y))
-
-    d0 = dist(y_rho)
-    if d0 == 0.0:
-        return TataruResult(0.0, 0.0, 0)
-
-    times, chart_states = _flow_samples(space, rho, d0, flow_dt)
-    d = space.chart_scale * np.linalg.norm(chart_states - y_pi[None, :], axis=1)
-    phi = times + np.exp(kappa_hat * times) * d
-    k = int(np.argmin(phi))
-
-    if space.has_exact_flow(rho):
-        def flow_at(t: float) -> np.ndarray:
-            return space.exact_flow_chart(y_rho, (t,))[0]
-    else:
-        def flow_at(t: float) -> np.ndarray:
-            return _chart_interp(times, chart_states, np.array([t]))[0]
-
-    def phi_at(t: float) -> float:
-        return t + math.exp(kappa_hat * t) * dist(flow_at(t))
-
-    lo = times[max(k - 1, 0)]
-    hi = times[min(k + 1, len(times) - 1)]
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d_ = a + _GOLDEN * (b - a)
-    fc, fd = phi_at(c), phi_at(d_)
-    while b - a > 1e-10 * max(1.0, d0):
-        if fc < fd:
-            b, d_, fd = d_, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = phi_at(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + _GOLDEN * (b - a)
-            fd = phi_at(d_)
-    t_star = 0.5 * (a + b)
-    value = phi_at(t_star)
-    if phi[k] < value:
-        t_star, value = float(times[k]), float(phi[k])
-    return TataruResult(float(value), float(t_star), len(times))
+    values, t_stars, samples = _tataru_pairs(space, [pi], [rho], flow_dt)
+    return TataruResult(float(values[0]), float(t_stars[0]), int(samples[0]))
 
 
 def tataru_batch(space: Space, pis: list[StatePoint], rho: StatePoint,
-                 flow_dt: float = 1e-2, t_max: float | None = None) -> np.ndarray:
+                 flow_dt: float = 1e-2) -> np.ndarray:
     """d_T(pi, rho) for many first arguments against one flowing second
-    argument: one shared set of flow samples, vectorized scan, vectorized
-    golden-section refinement on the chart-linear interpolant of the
-    samples (also where a closed-form flow exists)."""
-    kappa_hat = min(0.0, space.kappa)
-    ys = np.stack([space.to_chart(pi) for pi in pis])
-    y_rho = space.to_chart(rho)
-    d0s = space.chart_scale * np.linalg.norm(ys - y_rho[None, :], axis=1)
-    horizon = float(np.max(d0s)) if t_max is None else t_max
-    if horizon == 0.0:
-        return np.zeros(len(pis))
-    times, chart_states = _flow_samples(space, rho, horizon, flow_dt)
-    n_t = len(times)
-    decay = np.exp(kappa_hat * times)
-
-    # scan: phi[i, j] over candidate times j, masked beyond each bracket
-    dists = space.chart_scale * np.linalg.norm(
-        chart_states[None, :, :] - ys[:, None, :], axis=2
-    )
-    phi = times[None, :] + decay[None, :] * dists
-    phi = np.where(times[None, :] <= d0s[:, None] + 1e-12, phi, np.inf)
-    k = np.argmin(phi, axis=1)
-    grid_best = phi[np.arange(len(pis)), k]
-
-    def phi_at(t_arr: np.ndarray) -> np.ndarray:
-        d = space.chart_scale * np.linalg.norm(
-            _chart_interp(times, chart_states, t_arr) - ys, axis=1)
-        return t_arr + np.exp(kappa_hat * t_arr) * d
-
-    a = times[np.maximum(k - 1, 0)]
-    b = times[np.minimum(k + 1, n_t - 1)]
-    for _ in range(48):
-        c = b - _GOLDEN * (b - a)
-        d_ = a + _GOLDEN * (b - a)
-        left = phi_at(c) < phi_at(d_)
-        b = np.where(left, d_, b)
-        a = np.where(left, a, c)
-    refined = phi_at(0.5 * (a + b))
-    return np.minimum(grid_best, refined)
+    argument, by the same scan and refinement rule as tataru_distance;
+    without a closed form, the pairs share one minimizing-movement
+    trajectory."""
+    exact = np.array([space.has_exact_flow(rho)])
+    return _tataru_kernel(space, _charts(space, pis), _charts(space, [rho]), exact,
+                          flow_dt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +253,12 @@ def verify_tataru_lipschitz(space: Space,
                                                 StatePoint, StatePoint]],
                             flow_dt: float = 1e-2) -> float:
     """max over quadruples of d_T(mu,nu) - d_T(mu^,nu^) - d(mu,mu^) - d(nu,nu^)."""
-    worst = -math.inf
-    for mu, nu, mu_h, nu_h in samples:
-        lhs = (tataru_distance(space, mu, nu, flow_dt).value
-               - tataru_distance(space, mu_h, nu_h, flow_dt).value)
-        rhs = space.distance(mu, mu_h) + space.distance(nu, nu_h)
-        worst = max(worst, lhs - rhs)
-    return worst
+    n = len(samples)
+    vals = _tataru_pairs(space, [s[0] for s in samples] + [s[2] for s in samples],
+                         [s[1] for s in samples] + [s[3] for s in samples], flow_dt)[0]
+    rhs = np.array([space.distance(mu, mu_h) + space.distance(nu, nu_h)
+                    for mu, nu, mu_h, nu_h in samples])
+    return float(np.max(vals[:n] - vals[n:] - rhs, initial=-math.inf))
 
 
 def verify_tataru_flow_lipschitz(space: Space,
@@ -205,34 +268,31 @@ def verify_tataru_flow_lipschitz(space: Space,
     """max over samples and r of (d_T(nu(r), nu^) - d_T(nu, nu^)) / r - 1."""
     if any(r <= 0 for r in r_values):
         raise UsageError("flow-Lipschitz offsets r must be positive")
-    worst = -math.inf
-    for nu, nu_h in samples:
-        base = tataru_distance(space, nu, nu_h, flow_dt).value
-        for r in r_values:
-            flowed = flow_any(space, nu, r, r / 4.0).end
-            moved = tataru_distance(space, flowed, nu_h, flow_dt).value
-            worst = max(worst, (moved - base) / r - 1.0)
-    return worst
+    pis = [nu for nu, _ in samples]
+    for r in r_values:
+        pis += [flow_any(space, nu, r, r / 4.0).end for nu, _ in samples]
+    vals = _tataru_pairs(space, pis, [nu_h for _, nu_h in samples] * (1 + len(r_values)),
+                         flow_dt)[0].reshape(1 + len(r_values), len(samples))
+    r = np.array(r_values)[:, None]
+    return float(np.max((vals[1:] - vals[0]) / r - 1.0, initial=-math.inf))
 
 
 def verify_tataru_triangle(space: Space,
                            samples: list[tuple[StatePoint, StatePoint, StatePoint]],
                            flow_dt: float = 1e-2) -> float:
     """max over triples of d_T(rho,nu) - d_T(rho,mu) - d_T(mu,nu)."""
-    worst = -math.inf
-    for rho, mu, nu in samples:
-        lhs = tataru_distance(space, rho, nu, flow_dt).value
-        rhs = (tataru_distance(space, rho, mu, flow_dt).value
-               + tataru_distance(space, mu, nu, flow_dt).value)
-        worst = max(worst, lhs - rhs)
-    return worst
+    pis = [rho for rho, _, _ in samples] * 2 + [mu for _, mu, _ in samples]
+    rhos = ([nu for _, _, nu in samples] + [mu for _, mu, _ in samples]
+            + [nu for _, _, nu in samples])
+    lhs, rho_mu, mu_nu = _tataru_pairs(space, pis, rhos, flow_dt)[0].reshape(3, len(samples))
+    return float(np.max(lhs - (rho_mu + mu_nu), initial=-math.inf))
 
 
 def tataru_batch_csv(space: Space, in_path, out_path, flow_dt: float = 1e-2) -> int:
     """Evaluate d_T on point pairs from a CSV (one row per pair: the first
     dim columns are pi, the next dim are rho) and write value,t_star rows."""
     n = space.dimension
-    rows = []
+    pis, rhos = [], []
     with open(in_path, newline="") as fh:
         for row in csv.reader(fh):
             if not row or row[0].startswith("#") or row[0] in ("pi_0", "t"):
@@ -240,11 +300,12 @@ def tataru_batch_csv(space: Space, in_path, out_path, flow_dt: float = 1e-2) -> 
             vals = [float(v) for v in row]
             if len(vals) != 2 * n:
                 raise UsageError(f"expected {2 * n} columns, got {len(vals)}")
-            rows.append((StatePoint.of(vals[:n]), StatePoint.of(vals[n:])))
+            pis.append(StatePoint.of(vals[:n]))
+            rhos.append(StatePoint.of(vals[n:]))
+    values, t_stars, _ = _tataru_pairs(space, pis, rhos, flow_dt)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["value", "t_star"])
-        for pi, rho in rows:
-            res = tataru_distance(space, pi, rho, flow_dt)
-            writer.writerow([repr(res.value), repr(res.t_star)])
-    return len(rows)
+        for value, t_star in zip(values.tolist(), t_stars.tolist()):
+            writer.writerow([repr(value), repr(t_star)])
+    return len(pis)

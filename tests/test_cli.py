@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from evikit import cli
 from evikit.cli import list_builtins, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -124,17 +125,47 @@ class TestRunConfigs:
                   for p in (tmp_path / "out").iterdir() if p.name != "manifest.json"}
         assert first == second and first
 
-    def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EVIKIT_THREADS", "1")
+    def test_tataru_report_byte_identical(self, tmp_path):
+        # the suites run serially, drawing their seeds in listed order
         cfg = {
-            "space": {"space": "ou", "params": {"kappa": 1.0}},
+            "space": {"space": "cir", "params": {"mu": 1.0}},
             "kind": "tataru",
             "params": {"n_samples": 20, "flow_dt": 0.01, "tol": 0.001,
-                       "suites": ["lipschitz", "triangle"]},
+                       "suites": ["lipschitz", "flow_lipschitz", "triangle"]},
+            "output_dir": str(tmp_path / "out"),
+            "seed": 3,
+        }
+        path = self.write_config(tmp_path, cfg)
+        reports = []
+        for _ in range(2):
+            assert run(path) == 0
+            reports.append((tmp_path / "out" / "tataru_report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_thread_cap_respected(self, tmp_path, monkeypatch):
+        # the comparison kind is the one kind that runs on a thread pool
+        monkeypatch.setenv("EVIKIT_THREADS", "1")
+        workers = []
+
+        class RecordingPool(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        cfg = {
+            "space": {"space": "cir", "params": {"mu": 1.0, "x_lo": 0.001,
+                                                 "x_hi": 8.0}},
+            "kind": "comparison",
+            "params": {"lambda": 1.0, "n_grid": 200, "tol": 1e-06,
+                       "h": {"name": "affine_clipped",
+                             "params": {"slope": 1.0, "intercept": 0.0, "cap": 2.0}},
+                       "deltas": [0.05, 0.5]},
             "output_dir": str(tmp_path / "out"),
             "seed": 0,
         }
         assert run(self.write_config(tmp_path, cfg)) == 0
+        assert workers == [1]
 
 
 class TestShippedConfigs:

@@ -288,6 +288,41 @@ def test_pava_projects_onto_monotone_vectors():
         assert np.dot(proj - y, proj - y) <= np.dot(np.sort(y) - y, np.sort(y) - y) + 1e-12
 
 
+def pava_reference(y):
+    """The pooling loop with float block weights, as written before the
+    monotone fast path and integer block counts."""
+    n = len(y)
+    vals, wts = np.empty(n), np.empty(n)
+    k = 0
+    for i in range(n):
+        cv, cw = y[i], 1.0
+        while k > 0 and vals[k - 1] > cv:
+            cv = (wts[k - 1] * vals[k - 1] + cw * cv) / (wts[k - 1] + cw)
+            cw += wts[k - 1]
+            k -= 1
+        vals[k], wts[k] = cv, cw
+        k += 1
+    out, idx = np.empty(n), 0
+    for j in range(k):
+        cnt = int(round(wts[j]))
+        out[idx:idx + cnt] = vals[j]
+        idx += cnt
+    return out
+
+
+def test_pava_bit_identical_to_pooling_loop():
+    rng = np.random.default_rng(22)
+    cases = [np.array([]), np.array([1.5]), np.array([0.0, -0.0]),
+             np.array([1.0, np.nan, 0.5]), np.array([2.0, 1.0, 1.0, 3.0])]
+    for _ in range(40):
+        y = rng.normal(0, 1, 60)
+        cases += [y, np.sort(y), np.round(np.sort(y), 1), np.sort(y) + rng.normal(0, 0.05, 60)]
+    for y in cases:
+        out = pava_nondecreasing(y)
+        assert out is not y and out.dtype == np.float64
+        assert out.tobytes() == pava_reference(y).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # McCann admissibility
 # ---------------------------------------------------------------------------

@@ -6,16 +6,20 @@ import numpy as np
 import pytest
 
 from evikit.core import StatePoint
-from evikit.flow import flow_exact
+from evikit.flow import _time_grid, flow_any, flow_exact
 from evikit.potentials import make_potential
 from evikit.spaces import (
     CirDescriptor,
+    QuadraticDescriptor,
     Wasserstein1DDescriptor,
     make_cir,
     make_ou,
+    make_quadratic,
     make_wasserstein1d,
 )
 from evikit.tataru import (
+    _BLOCK_ELEMENTS,
+    _tataru_pairs,
     tataru_batch,
     tataru_batch_csv,
     tataru_distance,
@@ -60,6 +64,68 @@ def statepoint_tataru(space, pi, rho, flow_dt):
             d_ = a + golden * (b - a)
             fd = phi_at(d_)
     return min(float(phi[k]), phi_at(0.5 * (a + b))), len(traj.times)
+
+
+def scalar_tataru(space, pi, rho, flow_dt):
+    """Reference d_T by the one-pair route the pair kernel replaced: scan
+    this pair's flow samples in chart coordinates, then a scalar golden
+    section on the closed-form chart flow, or on Trajectory.state_at of
+    the minimizing-movement trajectory where rho has no closed form.
+    Returns (value, t_star)."""
+    kappa_hat = min(0.0, space.kappa)
+    y_pi, y_rho = space.to_chart(pi), space.to_chart(rho)
+    d0 = space.distance(pi, rho)
+    if d0 == 0.0:
+        return 0.0, 0.0
+    dt = min(flow_dt, d0)
+    if space.has_exact_flow(rho):
+        times = _time_grid(d0, dt)
+        chart = space.exact_flow_chart(y_rho, times)
+
+        def flow_at(t):
+            return space.exact_flow_chart(y_rho, (t,))[0]
+    else:
+        traj = flow_any(space, rho, d0, dt)
+        times = traj.times
+        chart = np.stack([space.to_chart(s) for s in traj.states])
+
+        def flow_at(t):
+            return space.to_chart(traj.state_at(space, t))
+
+    def phi_at(t):
+        return t + math.exp(kappa_hat * t) * (
+            space.chart_scale * float(np.linalg.norm(y_pi - flow_at(t))))
+
+    phi = times + np.exp(kappa_hat * times) * space.chart_scale * np.linalg.norm(
+        chart - y_pi[None, :], axis=1)
+    k = int(np.argmin(phi))
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(times[max(k - 1, 0)]), float(times[min(k + 1, len(times) - 1)])
+    c, d_ = b - golden * (b - a), a + golden * (b - a)
+    fc, fd = phi_at(c), phi_at(d_)
+    while b - a > 1e-10 * max(1.0, d0):
+        if fc < fd:
+            b, d_, fd = d_, c, fc
+            c = b - golden * (b - a)
+            fc = phi_at(c)
+        else:
+            a, c, fc = c, d_, fd
+            d_ = a + golden * (b - a)
+            fd = phi_at(d_)
+    t_star = 0.5 * (a + b)
+    value = phi_at(t_star)
+    if phi[k] < value:
+        return float(phi[k]), float(times[k])
+    return value, t_star
+
+
+def assert_kernel_matches_scalar(space, pairs, flow_dt, tol=1e-12):
+    values, t_stars, _ = _tataru_pairs(space, [p for p, _ in pairs],
+                                       [r for _, r in pairs], flow_dt)
+    for (pi, rho), value, t_star in zip(pairs, values, t_stars):
+        ref_value, ref_t = scalar_tataru(space, pi, rho, flow_dt)
+        assert abs(value - ref_value) <= tol, (pi, rho)
+        assert abs(t_star - ref_t) <= tol, (pi, rho)
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +217,7 @@ class TestDistance:
             batch = tataru_batch(space, pis, rho, 5e-3)
             scalar = np.array([tataru_distance(space, p, rho, 5e-3).value
                                for p in pis])
-            assert np.max(np.abs(batch - scalar)) <= 1e-5
+            assert np.max(np.abs(batch - scalar)) <= 1e-12
 
     def test_chart_kernel_matches_statepoint_route(self, ou, cir):
         heat = make_wasserstein1d(Wasserstein1DDescriptor(
@@ -171,6 +237,83 @@ class TestDistance:
                 res = tataru_distance(space, pi, rho, flow_dt)
                 assert abs(res.value - value) <= 1e-12
                 assert res.flow_samples_used == samples
+
+
+class TestPairKernel:
+    """The pair kernel against the one-pair scalar route (scalar_tataru)."""
+
+    FLOW_DT = 5e-3
+
+    def edge_pairs(self, space, rng):
+        """d0 = 0, d0 < flow_dt and d0 an exact multiple of flow_dt."""
+        pairs = []
+        for _ in range(5):
+            p = space.sample_point(rng)
+            y = space.to_chart(p)
+            pairs.append((p, p))
+            for step in (0.3 * self.FLOW_DT, 40 * self.FLOW_DT):
+                pairs.append((p, space.from_chart(y + step / space.chart_scale)))
+        return pairs
+
+    def test_random_and_edge_pairs_in_one_block(self, ou, cir):
+        # mixed lengths: d0 from 0 to several units share one scan block
+        rng = np.random.default_rng(59)
+        for space in (ou, cir):
+            pairs = [(space.sample_point(rng), space.sample_point(rng))
+                     for _ in range(30)] + self.edge_pairs(space, rng)
+            assert_kernel_matches_scalar(space, pairs, self.FLOW_DT)
+
+    def test_exact_multiple_has_no_endpoint_column(self, ou, cir):
+        # dyadic points: d0 = 40 flow_dt exactly, so the grid is 41 multiples
+        for space, pi, rho in ((ou, 0.25, 0.5625), (cir, 0.25, 0.65625 ** 2)):
+            pi, rho = StatePoint.of(pi), StatePoint.of(rho)
+            assert space.distance(pi, rho) == 40 * 2 ** -7
+            assert tataru_distance(space, pi, rho, 2 ** -7).flow_samples_used == 41
+            assert_kernel_matches_scalar(space, [(pi, rho), (rho, pi)], 2 ** -7)
+
+    def test_more_pairs_than_one_block(self, ou, cir):
+        rng = np.random.default_rng(61)
+        for space in (ou, cir):
+            pairs = [(space.sample_point(rng), space.sample_point(rng))
+                     for _ in range(1000)]
+            widths = [math.floor(space.distance(p, r) / self.FLOW_DT) + 2 for p, r in pairs]
+            assert sum(widths) > 2 * _BLOCK_ELEMENTS
+            assert_kernel_matches_scalar(space, pairs, self.FLOW_DT)
+
+    def test_gaussian_transport_pairs(self):
+        heat = make_wasserstein1d(Wasserstein1DDescriptor(
+            m=100, internal=make_potential("entropy")))
+        rng = np.random.default_rng(67)
+
+        def gaussian():
+            return heat.gaussian_state(rng.normal(0, 0.5), math.exp(rng.uniform(-0.5, 0.7)))
+
+        pairs = [(gaussian(), gaussian()) for _ in range(12)]
+        near = heat.gaussian_state(0.0, 1.0)
+        pairs += [(near, near), (near, heat.gaussian_state(0.002, 1.0))]
+        assert_kernel_matches_scalar(heat, pairs, 1e-2)
+
+    def test_minimizing_movement_pairs_are_bit_identical(self):
+        # the zero perturbation registers no closed form, so rho flows by
+        # minimizing movement and the refinement uses the interpolant
+        space = make_quadratic(QuadraticDescriptor(
+            dimension=2, kappa=1.0, perturbation=make_potential("zero")))
+        rng = np.random.default_rng(71)
+        pairs = []
+        for step in (0.0, 0.002, 0.01, 0.3, 0.8):
+            p = space.sample_point(rng)
+            pairs.append((p, StatePoint.of(p.array + step * rng.normal(size=2))))
+        # rho flows towards pi faster than unit speed: interior minimizers
+        pairs += [(StatePoint.of([0.0, 0.0]), StatePoint.of([math.e, 0.0])),
+                  (StatePoint.of([0.3, -0.2]), StatePoint.of([1.5, 2.5]))]
+        assert_kernel_matches_scalar(space, pairs, 1e-2, tol=0.0)
+        t_star = _tataru_pairs(space, [pairs[-2][0]], [pairs[-2][1]], 1e-2)[1][0]
+        assert t_star == pytest.approx(1.0, abs=1e-2)
+        # tataru_batch flows rho once; pairs with d0 >= flow_dt see the same samples
+        rho = pairs[-2][1]
+        pis = [StatePoint.of(y) for y in ([0.0, 0.0], [0.5, 0.1], [2.0, -0.3], [math.e, 0.0])]
+        batch = tataru_batch(space, pis, rho, 1e-2)
+        assert list(batch) == [scalar_tataru(space, pi, rho, 1e-2)[0] for pi in pis]
 
 
 class TestSuites:
