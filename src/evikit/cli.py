@@ -19,9 +19,7 @@ Result files (CSV per RFC 4180 with '.' decimals, JSON in UTF-8 with
 sorted keys) are byte-identical for a fixed config and seed; the
 manifest.json echoing the config additionally records versions and wall
 time.  Exit codes: 0 all assertions pass, 1 assertion failure, 2 config
-error, 3 numerical-solver failure.  The comparison kind solves its
-shifted-data problems on a thread pool; EVIKIT_THREADS caps its number of
-worker threads.  Every other kind runs serially.
+error, 3 numerical-solver failure.  Every kind runs serially.
 """
 
 from __future__ import annotations
@@ -29,11 +27,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +90,15 @@ from .hj import (
     verify_subsolution,
     verify_supersolution,
 )
-from .ekeland import jensen_distance_check, quadruplicate
+from .ekeland import (
+    EkelandProblem,
+    ekeland_optimize,
+    jensen_distance_check,
+    product_penalty,
+    quadruplicate,
+    tataru_matrix,
+    verify_ekeland_result,
+)
 
 
 class ConfigError(ValueError):
@@ -171,13 +175,6 @@ def _state(space: Space, spec) -> StatePoint:
         g = spec["gaussian"]
         return space.gaussian_state(float(g.get("mean", 0.0)), float(g.get("sd", 1.0)))
     return StatePoint.of(spec)
-
-
-def _max_workers() -> int:
-    env = os.environ.get("EVIKIT_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
 
 
 def _json_default(obj):
@@ -395,8 +392,7 @@ def run_comparison(space, params, out: Path, rng):
                                GridFunction(base.f.points, h_fn(xs) - delta), tol)
         return delta, res
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = dict(pool.map(cell, deltas))
+    results = dict(cell(delta) for delta in deltas)
     same = check_comparison(base.f, base.f, h_grid, h_grid, tol)
     payload = {"identical": same.to_json(),
                "shifted": {repr(d): results[d].to_json() for d in sorted(results)}}
@@ -421,8 +417,7 @@ def run_quadruplication(space, params, out: Path, rng):
     sol_u = _solve_for(space, params, lam, h_fn, n, 1e-8)
     sol_v = _solve_for(space, params, lam, lambda x: v_scale * h_fn(x), n, 1e-8)
     nu0 = _state(space, params.get("nu0", [0.0]))
-    result = quadruplicate(space, sol_u.f, sol_v.f, alphas, nu0,
-                           flow_dt=float(params.get("flow_dt", 1e-2)))
+    result = quadruplicate(space, sol_u.f, sol_v.f, alphas, nu0)
     result.write_json(out / "quadruplication_report.json")
     trend = result.trend()
     mono = all(trend[i + 1] <= trend[i] + 1e-15 for i in range(len(trend) - 1))
@@ -509,9 +504,6 @@ def run_properties(space, params, out: Path, rng):
 def _ekeland_exactness_cell(space, params):
     """Exhaustive Ekeland run: a line problem on the space's chart plus a
     Tataru-penalized product-grid problem, both verified exhaustively."""
-    from .ekeland import EkelandProblem, ekeland_optimize, tataru_matrix, \
-        verify_ekeland_result
-
     n_line = int(params.get("ekeland_points", 2001))
     xs = np.linspace(-5.0, 5.0, n_line)
     g = np.sin(3.0 * xs) - 0.1 * xs**2
@@ -523,27 +515,10 @@ def _ekeland_exactness_cell(space, params):
           and res["uniqueness_margin"] > 0.0)
 
     base = [space.sample_point(np.random.default_rng(5)) for _ in range(6)]
-    dt_m = tataru_matrix(space, base, 1e-2)
     n = len(base)
-    rng_g = np.random.default_rng(9)
-    g4 = rng_g.normal(0.0, 1.0, n**4)
-
-    def decode(f):
-        i3 = f % n; f //= n
-        i2 = f % n; f //= n
-        return f // n, f % n, i2, i3
-
-    def pen(i, j):
-        ii, jj = decode(i), decode(j)
-        return sum(dt_m[a, b] for a, b in zip(ii, jj))
-
-    def pen_batch(j):
-        jj = decode(j)
-        cols = [dt_m[:, b] for b in jj]
-        return (cols[0][:, None, None, None] + cols[1][None, :, None, None]
-                + cols[2][None, None, :, None] + cols[3][None, None, None, :]
-                ).reshape(-1)
-
+    g4 = np.random.default_rng(9).normal(0.0, 1.0, n**4)
+    pen, pen_batch = product_penalty(tataru_matrix(space, base, 1e-2),
+                                     (1.0, 1.0, 1.0, 1.0))
     prod = EkelandProblem(list(range(n**4)), g4, pen, 0.2, 0,
                           penalty_batch=pen_batch)
     res2 = verify_ekeland_result(prod, ekeland_optimize(prod))

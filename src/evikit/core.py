@@ -82,10 +82,6 @@ class ExtendedReal:
             raise UsageError(f"finite ExtendedReal requires a finite value, got {v}")
         return ExtendedReal(v, False)
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.infinite
-
     def __float__(self) -> float:
         return math.inf if self.infinite else self.value
 

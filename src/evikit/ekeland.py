@@ -25,6 +25,13 @@ penalizes with the weighted Tataru sum
 
     B(x, x~) = d_T(pi,pi~)/(1-eps) + d_T(mu,mu~)/(1+eps) + d_T(rho,rho~) + d_T(gamma,gamma~).
 
+The perturbation is there to make a supremum attained.  On a finite
+product grid the maximum of G_a is attained already, so the Ekeland
+perturbation is the identity and quadruplicate takes the maximizer
+directly.  The finite-set principle under a Tataru product penalty
+(product_penalty over tataru_matrix) is checked by acceptance
+criterion 9 and by the `ekeland` check of the properties kind.
+
 Along a growing weight schedule the auxiliary terms a Psi + Xi decay
 toward zero, and the drift/squared-distance bounds tested by
 verify_key_estimates tighten accordingly.
@@ -47,31 +54,6 @@ from .tataru import tataru_batch, tataru_distance
 # ---------------------------------------------------------------------------
 # Finite-set Ekeland principle
 # ---------------------------------------------------------------------------
-
-class _ProductGrid:
-    """Lazy view of the 4-fold product of a base grid (indexing only)."""
-
-    def __init__(self, base: list[StatePoint]):
-        self.base = base
-        self.n = len(base)
-
-    def __len__(self) -> int:
-        return self.n**4
-
-    def decode(self, flat: int) -> tuple[int, int, int, int]:
-        n = self.n
-        i3 = flat % n
-        flat //= n
-        i2 = flat % n
-        flat //= n
-        i1 = flat % n
-        i0 = flat // n
-        return i0, i1, i2, i3
-
-    def __getitem__(self, flat: int):
-        i0, i1, i2, i3 = self.decode(flat)
-        return (self.base[i0], self.base[i1], self.base[i2], self.base[i3])
-
 
 @dataclass
 class EkelandProblem:
@@ -223,6 +205,32 @@ def tataru_matrix(space: Space, base: list[StatePoint],
     return out
 
 
+def product_penalty(dt_matrix: np.ndarray, weights: tuple[float, ...]):
+    """The weighted sum of a base-grid penalty over the 4-fold product grid,
+    with quadruples numbered in C order (flat = np.ravel_multi_index):
+
+        B(i, j) = ((w0 DT[i0,j0] + w1 DT[i1,j1]) + w2 DT[i2,j2]) + w3 DT[i3,j3].
+
+    Returns (penalty, penalty_batch) for an EkelandProblem: penalty(i, j)
+    is B(i, j) and penalty_batch(j) is B(k, j) for every k at once.
+    """
+    shape = (dt_matrix.shape[0],) * 4
+    if len(weights) != 4:
+        raise UsageError("product penalty needs one weight per component")
+
+    def penalty(i: int, j: int) -> float:
+        ii, jj = np.unravel_index(i, shape), np.unravel_index(j, shape)
+        return sum(w * dt_matrix[a, b] for w, a, b in zip(weights, ii, jj))
+
+    def penalty_batch(j: int) -> np.ndarray:
+        cols = [dt_matrix[:, b] * w for w, b in zip(weights, np.unravel_index(j, shape))]
+        return (cols[0][:, None, None, None] + cols[1][None, :, None, None]
+                + cols[2][None, None, :, None] + cols[3][None, None, None, :]
+                ).reshape(-1)
+
+    return penalty, penalty_batch
+
+
 # ---------------------------------------------------------------------------
 # Four-variable optimization
 # ---------------------------------------------------------------------------
@@ -291,7 +299,7 @@ def _ebar_values(space: Space, base: list[StatePoint], nu0: StatePoint,
 
 def quadruplicate(space: Space, u: GridFunction, v: GridFunction,
                   alpha_schedule: list[float], nu0: StatePoint,
-                  c1: float | None = None, flow_dt: float = 1e-2,
+                  c1: float | None = None,
                   product_cap: int = 10**7) -> QuadruplicationResult:
     """Run the four-variable Ekeland optimization along a weight schedule.
 
@@ -299,9 +307,11 @@ def quadruplicate(space: Space, u: GridFunction, v: GridFunction,
     exact maximizer of u(pi) - v(mu) - alpha/2 d^2(pi, mu); (rho0, gamma0)
     are the nearest finite-energy grid points; eps_alpha is set
     constructively so that Xi_alpha(x0) + eps_alpha < 1/alpha; the
-    four-variable objective is maximized exactly over the product grid
-    and polished by the Ekeland walk with delta = 1/alpha under the
-    weighted Tataru penalty.
+    four-variable objective is then maximized exactly over the product
+    grid.  On a finite grid that maximum is attained, so the Ekeland
+    perturbation (delta = 1/alpha, weighted Tataru penalty) is the
+    identity: a walk started at the maximizer stops there at once, and
+    none is run.
     """
     base = u.points
     n = len(base)
@@ -322,7 +332,6 @@ def quadruplicate(space: Space, u: GridFunction, v: GridFunction,
     ebar = _ebar_values(space, base, nu0, c1, c2)
     if np.any(np.isinf(ebar)):
         raise UsageError("quadruplication grids must lie in the energy domain")
-    dt_matrix = tataru_matrix(space, base, flow_dt)
     sup_gap = float(np.max(u.values - v.values))
 
     entries = []
@@ -336,7 +345,7 @@ def quadruplicate(space: Space, u: GridFunction, v: GridFunction,
 
         wm = 1.0 / (1.0 - eps)
         wp = 1.0 / (1.0 + eps)
-        g_flat = (
+        g = (
             wm * u.values[:, None, None, None]
             - wp * v.values[None, None, :, None]
             - alpha * (0.5 * wm * sq[:, :, None, None]    # d^2(pi, rho)
@@ -344,28 +353,8 @@ def quadruplicate(space: Space, u: GridFunction, v: GridFunction,
                        + 0.5 * wp * sq[None, None, :, :]) # d^2(gamma, mu)
             - eps * wm * ebar[None, :, None, None]
             - eps * wp * ebar[None, None, None, :]
-        ).reshape(-1)
-
-        grid = _ProductGrid(base)
-        weights = (wm, 1.0, wp, 1.0)
-
-        def penalty(i: int, j: int) -> float:
-            ii, jj = grid.decode(i), grid.decode(j)
-            return sum(w * dt_matrix[a, b] for w, a, b in zip(weights, ii, jj))
-
-        def penalty_batch(j: int, _g=grid, _w=weights) -> np.ndarray:
-            n1 = _g.n
-            jj = _g.decode(j)
-            cols = [dt_matrix[:, b] * w for w, b in zip(_w, jj)]
-            return (cols[0][:, None, None, None] + cols[1][None, :, None, None]
-                    + cols[2][None, None, :, None] + cols[3][None, None, None, :]
-                    ).reshape(-1)
-
-        x_hat = int(np.argmax(g_flat))
-        problem = EkelandProblem(grid, g_flat, penalty, 1.0 / alpha, x_hat,
-                                 penalty_batch=penalty_batch)
-        result = ekeland_optimize(problem)
-        i_pi, i_rho, i_mu, i_gamma = grid.decode(result.x_delta)
+        )
+        i_pi, i_rho, i_mu, i_gamma = np.unravel_index(int(np.argmax(g)), g.shape)
 
         phi = wm * u.values[i_pi] - wp * v.values[i_mu]
         psi = (0.5 * wm * sq[i_pi, i_rho] + 0.5 * sq[i_rho, i_gamma]

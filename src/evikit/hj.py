@@ -66,10 +66,6 @@ class GridFunction:
         if not np.all(np.isfinite(self.values)):
             raise UsageError("grid function values must be finite")
 
-    @staticmethod
-    def from_callable(points: list[StatePoint], fn) -> "GridFunction":
-        return GridFunction(points, np.array([fn(p) for p in points]))
-
     def coords(self) -> np.ndarray:
         """Coordinate array for scalar-state grids."""
         return np.array([p.coords[0] for p in self.points])

@@ -154,10 +154,6 @@ class CirSpace(Space):
             return ExtendedReal.INF
         return ExtendedReal.finite(abs(x - self.mu) / math.sqrt(x))
 
-    def metric_gradient(self, x: float) -> float:
-        """grad E in the chart metric: g^{-1}(x) E'(x) = x - mu."""
-        return x - self.mu
-
     def has_exact_flow(self, p: StatePoint) -> bool:
         return True
 

@@ -270,7 +270,8 @@ def verify_tataru_flow_lipschitz(space: Space,
         raise UsageError("flow-Lipschitz offsets r must be positive")
     pis = [nu for nu, _ in samples]
     for r in r_values:
-        pis += [flow_any(space, nu, r, r / 4.0).end for nu, _ in samples]
+        pis += [space.exact_flow(nu, r) if space.has_exact_flow(nu)
+                else flow_any(space, nu, r, r / 4.0).end for nu, _ in samples]
     vals = _tataru_pairs(space, pis, [nu_h for _, nu_h in samples] * (1 + len(r_values)),
                          flow_dt)[0].reshape(1 + len(r_values), len(samples))
     r = np.array(r_values)[:, None]

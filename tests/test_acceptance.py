@@ -16,6 +16,7 @@ from evikit.ekeland import (
     ekeland_optimize,
     quadruplicate,
     jensen_distance_check,
+    product_penalty,
     tataru_matrix,
     verify_ekeland_result,
 )
@@ -249,26 +250,10 @@ def _shipped_ekeland_problems(ou):
     dt_m = tataru_matrix(ou, base, 1e-2)
     n = len(base)
     eps = 0.1
-    w = (1.0 / (1.0 - eps), 1.0, 1.0 / (1.0 + eps), 1.0)
     rng = np.random.default_rng(55)
     g4 = rng.normal(0.0, 1.0, n**4)
-
-    def decode(f):
-        i3 = f % n; f //= n
-        i2 = f % n; f //= n
-        return f // n, f % n, i2, i3
-
-    def pen(i, j):
-        ii, jj = decode(i), decode(j)
-        return sum(wk * dt_m[a, b] for wk, a, b in zip(w, ii, jj))
-
-    def pen_batch(j):
-        jj = decode(j)
-        cols = [dt_m[:, b] * wk for wk, b in zip(w, jj)]
-        return (cols[0][:, None, None, None] + cols[1][None, :, None, None]
-                + cols[2][None, None, :, None] + cols[3][None, None, None, :]
-                ).reshape(-1)
-
+    pen, pen_batch = product_penalty(
+        dt_m, (1.0 / (1.0 - eps), 1.0, 1.0 / (1.0 + eps), 1.0))
     problems.append(("tataru_product", EkelandProblem(
         list(range(n**4)), g4, pen, 0.2, 0, penalty_batch=pen_batch), 0))
     return problems

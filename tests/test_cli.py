@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from evikit import cli
 from evikit.cli import list_builtins, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -142,17 +141,9 @@ class TestRunConfigs:
             reports.append((tmp_path / "out" / "tataru_report.json").read_bytes())
         assert reports[0] == reports[1]
 
-    def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        # the comparison kind is the one kind that runs on a thread pool
-        monkeypatch.setenv("EVIKIT_THREADS", "1")
-        workers = []
-
-        class RecordingPool(cli.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                workers.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    def test_comparison_report_byte_identical(self, tmp_path):
+        # the shifted-data cells run serially and draw nothing from rng,
+        # so neither a rerun nor the order of the deltas moves the report
         cfg = {
             "space": {"space": "cir", "params": {"mu": 1.0, "x_lo": 0.001,
                                                  "x_hi": 8.0}},
@@ -160,12 +151,16 @@ class TestRunConfigs:
             "params": {"lambda": 1.0, "n_grid": 200, "tol": 1e-06,
                        "h": {"name": "affine_clipped",
                              "params": {"slope": 1.0, "intercept": 0.0, "cap": 2.0}},
-                       "deltas": [0.05, 0.5]},
+                       "deltas": [0.05, 0.2, 0.5]},
             "output_dir": str(tmp_path / "out"),
             "seed": 0,
         }
-        assert run(self.write_config(tmp_path, cfg)) == 0
-        assert workers == [1]
+        reports = []
+        for deltas in ([0.05, 0.2, 0.5], [0.05, 0.2, 0.5], [0.5, 0.2, 0.05]):
+            cfg["params"]["deltas"] = deltas
+            assert run(self.write_config(tmp_path, cfg)) == 0
+            reports.append((tmp_path / "out" / "comparison_report.json").read_bytes())
+        assert reports[0] == reports[1] == reports[2]
 
 
 class TestShippedConfigs:

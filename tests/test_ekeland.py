@@ -12,7 +12,9 @@ from evikit.ekeland import (
     EkelandProblem,
     ekeland_optimize,
     jensen_distance_check,
+    product_penalty,
     quadruplicate,
+    tataru_matrix,
     tataru_penalty,
     verify_ekeland_result,
     verify_key_estimates,
@@ -124,6 +126,72 @@ class TestTataruPenalty:
     def test_eps_range_enforced(self):
         with pytest.raises(UsageError):
             tataru_penalty(make_ou(1.0), 0.5)
+
+
+def decode_product_penalty(dt_matrix, weights):
+    """The hand-written product penalty that product_penalty replaced: a
+    flat quadruple index decoded by repeated division."""
+    n = len(dt_matrix)
+
+    def decode(f):
+        i3 = f % n; f //= n
+        i2 = f % n; f //= n
+        return f // n, f % n, i2, i3
+
+    def pen(i, j):
+        ii, jj = decode(i), decode(j)
+        return sum(w * dt_matrix[a, b] for w, a, b in zip(weights, ii, jj))
+
+    def pen_batch(j):
+        cols = [dt_matrix[:, b] * w for w, b in zip(weights, decode(j))]
+        return (cols[0][:, None, None, None] + cols[1][None, :, None, None]
+                + cols[2][None, None, :, None] + cols[3][None, None, None, :]
+                ).reshape(-1)
+
+    return pen, pen_batch
+
+
+class TestProductPenalty:
+    EPS = 0.1
+    WEIGHTS = (1.0 / (1.0 - EPS), 1.0, 1.0 / (1.0 + EPS), 1.0)
+
+    @pytest.fixture(scope="class")
+    def matrices(self):
+        ou = make_ou(1.0)
+        base = [StatePoint.of(v) for v in np.linspace(-1.5, 1.5, 5)]
+        # a Tataru matrix, and an asymmetric one whose entries span many
+        # magnitudes, so the order of the four-term sum shows in the bits
+        rough = np.exp(np.random.default_rng(17).uniform(-20.0, 20.0, (5, 5)))
+        return [tataru_matrix(ou, base, 1e-2), rough]
+
+    def test_batch_matches_pointwise(self, matrices):
+        for dt_m in matrices:
+            pen, pen_batch = product_penalty(dt_m, self.WEIGHTS)
+            for j in (0, 1, 7, 312, 624):
+                batch = pen_batch(j)
+                assert batch.shape == (5**4,)
+                assert all(batch[k] == pen(k, j) for k in range(5**4))
+
+    def test_bit_equal_to_decode_reference(self, matrices):
+        rng = np.random.default_rng(19)
+        for dt_m in matrices:
+            for weights in (self.WEIGHTS, (1.0, 1.0, 1.0, 1.0)):
+                pen, pen_batch = product_penalty(dt_m, weights)
+                ref, ref_batch = decode_product_penalty(dt_m, weights)
+                for j in (0, 3, 131, 624):
+                    assert pen_batch(j).tobytes() == ref_batch(j).tobytes()
+                for i, j in rng.integers(5**4, size=(200, 2)):
+                    assert pen(int(i), int(j)) == ref(int(i), int(j))
+
+    def test_vanishes_on_diagonal(self, matrices):
+        pen, pen_batch = product_penalty(matrices[0], self.WEIGHTS)
+        for x in (0, 1, 200, 624):
+            assert pen(x, x) == 0.0
+            assert pen_batch(x)[x] == 0.0
+
+    def test_needs_four_weights(self, matrices):
+        with pytest.raises(UsageError):
+            product_penalty(matrices[0], (1.0, 1.0, 1.0))
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evikit.core import ConstructionError, DomainError, StatePoint, UsageError
 from evikit.potentials import Potential, make_potential
@@ -321,6 +323,17 @@ def test_pava_bit_identical_to_pooling_loop():
         out = pava_nondecreasing(y)
         assert out is not y and out.dtype == np.float64
         assert out.tobytes() == pava_reference(y).tobytes()
+
+
+@given(st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-1.0, -0.0, 0.0, 2.5])),
+                max_size=40),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_pava_matches_pooling_loop_on_drawn_vectors(values, presorted):
+    # presorted vectors take the monotone fast path; ties come from the
+    # sampled values
+    y = np.sort(np.array(values, dtype=float)) if presorted else np.array(values, dtype=float)
+    assert pava_nondecreasing(y).tobytes() == pava_reference(y).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evikit.core import StatePoint
 from evikit.flow import _time_grid, flow_any, flow_exact
@@ -314,6 +316,24 @@ class TestPairKernel:
         pis = [StatePoint.of(y) for y in ([0.0, 0.0], [0.5, 0.1], [2.0, -0.3], [math.e, 0.0])]
         batch = tataru_batch(space, pis, rho, 1e-2)
         assert list(batch) == [scalar_tataru(space, pi, rho, 1e-2)[0] for pi in pis]
+
+
+class TestPairKernelProperties:
+    """The pair kernel against scalar_tataru on drawn pairs."""
+
+    @given(st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_ou_pairs(self, ou, pairs):
+        assert_kernel_matches_scalar(
+            ou, [(StatePoint.of(p), StatePoint.of(r)) for p, r in pairs], 5e-3)
+
+    @given(st.lists(st.tuples(st.floats(0.05, 8.0), st.floats(0.05, 8.0)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_cir_pairs(self, cir, pairs):
+        assert_kernel_matches_scalar(
+            cir, [(StatePoint.of(p), StatePoint.of(r)) for p, r in pairs], 5e-3)
 
 
 class TestSuites:
