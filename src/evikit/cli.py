@@ -328,15 +328,16 @@ def run_resolvent(space, params, out: Path, rng):
         T = float(ro.get("T", lam * math.log(1e4)))
         xs = sol.f.coords()
         dx = xs[1] - xs[0]
+        indices = [int(idx) for idx in ro.get("nodes", [])]
+        vals = value_by_rollout(space, lam, h_fn, sol.f.nodes[indices], us, dt, T,
+                                state_grid=xs)
         rows = []
         ok = True
-        for idx in ro.get("nodes", []):
-            val = value_by_rollout(space, lam, h_fn, sol.f.points[int(idx)],
-                                   us, dt, T, state_grid=xs)
-            f_i = float(sol.f.values[int(idx)])
+        for idx, val in zip(indices, vals.tolist()):
+            f_i = float(sol.f.values[idx])
             in_band = f_i - 10 * dt - 5 * dx <= val <= f_i
             ok = ok and in_band
-            rows.append({"node": int(idx), "rollout": val, "f": f_i,
+            rows.append({"node": idx, "rollout": val, "f": f_i,
                          "in_band": in_band})
         _write_json(out / "rollout.json", rows)
         assertions.append(("rollout_band", ok, f"{len(rows)} nodes"))
@@ -357,11 +358,12 @@ def run_viscosity(space, params, out: Path, rng):
     b_values = sweep.get("b_values", [1e-3, 1e-2, 1e-1])
     n_anchors = int(sweep.get("n_anchors", 5))
     idx = np.linspace(0.05 * n_grid, 0.95 * n_grid, n_anchors).astype(int)
-    h_grid = GridFunction(sol.f.points, h_fn(xs))
-    tfs_up = [UpperTestFunction(space, a, b, 0.0, sol.f.points[i], sol.f.points[i])
-              for a in a_values for b in b_values for i in idx]
-    tfs_low = [LowerTestFunction(space, a, b, 0.0, sol.f.points[i], sol.f.points[i])
-               for a in a_values for b in b_values for i in idx]
+    h_grid = GridFunction(sol.f.nodes, h_fn(xs))
+    anchors = [sol.f.point(i) for i in idx]
+    tfs_up = [UpperTestFunction(space, a, b, 0.0, p, p)
+              for a in a_values for b in b_values for p in anchors]
+    tfs_low = [LowerTestFunction(space, a, b, 0.0, p, p)
+               for a in a_values for b in b_values for p in anchors]
     rep_sub = verify_subsolution(sol.f, tfs_up, lam, h_grid, tol)
     rep_sup = verify_supersolution(sol.f, tfs_low, lam, h_grid, tol)
     _write_json(out / "viscosity_report.json",
@@ -383,13 +385,13 @@ def run_comparison(space, params, out: Path, rng):
     xs = base.f.coords()
     dx = xs[1] - xs[0]
     tol = float(params.get("tol_factor", 10.0)) * dx
-    h_grid = GridFunction(base.f.points, h_fn(xs))
+    h_grid = GridFunction(base.f.nodes, h_fn(xs))
 
     def cell(delta):
         shifted = _solve_for(space, params, lam, lambda x: h_fn(x) - delta,
                              n_grid, tol_sol)
         res = check_comparison(base.f, shifted.f, h_grid,
-                               GridFunction(base.f.points, h_fn(xs) - delta), tol)
+                               GridFunction(base.f.nodes, h_fn(xs) - delta), tol)
         return delta, res
 
     results = dict(cell(delta) for delta in deltas)
@@ -514,7 +516,8 @@ def _ekeland_exactness_cell(space, params):
     ok = (res["inv1_slack"] >= -1e-12 and res["inv2_max"] <= 1e-12
           and res["uniqueness_margin"] > 0.0)
 
-    base = [space.sample_point(np.random.default_rng(5)) for _ in range(6)]
+    base_rng = np.random.default_rng(5)
+    base = [space.sample_point(base_rng) for _ in range(6)]
     n = len(base)
     g4 = np.random.default_rng(9).normal(0.0, 1.0, n**4)
     pen, pen_batch = product_penalty(tataru_matrix(space, base, 1e-2),

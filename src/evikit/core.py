@@ -193,6 +193,13 @@ class Space(ABC):
     def from_chart(self, y: np.ndarray) -> StatePoint:
         ...
 
+    def to_chart_rows(self, coords: np.ndarray) -> np.ndarray:
+        """Chart rows (n, dimension) of a coordinate array (n, dimension),
+        equal to to_chart row by row; spaces with an elementwise chart
+        override it with one array operation."""
+        rows = [self.to_chart(StatePoint(tuple(row))) for row in np.asarray(coords).tolist()]
+        return np.array(rows, dtype=float).reshape(len(rows), self.dimension)
+
     def project_chart(self, y: np.ndarray) -> np.ndarray:
         """Project raw chart coordinates back onto the feasible set."""
         return y

@@ -48,7 +48,7 @@ import numpy as np
 from .core import NumericalError, Space, StatePoint, UsageError
 from .flow import fit_quadratic_lower_bound
 from .hj import GridFunction
-from .tataru import tataru_batch, tataru_distance
+from .tataru import tataru_batch
 
 
 # ---------------------------------------------------------------------------
@@ -165,42 +165,17 @@ def verify_ekeland_result(problem: EkelandProblem, result: EkelandResult) -> dic
 
 
 # ---------------------------------------------------------------------------
-# Tataru penalty on quadruples
+# Tataru penalty on product grids
 # ---------------------------------------------------------------------------
-
-def tataru_penalty(space: Space, eps: float, flow_dt: float = 1e-2):
-    """Weighted Tataru sum on quadruples x = (pi, rho, mu, gamma):
-
-        B(x, x~) = d_T(pi,pi~)/(1-eps) + d_T(rho,rho~) + d_T(mu,mu~)/(1+eps)
-                   + d_T(gamma,gamma~)
-
-    B(x, x) = 0 and the triangle inequality are inherited per component.
-    Pairwise values are cached across calls.
-    """
-    if not 0.0 < eps < 1.0 / 3.0:
-        raise UsageError("tataru penalty weight eps must lie in (0, 1/3)")
-    weights = (1.0 / (1.0 - eps), 1.0, 1.0 / (1.0 + eps), 1.0)
-    cache: dict = {}
-
-    def d_t(p: StatePoint, q: StatePoint) -> float:
-        key = (p.coords, q.coords)
-        if key not in cache:
-            cache[key] = tataru_distance(space, p, q, flow_dt).value
-        return cache[key]
-
-    def penalty(x, x_tilde) -> float:
-        return sum(w * d_t(p, q) for w, p, q in zip(weights, x, x_tilde))
-
-    return penalty
-
 
 def tataru_matrix(space: Space, base: list[StatePoint],
                   flow_dt: float = 1e-2) -> np.ndarray:
     """DT[i, j] = d_T(base[i], base[j]) with one flow per column."""
     n = len(base)
+    chart = space.to_chart_rows(np.array([p.coords for p in base]))
     out = np.empty((n, n))
     for j in range(n):
-        out[:, j] = tataru_batch(space, base, base[j], flow_dt)
+        out[:, j] = tataru_batch(space, chart, base[j], flow_dt)
         out[j, j] = 0.0
     return out
 
@@ -313,9 +288,8 @@ def quadruplicate(space: Space, u: GridFunction, v: GridFunction,
     identity: a walk started at the maximizer stops there at once, and
     none is run.
     """
-    base = u.points
-    n = len(base)
-    if [p.coords for p in v.points] != [p.coords for p in base]:
+    n = len(u.nodes)
+    if not np.array_equal(u.nodes, v.nodes):
         raise UsageError("u and v must share one grid")
     if n**4 > product_cap:
         raise UsageError(
@@ -325,7 +299,8 @@ def quadruplicate(space: Space, u: GridFunction, v: GridFunction,
         c1 = max(1.0, 1.0 - space.kappa)
     c2, _ = fit_quadratic_lower_bound(space, nu0, c1)
 
-    chart = np.stack([space.to_chart(p) for p in base])
+    base = [u.point(i) for i in range(n)]
+    chart = space.to_chart_rows(u.nodes)
     sq = space.chart_scale**2 * (
         np.sum((chart[:, None, :] - chart[None, :, :]) ** 2, axis=2)
     )

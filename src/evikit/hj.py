@@ -31,10 +31,9 @@ whose value function is also bounded below by explicit control rollouts.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -56,19 +55,29 @@ from .tataru import tataru_batch, tataru_distance
 
 @dataclass
 class GridFunction:
-    points: list[StatePoint]
+    """Values on a grid of states: nodes is the (n, dim) coordinate array
+    of the grid, values the (n,) array of function values.  A StatePoint
+    is built only where a caller asks for one, by point(i)."""
+
+    nodes: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
+        self.nodes = np.asarray(self.nodes, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if len(self.points) != len(self.values):
+        if self.nodes.ndim != 2:
+            raise UsageError("grid nodes must be an (n, dim) coordinate array")
+        if len(self.nodes) != len(self.values):
             raise UsageError("grid and values must have equal length")
         if not np.all(np.isfinite(self.values)):
             raise UsageError("grid function values must be finite")
 
     def coords(self) -> np.ndarray:
-        """Coordinate array for scalar-state grids."""
-        return np.array([p.coords[0] for p in self.points])
+        """Coordinate column (n,) of a scalar-state grid."""
+        return self.nodes[:, 0]
+
+    def point(self, i: int) -> StatePoint:
+        return StatePoint.of(self.nodes[i])
 
 
 def make_data_function(name: str, **params):
@@ -211,20 +220,20 @@ class ViscosityReport:
             "tol": self.tol,
             "passed": self.passed,
             "worst": self.worst,
-            "records": [
-                {"a": r.a, "b": r.b, "anchor_quadratic": r.anchor_quadratic,
-                 "anchor_tataru": r.anchor_tataru, "argopt_index": r.argopt_index,
-                 "inequality_value": r.inequality_value, "passed": r.passed}
-                for r in self.records
-            ],
+            "records": [asdict(r) for r in self.records],
         }
 
 
-def _grid_distances(space: Space, points: list[StatePoint],
-                    anchor: StatePoint) -> np.ndarray:
+def _grid_distances(space: Space, chart: np.ndarray, anchor: StatePoint) -> np.ndarray:
     ya = space.to_chart(anchor)
-    chart = np.stack([space.to_chart(p) for p in points])
     return space.chart_scale * np.linalg.norm(chart - ya[None, :], axis=1)
+
+
+def _grid_charts(grid: GridFunction, tfs) -> list[np.ndarray]:
+    """The grid's chart rows for each test function, computed once per space."""
+    charts = {id(tf.space): tf.space for tf in tfs}
+    charts = {key: space.to_chart_rows(grid.nodes) for key, space in charts.items()}
+    return [charts[id(tf.space)] for tf in tfs]
 
 
 def verify_subsolution(u: GridFunction, tfs: list[UpperTestFunction],
@@ -233,14 +242,14 @@ def verify_subsolution(u: GridFunction, tfs: list[UpperTestFunction],
     discrete stand-in for the optimizing sequence) and check
     u - lambda g+ - h <= tol there."""
     report = ViscosityReport("subsolution", tol)
-    for tf in tfs:
+    for tf, chart in zip(tfs, _grid_charts(u, tfs)):
         sp = tf.space
-        d = _grid_distances(sp, u.points, tf.rho)
-        dt_vals = tataru_batch(sp, u.points, tf.mu, tf.flow_dt)
+        d = _grid_distances(sp, chart, tf.rho)
+        dt_vals = tataru_batch(sp, chart, tf.mu, tf.flow_dt)
         f_plus = 0.5 * tf.a * d**2 + tf.b * dt_vals + tf.c
         i_star = int(np.argmax(u.values - f_plus))
         g_val = upper_bound_value(sp, tf.a, tf.b, float(sp.energy(tf.rho)),
-                                  sp.energy(u.points[i_star]), float(d[i_star]))
+                                  sp.energy(u.point(i_star)), float(d[i_star]))
         val = u.values[i_star] - lam * g_val - h.values[i_star]
         report.records.append(ViscosityRecord(
             tf.a, tf.b, tf.rho.to_json(), tf.mu.to_json(), i_star,
@@ -253,14 +262,14 @@ def verify_supersolution(v: GridFunction, tfs: list[LowerTestFunction],
     """Mirror of verify_subsolution: argmin of v - f-, check
     v - lambda g- - h >= -tol there."""
     report = ViscosityReport("supersolution", tol)
-    for tf in tfs:
+    for tf, chart in zip(tfs, _grid_charts(v, tfs)):
         sp = tf.space
-        d = _grid_distances(sp, v.points, tf.gamma)
-        dt_vals = tataru_batch(sp, v.points, tf.pi, tf.flow_dt)
+        d = _grid_distances(sp, chart, tf.gamma)
+        dt_vals = tataru_batch(sp, chart, tf.pi, tf.flow_dt)
         f_minus = -0.5 * tf.a * d**2 - tf.b * dt_vals + tf.c
         i_star = int(np.argmin(v.values - f_minus))
         g_val = lower_bound_value(sp, tf.a, tf.b, float(sp.energy(tf.gamma)),
-                                  sp.energy(v.points[i_star]), float(d[i_star]))
+                                  sp.energy(v.point(i_star)), float(d[i_star]))
         val = v.values[i_star] - lam * g_val - h.values[i_star]
         report.records.append(ViscosityRecord(
             tf.a, tf.b, tf.gamma.to_json(), tf.pi.to_json(), i_star,
@@ -281,11 +290,13 @@ class ResolventSolution:
     iterations: int = 0
 
     def write_csv(self, path) -> None:
+        """RFC 4180 rows x,f,policy of float reprs, streamed column-wise;
+        a repr never needs quoting, so the bytes are csv.writer's."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "f", "policy"])
-            for p, fv, uv in zip(self.f.points, self.f.values, self.policy.values):
-                writer.writerow([repr(p.coords[0]), repr(float(fv)), repr(float(uv))])
+            fh.write("x,f,policy\r\n")
+            fh.writelines(f"{x!r},{f!r},{u!r}\r\n" for x, f, u in zip(
+                self.f.coords().tolist(), self.f.values.tolist(),
+                self.policy.values.tolist()))
 
     def metadata(self) -> dict:
         xs = self.f.coords()
@@ -296,12 +307,6 @@ class ResolventSolution:
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.metadata(), fh, indent=2, sort_keys=True)
-
-
-def _as_grid_values(h, xs: np.ndarray) -> np.ndarray:
-    if isinstance(h, GridFunction):
-        return np.interp(xs, h.coords(), h.values)
-    return np.asarray(h(xs), dtype=float)
 
 
 def _hamiltonian_upwind(drift, sigma, fwd, bwd, leftmost_inward, rightmost_inward):
@@ -388,6 +393,15 @@ def solve_resolvent_1d(xs: np.ndarray, drift: np.ndarray, sigma: np.ndarray,
     )
 
 
+def _solve_on_grid(xs: np.ndarray, drift: np.ndarray, sigma: np.ndarray, lam: float,
+                   h, tol: float) -> ResolventSolution:
+    """solve_resolvent_1d for the data function h, as functions on the grid xs."""
+    f, policy, residual, iters = solve_resolvent_1d(
+        xs, drift, sigma, lam, np.asarray(h(xs), dtype=float), tol)
+    return ResolventSolution(GridFunction(xs[:, None], f), GridFunction(xs[:, None], policy),
+                             residual, lam, iters)
+
+
 def solve_resolvent_cir(desc: CirDescriptor, lam: float, h,
                         n_grid: int = 800, tol: float = 1e-6) -> ResolventSolution:
     """Resolvent on the half-line space: Hf = (mu - x) f' + x (f')^2 / 2,
@@ -395,13 +409,7 @@ def solve_resolvent_cir(desc: CirDescriptor, lam: float, h,
     over the truncated domain."""
     space = CirSpace(desc)
     xs = np.linspace(space.x_lo, space.x_hi, n_grid)
-    h_vals = _as_grid_values(h, xs)
-    drift = space.mu - xs
-    sigma = xs.copy()
-    f, policy, residual, iters = solve_resolvent_1d(xs, drift, sigma, lam, h_vals, tol)
-    points = [StatePoint.of(x) for x in xs]
-    return ResolventSolution(GridFunction(points, f), GridFunction(points, policy),
-                             residual, lam, iters)
+    return _solve_on_grid(xs, space.mu - xs, xs.copy(), lam, h, tol)
 
 
 def solve_resolvent_quadratic(space: QuadraticSpace, lam: float, h,
@@ -412,87 +420,80 @@ def solve_resolvent_quadratic(space: QuadraticSpace, lam: float, h,
     if space.dimension != 1:
         raise UsageError("grid resolvent supports scalar quadratic spaces only")
     xs = np.linspace(x_lo, x_hi, n_grid)
-    h_vals = _as_grid_values(h, xs)
     drift = -np.array([space.chart_energy_grad(np.array([x]))[0] for x in xs])
-    sigma = np.ones_like(xs)
-    f, policy, residual, iters = solve_resolvent_1d(xs, drift, sigma, lam, h_vals, tol)
-    points = [StatePoint.of(x) for x in xs]
-    return ResolventSolution(GridFunction(points, f), GridFunction(points, policy),
-                             residual, lam, iters)
+    return _solve_on_grid(xs, drift, np.ones_like(xs), lam, h, tol)
 
 
 # ---------------------------------------------------------------------------
 # Control rollout lower bound
 # ---------------------------------------------------------------------------
 
-def value_by_rollout(space: Space, lam: float, h, start: StatePoint,
+def value_by_rollout(space: Space, lam: float, h, starts: np.ndarray,
                      control_grid: np.ndarray, dt: float, T: float,
                      state_grid: np.ndarray | None = None,
-                     n_state: int = 400) -> float:
+                     n_state: int = 400) -> np.ndarray:
     """Discounted reward of an explicitly simulated piecewise-constant
     control, hence a lower bound on the resolvent value up to O(dt).
 
     A finite-horizon dynamic program over the control grid synthesizes a
     feedback policy on a state grid (linear value interpolation); the
-    policy is then rolled forward from `start` with Euler steps of the
-    controlled drift, accumulating exp(-t/lambda) [h/lambda - u^2/(2 sigma)] dt.
-    Trajectories leaving the grid are clipped.
+    policy is then rolled forward from every start at once with Euler
+    steps of the controlled drift, accumulating
+    exp(-t/lambda) [h/lambda - u^2/(2 sigma)] dt.  Trajectories leaving
+    the grid are clipped.
+
+    starts holds the scalar start coordinates, an (m, 1) array (or (m,));
+    the result is the (m,) array of their values, each equal to the value
+    of a rollout from that start alone.
     """
     if isinstance(space, CirSpace):
         lo, hi = space.x_lo, space.x_hi
-
-        def drift_fn(x):
-            return space.mu - np.asarray(x, dtype=float)
-
-        def sigma_fn(x):
-            return np.asarray(x, dtype=float)
+        drift_fn, sigma_fn = (lambda x: space.mu - x), (lambda x: x)
     elif isinstance(space, QuadraticSpace) and space.dimension == 1:
         lo, hi = -8.0, 8.0
-
-        def drift_fn(x):
-            x = np.asarray(x, dtype=float)
-            g = space.kappa * x
-            if space.perturbation is not None:
-                g = g + space.perturbation.df(x)
-            return -g
-
-        def sigma_fn(x):
-            return np.ones_like(np.asarray(x, dtype=float))
+        drift_fn, sigma_fn = (lambda x: -space.chart_energy_grad(x)), np.ones_like
     else:
         raise UsageError("rollout values support scalar spaces only")
     xs = np.linspace(lo, hi, n_state) if state_grid is None else state_grid
-    h_vals = _as_grid_values(h, xs)
+    h_vals = np.asarray(h(xs), dtype=float)
     us = np.asarray(control_grid, dtype=float)
     beta = math.exp(-dt / lam)
     # exact within-step discount integral for a piecewise-constant integrand
     dfac = lam * (1.0 - beta)
     drift = drift_fn(xs)
     sigma = np.maximum(sigma_fn(xs), 1e-12)
-    reward = dfac * (h_vals[:, None] / lam - us[None, :] ** 2 / (2.0 * sigma[:, None]))
-    x_next = np.clip(xs[:, None] + dt * (drift[:, None] + us[None, :]), lo, hi)
+    # one row per control, so that the max over controls runs across
+    # contiguous rows
+    reward = dfac * (h_vals[None, :] / lam - us[:, None] ** 2 / (2.0 * sigma[None, :]))
+    x_next = np.clip(xs[None, :] + dt * (drift[None, :] + us[:, None]), lo, hi)
 
     V = np.zeros_like(xs)
     steps = int(math.ceil(T / dt))
     for _ in range(steps):
         cont = np.interp(x_next, xs, V)
-        V = np.max(reward + beta * cont, axis=1)
+        V = np.max(reward + beta * cont, axis=0)
 
-    # forward rollout of the greedy policy; reward uses the exact step
-    # discount and a trapezoidal state average along the Euler segment
-    x = float(start.coords[0])
-    total = 0.0
+    # forward rollout of the greedy policy, one row per start; reward uses
+    # the exact step discount and a trapezoidal state average along the
+    # Euler segment
+    x = np.asarray(starts, dtype=float).reshape(-1)
+    # the reward squares the chosen control as a Python float power, which
+    # can be an ulp off numpy's u*u; the tests hold each value bit-equal to
+    # a scalar rollout from its start alone
+    us_pow2 = np.array([v**2 for v in us.tolist()])
+    total = np.zeros_like(x)
     disc = 1.0
     for _ in range(steps):
-        dr = float(drift_fn(np.array([x]))[0])
-        sg = float(max(sigma_fn(np.array([x]))[0], 1e-12))
-        cand_next = np.clip(x + dt * (dr + us), lo, hi)
-        cand_val = (dfac * (float(np.interp(x, xs, h_vals)) / lam - us**2 / (2.0 * sg))
+        dr = drift_fn(x)
+        sg = np.maximum(sigma_fn(x), 1e-12)
+        h_x = np.interp(x, xs, h_vals)
+        cand_next = np.clip(x[:, None] + dt * (dr[:, None] + us[None, :]), lo, hi)
+        cand_val = (dfac * (h_x[:, None] / lam - us[None, :] ** 2 / (2.0 * sg[:, None]))
                     + beta * np.interp(cand_next, xs, V))
-        j = int(np.argmax(cand_val))
-        u = float(us[j])
-        x_new = float(np.clip(x + dt * (dr + u), lo, hi))
-        h_mid = 0.5 * (float(np.interp(x, xs, h_vals)) + float(np.interp(x_new, xs, h_vals)))
-        total += disc * dfac * (h_mid / lam - u**2 / (2.0 * sg))
+        j = np.argmax(cand_val, axis=1)
+        x_new = np.clip(x + dt * (dr + us[j]), lo, hi)
+        h_mid = 0.5 * (h_x + np.interp(x_new, xs, h_vals))
+        total += disc * dfac * (h_mid / lam - us_pow2[j] / (2.0 * sg))
         x = x_new
         disc *= beta
     return total
@@ -510,14 +511,13 @@ class ComparisonResult:
     tol: float
 
     def to_json(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "passed": self.passed,
-                "tol": self.tol}
+        return asdict(self)
 
 
 def check_comparison(u: GridFunction, v: GridFunction, h_up: GridFunction,
                      h_low: GridFunction, tol: float = 0.0) -> ComparisonResult:
     """sup(u - v) <= sup(h+ - h-) + tol on a common grid."""
-    if len(u.points) != len(v.points) or len(h_up.points) != len(u.points):
+    if not all(np.array_equal(g.nodes, u.nodes) for g in (v, h_up, h_low)):
         raise UsageError("comparison requires a common grid")
     lhs = float(np.max(u.values - v.values))
     rhs = float(np.max(h_up.values - h_low.values))

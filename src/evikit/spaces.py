@@ -130,6 +130,9 @@ class CirSpace(Space):
     def to_chart(self, p: StatePoint) -> np.ndarray:
         return np.sqrt(p.array)
 
+    def to_chart_rows(self, coords: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.asarray(coords, dtype=float))
+
     def from_chart(self, y: np.ndarray) -> StatePoint:
         return StatePoint.of(np.asarray(y) ** 2)
 
@@ -209,6 +212,9 @@ class QuadraticSpace(Space):
 
     def to_chart(self, p: StatePoint) -> np.ndarray:
         return p.array
+
+    def to_chart_rows(self, coords: np.ndarray) -> np.ndarray:
+        return np.asarray(coords, dtype=float)
 
     def from_chart(self, y: np.ndarray) -> StatePoint:
         return StatePoint.of(y)

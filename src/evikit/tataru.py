@@ -233,15 +233,19 @@ def tataru_distance(space: Space, pi: StatePoint, rho: StatePoint,
     return TataruResult(float(values[0]), float(t_stars[0]), int(samples[0]))
 
 
-def tataru_batch(space: Space, pis: list[StatePoint], rho: StatePoint,
+def tataru_batch(space: Space, pis: np.ndarray, rho: StatePoint,
                  flow_dt: float = 1e-2) -> np.ndarray:
     """d_T(pi, rho) for many first arguments against one flowing second
     argument, by the same scan and refinement rule as tataru_distance;
     without a closed form, the pairs share one minimizing-movement
-    trajectory."""
+    trajectory.
+
+    pis holds the first arguments as chart rows, an (n, dimension) array
+    (space.to_chart_rows of their coordinates), so a caller sweeping one
+    grid computes its chart once; the result has shape (n,)."""
+    pis = np.asarray(pis, dtype=float).reshape(len(pis), space.dimension)
     exact = np.array([space.has_exact_flow(rho)])
-    return _tataru_kernel(space, _charts(space, pis), _charts(space, [rho]), exact,
-                          flow_dt)[0]
+    return _tataru_kernel(space, pis, _charts(space, [rho]), exact, flow_dt)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -172,20 +172,21 @@ def test_criterion_06_resolvent_viscosity(cir, cir_resolvent):
     xs = sol.f.coords()
     dx = xs[1] - xs[0]
     tol = 10.0 * dx
-    h_grid = GridFunction(sol.f.points, H_CLIP(xs))
+    h_grid = GridFunction(sol.f.nodes, H_CLIP(xs))
     idx = np.linspace(40, 760, 5).astype(int)
-    ups = [UpperTestFunction(cir, a, b, 0.0, sol.f.points[i], sol.f.points[i])
+    ups = [UpperTestFunction(cir, a, b, 0.0, sol.f.point(i), sol.f.point(i))
            for a in (0.5, 1.0, 2.0, 4.0) for b in (1e-3, 1e-2, 1e-1) for i in idx]
-    lows = [LowerTestFunction(cir, a, b, 0.0, sol.f.points[i], sol.f.points[i])
+    lows = [LowerTestFunction(cir, a, b, 0.0, sol.f.point(i), sol.f.point(i))
             for a in (0.5, 1.0, 2.0, 4.0) for b in (1e-3, 1e-2, 1e-1) for i in idx]
     rep_sub = verify_subsolution(sol.f, ups, 1.0, h_grid, tol)
     rep_sup = verify_supersolution(sol.f, lows, 1.0, h_grid, tol)
     dt = 5e-3
     us = np.linspace(-3.0, 3.0, 21)
     band_ok = True
-    for i in (100, 250, 400, 550, 700):
-        val = value_by_rollout(cir, 1.0, H_CLIP, sol.f.points[i], us, dt, 10.0,
-                               state_grid=xs)
+    indices = [100, 250, 400, 550, 700]
+    vals = value_by_rollout(cir, 1.0, H_CLIP, sol.f.nodes[indices], us, dt, 10.0,
+                            state_grid=xs)
+    for i, val in zip(indices, vals):
         f_i = float(sol.f.values[i])
         band_ok &= f_i - 10 * dt - 5 * dx <= val <= f_i
     elapsed = time.perf_counter() - t0
@@ -201,7 +202,7 @@ def test_criterion_07_comparison(cir_resolvent):
     base = cir_resolvent
     xs = base.f.coords()
     tol = 10.0 * (xs[1] - xs[0])
-    h_grid = GridFunction(base.f.points, H_CLIP(xs))
+    h_grid = GridFunction(base.f.nodes, H_CLIP(xs))
     same = check_comparison(base.f, base.f, h_grid, h_grid, tol)
     ok = abs(same.lhs) <= tol
     details = [f"identical |lhs|={abs(same.lhs):.1e}"]
@@ -209,7 +210,7 @@ def test_criterion_07_comparison(cir_resolvent):
         shifted = solve_resolvent_cir(CIR_DESC, 1.0, lambda x: H_CLIP(x) - delta,
                                       800, 1e-6)
         res = check_comparison(base.f, shifted.f, h_grid,
-                               GridFunction(base.f.points, H_CLIP(xs) - delta), tol)
+                               GridFunction(base.f.nodes, H_CLIP(xs) - delta), tol)
         ok &= res.lhs <= delta + tol
         details.append(f"lhs({delta})={res.lhs:.4f}")
     elapsed = time.perf_counter() - t0

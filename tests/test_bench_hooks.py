@@ -1,0 +1,59 @@
+"""The benchmark's traced run still finds every evikit function it wraps.
+
+perfbench/tracing.py rebinds evikit functions by name and reads counters
+from their arguments and results.  A rename or a changed signature can
+pass every other test and still break the traced run, so this runs a
+small resolvent config (with rollout) and a small viscosity config under
+the tracer, in a child process started at the repository root, and
+checks that the counters moved.  It only reads perfbench/: the child
+writes no bytecode and its results go to tmp_path.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CHILD = """
+import json, sys
+sys.path[:0] = ["perfbench", "src"]
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)   # raises if a wrapped name is gone
+import evikit.cli
+codes = [evikit.cli.run(path) for path in sys.argv[1:]]
+print(json.dumps({"codes": codes, "totals": tracer.snapshot()}))
+"""
+
+CIR = {"space": "cir", "params": {"mu": 1.0, "x_lo": 1e-3, "x_hi": 8.0}}
+H = {"name": "affine_clipped", "params": {"slope": 1.0, "cap": 2.0}}
+
+
+def test_traced_runs_count_every_hook(tmp_path):
+    params = {
+        "resolvent": {"lambda": 1.0, "h": H, "n_grid": 200, "tol": 1e-6,
+                      "rollout": {"nodes": [40, 120], "dt": 1e-2, "T": 2.0,
+                                  "control": {"lo": -3.0, "hi": 3.0, "n": 11}}},
+        "viscosity": {"lambda": 1.0, "h": H, "n_grid": 200, "tol": 1e-6,
+                      "sweep": {"a_values": [1.0], "b_values": [1e-2], "n_anchors": 2}},
+    }
+    paths = []
+    for kind, p in params.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({"space": CIR, "kind": kind, "params": p,
+                                    "output_dir": str(tmp_path / kind), "seed": 0}))
+        paths.append(str(path))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    res = subprocess.run([sys.executable, "-c", CHILD, *paths], cwd=ROOT, env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout.strip().splitlines()[-1])
+    assert out["codes"] == [0, 0]
+    totals = out["totals"]
+    for counter in ("core.StatePoint.of.calls", "hj.value_by_rollout.calls",
+                    "hj.solve_resolvent_1d.iterations", "cli.write.calls",
+                    "tataru.tataru_batch.pairs"):
+        assert totals.get(counter, 0) > 0, counter

@@ -6,7 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from evikit.cli import list_builtins, run
+import numpy as np
+
+import evikit.cli
+from evikit.cli import _ekeland_exactness_cell, list_builtins, run
+from evikit.spaces import make_ou
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -161,6 +165,26 @@ class TestRunConfigs:
             assert run(self.write_config(tmp_path, cfg)) == 0
             reports.append((tmp_path / "out" / "comparison_report.json").read_bytes())
         assert reports[0] == reports[1] == reports[2]
+
+
+class TestEkelandCell:
+    def test_product_base_points_are_distinct(self, monkeypatch):
+        # the product problem's base points come from one generator, so
+        # they differ and its Tataru penalty is not identically zero
+        seen = []
+
+        def recording(space, base, flow_dt=1e-2):
+            matrix = tataru_matrix(space, base, flow_dt)
+            seen.append((base, matrix))
+            return matrix
+
+        tataru_matrix = evikit.cli.tataru_matrix
+        monkeypatch.setattr(evikit.cli, "tataru_matrix", recording)
+        ok, _ = _ekeland_exactness_cell(make_ou(1.0), {"ekeland_points": 201})
+        assert ok
+        (base, matrix), = seen
+        assert len({p.coords for p in base}) == len(base) == 6
+        assert np.max(matrix[~np.eye(len(base), dtype=bool)]) > 0.0
 
 
 class TestShippedConfigs:

@@ -15,12 +15,12 @@ from evikit.ekeland import (
     product_penalty,
     quadruplicate,
     tataru_matrix,
-    tataru_penalty,
     verify_ekeland_result,
     verify_key_estimates,
 )
 from evikit.hj import GridFunction, make_data_function, solve_resolvent_quadratic
 from evikit.spaces import CirDescriptor, make_cir, make_ou
+from evikit.tataru import tataru_distance
 
 
 def line_problem(g_values, delta, x_hat):
@@ -99,33 +99,52 @@ class TestEkelandPrinciple:
             bad.validate_penalty()
 
 
+def tataru_product_penalty(space, points, eps):
+    """The weighted Tataru sum on quadruples of points: product_penalty
+    over their Tataru matrix, with weights (1/(1-eps), 1, 1/(1+eps), 1)."""
+    weights = (1.0 / (1.0 - eps), 1.0, 1.0 / (1.0 + eps), 1.0)
+    pen, _ = product_penalty(tataru_matrix(space, points, 1e-2), weights)
+    shape = (len(points),) * 4
+    return lambda x, x_tilde: pen(int(np.ravel_multi_index(x, shape)),
+                                  int(np.ravel_multi_index(x_tilde, shape)))
+
+
 class TestTataruPenalty:
+    """The Tataru penalty on quadruples, as product_penalty over tataru_matrix;
+    quadruples are index tuples into the base points."""
+
     def test_vanishes_on_diagonal(self):
         ou = make_ou(1.0)
-        B = tataru_penalty(ou, 0.1)
-        x = tuple(StatePoint.of(v) for v in (0.0, 1.0, 2.0, 3.0))
+        B = tataru_product_penalty(ou, [StatePoint.of(v) for v in (0.0, 1.0, 2.0, 3.0)], 0.1)
+        x = (0, 1, 2, 3)
         assert B(x, x) == 0.0
 
     def test_weight_arithmetic(self):
         # differing only in the first slot by d_T = 2 -> 2 / (1 - eps)
         ou = make_ou(1.0)
-        B = tataru_penalty(ou, 0.1)
-        x1 = tuple(StatePoint.of(v) for v in (0.0, 1.0, 2.0, 3.0))
-        x2 = tuple(StatePoint.of(v) for v in (2.0, 1.0, 2.0, 3.0))
+        B = tataru_product_penalty(ou, [StatePoint.of(v) for v in (0.0, 1.0, 2.0, 3.0)], 0.1)
+        x1 = (0, 1, 2, 3)
+        x2 = (2, 1, 2, 3)
         assert B(x2, x1) == pytest.approx(2.0 / 0.9, abs=1e-6)
 
     def test_triangle_inequality_sampled(self):
         ou = make_ou(1.0)
-        B = tataru_penalty(ou, 0.2)
         rng = np.random.default_rng(3)
         for _ in range(25):
-            x, y, z = (tuple(ou.sample_point(rng) for _ in range(4))
-                       for _ in range(3))
+            points = [ou.sample_point(rng) for _ in range(12)]
+            B = tataru_product_penalty(ou, points, 0.2)
+            x, y, z = (0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)
             assert B(x, z) <= B(x, y) + B(y, z) + 1e-8
 
-    def test_eps_range_enforced(self):
-        with pytest.raises(UsageError):
-            tataru_penalty(make_ou(1.0), 0.5)
+
+def test_tataru_matrix_matches_pairwise_distance():
+    cir = make_cir(CirDescriptor(mu=1.0))
+    rng = np.random.default_rng(29)
+    base = [cir.sample_point(rng) for _ in range(6)]
+    dt_m = tataru_matrix(cir, base, 1e-2)
+    for i, p in enumerate(base):
+        for j, q in enumerate(base):
+            assert dt_m[i, j] == (tataru_distance(cir, p, q, 1e-2).value if i != j else 0.0)
 
 
 def decode_product_penalty(dt_matrix, weights):
@@ -206,8 +225,7 @@ def desk_case():
 class TestQuadruplication:
     def test_zero_functions_collapse_to_diagonal(self):
         ou = make_ou(1.0)
-        pts = [StatePoint.of(v) for v in np.linspace(-1.0, 1.0, 11)]
-        zero = GridFunction(pts, np.zeros(11))
+        zero = GridFunction(np.linspace(-1.0, 1.0, 11)[:, None], np.zeros(11))
         res = quadruplicate(ou, zero, zero, [10.0, 100.0], StatePoint.of(0.0))
         for state, rep in res.entries:
             assert rep.psi == 0.0
@@ -240,8 +258,7 @@ class TestQuadruplication:
 
     def test_grid_cap_enforced(self):
         ou = make_ou(1.0)
-        pts = [StatePoint.of(v) for v in np.linspace(-1.0, 1.0, 60)]
-        zero = GridFunction(pts, np.zeros(60))
+        zero = GridFunction(np.linspace(-1.0, 1.0, 60)[:, None], np.zeros(60))
         with pytest.raises(UsageError, match="cap"):
             quadruplicate(ou, zero, zero, [10.0], StatePoint.of(0.0))
 

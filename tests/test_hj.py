@@ -1,5 +1,6 @@
 """Upper/lower Hamiltonians, resolvent solving and comparison checks."""
 
+import csv
 import json
 import math
 
@@ -10,6 +11,7 @@ from evikit.core import NumericalError, StatePoint, UsageError
 from evikit.hj import (
     GridFunction,
     LowerTestFunction,
+    ResolventSolution,
     UpperTestFunction,
     check_comparison,
     eval_lower,
@@ -22,7 +24,14 @@ from evikit.hj import (
     verify_subsolution,
     verify_supersolution,
 )
-from evikit.spaces import CirDescriptor, QuadraticDescriptor, make_cir, make_ou, make_quadratic
+from evikit.spaces import (
+    CirDescriptor,
+    CirSpace,
+    QuadraticDescriptor,
+    make_cir,
+    make_ou,
+    make_quadratic,
+)
 
 DESC = CirDescriptor(mu=1.0, x_lo=1e-3, x_hi=8.0)
 H_CLIP = make_data_function("affine_clipped", slope=1.0, intercept=0.0, cap=2.0)
@@ -43,12 +52,80 @@ def resolvent():
     return solve_resolvent_cir(DESC, 1.0, H_CLIP, 800, 1e-6)
 
 
-def sweep(space, points, kind, a_values=(0.5, 1.0, 2.0, 4.0),
+def sweep(space, grid, kind, a_values=(0.5, 1.0, 2.0, 4.0),
           b_values=(1e-3, 1e-2, 1e-1), n_anchors=5):
-    idx = np.linspace(0.05 * len(points), 0.95 * len(points), n_anchors).astype(int)
+    n = len(grid.nodes)
+    idx = np.linspace(0.05 * n, 0.95 * n, n_anchors).astype(int)
     cls = UpperTestFunction if kind == "upper" else LowerTestFunction
-    return [cls(space, a, b, 0.0, points[i], points[i])
+    return [cls(space, a, b, 0.0, grid.point(i), grid.point(i))
             for a in a_values for b in b_values for i in idx]
+
+
+def scalar_rollout(space, lam, h, start, control_grid, dt, T, state_grid=None,
+                   n_state=400):
+    """Reference rollout value from one start: the dynamic program with one
+    row per state, and the forward rollout as a scalar loop."""
+    if isinstance(space, CirSpace):
+        lo, hi = space.x_lo, space.x_hi
+
+        def drift_fn(x):
+            return space.mu - np.asarray(x, dtype=float)
+
+        def sigma_fn(x):
+            return np.asarray(x, dtype=float)
+    else:
+        lo, hi = -8.0, 8.0
+
+        def drift_fn(x):
+            x = np.asarray(x, dtype=float)
+            g = space.kappa * x
+            if space.perturbation is not None:
+                g = g + space.perturbation.df(x)
+            return -g
+
+        def sigma_fn(x):
+            return np.ones_like(np.asarray(x, dtype=float))
+    xs = np.linspace(lo, hi, n_state) if state_grid is None else state_grid
+    h_vals = np.asarray(h(xs), dtype=float)
+    us = np.asarray(control_grid, dtype=float)
+    beta = math.exp(-dt / lam)
+    dfac = lam * (1.0 - beta)
+    drift = drift_fn(xs)
+    sigma = np.maximum(sigma_fn(xs), 1e-12)
+    reward = dfac * (h_vals[:, None] / lam - us[None, :] ** 2 / (2.0 * sigma[:, None]))
+    x_next = np.clip(xs[:, None] + dt * (drift[:, None] + us[None, :]), lo, hi)
+    V = np.zeros_like(xs)
+    steps = int(math.ceil(T / dt))
+    for _ in range(steps):
+        cont = np.interp(x_next, xs, V)
+        V = np.max(reward + beta * cont, axis=1)
+    x = float(start)
+    total = 0.0
+    disc = 1.0
+    for _ in range(steps):
+        dr = float(drift_fn(np.array([x]))[0])
+        sg = float(max(sigma_fn(np.array([x]))[0], 1e-12))
+        cand_next = np.clip(x + dt * (dr + us), lo, hi)
+        cand_val = (dfac * (float(np.interp(x, xs, h_vals)) / lam - us**2 / (2.0 * sg))
+                    + beta * np.interp(cand_next, xs, V))
+        j = int(np.argmax(cand_val))
+        u = float(us[j])
+        x_new = float(np.clip(x + dt * (dr + u), lo, hi))
+        h_mid = 0.5 * (float(np.interp(x, xs, h_vals)) + float(np.interp(x_new, xs, h_vals)))
+        total += disc * dfac * (h_mid / lam - u**2 / (2.0 * sg))
+        x = x_new
+        disc *= beta
+    return total
+
+
+def csv_writer_bytes(path, xs, fs, us):
+    """Reference resolvent CSV: csv.writer rows of float reprs."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "f", "policy"])
+        for x, f, u in zip(xs, fs, us):
+            writer.writerow([repr(float(x)), repr(float(f)), repr(float(u))])
+    return path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +239,20 @@ class TestResolvent:
         meta = json.loads((tmp_path / "sol.json").read_text())
         assert meta["lambda"] == 1.0 and meta["grid"]["n"] == 800
 
+    def test_streamed_csv_matches_csv_writer(self, tmp_path):
+        special = [1e-05, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e+308,
+                   -1.7976931348623157e+308, 2.2250738585072014e-308, 0.1, 1.0 / 3.0,
+                   123456789.0, 1e16, 1e22, -2.5e-7]
+        rng = np.random.default_rng(83)
+        drawn = rng.normal(0.0, 1.0, 50) * 10.0 ** rng.integers(-30, 30, 50)
+        xs = np.array(special + drawn.tolist())
+        fs, us = np.roll(xs, 3), -np.roll(xs, 7)
+        sol = ResolventSolution(GridFunction(xs[:, None], fs), GridFunction(xs[:, None], us),
+                                0.0, 1.0)
+        sol.write_csv(tmp_path / "streamed.csv")
+        expected = csv_writer_bytes(tmp_path / "reference.csv", xs, fs, us)
+        assert (tmp_path / "streamed.csv").read_bytes() == expected
+
     def test_quadratic_space_solver(self, ou):
         h = make_data_function("gaussian_bump", center=0.0, width=1.0, height=1.0)
         sol = solve_resolvent_quadratic(ou, 1.0, h, -4.0, 4.0, 400, 1e-8)
@@ -175,8 +266,7 @@ class TestResolvent:
 
 class TestViscosity:
     def test_zero_solution_zero_data_passes(self, ou):
-        pts = [StatePoint.of(v) for v in np.linspace(-2, 2, 81)]
-        zero = GridFunction(pts, np.zeros(81))
+        zero = GridFunction(np.linspace(-2, 2, 81)[:, None], np.zeros(81))
         anchor = StatePoint.of(0.0)  # the energy minimizer
         tfs = [UpperTestFunction(ou, 1.0, 0.1, 0.0, anchor, anchor)]
         rep = verify_subsolution(zero, tfs, 1.0, zero, 1e-9)
@@ -188,9 +278,9 @@ class TestViscosity:
     def test_resolvent_passes_both_sweeps(self, cir, resolvent):
         xs = resolvent.f.coords()
         tol = 10.0 * (xs[1] - xs[0])
-        h_grid = GridFunction(resolvent.f.points, H_CLIP(xs))
-        ups = sweep(cir, resolvent.f.points, "upper")
-        lows = sweep(cir, resolvent.f.points, "lower")
+        h_grid = GridFunction(resolvent.f.nodes, H_CLIP(xs))
+        ups = sweep(cir, resolvent.f, "upper")
+        lows = sweep(cir, resolvent.f, "lower")
         assert len(ups) >= 50 and len(lows) >= 50
         rep_sub = verify_subsolution(resolvent.f, ups, 1.0, h_grid, tol)
         rep_sup = verify_supersolution(resolvent.f, lows, 1.0, h_grid, tol)
@@ -200,20 +290,37 @@ class TestViscosity:
     def test_shifted_solution_fails(self, cir, resolvent):
         xs = resolvent.f.coords()
         tol = 10.0 * (xs[1] - xs[0])
-        h_grid = GridFunction(resolvent.f.points, H_CLIP(xs))
-        bad_up = GridFunction(resolvent.f.points, resolvent.f.values + 5.0)
-        ups = sweep(cir, resolvent.f.points, "upper", a_values=(1.0,),
+        h_grid = GridFunction(resolvent.f.nodes, H_CLIP(xs))
+        bad_up = GridFunction(resolvent.f.nodes, resolvent.f.values + 5.0)
+        ups = sweep(cir, resolvent.f, "upper", a_values=(1.0,),
                     b_values=(1e-2,))
         assert not verify_subsolution(bad_up, ups, 1.0, h_grid, tol).passed
-        bad_low = GridFunction(resolvent.f.points, resolvent.f.values - 5.0)
-        lows = sweep(cir, resolvent.f.points, "lower", a_values=(1.0,),
+        bad_low = GridFunction(resolvent.f.nodes, resolvent.f.values - 5.0)
+        lows = sweep(cir, resolvent.f, "lower", a_values=(1.0,),
                      b_values=(1e-2,))
         assert not verify_supersolution(bad_low, lows, 1.0, h_grid, tol).passed
 
+    def test_sweeps_match_pointwise_test_functions(self, cir):
+        # the grid sweeps against eval_upper / eval_lower at every node
+        sol = solve_resolvent_cir(DESC, 1.0, H_CLIP, 60, 1e-6)
+        h_grid = GridFunction(sol.f.nodes, H_CLIP(sol.f.coords()))
+        points = [sol.f.point(i) for i in range(60)]
+        for kind, verify, evaluate, pick in (
+                ("upper", verify_subsolution, eval_upper, np.argmax),
+                ("lower", verify_supersolution, eval_lower, np.argmin)):
+            tfs = sweep(cir, sol.f, kind, a_values=(1.0,), b_values=(1e-2, 1e-1), n_anchors=2)
+            rep = verify(sol.f, tfs, 1.0, h_grid, 1.0)
+            for tf, rec in zip(tfs, rep.records):
+                f_g = np.array([evaluate(tf, p) for p in points])
+                i_star = int(pick(sol.f.values - f_g[:, 0]))
+                assert rec.argopt_index == i_star
+                expected = sol.f.values[i_star] - f_g[i_star, 1] - h_grid.values[i_star]
+                assert rec.inequality_value == pytest.approx(expected, abs=1e-12)
+
     def test_report_json(self, cir, resolvent, tmp_path):
         xs = resolvent.f.coords()
-        h_grid = GridFunction(resolvent.f.points, H_CLIP(xs))
-        ups = sweep(cir, resolvent.f.points, "upper", a_values=(1.0,), b_values=(1e-2,))
+        h_grid = GridFunction(resolvent.f.nodes, H_CLIP(xs))
+        ups = sweep(cir, resolvent.f, "upper", a_values=(1.0,), b_values=(1e-2,))
         rep = verify_subsolution(resolvent.f, ups, 1.0, h_grid, 0.1)
         payload = rep.to_json()
         assert payload["kind"] == "subsolution"
@@ -226,17 +333,16 @@ class TestViscosity:
 
 class TestRollout:
     def test_zero_data_zero_value(self, cir):
-        val = value_by_rollout(cir, 1.0, make_data_function("constant", value=0.0),
-                               StatePoint.of(2.0), np.linspace(-2, 2, 11), 1e-2, 5.0)
+        val, = value_by_rollout(cir, 1.0, make_data_function("constant", value=0.0),
+                                [2.0], np.linspace(-2, 2, 11), 1e-2, 5.0)
         assert val == pytest.approx(0.0, abs=1e-9)
 
     def test_nonpositive_data_on_quadratic_space(self, ou):
         h = lambda x: -np.asarray(x, dtype=float) ** 2
         us = np.linspace(-2, 2, 21)
         # true value at the origin is 0 (u = 0); the rollout sits just below
-        at_zero = value_by_rollout(ou, 1.0, h, StatePoint.of(0.0), us, 1e-2, 8.0)
+        at_zero, at_one = value_by_rollout(ou, 1.0, h, [0.0, 1.0], us, 1e-2, 8.0)
         assert -1e-2 <= at_zero <= 1e-12
-        at_one = value_by_rollout(ou, 1.0, h, StatePoint.of(1.0), us, 1e-2, 8.0)
         assert at_one <= 0.0
 
     def test_rollout_within_band_of_resolvent(self, cir, resolvent):
@@ -244,11 +350,41 @@ class TestRollout:
         dx = xs[1] - xs[0]
         dt = 5e-3
         us = np.linspace(-3.0, 3.0, 21)
-        for idx in (150, 450, 650):
-            val = value_by_rollout(cir, 1.0, H_CLIP, resolvent.f.points[idx],
-                                   us, dt, 10.0, state_grid=xs)
+        indices = [150, 450, 650]
+        vals = value_by_rollout(cir, 1.0, H_CLIP, resolvent.f.nodes[indices],
+                                us, dt, 10.0, state_grid=xs)
+        for idx, val in zip(indices, vals):
             f_i = float(resolvent.f.values[idx])
             assert f_i - 10 * dt - 5 * dx <= val <= f_i
+
+
+    def test_batched_rollout_bit_equal_to_per_start_loop(self, ou, cir, resolvent):
+        xs = resolvent.f.coords()
+        # controls whose Python float square is an ulp off u*u, where the
+        # platform's pow has them, so the squares' rounding shows in the bits
+        drawn = np.random.default_rng(89).uniform(-2.5, 2.5, 20000).tolist()
+        odd = sorted(u for u in drawn if u**2 != u * u)[:9]
+        controls = [np.linspace(-3.0, 3.0, 21), np.array(sorted(odd + [-2.5, 0.0, 2.5]))]
+        # CIR on the resolvent grid, edge nodes included; OU on its own grid,
+        # with starts at and beyond the clipping bounds
+        cases = [(cir, H_CLIP, xs[[0, 1, 150, 400, 798, 799]], 5e-3, 1.0, xs),
+                 (ou, lambda x: -np.asarray(x, dtype=float) ** 2,
+                  np.array([-8.0, -1.3, 0.0, 0.7, 8.0, 9.5]), 1e-2, 3.0, None)]
+        for space, h, starts, dt, T, grid in cases:
+            for us in controls:
+                batch = value_by_rollout(space, 1.0, h, starts[:, None], us, dt, T,
+                                         state_grid=grid)
+                ref = [scalar_rollout(space, 1.0, h, x, us, dt, T, state_grid=grid)
+                       for x in starts]
+                assert batch.tolist() == ref
+
+    def test_single_start_is_one_row(self, cir):
+        us = np.linspace(-2, 2, 11)
+        h = make_data_function("gaussian_bump", center=1.0, width=0.5, height=1.0)
+        many = value_by_rollout(cir, 1.0, h, [[0.5], [2.0], [4.0]], us, 1e-2, 2.0)
+        one = value_by_rollout(cir, 1.0, h, [[2.0]], us, 1e-2, 2.0)
+        assert many.shape == (3,) and one.shape == (1,)
+        assert one[0] == many[1]
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +393,14 @@ class TestRollout:
 
 class TestComparison:
     def test_trivial_identity(self, ou):
-        pts = [StatePoint.of(v) for v in np.linspace(-1, 1, 11)]
-        z = GridFunction(pts, np.zeros(11))
+        z = GridFunction(np.linspace(-1, 1, 11)[:, None], np.zeros(11))
         res = check_comparison(z, z, z, z)
         assert res.lhs == 0.0 and res.rhs == 0.0 and res.passed
 
     def test_same_data_same_solution(self, resolvent):
         xs = resolvent.f.coords()
         tol = 10.0 * (xs[1] - xs[0])
-        h_grid = GridFunction(resolvent.f.points, H_CLIP(xs))
+        h_grid = GridFunction(resolvent.f.nodes, H_CLIP(xs))
         res = check_comparison(resolvent.f, resolvent.f, h_grid, h_grid, tol)
         assert res.passed and abs(res.lhs) <= tol
 
@@ -276,16 +411,14 @@ class TestComparison:
         sol2 = solve_resolvent_cir(DESC, 1.0, lambda x: H_CLIP(x) - delta, 800, 1e-6)
         res = check_comparison(
             resolvent.f, sol2.f,
-            GridFunction(resolvent.f.points, H_CLIP(xs)),
-            GridFunction(resolvent.f.points, H_CLIP(xs) - delta), tol)
+            GridFunction(resolvent.f.nodes, H_CLIP(xs)),
+            GridFunction(resolvent.f.nodes, H_CLIP(xs) - delta), tol)
         assert res.passed
         assert res.lhs <= delta + tol
 
     def test_grid_mismatch_rejected(self, ou):
-        p1 = [StatePoint.of(v) for v in np.linspace(-1, 1, 5)]
-        p2 = [StatePoint.of(v) for v in np.linspace(-1, 1, 7)]
-        g1 = GridFunction(p1, np.zeros(5))
-        g2 = GridFunction(p2, np.zeros(7))
+        g1 = GridFunction(np.linspace(-1, 1, 5)[:, None], np.zeros(5))
+        g2 = GridFunction(np.linspace(-1, 1, 7)[:, None], np.zeros(7))
         with pytest.raises(UsageError):
             check_comparison(g1, g2, g1, g1)
 
@@ -325,8 +458,16 @@ class TestSandwich:
 
 
 def test_grid_function_validation():
-    pts = [StatePoint.of(0.0), StatePoint.of(1.0)]
+    nodes = np.array([[0.0], [1.0]])
     with pytest.raises(UsageError):
-        GridFunction(pts, np.zeros(3))
+        GridFunction(nodes, np.zeros(3))
     with pytest.raises(UsageError):
-        GridFunction(pts, np.array([0.0, np.nan]))
+        GridFunction(nodes, np.array([0.0, np.nan]))
+    with pytest.raises(UsageError):
+        GridFunction(np.array([0.0, 1.0]), np.zeros(2))
+
+
+def test_grid_function_points_on_demand():
+    grid = GridFunction(np.array([[0.25, -1.0], [3.0, 2.5]]), np.zeros(2))
+    assert grid.point(1) == StatePoint.of([3.0, 2.5])
+    assert grid.coords().tolist() == [0.25, 3.0]

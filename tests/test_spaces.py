@@ -337,6 +337,39 @@ def test_pava_matches_pooling_loop_on_drawn_vectors(values, presorted):
 
 
 # ---------------------------------------------------------------------------
+# Chart rows of coordinate arrays
+# ---------------------------------------------------------------------------
+
+CHART_SPACES = {
+    "cir": make_cir(CirDescriptor(mu=1.0)),
+    "ou": make_ou(1.0),
+    "quadratic3": make_quadratic(QuadraticDescriptor(dimension=3, kappa=0.5)),
+    # no override: the default maps row by row through to_chart
+    "allen_cahn": make_allen_cahn(AllenCahnDescriptor(grid_size=4, length=2 * math.pi,
+                                                       kappa=1.0)),
+}
+
+
+@given(st.sampled_from(sorted(CHART_SPACES)),
+       st.lists(st.one_of(st.floats(0.0, 1e300), st.floats(-1e300, 1e300),
+                          st.sampled_from([-0.0, 0.0, 5e-324, 1e-5])),
+                min_size=1, max_size=48),
+       st.integers(1, 12))
+@settings(max_examples=300, deadline=None)
+def test_chart_rows_equal_to_chart_row_by_row(name, values, n_rows):
+    space = CHART_SPACES[name]
+    dim = space.dimension
+    flat = np.resize(np.array(values, dtype=float), n_rows * dim)
+    if name == "cir":
+        flat = np.abs(flat)   # the half-line chart is sqrt
+    coords = flat.reshape(n_rows, dim)
+    rows = space.to_chart_rows(coords)
+    expected = np.stack([space.to_chart(StatePoint.of(c)) for c in coords])
+    assert rows.shape == (n_rows, dim)
+    assert rows.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # McCann admissibility
 # ---------------------------------------------------------------------------
 

@@ -216,7 +216,7 @@ class TestDistance:
         for space in (ou, cir):
             pis = [space.sample_point(rng) for _ in range(40)]
             rho = space.sample_point(rng)
-            batch = tataru_batch(space, pis, rho, 5e-3)
+            batch = tataru_batch(space, np.stack([space.to_chart(p) for p in pis]), rho, 5e-3)
             scalar = np.array([tataru_distance(space, p, rho, 5e-3).value
                                for p in pis])
             assert np.max(np.abs(batch - scalar)) <= 1e-12
@@ -314,7 +314,7 @@ class TestPairKernel:
         # tataru_batch flows rho once; pairs with d0 >= flow_dt see the same samples
         rho = pairs[-2][1]
         pis = [StatePoint.of(y) for y in ([0.0, 0.0], [0.5, 0.1], [2.0, -0.3], [math.e, 0.0])]
-        batch = tataru_batch(space, pis, rho, 1e-2)
+        batch = tataru_batch(space, np.stack([space.to_chart(p) for p in pis]), rho, 1e-2)
         assert list(batch) == [scalar_tataru(space, pi, rho, 1e-2)[0] for pi in pis]
 
 
