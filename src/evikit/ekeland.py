@@ -28,7 +28,8 @@ penalizes with the weighted Tataru sum
 The perturbation is there to make a supremum attained.  On a finite
 product grid the maximum of G_a is attained already, so the Ekeland
 perturbation is the identity and quadruplicate takes the maximizer
-directly.  The finite-set principle under a Tataru product penalty
+directly, by elimination along the chain pi - rho - gamma - mu, without
+the (n,)*4 product array.  The finite-set principle under a Tataru product penalty
 (product_penalty over tataru_matrix) is checked by acceptance
 criterion 9 and by the `ekeland` check of the properties kind.
 
@@ -272,10 +273,55 @@ def _ebar_values(space: Space, base: list[StatePoint], nu0: StatePoint,
     return out
 
 
+def argmax_by_elimination(u: np.ndarray, v: np.ndarray, sq: np.ndarray,
+                          ebar: np.ndarray, alpha: float,
+                          eps: float) -> tuple[int, int, int, int]:
+    """The maximizer (pi, rho, mu, gamma) of G_alpha over the product grid
+    in O(n^2) memory: the index np.argmax would give on the dense (n,)*4
+    array of G_alpha, ties included.
+
+    G_alpha is a chain pi - rho - gamma - mu, so the maximum over pi for
+    each rho, A[rho], and over mu for each gamma, B[gamma], are taken
+    first, leaving one (n, n) table T over (rho, gamma).  Rounding can
+    move a value by a few ulps of the terms' magnitudes, so every (rho,
+    gamma) with T within tol of its maximum, and within each every pi and
+    mu within tol of A and B, is a candidate; tol is 64 ulps of the sum of
+    the terms' largest magnitudes.  The candidates are re-scored by the
+    dense expression and the first maximum in C order of (pi, rho, mu,
+    gamma) is returned, as np.argmax does.  The candidate mask takes n^2
+    booleans per candidate (rho, gamma), of which there is one unless T
+    ties.
+    """
+    wm, wp = 1.0 / (1.0 - eps), 1.0 / (1.0 + eps)
+    a = wm * u[:, None] - alpha * (0.5 * wm) * sq        # (pi, rho)
+    b = -wp * v[None, :] - alpha * (0.5 * wp) * sq       # (gamma, mu)
+    a_max, b_max = a.max(axis=0), b.max(axis=1)
+    t = (a_max[:, None] + b_max[None, :] - alpha * 0.5 * sq
+         - eps * wm * ebar[:, None] - eps * wp * ebar[None, :])
+    scale = (wm * np.max(np.abs(u)) + wp * np.max(np.abs(v))
+             + alpha * 0.5 * (wm + 1.0 + wp) * np.max(sq)
+             + eps * (wm + wp) * np.max(np.abs(ebar)))
+    tol = 64.0 * np.finfo(float).eps * scale
+    rho_c, gamma_c = np.nonzero(t >= t.max() - tol)
+    near_a = a[:, rho_c] >= a_max[rho_c] - tol                # (pi, k)
+    near_b = b[gamma_c, :] >= b_max[gamma_c, None] - tol      # (k, mu)
+    pi, k, mu = np.nonzero(near_a[:, :, None] & near_b[None, :, :])
+    rho, gamma = rho_c[k], gamma_c[k]
+    # G_alpha at the candidates in the dense expression's operation order,
+    # so each value has the bits np.argmax compared
+    g = (wm * u[pi] - wp * v[mu]
+         - alpha * (0.5 * wm * sq[pi, rho]       # d^2(pi, rho)
+                    + 0.5 * sq[rho, gamma]       # d^2(rho, gamma)
+                    + 0.5 * wp * sq[mu, gamma])  # d^2(gamma, mu)
+         - eps * wm * ebar[rho] - eps * wp * ebar[gamma])
+    order = np.lexsort((gamma, mu, rho, pi))
+    best = order[int(np.argmax(g[order]))]
+    return int(pi[best]), int(rho[best]), int(mu[best]), int(gamma[best])
+
+
 def quadruplicate(space: Space, u: GridFunction, v: GridFunction,
                   alpha_schedule: list[float], nu0: StatePoint,
-                  c1: float | None = None,
-                  product_cap: int = 10**7) -> QuadruplicationResult:
+                  c1: float | None = None) -> QuadruplicationResult:
     """Run the four-variable Ekeland optimization along a weight schedule.
 
     For each alpha: a doubled-variable warm start picks (pi0, mu0) as the
@@ -287,14 +333,15 @@ def quadruplicate(space: Space, u: GridFunction, v: GridFunction,
     perturbation (delta = 1/alpha, weighted Tataru penalty) is the
     identity: a walk started at the maximizer stops there at once, and
     none is run.
+
+    The maximum is taken by elimination along the chain pi - rho - gamma
+    - mu (argmax_by_elimination), in O(n^2) time and memory per alpha; its
+    tie rule is np.argmax's on the dense product grid, the first maximizer
+    in C order of (pi, rho, mu, gamma).
     """
     n = len(u.nodes)
     if not np.array_equal(u.nodes, v.nodes):
         raise UsageError("u and v must share one grid")
-    if n**4 > product_cap:
-        raise UsageError(
-            f"product grid size {n}^4 exceeds the cap {product_cap}; coarsen the grid"
-        )
     if c1 is None:
         c1 = max(1.0, 1.0 - space.kappa)
     c2, _ = fit_quadratic_lower_bound(space, nu0, c1)
@@ -320,16 +367,8 @@ def quadruplicate(space: Space, u: GridFunction, v: GridFunction,
 
         wm = 1.0 / (1.0 - eps)
         wp = 1.0 / (1.0 + eps)
-        g = (
-            wm * u.values[:, None, None, None]
-            - wp * v.values[None, None, :, None]
-            - alpha * (0.5 * wm * sq[:, :, None, None]    # d^2(pi, rho)
-                       + 0.5 * sq[None, :, None, :]       # d^2(rho, gamma)
-                       + 0.5 * wp * sq[None, None, :, :]) # d^2(gamma, mu)
-            - eps * wm * ebar[None, :, None, None]
-            - eps * wp * ebar[None, None, None, :]
-        )
-        i_pi, i_rho, i_mu, i_gamma = np.unravel_index(int(np.argmax(g)), g.shape)
+        i_pi, i_rho, i_mu, i_gamma = argmax_by_elimination(
+            u.values, v.values, sq, ebar, alpha, eps)
 
         phi = wm * u.values[i_pi] - wp * v.values[i_mu]
         psi = (0.5 * wm * sq[i_pi, i_rho] + 0.5 * sq[i_rho, i_gamma]

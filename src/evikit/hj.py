@@ -236,16 +236,33 @@ def _grid_charts(grid: GridFunction, tfs) -> list[np.ndarray]:
     return [charts[id(tf.space)] for tf in tfs]
 
 
+def _grid_tataru(tfs, charts: list[np.ndarray], anchors: list[StatePoint]) -> list[np.ndarray]:
+    """d_T(grid, anchor) for each test function.  The vector depends on
+    the space, the anchor and flow_dt, not on a, b or c, so each distinct
+    (space, anchor, flow_dt) makes one tataru_batch call and its test
+    functions share the result."""
+    cache = {}
+    out = []
+    for tf, chart, anchor in zip(tfs, charts, anchors):
+        key = (id(tf.space), anchor.coords, tf.flow_dt)
+        if key not in cache:
+            cache[key] = tataru_batch(tf.space, chart, anchor, tf.flow_dt)
+        out.append(cache[key])
+    return out
+
+
 def verify_subsolution(u: GridFunction, tfs: list[UpperTestFunction],
                        lam: float, h: GridFunction, tol: float) -> ViscosityReport:
     """For each test function, locate the grid argmax of u - f+ (the
     discrete stand-in for the optimizing sequence) and check
-    u - lambda g+ - h <= tol there."""
+    u - lambda g+ - h <= tol there.  d_T(., mu) on the grid is computed by
+    one tataru_batch call per distinct (space, mu, flow_dt)."""
     report = ViscosityReport("subsolution", tol)
-    for tf, chart in zip(tfs, _grid_charts(u, tfs)):
+    charts = _grid_charts(u, tfs)
+    dts = _grid_tataru(tfs, charts, [tf.mu for tf in tfs])
+    for tf, chart, dt_vals in zip(tfs, charts, dts):
         sp = tf.space
         d = _grid_distances(sp, chart, tf.rho)
-        dt_vals = tataru_batch(sp, chart, tf.mu, tf.flow_dt)
         f_plus = 0.5 * tf.a * d**2 + tf.b * dt_vals + tf.c
         i_star = int(np.argmax(u.values - f_plus))
         g_val = upper_bound_value(sp, tf.a, tf.b, float(sp.energy(tf.rho)),
@@ -260,12 +277,14 @@ def verify_subsolution(u: GridFunction, tfs: list[UpperTestFunction],
 def verify_supersolution(v: GridFunction, tfs: list[LowerTestFunction],
                          lam: float, h: GridFunction, tol: float) -> ViscosityReport:
     """Mirror of verify_subsolution: argmin of v - f-, check
-    v - lambda g- - h >= -tol there."""
+    v - lambda g- - h >= -tol there, with one tataru_batch call per
+    distinct (space, pi, flow_dt)."""
     report = ViscosityReport("supersolution", tol)
-    for tf, chart in zip(tfs, _grid_charts(v, tfs)):
+    charts = _grid_charts(v, tfs)
+    dts = _grid_tataru(tfs, charts, [tf.pi for tf in tfs])
+    for tf, chart, dt_vals in zip(tfs, charts, dts):
         sp = tf.space
         d = _grid_distances(sp, chart, tf.gamma)
-        dt_vals = tataru_batch(sp, chart, tf.pi, tf.flow_dt)
         f_minus = -0.5 * tf.a * d**2 - tf.b * dt_vals + tf.c
         i_star = int(np.argmin(v.values - f_minus))
         g_val = lower_bound_value(sp, tf.a, tf.b, float(sp.energy(tf.gamma)),

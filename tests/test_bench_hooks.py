@@ -5,7 +5,8 @@ from their arguments and results.  A rename or a changed signature can
 pass every other test and still break the traced run, so this runs a
 small resolvent config (with rollout) and a small viscosity config under
 the tracer, in a child process started at the repository root, and
-checks that the counters moved.  It only reads perfbench/: the child
+checks that the counters moved, and that the viscosity sweeps make one
+tataru_batch call per anchor.  It only reads perfbench/: the child
 writes no bytecode and its results go to tmp_path.
 """
 
@@ -38,7 +39,8 @@ def test_traced_runs_count_every_hook(tmp_path):
                       "rollout": {"nodes": [40, 120], "dt": 1e-2, "T": 2.0,
                                   "control": {"lo": -3.0, "hi": 3.0, "n": 11}}},
         "viscosity": {"lambda": 1.0, "h": H, "n_grid": 200, "tol": 1e-6,
-                      "sweep": {"a_values": [1.0], "b_values": [1e-2], "n_anchors": 2}},
+                      "sweep": {"a_values": [1.0, 2.0], "b_values": [1e-2, 1e-1],
+                                "n_anchors": 2}},
     }
     paths = []
     for kind, p in params.items():
@@ -57,3 +59,9 @@ def test_traced_runs_count_every_hook(tmp_path):
                     "hj.solve_resolvent_1d.iterations", "cli.write.calls",
                     "tataru.tataru_batch.pairs"):
         assert totals.get(counter, 0) > 0, counter
+    # one tataru_batch call per distinct anchor in each of the two reports,
+    # however many (a, b) share it
+    report = json.loads((tmp_path / "viscosity" / "viscosity_report.json").read_text())
+    anchors = {tuple(r["anchor_tataru"]) for r in report["subsolution"]["records"]}
+    assert len(report["subsolution"]["records"]) == 4 * len(anchors)
+    assert totals["tataru.tataru_batch.calls"] == 2 * len(anchors)

@@ -1,15 +1,17 @@
 """Finite-set Ekeland principle, quadruplication and Jensen checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evikit.core import StatePoint, UsageError
 from evikit.ekeland import (
     EkelandProblem,
+    argmax_by_elimination,
     ekeland_optimize,
     jensen_distance_check,
     product_penalty,
@@ -213,13 +215,85 @@ class TestProductPenalty:
             product_penalty(matrices[0], (1.0, 1.0, 1.0))
 
 
-@pytest.fixture(scope="module")
-def desk_case():
+def make_desk_case(n):
     ou = make_ou(1.0)
     h = make_data_function("gaussian_bump", center=0.7, width=0.6, height=1.0)
-    u = solve_resolvent_quadratic(ou, 1.0, h, -2.0, 2.0, 21, 1e-8)
-    v = solve_resolvent_quadratic(ou, 1.0, lambda x: 0.9 * h(x), -2.0, 2.0, 21, 1e-8)
+    u = solve_resolvent_quadratic(ou, 1.0, h, -2.0, 2.0, n, 1e-8)
+    v = solve_resolvent_quadratic(ou, 1.0, lambda x: 0.9 * h(x), -2.0, 2.0, n, 1e-8)
     return ou, u.f, v.f
+
+
+@pytest.fixture(scope="module")
+def desk_case():
+    return make_desk_case(21)
+
+
+def assert_trend_and_estimates(res):
+    trend = res.trend()
+    assert all(trend[i + 1] <= trend[i] + 1e-15 for i in range(2))
+    assert trend[-1] <= 0.1 * trend[0]
+    # weighted-gap bound: sup(u - v) <= Phi_alpha + C alpha^{-1/2}
+    for _, rep in res.entries:
+        assert res.sup_gap <= rep.phi + res.gap_constant / math.sqrt(rep.alpha) + 1e-12
+    # the vanishing terms shrink along the schedule
+    r1 = [abs(rep.key1_residual) for _, rep in res.entries]
+    r2 = [abs(rep.key2_residual) for _, rep in res.entries]
+    assert r1[0] / r1[1] >= 1.5 and r1[1] / r1[2] >= 1.5
+    assert r2[0] / r2[1] >= 1.5 and r2[1] / r2[2] >= 1.5
+
+
+def dense_argmax(u, v, sq, ebar, alpha, eps):
+    """The maximizer of G_alpha as quadruplicate once took it: np.argmax
+    over the dense (n,)*4 product-grid array, axes (pi, rho, mu, gamma)."""
+    wm = 1.0 / (1.0 - eps)
+    wp = 1.0 / (1.0 + eps)
+    g = (
+        wm * u[:, None, None, None]
+        - wp * v[None, None, :, None]
+        - alpha * (0.5 * wm * sq[:, :, None, None]
+                   + 0.5 * sq[None, :, None, :]
+                   + 0.5 * wp * sq[None, None, :, :])
+        - eps * wm * ebar[None, :, None, None]
+        - eps * wp * ebar[None, None, None, :]
+    )
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(g)), g.shape))
+
+
+def chain_case(u, v, nodes, ebar, alpha, eps):
+    """The arguments of argmax_by_elimination on scalar grid nodes."""
+    nodes = np.array(nodes, dtype=float)
+    return (np.array(u, dtype=float), np.array(v, dtype=float),
+            (nodes[:, None] - nodes[None, :]) ** 2, np.array(ebar, dtype=float),
+            alpha, eps)
+
+
+@st.composite
+def chain_objectives(draw):
+    """u, v, squared distances, ebar, alpha and eps on n <= 12 nodes;
+    integer-valued draws make exact ties common."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    if draw(st.booleans()):
+        vals = st.integers(min_value=-3, max_value=3).map(float)
+        pos = st.integers(min_value=0, max_value=3).map(float)
+        alpha = st.sampled_from([1.0, 2.0, 10.0, 100.0, 1000.0])
+    else:
+        vals = st.floats(min_value=-10.0, max_value=10.0)
+        pos = st.floats(min_value=0.0, max_value=10.0)
+        alpha = st.floats(min_value=1e-3, max_value=1e3)
+    column = st.lists(vals, min_size=n, max_size=n)
+    return chain_case(draw(column), draw(column), draw(column),
+                      draw(st.lists(pos, min_size=n, max_size=n)),
+                      draw(alpha), draw(st.floats(min_value=0.0, max_value=0.25)))
+
+
+@given(chain_objectives())
+# tied maximizers (0, 0, 1, 3) and (0, 0, 2, 0): the first in C order of
+# (pi, rho, mu, gamma) is not the first in that of (pi, rho, gamma, mu)
+@example(chain_case([1, 0, 1, 0, -1], [1, -1, 0, 1, 0], [0, 2, 0, 1, 2],
+                    [0, 1, 0, 1, 1], 1.0, 0.0))
+@settings(max_examples=300, deadline=None)
+def test_elimination_matches_dense_argmax(case):
+    assert argmax_by_elimination(*case) == dense_argmax(*case)
 
 
 class TestQuadruplication:
@@ -234,17 +308,7 @@ class TestQuadruplication:
     def test_desk_case_trend_and_estimates(self, desk_case):
         ou, u, v = desk_case
         res = quadruplicate(ou, u, v, [10.0, 100.0, 1000.0], StatePoint.of(0.0))
-        trend = res.trend()
-        assert all(trend[i + 1] <= trend[i] + 1e-15 for i in range(2))
-        assert trend[-1] <= 0.1 * trend[0]
-        # weighted-gap bound: sup(u - v) <= Phi_alpha + C alpha^{-1/2}
-        for _, rep in res.entries:
-            assert res.sup_gap <= rep.phi + res.gap_constant / math.sqrt(rep.alpha) + 1e-12
-        # the vanishing terms shrink along the schedule
-        r1 = [abs(rep.key1_residual) for _, rep in res.entries]
-        r2 = [abs(rep.key2_residual) for _, rep in res.entries]
-        assert r1[0] / r1[1] >= 1.5 and r1[1] / r1[2] >= 1.5
-        assert r2[0] / r2[1] >= 1.5 and r2[1] / r2[2] >= 1.5
+        assert_trend_and_estimates(res)
 
     def test_eps_rule_satisfies_selection_inequality(self, desk_case):
         ou, u, v = desk_case
@@ -256,11 +320,18 @@ class TestQuadruplication:
             assert rep.xi >= 0.0
             assert state.eps_alpha <= 1.0 / state.alpha
 
-    def test_grid_cap_enforced(self):
-        ou = make_ou(1.0)
-        zero = GridFunction(np.linspace(-1.0, 1.0, 60)[:, None], np.zeros(60))
-        with pytest.raises(UsageError, match="cap"):
-            quadruplicate(ou, zero, zero, [10.0], StatePoint.of(0.0))
+    def test_fine_grid_trend_and_memory(self):
+        # the dense (n,)*4 objective would take 5.4 GB at n = 161; the
+        # elimination keeps to (n, n) tables
+        ou, u, v = make_desk_case(161)
+        tracemalloc.start()
+        try:
+            res = quadruplicate(ou, u, v, [10.0, 100.0, 1000.0], StatePoint.of(0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        assert_trend_and_estimates(res)
 
     def test_report_json_fields(self, desk_case, tmp_path):
         import json

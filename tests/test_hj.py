@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import evikit.hj
 from evikit.core import NumericalError, StatePoint, UsageError
 from evikit.hj import (
     GridFunction,
@@ -24,6 +25,7 @@ from evikit.hj import (
     verify_subsolution,
     verify_supersolution,
 )
+from evikit.potentials import make_potential
 from evikit.spaces import (
     CirDescriptor,
     CirSpace,
@@ -32,6 +34,7 @@ from evikit.spaces import (
     make_ou,
     make_quadratic,
 )
+from evikit.tataru import tataru_batch
 
 DESC = CirDescriptor(mu=1.0, x_lo=1e-3, x_hi=8.0)
 H_CLIP = make_data_function("affine_clipped", slope=1.0, intercept=0.0, cap=2.0)
@@ -300,22 +303,64 @@ class TestViscosity:
                      b_values=(1e-2,))
         assert not verify_supersolution(bad_low, lows, 1.0, h_grid, tol).passed
 
+    @staticmethod
+    def assert_records_match_pointwise(grid, tfs, rep, h_grid, kind):
+        """Each record of a lambda = 1 sweep against eval_upper / eval_lower
+        of its test function at every node."""
+        evaluate, pick = (eval_upper, np.argmax) if kind == "upper" else (eval_lower, np.argmin)
+        points = [grid.point(i) for i in range(len(grid.nodes))]
+        for tf, rec in zip(tfs, rep.records, strict=True):
+            f_g = np.array([evaluate(tf, p) for p in points])
+            i_star = int(pick(grid.values - f_g[:, 0]))
+            assert rec.argopt_index == i_star
+            expected = grid.values[i_star] - f_g[i_star, 1] - h_grid.values[i_star]
+            assert rec.inequality_value == pytest.approx(expected, abs=1e-12)
+
     def test_sweeps_match_pointwise_test_functions(self, cir):
         # the grid sweeps against eval_upper / eval_lower at every node
         sol = solve_resolvent_cir(DESC, 1.0, H_CLIP, 60, 1e-6)
         h_grid = GridFunction(sol.f.nodes, H_CLIP(sol.f.coords()))
-        points = [sol.f.point(i) for i in range(60)]
-        for kind, verify, evaluate, pick in (
-                ("upper", verify_subsolution, eval_upper, np.argmax),
-                ("lower", verify_supersolution, eval_lower, np.argmin)):
+        for kind, verify in (("upper", verify_subsolution), ("lower", verify_supersolution)):
             tfs = sweep(cir, sol.f, kind, a_values=(1.0,), b_values=(1e-2, 1e-1), n_anchors=2)
             rep = verify(sol.f, tfs, 1.0, h_grid, 1.0)
-            for tf, rec in zip(tfs, rep.records):
-                f_g = np.array([evaluate(tf, p) for p in points])
-                i_star = int(pick(sol.f.values - f_g[:, 0]))
-                assert rec.argopt_index == i_star
-                expected = sol.f.values[i_star] - f_g[i_star, 1] - h_grid.values[i_star]
-                assert rec.inequality_value == pytest.approx(expected, abs=1e-12)
+            self.assert_records_match_pointwise(sol.f, tfs, rep, h_grid, kind)
+
+    def test_one_tataru_batch_per_anchor(self, cir, monkeypatch):
+        sol = solve_resolvent_cir(DESC, 1.0, H_CLIP, 60, 1e-6)
+        h_grid = GridFunction(sol.f.nodes, H_CLIP(sol.f.coords()))
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return tataru_batch(*args)
+
+        monkeypatch.setattr(evikit.hj, "tataru_batch", counting)
+        for kind, verify in (("upper", verify_subsolution), ("lower", verify_supersolution)):
+            tfs = sweep(cir, sol.f, kind)
+            assert len(tfs) == 60
+            calls.clear()
+            verify(sol.f, tfs, 1.0, h_grid, 1.0)
+            assert len(calls) == 5 and len(set(calls)) == 5
+
+    def test_shared_anchor_keeps_flow_dt_and_space_apart(self):
+        # one anchor, three test functions: two flow_dt on a space without a
+        # closed-form flow, where d_T depends on flow_dt, and one on a second
+        # space.  A d_T reused across flow_dt or spaces moves the argmax of
+        # -x - f+ (and of x - f-) by two nodes.
+        quartic = make_quadratic(QuadraticDescriptor(
+            perturbation=make_potential("quartic", coeff=0.5)))
+        xs = np.linspace(-2.0, 2.0, 31)
+        zero = GridFunction(xs[:, None], np.zeros(31))
+        anchor = StatePoint.of(1.5)
+        for kind, verify, cls, values in (
+                ("upper", verify_subsolution, UpperTestFunction, -xs),
+                ("lower", verify_supersolution, LowerTestFunction, xs)):
+            tfs = [cls(space, 1.0, 1.0, 0.0, anchor, anchor, flow_dt)
+                   for space, flow_dt in ((quartic, 0.1), (quartic, 0.5), (make_ou(1.0), 0.1))]
+            grid = GridFunction(zero.nodes, values)
+            rep = verify(grid, tfs, 1.0, zero, 1.0)
+            assert [r.argopt_index for r in rep.records] == [23, 25, 25]
+            self.assert_records_match_pointwise(grid, tfs, rep, zero, kind)
 
     def test_report_json(self, cir, resolvent, tmp_path):
         xs = resolvent.f.coords()
