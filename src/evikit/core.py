@@ -200,9 +200,21 @@ class Space(ABC):
         rows = [self.to_chart(StatePoint(tuple(row))) for row in np.asarray(coords).tolist()]
         return np.array(rows, dtype=float).reshape(len(rows), self.dimension)
 
+    def from_chart_rows(self, y: np.ndarray) -> np.ndarray:
+        """Coordinate array (n, dimension) of chart rows (n, dimension),
+        equal to from_chart row by row; spaces with an elementwise chart
+        override it with one array operation."""
+        rows = [self.from_chart(row).coords for row in np.asarray(y, dtype=float)]
+        return np.array(rows, dtype=float).reshape(len(rows), self.dimension)
+
     def project_chart(self, y: np.ndarray) -> np.ndarray:
         """Project raw chart coordinates back onto the feasible set."""
         return y
+
+    def project_chart_rows(self, y: np.ndarray) -> np.ndarray:
+        """project_chart of every row of an (n, dimension) chart array."""
+        rows = [self.project_chart(row) for row in np.asarray(y, dtype=float)]
+        return np.array(rows, dtype=float).reshape(len(rows), self.dimension)
 
     @abstractmethod
     def chart_energy_value(self, y: np.ndarray) -> float:
@@ -212,6 +224,17 @@ class Space(ABC):
     @abstractmethod
     def chart_energy_grad(self, y: np.ndarray) -> np.ndarray:
         ...
+
+    def chart_energy_rows(self, y: np.ndarray) -> np.ndarray:
+        """chart_energy_value of every row of an (n, dimension) chart
+        array, as an (n,) array."""
+        return np.array([self.chart_energy_value(row) for row in np.asarray(y, dtype=float)],
+                        dtype=float)
+
+    def chart_energy_grad_rows(self, y: np.ndarray) -> np.ndarray:
+        """chart_energy_grad of every row of an (n, dimension) chart array."""
+        rows = [self.chart_energy_grad(row) for row in np.asarray(y, dtype=float)]
+        return np.array(rows, dtype=float).reshape(len(rows), self.dimension)
 
     # -- metric ------------------------------------------------------------
 

@@ -10,6 +10,12 @@ minimizing-movement scheme
 is solved by projected descent in the space's flat chart with a
 Barzilai-Borwein trial step, backtracking line search and (for the
 transport space) pool-adjacent-violators feasibility projection.
+``jko_step`` takes one step of one trajectory; ``jko_rows`` takes one
+step of many trajectories in lockstep, with each row's arithmetic that
+of ``jko_step``, which is how the Tataru scan flows the second arguments
+of many pairs at once.  A ``Trajectory`` holds its samples as an
+(n_t, dim) coordinate array, so the verifiers below work on all samples
+at once through the space's row hooks.
 
 Verifiers cover the standard consequences of the evolution variational
 inequality: the EVI inequality itself with the upper-right derivative
@@ -21,7 +27,6 @@ used to renormalize the energy for the quadruplication machinery.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -42,48 +47,42 @@ from .core import (
 
 @dataclass
 class Trajectory:
-    """Time-stamped states approximating a gradient-flow curve."""
+    """Time-stamped samples of a gradient-flow curve: times (n_t,) and
+    coords, the (n_t, dim) array of the samples' coordinates.  A
+    StatePoint is built only where a caller asks for one, by point(i)."""
 
     times: np.ndarray
-    states: list[StatePoint]
+    coords: np.ndarray
     space_id: str
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        if len(self.times) != len(self.states):
-            raise UsageError("times and states must have equal length")
+        self.coords = np.asarray(self.coords, dtype=float)
+        if self.coords.ndim != 2 or len(self.coords) != len(self.times):
+            raise UsageError("trajectory coords must be an (n_t, dim) array, one row per time")
         if len(self.times) == 0 or self.times[0] != 0.0:
             raise UsageError("trajectory must start at time 0")
         if np.any(np.diff(self.times) <= 0):
             raise UsageError("trajectory times must be strictly increasing")
 
+    def point(self, i: int) -> StatePoint:
+        return StatePoint(tuple(self.coords[i].tolist()))
+
     @property
     def start(self) -> StatePoint:
-        return self.states[0]
+        return self.point(0)
 
     @property
     def end(self) -> StatePoint:
-        return self.states[-1]
-
-    def state_at(self, space: Space, t: float) -> StatePoint:
-        """Chart-linear interpolation between stored samples."""
-        if t <= self.times[0]:
-            return self.states[0]
-        if t >= self.times[-1]:
-            return self.states[-1]
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        t0, t1 = self.times[i], self.times[i + 1]
-        lam = (t - t0) / (t1 - t0)
-        y = (1 - lam) * space.to_chart(self.states[i]) + lam * space.to_chart(self.states[i + 1])
-        return space.from_chart(y)
+        return self.point(-1)
 
     def to_csv(self, path) -> None:
-        n = len(self.states[0].coords)
+        """RFC 4180 rows of repr fields, as csv.writer writes them."""
+        header = ["t"] + [f"coord_{i}" for i in range(self.coords.shape[1])]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"coord_{i}" for i in range(n)])
-            for t, s in zip(self.times, self.states):
-                writer.writerow([repr(float(t))] + [repr(c) for c in s.coords])
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(",".join(map(repr, [t, *row.tolist()])) + "\r\n"
+                          for t, row in zip(self.times.tolist(), self.coords))
 
 
 @dataclass
@@ -149,8 +148,8 @@ def flow_exact(space: Space, p: StatePoint, T: float, dt: float) -> Trajectory:
     state's family; callers fall back to flow_mms.
     """
     times = _time_grid(T, dt)
-    states = [space.exact_flow(p, float(t)) for t in times]
-    return Trajectory(times, states, space.name)
+    coords = [space.exact_flow(p, float(t)).coords for t in times]
+    return Trajectory(times, coords, space.name)
 
 
 def jko_step(space: Space, y_prev: np.ndarray, dt: float,
@@ -159,7 +158,8 @@ def jko_step(space: Space, y_prev: np.ndarray, dt: float,
     s2 = space.chart_scale**2
 
     def objective(y):
-        return space.chart_energy_value(y) + s2 * float(np.dot(y - y_prev, y - y_prev)) / (2 * dt)
+        diff = y - y_prev
+        return space.chart_energy_value(y) + s2 * float(np.dot(diff, diff)) / (2 * dt)
 
     def grad(y):
         return space.chart_energy_grad(y) + s2 * (y - y_prev) / dt
@@ -170,7 +170,7 @@ def jko_step(space: Space, y_prev: np.ndarray, dt: float,
         raise NumericalError("minimizing movement started outside the energy domain")
     g = grad(y)
     step = dt / s2
-    scale = max(1.0, float(np.linalg.norm(y_prev)))
+    scale = max(1.0, math.sqrt(float(np.dot(y_prev, y_prev))))  # np.linalg.norm's bits
     for _ in range(max_iter):
         y_new = space.project_chart(y - step * g)
         d = y_new - y
@@ -199,17 +199,104 @@ def jko_step(space: Space, y_prev: np.ndarray, dt: float,
     )
 
 
+def jko_rows(space: Space, y_prev: np.ndarray, dt: float,
+             inner_tol: float, max_iter: int) -> np.ndarray:
+    """One minimizing-movement step for every row of y_prev (m, dimension).
+
+    Each row takes jko_step's arithmetic in jko_step's order -- its own
+    Barzilai-Borwein step, its own Armijo backtracking (at most 60 halvings)
+    and its own stop -- so row i of the result equals jko_step on
+    y_prev[i] bit for bit.  A row that has converged is frozen while the
+    others iterate; a row still moving after max_iter iterations raises
+    NumericalError.  The rows share the energy calls (the space's *_rows
+    hooks), which is what makes stepping many flows in lockstep cheaper
+    than stepping them one at a time.
+    """
+    s2 = space.chart_scale**2
+    y_prev = np.asarray(y_prev, dtype=float)
+
+    def objective(y, prev):
+        diff = y - prev
+        return space.chart_energy_rows(y) + s2 * np.vecdot(diff, diff) / (2 * dt)
+
+    def grad(y, prev):
+        return space.chart_energy_grad_rows(y) + s2 * (y - prev) / dt
+
+    def armijo_fails(f_new, fy, g, d, dn2, step):
+        return ~np.isfinite(f_new) | (f_new > fy + np.vecdot(g, d) + 0.5 * dn2 / step)
+
+    out = np.empty_like(y_prev)
+    prev, y = y_prev, y_prev.copy()
+    fy = objective(y, prev)
+    if not np.all(np.isfinite(fy)):
+        raise NumericalError("minimizing movement started outside the energy domain")
+    g = grad(y, prev)
+    step = np.full(len(y), dt / s2)
+    scale = np.maximum(1.0, np.sqrt(np.vecdot(prev, prev)))
+    live = np.arange(len(y))
+    for _ in range(max_iter):
+        y_new = space.project_chart_rows(y - step[:, None] * g)
+        d = y_new - y
+        dn2 = np.vecdot(d, d)
+        done = np.sqrt(dn2) <= inner_tol * scale
+        if done.any():
+            out[live[done]] = y_new[done]
+            stay = ~done
+            if not stay.any():
+                return out
+            live, prev, y, fy, g, step, scale, y_new, d, dn2 = (
+                v[stay] for v in (live, prev, y, fy, g, step, scale, y_new, d, dn2))
+        f_new = objective(y_new, prev)
+        backtracks = 0
+        back = np.flatnonzero(armijo_fails(f_new, fy, g, d, dn2, step))
+        while len(back) and backtracks < 60:
+            step[back] *= 0.5
+            y_b = space.project_chart_rows(y[back] - step[back, None] * g[back])
+            d_b = y_b - y[back]
+            y_new[back], d[back], dn2[back] = y_b, d_b, np.vecdot(d_b, d_b)
+            f_new[back] = objective(y_b, prev[back])
+            backtracks += 1
+            back = back[armijo_fails(f_new[back], fy[back], g[back], d[back], dn2[back],
+                                     step[back])]
+        g_new = grad(y_new, prev)
+        sy = np.vecdot(d, g_new - g)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(sy > 1e-30, dn2 / sy, dt / s2)
+        step = np.minimum(np.maximum(step, 1e-14), 1e8)
+        y, fy, g = y_new, f_new, g_new
+    resid = float(np.linalg.norm(grad(y[:1], prev[:1])[0]))
+    raise NumericalError(
+        f"inner minimizing-movement solve did not converge (gradient norm {resid:.3e})",
+        residual=resid,
+    )
+
+
+def finite_coords(space: Space, y: np.ndarray) -> np.ndarray:
+    """space.from_chart_rows(y), refusing non-finite coordinates as a
+    StatePoint does."""
+    coords = space.from_chart_rows(y)
+    if not np.all(np.isfinite(coords)):
+        raise UsageError("StatePoint coordinates must be finite")
+    return coords
+
+
 def flow_mms(space: Space, p: StatePoint, config: FlowConfig) -> Trajectory:
-    """Minimizing-movement (JKO) trajectory of length ceil(T/dt) + 1."""
+    """Minimizing-movement (JKO) trajectory of length ceil(T/dt) + 1.
+
+    The chart iterates are stacked and converted to coordinates once; the
+    first sample keeps p's own coordinates."""
     space.validate_point(p)
     n = int(math.ceil(config.horizon / config.dt - 1e-12))
     times = config.dt * np.arange(n + 1)
     y = space.to_chart(p)
-    states = [p]
-    for _ in range(n):
-        y = jko_step(space, y, config.dt, config.jko_inner_tol, config.jko_max_iter)
-        states.append(space.from_chart(y))
-    return Trajectory(times, states, space.name)
+    coords = np.empty((n + 1, y.size))
+    coords[0] = p.coords
+    for k in range(1, n + 1):
+        # a step that returns has converged, so its chart point is finite
+        coords[k] = y = jko_step(space, y, config.dt, config.jko_inner_tol,
+                                 config.jko_max_iter)
+    coords[1:] = finite_coords(space, coords[1:])
+    return Trajectory(times, coords, space.name)
 
 
 def flow_any(space: Space, p: StatePoint, T: float, dt: float,
@@ -225,6 +312,19 @@ def flow_any(space: Space, p: StatePoint, T: float, dt: float,
 # Verifiers
 # ---------------------------------------------------------------------------
 
+def _chart_distances(space: Space, chart: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """space.distance from each chart row to the chart point(s) y, with
+    its bits: the row-wise vecdot is np.dot's sum."""
+    diff = chart - y
+    return space.chart_scale * np.sqrt(np.vecdot(diff, diff))
+
+
+def _squares(d: np.ndarray) -> np.ndarray:
+    """d ** 2 by Python floats: float ** 2 is the C library's pow, which
+    can differ from d * d (numpy's square) in the last bit."""
+    return np.array([v ** 2 for v in d.tolist()])
+
+
 def verify_evi(space: Space, traj: Trajectory, probes: list[StatePoint],
                tol: float | None = None) -> EviReport:
     """Forward-difference check of the EVI inequality along a trajectory.
@@ -232,31 +332,31 @@ def verify_evi(space: Space, traj: Trajectory, probes: list[StatePoint],
     For each probe rho and grid time t the discretized upper-right
     derivative (d^2(gamma(t+dt), rho) - d^2(gamma(t), rho)) / (2 dt) is
     compared against E(rho) - E(gamma(t)) - kappa/2 d^2(gamma(t), rho).
-    Violations are reported, never thrown.
+    Distances and energies are taken over all samples at once, from the
+    trajectory's chart rows; samples of infinite energy are skipped, and
+    a probe's record is its first largest violation.  Violations are
+    reported, never thrown.
     """
+    chart = space.to_chart_rows(traj.coords)
+    energies = space.chart_energy_rows(chart[:-1])
+    finite = ~np.isinf(energies)
+    dt = np.diff(traj.times)
     records = []
     worst = -math.inf
     for probe in probes:
         e_probe = space.energy(probe)
         if e_probe.infinite:
             raise UsageError("EVI probes must lie in the energy domain")
-        probe_worst = -math.inf
-        probe_rec = None
-        d2 = np.array([space.distance(s, probe) ** 2 for s in traj.states])
-        for i in range(len(traj.states) - 1):
-            dt_i = traj.times[i + 1] - traj.times[i]
-            lhs = (d2[i + 1] - d2[i]) / (2.0 * dt_i)
-            e_state = space.energy(traj.states[i])
-            if e_state.infinite:
-                continue
-            rhs = e_probe.value - e_state.value - 0.5 * space.kappa * d2[i]
-            if lhs - rhs > probe_worst:
-                probe_worst = lhs - rhs
-                probe_rec = ProbeRecord(float(traj.times[i]), probe.to_json(),
-                                        float(lhs), float(rhs))
-        if probe_rec is not None:
-            records.append(probe_rec)
-            worst = max(worst, probe_worst)
+        d2 = _squares(_chart_distances(space, chart, space.to_chart(probe)))
+        lhs = (d2[1:] - d2[:-1]) / (2.0 * dt)
+        rhs = e_probe.value - energies - 0.5 * space.kappa * d2[:-1]
+        excess = lhs - rhs
+        excess[~finite | np.isnan(excess)] = -math.inf
+        if excess.max(initial=-math.inf) > -math.inf:
+            i = int(np.argmax(excess))
+            records.append(ProbeRecord(float(traj.times[i]), probe.to_json(),
+                                       float(lhs[i]), float(rhs[i])))
+            worst = max(worst, float(excess[i]))
     return EviReport(max_violation=worst, probe_count=len(probes), records=records)
 
 
@@ -266,10 +366,11 @@ def verify_contraction(space: Space, p: StatePoint, q: StatePoint,
     tp = flow_any(space, p, T, dt)
     tq = flow_any(space, q, T, dt)
     d0 = space.distance(p, q)
-    worst = -math.inf
-    for t, sp, sq in zip(tp.times, tp.states, tq.states):
-        worst = max(worst, space.distance(sp, sq) - math.exp(-space.kappa * t) * d0)
-    return worst
+    n = min(len(tp.times), len(tq.times))
+    dist = _chart_distances(space, space.to_chart_rows(tp.coords[:n]),
+                            space.to_chart_rows(tq.coords[:n]))
+    decay = np.array([math.exp(-space.kappa * t) for t in tp.times[:n].tolist()])
+    return float(np.max(dist - decay * d0, initial=-math.inf))
 
 
 def verify_energy_identity(space: Space, traj: Trajectory) -> float:
@@ -281,7 +382,7 @@ def verify_energy_identity(space: Space, traj: Trajectory) -> float:
     e0, e1 = space.energy(traj.start), space.energy(traj.end)
     if e0.infinite:
         raise UsageError("energy identity needs a start in the energy domain")
-    infos = [space.information(s) for s in traj.states]
+    infos = [space.information(traj.point(i)) for i in range(len(traj.times))]
     times = traj.times
     if infos[0].infinite:
         infos, times = infos[1:], times[1:]
@@ -299,8 +400,12 @@ def fit_quadratic_lower_bound(space: Space, nu0: StatePoint, c1: float,
     """Estimate inf_pi [ E(pi) + c1/2 d^2(pi, nu0) ] and return (c2, estimate)
     with c2 = -estimate, so that the shifted energy has infimum ~ 0.
 
-    Requires c1 > -kappa.  Divergence along an expanding sample schedule
-    raises a numerical error (the shifted energy is unbounded below).
+    Each of the four stages draws its sample_count // 4 normal offsets as
+    one array (the same numbers as one draw per sample) and scores them
+    with the space's row hooks; the first strict minimum wins, as in a
+    sample-by-sample scan.  Requires c1 > -kappa.  Divergence along the
+    expanding sample schedule raises a numerical error (the shifted
+    energy is unbounded below).
     """
     if c1 <= -space.kappa:
         raise UsageError(f"quadratic lower bound needs c1 > -kappa = {-space.kappa}")
@@ -313,17 +418,24 @@ def fit_quadratic_lower_bound(space: Space, nu0: StatePoint, c1: float,
         return e.value + 0.5 * c1 * space.distance(p, nu0) ** 2
 
     y0 = space.to_chart(nu0)
+
+    def shifted_rows(y):
+        # the chart of each sample's coordinates, as shifted(from_chart(y)) sees it
+        chart = space.to_chart_rows(space.from_chart_rows(y))
+        energy = space.chart_energy_rows(chart)
+        shift = 0.5 * c1 * _squares(_chart_distances(space, chart, y0))
+        return np.where(np.isfinite(energy), energy + shift, math.inf)
+
     stage_best = []
     best_y = y0.copy()
     best = shifted(nu0)
-    for stage, radius in enumerate((1.0, 2.0, 4.0, 8.0)):
-        for _ in range(sample_count // 4):
-            y = space.project_chart(
-                y0 + radius * rng.standard_normal(y0.size) / space.chart_scale
-            )
-            val = shifted(space.from_chart(y))
-            if val < best:
-                best, best_y = val, y
+    for radius in (1.0, 2.0, 4.0, 8.0):
+        z = rng.standard_normal((sample_count // 4, y0.size))
+        ys = space.project_chart_rows(y0 + radius * z / space.chart_scale)
+        vals = shifted_rows(ys)
+        if len(vals) and vals.min() < best:
+            i = int(np.argmin(vals))
+            best, best_y = float(vals[i]), ys[i]
         stage_best.append(best)
     drops = -np.diff(stage_best)
     if len(drops) >= 2 and drops[-1] > 10.0 * max(abs(stage_best[0]), 1.0):

@@ -136,8 +136,14 @@ class CirSpace(Space):
     def from_chart(self, y: np.ndarray) -> StatePoint:
         return StatePoint.of(np.asarray(y) ** 2)
 
+    def from_chart_rows(self, y: np.ndarray) -> np.ndarray:
+        return np.asarray(y, dtype=float) ** 2
+
     def project_chart(self, y: np.ndarray) -> np.ndarray:
         return np.clip(y, math.sqrt(self.x_lo), math.sqrt(self.x_hi))
+
+    def project_chart_rows(self, y: np.ndarray) -> np.ndarray:
+        return self.project_chart(y)  # the clip is elementwise
 
     def chart_energy_value(self, y: np.ndarray) -> float:
         x = float(np.asarray(y).ravel()[0]) ** 2
@@ -219,11 +225,25 @@ class QuadraticSpace(Space):
     def from_chart(self, y: np.ndarray) -> StatePoint:
         return StatePoint.of(y)
 
+    def from_chart_rows(self, y: np.ndarray) -> np.ndarray:
+        return np.array(y, dtype=float)
+
+    def project_chart_rows(self, y: np.ndarray) -> np.ndarray:
+        return np.asarray(y, dtype=float)
+
     def chart_energy_value(self, y: np.ndarray) -> float:
         y = np.asarray(y, dtype=float)
         e = 0.5 * self.kappa * float(np.dot(y, y)) + self.desc.energy_offset
         if self.perturbation is not None:
             e += float(np.sum(self.perturbation(y)))
+        return e
+
+    def chart_energy_rows(self, y: np.ndarray) -> np.ndarray:
+        # row-wise vecdot and last-axis sums give chart_energy_value's bits
+        y = np.asarray(y, dtype=float)
+        e = 0.5 * self.kappa * np.vecdot(y, y) + self.desc.energy_offset
+        if self.perturbation is not None:
+            e = e + np.sum(self.perturbation(y), axis=-1)
         return e
 
     def chart_energy_grad(self, y: np.ndarray) -> np.ndarray:
@@ -232,6 +252,9 @@ class QuadraticSpace(Space):
         if self.perturbation is not None:
             g = g + self.perturbation.df(y)
         return g
+
+    def chart_energy_grad_rows(self, y: np.ndarray) -> np.ndarray:
+        return self.chart_energy_grad(y)  # elementwise
 
     def slope(self, p: StatePoint) -> ExtendedReal:
         self.validate_point(p)
@@ -313,6 +336,9 @@ class AllenCahnSpace(Space):
 
     def from_chart(self, y: np.ndarray) -> StatePoint:
         return StatePoint.of(y)
+
+    def from_chart_rows(self, y: np.ndarray) -> np.ndarray:
+        return np.array(y, dtype=float)
 
     def chart_energy_value(self, y: np.ndarray) -> float:
         rho = np.asarray(y, dtype=float)
@@ -427,6 +453,9 @@ class Wasserstein1DSpace(Space):
 
     def from_chart(self, y: np.ndarray) -> StatePoint:
         return StatePoint.of(y)
+
+    def from_chart_rows(self, y: np.ndarray) -> np.ndarray:
+        return np.array(y, dtype=float)
 
     def project_chart(self, y: np.ndarray) -> np.ndarray:
         return pava_nondecreasing(np.asarray(y, dtype=float))

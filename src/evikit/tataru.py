@@ -21,7 +21,11 @@ refinement rule:
   flow_dt up to d(pi, rho), plus d(pi, rho) itself, and every refinement
   query evaluates the closed form;
 * otherwise the flow is computed by minimizing movement and the
-  refinement queries the chart-linear interpolant of its samples.
+  refinement queries the chart-linear interpolant of its samples.  Each
+  pair's rho flows over [0, d(pi, rho)] on its own samples, but the pairs
+  of a scan block step in lockstep (``flow.jko_rows``): rows with the same
+  step go together and each drops out after its own number of steps, with
+  every sample bit for bit that of the pair's own ``flow_mms``.
 
 d_T is not symmetric, 1-Lipschitz in each argument with respect to d,
 1-Lipschitz along the flow in its first argument, and satisfies the
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Space, StatePoint, UsageError
-from .flow import FlowConfig, flow_any, flow_mms
+from .flow import FlowConfig, finite_coords, flow_any, flow_mms, jko_rows
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Bound on the (pairs x scan times x dimension) chart array of one scan
@@ -78,25 +82,50 @@ def _closed_form_scan(space: Space, y_rho: np.ndarray, d0: np.ndarray, flow_dt: 
 
 
 def _sampled_scan(space: Space, y_rho: np.ndarray, d0: np.ndarray, flow_dt: float):
-    """Scan rows on minimizing-movement samples at step min(flow_dt,
-    horizon).  Each pair flows its own rho over [0, d0]; one y_rho row is
-    flowed once, as far as the largest d0, and the pairs share prefixes."""
-    def flow(y, horizon):
-        cfg = FlowConfig(dt=min(flow_dt, horizon), horizon=horizon)
-        traj = flow_mms(space, space.from_chart(y), cfg)
-        return traj.times, np.stack([space.to_chart(s) for s in traj.states])
+    """Scan rows on minimizing-movement samples at step min(flow_dt, d0).
 
-    shared = flow(y_rho[0], float(d0.max())) if len(y_rho) == 1 else None
+    Each pair flows its own rho over [0, d0], and a block's pairs flow in
+    lockstep: the rows with the same step go through flow.jko_rows
+    together, and each drops out after its own ceil(d0 / step) steps.  A
+    row's samples are bit for bit those of flow_mms on that pair alone
+    (the chart of the stored coordinates).  One y_rho row is flowed once,
+    by flow_mms, as far as the largest d0, and the pairs share prefixes."""
+    dim = y_rho.shape[1]
+
+    def chart_of(y):
+        return space.to_chart_rows(finite_coords(space, y))
+
+    if len(y_rho) == 1:
+        horizon = float(d0.max())
+        traj = flow_mms(space, space.from_chart(y_rho[0]),
+                        FlowConfig(dt=min(flow_dt, horizon), horizon=horizon))
+        shared_t, shared_y = traj.times, space.to_chart_rows(traj.coords)
+
+        def scan(rows):
+            counts = np.ceil(d0[rows] / shared_t[1] - 1e-12).astype(np.int64) + 1
+            width = int(counts.max())
+            return (np.broadcast_to(shared_t[:width], (len(rows), width)), counts,
+                    np.broadcast_to(shared_y[:width], (len(rows), width, dim)))
+        return scan
 
     def scan(rows):
-        flows = [shared or flow(y_rho[i], float(d0[i])) for i in rows]
-        counts = np.array([math.ceil(d0[i] / t[1] - 1e-12) + 1
-                           for i, (t, _) in zip(rows, flows)])
-        times = np.zeros((len(rows), int(counts.max())))
-        states = np.zeros(times.shape + (y_rho.shape[1],))
-        for j, ((t, y), c) in enumerate(zip(flows, counts)):
-            times[j, :c], states[j, :c] = t[:c], y[:c]
-        return times, counts, states
+        d = d0[rows]
+        dt = np.minimum(flow_dt, d)
+        steps = np.ceil(d / dt - 1e-12).astype(np.int64)
+        times = np.zeros((len(rows), int(steps.max()) + 1))
+        states = np.zeros(times.shape + (dim,))
+        for step in np.unique(dt):
+            live = np.flatnonzero(dt == step)
+            cfg = FlowConfig(dt=float(step), horizon=float(d[live].max()))
+            times[live] = cfg.dt * np.arange(times.shape[1])
+            y = chart_of(y_rho[rows[live]])
+            states[live, 0] = y
+            for k in range(1, int(steps[live].max()) + 1):
+                stay = steps[live] >= k
+                live, y = live[stay], y[stay]
+                y = jko_rows(space, y, cfg.dt, cfg.jko_inner_tol, cfg.jko_max_iter)
+                states[live, k] = chart_of(y)
+        return times, steps + 1, states
     return scan
 
 

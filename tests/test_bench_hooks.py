@@ -2,10 +2,11 @@
 
 perfbench/tracing.py rebinds evikit functions by name and reads counters
 from their arguments and results.  A rename or a changed signature can
-pass every other test and still break the traced run, so this runs a
-small resolvent config (with rollout) and a small viscosity config under
-the tracer, in a child process started at the repository root, and
-checks that the counters moved, and that the viscosity sweeps make one
+pass every other test and still break the traced run, so this runs, under
+the tracer, a small resolvent config (with rollout), a small viscosity
+config, a minimizing-movement EVI config and a Tataru pairs table without
+a closed-form flow, in a child process started at the repository root.
+It checks that the counters moved, and that the viscosity sweeps make one
 tataru_batch call per anchor.  It only reads perfbench/: the child
 writes no bytecode and its results go to tmp_path.
 """
@@ -31,6 +32,9 @@ print(json.dumps({"codes": codes, "totals": tracer.snapshot()}))
 
 CIR = {"space": "cir", "params": {"mu": 1.0, "x_lo": 1e-3, "x_hi": 8.0}}
 H = {"name": "affine_clipped", "params": {"slope": 1.0, "cap": 2.0}}
+# no closed-form flow: EVI and d_T run on minimizing movement
+QUAD_JKO = {"space": "quadratic",
+            "params": {"dimension": 1, "kappa": 1.0, "perturbation": "zero"}}
 
 
 def test_traced_runs_count_every_hook(tmp_path):
@@ -42,10 +46,16 @@ def test_traced_runs_count_every_hook(tmp_path):
                       "sweep": {"a_values": [1.0, 2.0], "b_values": [1e-2, 1e-1],
                                 "n_anchors": 2}},
     }
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("pi_0,rho_0\n0.0,1.0\n0.5,-0.7\n-1.0,-1.02\n")
+    params["evi"] = {"x0": [1.0], "T": 0.05, "dt": 1e-2, "tol": 1.0,
+                     "probes": [[0.5], [-0.5]]}
+    params["tataru"] = {"pairs_in": str(pairs), "flow_dt": 0.05}
     paths = []
     for kind, p in params.items():
         path = tmp_path / f"{kind}.json"
-        path.write_text(json.dumps({"space": CIR, "kind": kind, "params": p,
+        space = QUAD_JKO if kind in ("evi", "tataru") else CIR
+        path.write_text(json.dumps({"space": space, "kind": kind, "params": p,
                                     "output_dir": str(tmp_path / kind), "seed": 0}))
         paths.append(str(path))
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -53,11 +63,12 @@ def test_traced_runs_count_every_hook(tmp_path):
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     out = json.loads(res.stdout.strip().splitlines()[-1])
-    assert out["codes"] == [0, 0]
+    assert out["codes"] == [0, 0, 0, 0]
     totals = out["totals"]
     for counter in ("core.StatePoint.of.calls", "hj.value_by_rollout.calls",
                     "hj.solve_resolvent_1d.iterations", "cli.write.calls",
-                    "tataru.tataru_batch.pairs"):
+                    "tataru.tataru_batch.pairs", "flow.jko_step.calls",
+                    "flow.flow_mms.calls", "flow.verify_evi.calls"):
         assert totals.get(counter, 0) > 0, counter
     # one tataru_batch call per distinct anchor in each of the two reports,
     # however many (a, b) share it

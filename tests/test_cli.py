@@ -107,6 +107,28 @@ class TestRunConfigs:
         }
         assert run(self.write_config(tmp_path, cfg)) == 3
 
+    def test_mms_convergence_reuses_the_configs_flow(self, tmp_path, monkeypatch):
+        """With default JKO tolerances the run's own minimizing movement is
+        the convergence study's flow at dt, so it is not run twice; other
+        tolerances make it a different flow."""
+        flows = []
+
+        def counting(space, p, config):
+            flows.append(config)
+            return flow_mms(space, p, config)
+
+        flow_mms = evikit.cli.flow_mms
+        monkeypatch.setattr(evikit.cli, "flow_mms", counting)
+        params = {"x0": [1.0], "T": 1.0, "dt": 1e-3, "mode": "mms",
+                  "mms_convergence": {"dts": [4e-3, 2e-3, 1e-3]}}
+        cfg = self.base_config(tmp_path, kind="flow", params=params)
+        assert run(self.write_config(tmp_path, cfg)) == 0
+        assert [c.dt for c in flows] == [1e-3, 4e-3, 2e-3]
+        flows.clear()
+        cfg["params"]["jko_inner_tol"] = 1e-10
+        assert run(self.write_config(tmp_path, cfg)) == 0
+        assert [c.dt for c in flows] == [1e-3, 4e-3, 2e-3, 1e-3]
+
     def test_byte_identical_outputs(self, tmp_path):
         cfg = {
             "space": {"space": "cir", "params": {"mu": 1.0, "x_lo": 0.001,

@@ -1,18 +1,27 @@
 """Flow engines and EVI-consequence verifiers against closed-form oracles."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evikit.core import StatePoint, UnsupportedFlowError, UsageError
+from evikit.core import NumericalError, StatePoint, UnsupportedFlowError, UsageError
 from evikit.flow import (
+    EviReport,
     FlowConfig,
+    ProbeRecord,
     Trajectory,
+    _refine_minimum,
     check_semigroup,
     fit_quadratic_lower_bound,
+    flow_any,
     flow_exact,
     flow_mms,
+    jko_rows,
+    jko_step,
     verify_contraction,
     verify_energy_identity,
     verify_evi,
@@ -21,6 +30,7 @@ from evikit.potentials import make_potential
 from evikit.spaces import (
     CirDescriptor,
     QuadraticDescriptor,
+    QuadraticSpace,
     Wasserstein1DDescriptor,
     make_cir,
     make_ou,
@@ -122,12 +132,13 @@ class TestMinimizingMovement:
     def test_ou_first_order_accuracy(self, ou):
         traj = flow_mms(ou, StatePoint.of(1.0), FlowConfig(dt=1e-3, horizon=1.0))
         assert abs(traj.end.x - math.exp(-1.0)) <= 1e-3
-        assert len(traj.states) == 1001
+        assert traj.coords.shape == (1001, 1)
 
     def test_stationary_start_stays_constant(self, ou, cir):
         for space, p in ((ou, StatePoint.of(0.0)), (cir, StatePoint.of(1.0))):
             traj = flow_mms(space, p, FlowConfig(dt=1e-2, horizon=0.2))
-            assert all(space.distance(s, p) <= 1e-9 for s in traj.states)
+            assert all(space.distance(traj.point(i), p) <= 1e-9
+                       for i in range(len(traj.times)))
 
     def test_first_order_convergence_ratio(self, ou):
         errs = []
@@ -147,7 +158,7 @@ class TestMinimizingMovement:
                  (heat_space, heat_space.gaussian_state(0.2, 0.8))]
         for space, p in cases:
             traj = flow_mms(space, p, FlowConfig(dt=1e-2, horizon=0.3))
-            vals = [float(space.energy(s)) for s in traj.states]
+            vals = [float(space.energy(traj.point(i))) for i in range(len(traj.times))]
             assert all(vals[i + 1] <= vals[i] + 1e-10 for i in range(len(vals) - 1))
 
     def test_bad_config_rejected(self):
@@ -155,6 +166,94 @@ class TestMinimizingMovement:
             FlowConfig(dt=-1e-3, horizon=1.0)
         with pytest.raises(UsageError):
             FlowConfig(dt=2.0, horizon=1.0)
+
+
+class CountingQuadratic(QuadraticSpace):
+    """A quadratic space that counts jko_step's scalar hook calls: every
+    inner iteration projects once and every backtrack once more, and
+    every iteration but the converging one takes one gradient (plus the
+    gradient at the start)."""
+
+    def __init__(self, desc):
+        super().__init__(desc)
+        self.projections = self.gradients = 0
+
+    def project_chart(self, y):
+        self.projections += 1
+        return super().project_chart(y)
+
+    def chart_energy_grad(self, y):
+        self.gradients += 1
+        return super().chart_energy_grad(y)
+
+
+def quadratic(dimension, perturbation, kappa=1.0):
+    return make_quadratic(QuadraticDescriptor(
+        dimension=dimension, kappa=kappa, perturbation=make_potential(perturbation)))
+
+
+def assert_rows_match_steps(space, y_prev, dt, inner_tol=1e-9, max_iter=500):
+    """jko_rows equals jko_step on every row; where some row's jko_step
+    raises, jko_rows raises with the first such row's residual."""
+    steps = []
+    for y in y_prev:
+        try:
+            steps.append(jko_step(space, y.copy(), dt, inner_tol, max_iter))
+        except NumericalError as exc:
+            with pytest.raises(NumericalError) as info:
+                jko_rows(space, y_prev, dt, inner_tol, max_iter)
+            assert info.value.residual == exc.residual
+            return
+    rows = jko_rows(space, y_prev, dt, inner_tol, max_iter)
+    assert rows.shape == y_prev.shape
+    for row, step in zip(rows, steps):
+        assert row.tobytes() == step.tobytes()
+
+
+class TestJkoRows:
+    """jko_rows against jko_step, row by row and bit for bit."""
+
+    @given(dimension=st.sampled_from([1, 3]), perturbation=st.sampled_from(["zero", "quartic"]),
+           kappa=st.floats(0.1, 3.0), dt=st.floats(1e-3, 0.5),
+           starts=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=24))
+    @settings(max_examples=80, deadline=None)
+    def test_drawn_rows_match_jko_step(self, dimension, perturbation, kappa, dt, starts):
+        space = quadratic(dimension, perturbation, kappa)
+        y_prev = np.resize(np.array(starts), (math.ceil(len(starts) / dimension), dimension))
+        assert_rows_match_steps(space, y_prev, dt)
+
+    def test_rows_converge_apart_and_backtrack(self):
+        """Spread starts: the rows stop at different iterations, and some
+        of them backtrack, in 1-d and 3-d, with and without the quartic."""
+        rng = np.random.default_rng(5)
+        for dimension in (1, 3):
+            for perturbation in ("zero", "quartic"):
+                space = quadratic(dimension, perturbation)
+                y_prev = rng.normal(size=(12, dimension)) * np.geomspace(1e-3, 5.0, 12)[:, None]
+                y_prev[0] = 0.0  # the minimizer: converges at the first iteration
+                assert_rows_match_steps(space, y_prev, 0.3)
+                counting = CountingQuadratic(space.desc)
+                iterations, backtracks = set(), 0
+                for y in y_prev:
+                    counting.projections = counting.gradients = 0
+                    jko_step(counting, y.copy(), 0.3, 1e-9, 500)
+                    iterations.add(counting.gradients)
+                    backtracks += counting.projections - counting.gradients
+                assert len(iterations) >= 3
+                if perturbation == "quartic":
+                    assert backtracks > 0
+
+    def test_row_at_the_cap_raises(self):
+        space = quadratic(3, "quartic")
+        y_prev = np.array([[0.0, 0.0, 0.0], [2.0, -1.5, 3.0]])
+        with pytest.raises(NumericalError):
+            jko_step(space, y_prev[1].copy(), 0.3, 1e-9, 2)
+        with pytest.raises(NumericalError):
+            jko_rows(space, y_prev, 0.3, 1e-9, 2)
+
+    def test_start_outside_the_domain_raises(self, cir):
+        with pytest.raises(NumericalError):
+            jko_rows(cir, np.array([[1.0], [0.0]]), 0.1, 1e-9, 500)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +291,136 @@ class TestEvi:
         rep.write_json(tmp_path / "evi.json")
         data = (tmp_path / "evi.json").read_text()
         assert '"max_violation"' in data and '"records"' in data
+
+
+def loop_verify_evi(space, traj, probes):
+    """The sample-by-sample verify_evi that the array form replaced: one
+    space.distance and one space.energy per (probe, sample), on
+    StatePoints, and a strict running maximum."""
+    states = [traj.point(i) for i in range(len(traj.times))]
+    records = []
+    worst = -math.inf
+    for probe in probes:
+        e_probe = space.energy(probe)
+        probe_worst, probe_rec = -math.inf, None
+        d2 = np.array([space.distance(s, probe) ** 2 for s in states])
+        for i in range(len(states) - 1):
+            lhs = (d2[i + 1] - d2[i]) / (2.0 * (traj.times[i + 1] - traj.times[i]))
+            e_state = space.energy(states[i])
+            if e_state.infinite:
+                continue
+            rhs = e_probe.value - e_state.value - 0.5 * space.kappa * d2[i]
+            if lhs - rhs > probe_worst:
+                probe_worst = lhs - rhs
+                probe_rec = ProbeRecord(float(traj.times[i]), probe.to_json(),
+                                        float(lhs), float(rhs))
+        if probe_rec is not None:
+            records.append(probe_rec)
+            worst = max(worst, probe_worst)
+    return EviReport(max_violation=worst, probe_count=len(probes), records=records)
+
+
+class TestEviMatchesLoop:
+    """verify_evi against the sample-by-sample loop, bit for bit."""
+
+    def assert_same(self, space, traj, probes):
+        report = verify_evi(space, traj, probes)
+        assert report.to_json() == loop_verify_evi(space, traj, probes).to_json()
+        return report
+
+    def test_flows_and_probes(self, ou, cir, heat_space):
+        rng = np.random.default_rng(17)
+        quartic = quadratic(3, "quartic")
+        cases = [
+            (ou, flow_exact(ou, StatePoint.of(1.3), 1.0, 2e-3), 10),
+            (quadratic(1, "zero"), flow_any(quadratic(1, "zero"), StatePoint.of(-1.7), 1.0, 2e-3), 10),
+            (quartic, flow_any(quartic, StatePoint.of([1.0, -0.5, 2.0]), 0.5, 1e-2), 8),
+            (cir, flow_exact(cir, StatePoint.of(3.0), 2.0, 1e-3), 6),
+            (heat_space, flow_exact(heat_space, heat_space.gaussian_state(0.1, 0.9), 0.5, 1e-2), 4),
+        ]
+        for space, traj, n_probes in cases:
+            probes = [space.sample_point(rng) for _ in range(n_probes)]
+            assert len(self.assert_same(space, traj, probes).records) == n_probes
+
+    def test_ties_and_infinite_energy_samples(self, ou, cir):
+        # a stationary flow: every sample ties, and the first one is recorded
+        traj = flow_exact(ou, StatePoint.of(0.0), 0.5, 1e-2)
+        report = self.assert_same(ou, traj, [StatePoint.of(0.7), StatePoint.of(0.0)])
+        assert [r.t for r in report.records] == [0.0, 0.0]
+        # CIR samples at x = 0 have infinite energy and are skipped
+        traj = Trajectory(np.arange(5) * 0.1, [[0.0], [2.0], [0.0], [1.5], [0.0]], "cir")
+        report = self.assert_same(cir, traj, [StatePoint.of(1.0), StatePoint.of(0.4)])
+        assert {r.t for r in report.records} <= {0.1, 0.30000000000000004}
+        # only infinite-energy samples: no record at all
+        traj = Trajectory(np.array([0.0, 0.1]), [[0.0], [1.0]], "cir")
+        report = self.assert_same(cir, traj, [StatePoint.of(1.0)])
+        assert report.records == [] and report.max_violation == -math.inf
+
+
+    def test_squared_distances_are_python_float_squares(self, ou):
+        # 1.8509723469979271 ** 2 (the C library's pow) is one ulp above
+        # its numpy square, and the record carries that bit
+        d = 1.8509723469979271
+        assert d ** 2 != float(np.square(d))
+        traj = Trajectory(np.array([0.0, 1e-3]), [[d], [d * math.exp(-1e-3)]], "ou")
+        self.assert_same(ou, traj, [StatePoint.of(0.0)])
+
+
+def loop_contraction(space, p, q, T, dt):
+    tp, tq = flow_any(space, p, T, dt), flow_any(space, q, T, dt)
+    d0 = space.distance(p, q)
+    worst = -math.inf
+    for i, t in enumerate(tp.times[:min(len(tp.times), len(tq.times))]):
+        worst = max(worst, space.distance(tp.point(i), tq.point(i))
+                    - math.exp(-space.kappa * t) * d0)
+    return worst
+
+
+def test_contraction_matches_loop(ou, cir, heat_space):
+    cases = [(ou, StatePoint.of(1.0), StatePoint.of(-2.0), 2.0, 1e-3),
+             (cir, StatePoint.of(3.0), StatePoint.of(0.2), 1.0, 1e-2),
+             (quadratic(1, "quartic"), StatePoint.of(1.0), StatePoint.of(-0.5), 0.3, 1e-2),
+             (heat_space, heat_space.gaussian_state(0.0, 1.0),
+              heat_space.gaussian_state(0.3, 2.0), 1.0, 1e-2)]
+    for space, p, q, T, dt in cases:
+        assert verify_contraction(space, p, q, T, dt) == loop_contraction(space, p, q, T, dt)
+
+
+def loop_quadratic_lower_bound(space, nu0, c1, sample_count, rng):
+    """fit_quadratic_lower_bound's sampling before refinement, one draw
+    and one StatePoint at a time: (stage minima, best chart point)."""
+    def shifted(p):
+        e = space.energy(p)
+        return math.inf if e.infinite else e.value + 0.5 * c1 * space.distance(p, nu0) ** 2
+
+    y0 = space.to_chart(nu0)
+    best_y, best = y0.copy(), shifted(nu0)
+    stage_best = []
+    for radius in (1.0, 2.0, 4.0, 8.0):
+        for _ in range(sample_count // 4):
+            y = space.project_chart(y0 + radius * rng.standard_normal(y0.size) / space.chart_scale)
+            val = shifted(space.from_chart(y))
+            if val < best:
+                best, best_y = val, y
+        stage_best.append(best)
+    return stage_best, best_y
+
+
+def test_quadratic_lower_bound_matches_loop(ou, cir):
+    cases = [(ou, StatePoint.of(0.3), 1.0), (cir, StatePoint.of(1.0), 0.5),
+             (cir, StatePoint.of(0.05), 2.0), (quadratic(3, "quartic"), StatePoint.of([0.5, 0.0, -1.0]), 0.2)]
+    for space, nu0, c1 in cases:
+        for count in (4000, 37):
+            stages, best_y = loop_quadratic_lower_bound(space, nu0, c1, count,
+                                                        np.random.default_rng(3))
+            got = fit_quadratic_lower_bound(space, nu0, c1, count,
+                                            np.random.default_rng(3), refine=False)
+            assert got == (-stages[-1], stages[-1])
+            # refinement starts from the same point, so it ends at the same value
+            refined = fit_quadratic_lower_bound(space, nu0, c1, count, np.random.default_rng(3))
+            shifted = lambda p: float(space.energy(p)) + 0.5 * c1 * space.distance(p, nu0) ** 2
+            assert refined[1] <= stages[-1]
+            assert refined[1] == _refine_minimum(space, shifted, best_y, stages[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +494,15 @@ class TestQuadraticLowerBound:
 
 class TestTrajectory:
     def test_validation(self):
-        p = StatePoint.of(1.0)
+        two = np.array([[1.0], [1.0]])
         with pytest.raises(UsageError):
-            Trajectory(np.array([0.0, 0.0]), [p, p], "ou")
+            Trajectory(np.array([0.0, 0.0]), two, "ou")
         with pytest.raises(UsageError):
-            Trajectory(np.array([0.1, 0.2]), [p, p], "ou")
+            Trajectory(np.array([0.1, 0.2]), two, "ou")
         with pytest.raises(UsageError):
-            Trajectory(np.array([0.0]), [p, p], "ou")
+            Trajectory(np.array([0.0]), two, "ou")
+        with pytest.raises(UsageError):
+            Trajectory(np.array([0.0, 0.1]), np.array([1.0, 1.0]), "ou")
 
     def test_csv_export_header(self, ou, tmp_path):
         traj = flow_exact(ou, StatePoint.of(1.0), 0.01, 1e-2)
@@ -279,10 +510,26 @@ class TestTrajectory:
         traj.to_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,coord_0"
-        assert len(lines) == len(traj.states) + 1
+        assert len(lines) == len(traj.times) + 1
 
-    def test_interpolation(self, ou):
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        """to_csv writes whole rows itself; its bytes are csv.writer's."""
+        coords = np.array([[-0.0, 5e-324, 1e308], [1e-300, -1e308, 0.1],
+                           [math.pi, -5e-324, 0.0]])
+        traj = Trajectory(np.array([0.0, 5e-324, 0.30000000000000004]), coords, "quadratic")
+        traj.to_csv(tmp_path / "traj.csv")
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "coord_0", "coord_1", "coord_2"])
+            for t, row in zip(traj.times, coords):
+                writer.writerow([repr(float(t))] + [repr(float(c)) for c in row])
+        assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_points_on_request(self, ou):
+        """Samples are coordinate rows; point(i), start and end build
+        StatePoints from them."""
         traj = flow_exact(ou, StatePoint.of(1.0), 1.0, 0.5)
-        mid = traj.state_at(ou, 0.25)
-        expected = 0.5 * (1.0 + math.exp(-0.5))
-        assert mid.x == pytest.approx(expected, abs=1e-12)
+        assert traj.coords.shape == (3, 1)
+        assert traj.start == StatePoint.of(1.0)
+        assert traj.point(1) == ou.exact_flow(StatePoint.of(1.0), 0.5)
+        assert traj.end == traj.point(2) == ou.exact_flow(StatePoint.of(1.0), 1.0)

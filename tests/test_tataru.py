@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evikit.core import StatePoint
-from evikit.flow import _time_grid, flow_any, flow_exact
+from evikit.flow import FlowConfig, _time_grid, flow_any, flow_exact, flow_mms
 from evikit.potentials import make_potential
 from evikit.spaces import (
     CirDescriptor,
@@ -21,6 +21,7 @@ from evikit.spaces import (
 )
 from evikit.tataru import (
     _BLOCK_ELEMENTS,
+    _sampled_scan,
     _tataru_pairs,
     tataru_batch,
     tataru_batch_csv,
@@ -42,7 +43,7 @@ def statepoint_tataru(space, pi, rho, flow_dt):
         return 0.0, 0
     traj = flow_exact(space, rho, d0, min(flow_dt, d0))
     y = space.to_chart(pi)
-    chart_states = np.stack([space.to_chart(s) for s in traj.states])
+    chart_states = np.stack([space.to_chart(traj.point(i)) for i in range(len(traj.times))])
     d = space.chart_scale * np.linalg.norm(chart_states - y[None, :], axis=1)
     phi = traj.times + np.exp(kappa_hat * traj.times) * d
     k = int(np.argmin(phi))
@@ -71,9 +72,10 @@ def statepoint_tataru(space, pi, rho, flow_dt):
 def scalar_tataru(space, pi, rho, flow_dt):
     """Reference d_T by the one-pair route the pair kernel replaced: scan
     this pair's flow samples in chart coordinates, then a scalar golden
-    section on the closed-form chart flow, or on Trajectory.state_at of
-    the minimizing-movement trajectory where rho has no closed form.
-    Returns (value, t_star)."""
+    section on the closed-form chart flow, or, where rho has no closed
+    form, on the chart-linear interpolant of this pair's own
+    minimizing-movement trajectory, mapped through a StatePoint at each
+    query.  Returns (value, t_star)."""
     kappa_hat = min(0.0, space.kappa)
     y_pi, y_rho = space.to_chart(pi), space.to_chart(rho)
     d0 = space.distance(pi, rho)
@@ -89,10 +91,16 @@ def scalar_tataru(space, pi, rho, flow_dt):
     else:
         traj = flow_any(space, rho, d0, dt)
         times = traj.times
-        chart = np.stack([space.to_chart(s) for s in traj.states])
+        chart = np.stack([space.to_chart(traj.point(i)) for i in range(len(times))])
 
         def flow_at(t):
-            return space.to_chart(traj.state_at(space, t))
+            if t <= times[0]:
+                return chart[0]
+            if t >= times[-1]:
+                return chart[-1]
+            i = int(np.searchsorted(times, t, side="right")) - 1
+            lam = (t - times[i]) / (times[i + 1] - times[i])
+            return space.to_chart(space.from_chart((1 - lam) * chart[i] + lam * chart[i + 1]))
 
     def phi_at(t):
         return t + math.exp(kappa_hat * t) * (
@@ -119,6 +127,30 @@ def scalar_tataru(space, pi, rho, flow_dt):
     if phi[k] < value:
         return float(phi[k]), float(times[k])
     return value, t_star
+
+
+def per_pair_sampled_scan(space, y_rho, d0, flow_dt):
+    """The scan that the lockstep one replaced: flow_mms on each pair's
+    rho alone (one shared flow for a single y_rho row), its samples
+    stacked through space.to_chart."""
+    def flow(y, horizon):
+        traj = flow_mms(space, space.from_chart(y),
+                        FlowConfig(dt=min(flow_dt, horizon), horizon=horizon))
+        return traj.times, np.stack([space.to_chart(traj.point(i))
+                                     for i in range(len(traj.times))])
+
+    shared = flow(y_rho[0], float(d0.max())) if len(y_rho) == 1 else None
+
+    def scan(rows):
+        flows = [shared or flow(y_rho[i], float(d0[i])) for i in rows]
+        counts = np.array([math.ceil(d0[i] / t[1] - 1e-12) + 1
+                           for i, (t, _) in zip(rows, flows)])
+        times = np.zeros((len(rows), int(counts.max())))
+        states = np.zeros(times.shape + (y_rho.shape[1],))
+        for j, ((t, y), c) in enumerate(zip(flows, counts)):
+            times[j, :c], states[j, :c] = t[:c], y[:c]
+        return times, counts, states
+    return scan
 
 
 def assert_kernel_matches_scalar(space, pairs, flow_dt, tol=1e-12):
@@ -316,6 +348,69 @@ class TestPairKernel:
         pis = [StatePoint.of(y) for y in ([0.0, 0.0], [0.5, 0.1], [2.0, -0.3], [math.e, 0.0])]
         batch = tataru_batch(space, np.stack([space.to_chart(p) for p in pis]), rho, 1e-2)
         assert list(batch) == [scalar_tataru(space, pi, rho, 1e-2)[0] for pi in pis]
+
+
+class TestLockstepScan:
+    """The lockstep minimizing-movement scan against per_pair_sampled_scan:
+    the same counts, and the same times and samples, bit for bit, within
+    every row's count."""
+
+    def assert_scans_match(self, space, y_rho, d0, flow_dt, rows):
+        times, counts, states = _sampled_scan(space, y_rho, d0, flow_dt)(rows)
+        ref_t, ref_c, ref_s = per_pair_sampled_scan(space, y_rho, d0, flow_dt)(rows)
+        assert counts.tolist() == ref_c.tolist()
+        for j, c in enumerate(counts):
+            assert times[j, :c].tobytes() == ref_t[j, :c].tobytes()
+            assert states[j, :c].tobytes() == ref_s[j, :c].tobytes()
+
+    @pytest.mark.parametrize("dimension,perturbation", [(1, "zero"), (1, "quartic"),
+                                                        (2, "zero"), (3, "quartic")])
+    def test_pairs_flow_in_lockstep(self, dimension, perturbation):
+        space = make_quadratic(QuadraticDescriptor(
+            dimension=dimension, kappa=1.0, perturbation=make_potential(perturbation)))
+        rng = np.random.default_rng(73)
+        flow_dt = 2 ** -6
+        y_rho = rng.uniform(-2.5, 2.5, (14, dimension))
+        # d0 below flow_dt (a one-step flow of its own), an exact multiple of
+        # flow_dt, two equal lengths, and a spread of longer ones
+        d0 = np.concatenate([[0.3 * flow_dt, 0.7 * flow_dt, 3 * flow_dt, 3 * flow_dt, flow_dt],
+                             rng.uniform(0.05, 1.5, 9)])
+        order = np.argsort(d0, kind="stable")
+        self.assert_scans_match(space, y_rho, d0, flow_dt, order)
+        self.assert_scans_match(space, y_rho, d0, flow_dt, order[5:9])
+        # one flowing rho shared by every pair
+        self.assert_scans_match(space, y_rho[:1], d0, flow_dt, order[3:])
+
+
+    def test_blocks_stay_bounded(self, monkeypatch):
+        """Every scan block's sample array holds at most _BLOCK_ELEMENTS
+        chart elements, and how the pairs split into blocks does not move
+        a bit of the result."""
+        import evikit.tataru as tataru
+
+        space = make_quadratic(QuadraticDescriptor(
+            dimension=2, kappa=1.0, perturbation=make_potential("zero")))
+        rng = np.random.default_rng(79)
+        pis = [space.sample_point(rng) for _ in range(16)]
+        rhos = [StatePoint.of(p.array + rng.uniform(-0.8, 0.8, 2)) for p in pis]
+        whole = _tataru_pairs(space, pis, rhos, 0.05)
+        sizes = []
+
+        def recording(*args):
+            scan = _sampled_scan(*args)
+
+            def scan_and_record(rows):
+                out = scan(rows)
+                sizes.append(out[2].size)
+                return out
+            return scan_and_record
+
+        monkeypatch.setattr(tataru, "_BLOCK_ELEMENTS", 200)
+        monkeypatch.setattr(tataru, "_sampled_scan", recording)
+        split = _tataru_pairs(space, pis, rhos, 0.05)
+        assert len(sizes) > 2 and max(sizes) <= 200
+        for got, want in zip(split, whole):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestPairKernelProperties:
