@@ -37,6 +37,7 @@ import numpy as np
 from . import __version__
 from .core import (
     ConstructionError,
+    DomainError,
     NumericalError,
     Space,
     StatePoint,
@@ -260,6 +261,12 @@ def run_evi(space, params, out: Path, rng):
              f"max_violation {report.max_violation:.3e} <= {tol}")]
 
 
+# suite name -> (points per sample, verifier)
+_TATARU_SUITES = {"lipschitz": (4, verify_tataru_lipschitz),
+                  "flow_lipschitz": (2, verify_tataru_flow_lipschitz),
+                  "triangle": (3, verify_tataru_triangle)}
+
+
 def run_tataru(space, params, out: Path, rng):
     if "pairs_in" in params:
         n = tataru_batch_csv(space, params["pairs_in"], out / "tataru_values.csv",
@@ -272,20 +279,12 @@ def run_tataru(space, params, out: Path, rng):
 
     def cell(suite):
         local = np.random.default_rng(rng.integers(2**63))
-        if suite == "lipschitz":
-            samples = [tuple(space.sample_point(local) for _ in range(4))
-                       for _ in range(n)]
-            return suite, verify_tataru_lipschitz(space, samples, flow_dt)
-        if suite == "flow_lipschitz":
-            samples = [tuple(space.sample_point(local) for _ in range(2))
-                       for _ in range(n)]
-            return suite, verify_tataru_flow_lipschitz(space, samples,
-                                                       (1e-2, 1e-3), flow_dt)
-        if suite == "triangle":
-            samples = [tuple(space.sample_point(local) for _ in range(3))
-                       for _ in range(n)]
-            return suite, verify_tataru_triangle(space, samples, flow_dt)
-        raise ConfigError(f"unknown tataru suite '{suite}'")
+        if suite not in _TATARU_SUITES:
+            raise ConfigError(f"unknown tataru suite '{suite}'")
+        k, verify = _TATARU_SUITES[suite]
+        # n samples of k points each, drawn point after point
+        samples = space.sample_rows(local, n * k).reshape(n, k, space.dimension)
+        return suite, verify(space, samples, flow_dt=flow_dt)
 
     # serial, in listed order, so each suite's seed is the same draw from rng
     results = dict(cell(suite) for suite in suites)
@@ -571,7 +570,9 @@ def run(config_path: str) -> int:
 
     try:
         assertions = _RUNNERS[kind](space, params, out, rng)
-    except (ConfigError, UsageError) as exc:
+    except (ConfigError, UsageError, DomainError) as exc:
+        # DomainError: a point of the config or of an input table lies
+        # outside the space
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -244,6 +244,16 @@ class Space(ABC):
                 f"{self.name}: expected dimension {self.dimension}, got {len(p.coords)}"
             )
 
+    def validate_rows(self, coords: np.ndarray) -> None:
+        """validate_point of every row of an (n, dimension) coordinate
+        array, each row also finite as a StatePoint's; the default goes row
+        by row, and spaces override it with array tests (finite_rows)."""
+        coords = np.asarray(coords, dtype=float)
+        if coords.ndim != 2:
+            raise UsageError(f"{self.name}: expected an (n, dimension) coordinate array")
+        for row in coords.tolist():
+            self.validate_point(StatePoint(tuple(row)))
+
     def distance(self, p: StatePoint, q: StatePoint) -> float:
         self.validate_point(p)
         self.validate_point(q)
@@ -282,9 +292,22 @@ class Space(ABC):
     # -- flow hooks ----------------------------------------------------------
 
     def has_exact_flow(self, p: StatePoint) -> bool:
-        return False
+        return bool(self.has_exact_flow_rows(p.array[None, :])[0])
+
+    def has_exact_flow_rows(self, coords: np.ndarray) -> np.ndarray:
+        """Whether a closed-form flow is registered from each row of an
+        (n, dimension) coordinate array, as an (n,) bool array;
+        has_exact_flow is its one-row case."""
+        return np.zeros(len(coords), dtype=bool)
 
     def exact_flow(self, p: StatePoint, t: float) -> StatePoint:
+        self.validate_point(p)
+        return StatePoint.of(self.exact_flow_rows(p.array[None, :], t)[0])
+
+    def exact_flow_rows(self, coords: np.ndarray, t: float) -> np.ndarray:
+        """The closed-form flow at one time t from every row of an (n,
+        dimension) coordinate array, in coordinates; exact_flow is its
+        one-row case.  Rows are not validated."""
         raise UnsupportedFlowError(f"{self.name}: no closed-form flow registered")
 
     def exact_flow_chart(self, y0: np.ndarray, t) -> np.ndarray:
@@ -301,6 +324,13 @@ class Space(ABC):
     def sample_point(self, rng: np.random.Generator) -> StatePoint:
         """A random point in the effective domain, for property checks."""
         ...
+
+    def sample_rows(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """The coordinates (n, dimension) of n sample_point draws, drawing
+        the same numbers in the same order; spaces whose draws are one
+        array call override it."""
+        rows = [self.sample_point(rng).coords for _ in range(n)]
+        return np.array(rows, dtype=float).reshape(n, self.dimension)
 
     def sphere_points(self, p: StatePoint, radius: float,
                       count: int, rng: np.random.Generator) -> list[StatePoint]:
@@ -328,6 +358,18 @@ class Space(ABC):
 
     def descriptor(self) -> dict:
         return {"space": self.name, "params": {}}
+
+
+def finite_rows(space: Space, coords: np.ndarray) -> np.ndarray:
+    """The dimension and finiteness checks of Space.validate_rows as array
+    tests; returns coords as a float array."""
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 2 or coords.shape[1] != space.dimension:
+        got = coords.shape[-1] if coords.ndim else 0
+        raise UsageError(f"{space.name}: expected dimension {space.dimension}, got {got}")
+    if not np.all(np.isfinite(coords)):
+        raise UsageError("StatePoint coordinates must be finite")
+    return coords
 
 
 # ---------------------------------------------------------------------------

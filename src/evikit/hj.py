@@ -36,7 +36,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .core import (
     ExtendedReal,
@@ -371,6 +370,9 @@ def solve_resolvent_1d(xs: np.ndarray, drift: np.ndarray, sigma: np.ndarray,
     """
     if lam <= 0:
         raise UsageError("resolvent parameter lambda must be positive")
+    # imported here, on first use: scipy.linalg is most of `import evikit`
+    from scipy.linalg import solve_banded
+
     n = xs.size
     dx = float(xs[1] - xs[0])
     policy = np.zeros(n)

@@ -35,6 +35,7 @@ from .core import (
     StatePoint,
     UnsupportedFlowError,
     UsageError,
+    finite_rows,
 )
 from .potentials import Potential, sampled_convexity_check
 
@@ -82,8 +83,8 @@ class Wasserstein1DDescriptor:
     internal: Potential | None = None      # F, checked via mccann_check
     potential: Potential | None = None     # V, kappa_V-convex
     interaction: Potential | None = None   # W, even, kappa_W-convex, kappa_W >= 0
-    kappa_v: float = 0.0
-    kappa_w: float = 0.0
+    kappa_v: float = 0.0   # the space's modulus kappa
+    kappa_w: float = 0.0   # checked convexity of W; not added to kappa
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +128,11 @@ class CirSpace(Space):
         if p.coords[0] < 0.0:
             raise DomainError(f"cir coordinate must be nonnegative, got {p.coords[0]}")
 
+    def validate_rows(self, coords: np.ndarray) -> None:
+        x = finite_rows(self, coords)[:, 0]
+        if np.any(x < 0.0):
+            raise DomainError(f"cir coordinate must be nonnegative, got {x[x < 0.0][0]}")
+
     def to_chart(self, p: StatePoint) -> np.ndarray:
         return np.sqrt(p.array)
 
@@ -163,13 +169,12 @@ class CirSpace(Space):
             return ExtendedReal.INF
         return ExtendedReal.finite(abs(x - self.mu) / math.sqrt(x))
 
-    def has_exact_flow(self, p: StatePoint) -> bool:
-        return True
+    def has_exact_flow_rows(self, coords: np.ndarray) -> np.ndarray:
+        return np.ones(len(coords), dtype=bool)
 
-    def exact_flow(self, p: StatePoint, t: float) -> StatePoint:
+    def exact_flow_rows(self, coords: np.ndarray, t: float) -> np.ndarray:
         # xdot = -(x - mu)  =>  x(t) = mu + (x0 - mu) exp(-t)
-        self.validate_point(p)
-        return StatePoint.of(self.mu + (p.coords[0] - self.mu) * math.exp(-t))
+        return self.mu + (np.asarray(coords, dtype=float) - self.mu) * math.exp(-t)
 
     def exact_flow_chart(self, y0: np.ndarray, t) -> np.ndarray:
         # the same mean reversion in the chart y = sqrt(x)
@@ -177,8 +182,13 @@ class CirSpace(Space):
         return np.sqrt(self.mu + (np.square(y0) - self.mu) * decay)
 
     def sample_point(self, rng: np.random.Generator) -> StatePoint:
+        return StatePoint.of(self.sample_rows(rng, 1)[0])
+
+    def sample_rows(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        # math.exp per draw: np.exp can differ from it in the last bit
         lo, hi = max(self.x_lo, 0.05 * self.mu), min(self.x_hi, 8.0 * self.mu)
-        return StatePoint.of(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+        u = rng.uniform(math.log(lo), math.log(hi), n)
+        return np.array([math.exp(v) for v in u.tolist()]).reshape(n, 1)
 
     def _chart_feasible(self, y: np.ndarray) -> bool:
         return bool(np.all(np.asarray(y) > 0.0))
@@ -215,6 +225,9 @@ class QuadraticSpace(Space):
         self.dimension = desc.dimension
         self.kappa = desc.kappa
         self.perturbation = desc.perturbation
+
+    def validate_rows(self, coords: np.ndarray) -> None:
+        finite_rows(self, coords)
 
     def to_chart(self, p: StatePoint) -> np.ndarray:
         return p.array
@@ -260,14 +273,13 @@ class QuadraticSpace(Space):
         self.validate_point(p)
         return ExtendedReal.finite(float(np.linalg.norm(self.chart_energy_grad(p.array))))
 
-    def has_exact_flow(self, p: StatePoint) -> bool:
-        return self.perturbation is None
+    def has_exact_flow_rows(self, coords: np.ndarray) -> np.ndarray:
+        return np.full(len(coords), self.perturbation is None)
 
-    def exact_flow(self, p: StatePoint, t: float) -> StatePoint:
+    def exact_flow_rows(self, coords: np.ndarray, t: float) -> np.ndarray:
         if self.perturbation is not None:
             raise UnsupportedFlowError("quadratic flow with perturbation has no closed form")
-        self.validate_point(p)
-        return StatePoint.of(p.array * math.exp(-self.kappa * t))
+        return np.asarray(coords, dtype=float) * math.exp(-self.kappa * t)
 
     def exact_flow_chart(self, y0: np.ndarray, t) -> np.ndarray:
         if self.perturbation is not None:
@@ -276,7 +288,10 @@ class QuadraticSpace(Space):
         return decay[..., None] * np.asarray(y0, dtype=float)
 
     def sample_point(self, rng: np.random.Generator) -> StatePoint:
-        return StatePoint.of(rng.normal(0.0, self.desc.scale, self.dimension))
+        return StatePoint.of(self.sample_rows(rng, 1)[0])
+
+    def sample_rows(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.normal(0.0, self.desc.scale, (n, self.dimension))
 
     def descriptor(self) -> dict:
         params = {"dimension": self.dimension, "kappa": self.kappa}
@@ -402,7 +417,14 @@ class Wasserstein1DSpace(Space):
 
     The uniform gap weights give the zero-flux boundary consistent with a
     vanishing tail density; superlinear F forces absolute continuity, so
-    a non-increasing Q or a gap density below 1e-12 carries +inf energy."""
+    a non-increasing Q or a gap density below 1e-12 carries +inf energy.
+
+    The modulus is kappa = kappa_v.  kappa_w is the convexity the
+    constructor checks for W, but it does not add to kappa: the
+    interaction energy is unchanged when the measure is translated, so a
+    kappa_w-convex W makes it only 0-convex along geodesics (it is
+    kappa_w-convex only at a fixed centre of mass; Carrillo, McCann &
+    Villani, Rev. Mat. Iberoam. 19 (2003))."""
 
     name = "wasserstein1d"
 
@@ -432,7 +454,7 @@ class Wasserstein1DSpace(Space):
         self.internal = desc.internal
         self.potential = desc.potential
         self.interaction = desc.interaction
-        self.kappa = desc.kappa_v + desc.kappa_w
+        self.kappa = desc.kappa_v
         self.chart_scale = 1.0 / math.sqrt(desc.m)
         self.tol_metric = 1e-6
         self.tol_geo = 1e-6
@@ -443,9 +465,10 @@ class Wasserstein1DSpace(Space):
         return (np.arange(m) + 0.5) / m
 
     def validate_point(self, p: StatePoint) -> None:
-        super().validate_point(p)
-        q = p.array
-        if np.any(np.diff(q) < -1e-12):
+        self.validate_rows(p.array[None, :])
+
+    def validate_rows(self, coords: np.ndarray) -> None:
+        if np.any(np.diff(finite_rows(self, coords), axis=1) < -1e-12):
             raise DomainError("quantile vector must be nondecreasing")
 
     def to_chart(self, p: StatePoint) -> np.ndarray:
@@ -504,31 +527,30 @@ class Wasserstein1DSpace(Space):
             return ExtendedReal.INF
         return ExtendedReal.finite(math.sqrt(val))
 
-    def has_exact_flow(self, p: StatePoint) -> bool:
-        return self._heat_family(p.array) is not None
+    def has_exact_flow_rows(self, coords: np.ndarray) -> np.ndarray:
+        fam = self._heat_family(np.asarray(coords, dtype=float))
+        return np.zeros(len(coords), dtype=bool) if fam is None else fam[3]
 
-    def exact_flow(self, p: StatePoint, t: float) -> StatePoint:
+    def exact_flow_rows(self, coords: np.ndarray, t: float) -> np.ndarray:
         """Heat flow of the pure entropy energy on the Gaussian family:
         N(mean, s^2) evolves to N(mean, s^2 + 2t)."""
-        return StatePoint.of(self.exact_flow_chart(p.array, t))
+        return self.exact_flow_chart(coords, t)
 
     def exact_flow_chart(self, y0: np.ndarray, t) -> np.ndarray:
-        mean, sd, z = self._require_heat_family(np.asarray(y0, dtype=float))
-        return mean + np.sqrt(sd**2 + 2.0 * np.asarray(t, dtype=float)[..., None]) * z
-
-    def _require_heat_family(self, q: np.ndarray):
-        fam = self._heat_family(q)
-        if fam is None:
+        fam = self._heat_family(np.asarray(y0, dtype=float))
+        if fam is None or not np.all(fam[3]):
             raise UnsupportedFlowError(
                 "wasserstein1d closed-form flow needs pure entropy energy and a "
                 "Gaussian quantile vector"
             )
-        return fam
+        mean, sd, z, _ = fam
+        return mean + np.sqrt(sd**2 + 2.0 * np.asarray(t, dtype=float)[..., None]) * z
 
     def _heat_family(self, q: np.ndarray):
-        """(mean, sd, z) when every quantile vector q[..., :] is
-        N(mean, sd^2) sampled at the midpoint levels, z = Phi^{-1}(levels);
-        mean and sd keep a trailing axis of length 1.  None otherwise."""
+        """(mean, sd, z, member) for quantile vectors q[..., :], where
+        member[...] says whether q[..., :] is N(mean, sd^2) sampled at the
+        midpoint levels, z = Phi^{-1}(levels); mean and sd keep a trailing
+        axis of length 1.  None unless the energy is pure entropy."""
         if self.internal is None or self.internal.name != "entropy":
             return None
         if self.potential is not None or self.interaction is not None:
@@ -538,12 +560,9 @@ class Wasserstein1DSpace(Space):
         z = ndtri(self.levels)
         mean = np.mean(q, axis=-1, keepdims=True)
         sd = np.vecdot(q - mean, z)[..., None] / float(np.dot(z, z))
-        if np.any(sd <= 0):
-            return None
         resid = np.max(np.abs(q - mean - sd * z), axis=-1, keepdims=True)
-        if np.any(resid > 1e-8 * np.maximum(1.0, sd)):
-            return None
-        return mean, sd, z
+        member = (sd > 0) & (resid <= 1e-8 * np.maximum(1.0, sd))
+        return mean, sd, z, member[..., 0]
 
     def gaussian_state(self, mean: float = 0.0, sd: float = 1.0) -> StatePoint:
         from scipy.special import ndtri

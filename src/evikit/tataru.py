@@ -30,7 +30,13 @@ refinement rule:
 d_T is not symmetric, 1-Lipschitz in each argument with respect to d,
 1-Lipschitz along the flow in its first argument, and satisfies the
 triangle inequality -- exactly the properties exercised by the suites
-below.
+below.  The suites take their samples as one (n, k, dimension) coordinate
+array, n samples of k points (``Space.sample_rows`` draws one), and
+``tataru_batch_csv`` parses its table into one array.  Their rows are
+validated (``Space.validate_rows``), charted (``Space.to_chart_rows``) and
+flagged for a closed-form flow (``Space.has_exact_flow_rows``) as arrays,
+so no StatePoint is built per sample; a flagged rho flows in closed form
+and the others by minimizing movement, within one kernel call.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Space, StatePoint, UsageError
-from .flow import FlowConfig, finite_coords, flow_any, flow_mms, jko_rows
+from .flow import FlowConfig, _chart_distances, finite_coords, flow_mms, jko_rows
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Bound on the (pairs x scan times x dimension) chart array of one scan
@@ -234,17 +240,15 @@ def _tataru_kernel(space: Space, y_pi: np.ndarray, y_rho: np.ndarray,
     return values, t_stars, samples
 
 
-def _charts(space: Space, points: list[StatePoint]) -> np.ndarray:
-    return np.array([space.to_chart(p) for p in points]).reshape(len(points), space.dimension)
-
-
-def _tataru_pairs(space: Space, pis: list[StatePoint], rhos: list[StatePoint],
-                  flow_dt: float):
-    """The kernel on validated point pairs (pis[i], rhos[i])."""
-    for p in (*pis, *rhos):
-        space.validate_point(p)
-    exact = np.array([space.has_exact_flow(r) for r in rhos], dtype=bool)
-    return _tataru_kernel(space, _charts(space, pis), _charts(space, rhos), exact, flow_dt)
+def _tataru_rows(space: Space, pis, rhos, flow_dt: float):
+    """The kernel on coordinate rows: d_T(pis[i], rhos[i]) for two
+    (n, dimension) arrays, validated and charted here, with each rho's own
+    closed-form flag."""
+    pis, rhos = np.asarray(pis, dtype=float), np.asarray(rhos, dtype=float)
+    space.validate_rows(pis)
+    space.validate_rows(rhos)
+    return _tataru_kernel(space, space.to_chart_rows(pis), space.to_chart_rows(rhos),
+                          space.has_exact_flow_rows(rhos), flow_dt)
 
 
 def tataru_distance(space: Space, pi: StatePoint, rho: StatePoint,
@@ -258,7 +262,7 @@ def tataru_distance(space: Space, pi: StatePoint, rho: StatePoint,
     chart-linear interpolant of the minimizing-movement trajectory.  The
     better of the refined and the best scanned value is returned.
     """
-    values, t_stars, samples = _tataru_pairs(space, [pi], [rho], flow_dt)
+    values, t_stars, samples = _tataru_rows(space, [pi.coords], [rho.coords], flow_dt)
     return TataruResult(float(values[0]), float(t_stars[0]), int(samples[0]))
 
 
@@ -273,73 +277,99 @@ def tataru_batch(space: Space, pis: np.ndarray, rho: StatePoint,
     (space.to_chart_rows of their coordinates), so a caller sweeping one
     grid computes its chart once; the result has shape (n,)."""
     pis = np.asarray(pis, dtype=float).reshape(len(pis), space.dimension)
-    exact = np.array([space.has_exact_flow(rho)])
-    return _tataru_kernel(space, pis, _charts(space, [rho]), exact, flow_dt)[0]
+    y_rho = rho.array[None, :]
+    return _tataru_kernel(space, pis, space.to_chart_rows(y_rho),
+                          space.has_exact_flow_rows(y_rho), flow_dt)[0]
 
 
 # ---------------------------------------------------------------------------
 # Property suites
 # ---------------------------------------------------------------------------
 
-def verify_tataru_lipschitz(space: Space,
-                            samples: list[tuple[StatePoint, StatePoint,
-                                                StatePoint, StatePoint]],
-                            flow_dt: float = 1e-2) -> float:
-    """max over quadruples of d_T(mu,nu) - d_T(mu^,nu^) - d(mu,mu^) - d(nu,nu^)."""
-    n = len(samples)
-    vals = _tataru_pairs(space, [s[0] for s in samples] + [s[2] for s in samples],
-                         [s[1] for s in samples] + [s[3] for s in samples], flow_dt)[0]
-    rhs = np.array([space.distance(mu, mu_h) + space.distance(nu, nu_h)
-                    for mu, nu, mu_h, nu_h in samples])
+def _suite_samples(samples, k: int) -> list[np.ndarray]:
+    """The k (n, dimension) coordinate arrays of an (n, k, dimension)
+    sample array: the j-th point of every sample."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 3 or samples.shape[1] != k:
+        raise UsageError(f"expected an (n, {k}, dimension) sample array, got shape "
+                         f"{samples.shape}")
+    return list(samples.transpose(1, 0, 2))
+
+
+def _flowed_rows(space: Space, coords: np.ndarray, r: float) -> np.ndarray:
+    """The flow at time r from every validated coordinate row: the closed
+    form where one is registered, else flow_any's minimizing movement at
+    step r / 4, row by row."""
+    exact = space.has_exact_flow_rows(coords)
+    out = np.empty_like(coords)
+    if exact.any():
+        out[exact] = space.exact_flow_rows(coords[exact], r)
+    for i in np.flatnonzero(~exact):
+        start = StatePoint(tuple(coords[i].tolist()))
+        out[i] = flow_mms(space, start, FlowConfig(dt=r / 4.0, horizon=r)).end.coords
+    return out
+
+
+def verify_tataru_lipschitz(space: Space, samples, flow_dt: float = 1e-2) -> float:
+    """max over quadruples (mu, nu, mu^, nu^) of
+    d_T(mu,nu) - d_T(mu^,nu^) - d(mu,mu^) - d(nu,nu^); samples is an
+    (n, 4, dimension) coordinate array."""
+    mu, nu, mu_h, nu_h = _suite_samples(samples, 4)
+    vals = _tataru_rows(space, np.concatenate([mu, mu_h]), np.concatenate([nu, nu_h]),
+                        flow_dt)[0]
+
+    def dist(a, b):
+        return _chart_distances(space, space.to_chart_rows(a), space.to_chart_rows(b))
+
+    n = len(mu)
+    rhs = dist(mu, mu_h) + dist(nu, nu_h)
     return float(np.max(vals[:n] - vals[n:] - rhs, initial=-math.inf))
 
 
-def verify_tataru_flow_lipschitz(space: Space,
-                                 samples: list[tuple[StatePoint, StatePoint]],
+def verify_tataru_flow_lipschitz(space: Space, samples,
                                  r_values: tuple[float, ...] = (1e-2, 1e-3),
                                  flow_dt: float = 1e-2) -> float:
-    """max over samples and r of (d_T(nu(r), nu^) - d_T(nu, nu^)) / r - 1."""
+    """max over pairs (nu, nu^) and r of (d_T(nu(r), nu^) - d_T(nu, nu^)) / r - 1;
+    samples is an (n, 2, dimension) coordinate array."""
     if any(r <= 0 for r in r_values):
         raise UsageError("flow-Lipschitz offsets r must be positive")
-    pis = [nu for nu, _ in samples]
-    for r in r_values:
-        pis += [space.exact_flow(nu, r) if space.has_exact_flow(nu)
-                else flow_any(space, nu, r, r / 4.0).end for nu, _ in samples]
-    vals = _tataru_pairs(space, pis, [nu_h for _, nu_h in samples] * (1 + len(r_values)),
-                         flow_dt)[0].reshape(1 + len(r_values), len(samples))
+    nu, nu_h = _suite_samples(samples, 2)
+    space.validate_rows(nu)
+    pis = np.concatenate([nu] + [_flowed_rows(space, nu, r) for r in r_values])
+    vals = _tataru_rows(space, pis, np.tile(nu_h, (1 + len(r_values), 1)),
+                        flow_dt)[0].reshape(1 + len(r_values), len(nu))
     r = np.array(r_values)[:, None]
     return float(np.max((vals[1:] - vals[0]) / r - 1.0, initial=-math.inf))
 
 
-def verify_tataru_triangle(space: Space,
-                           samples: list[tuple[StatePoint, StatePoint, StatePoint]],
-                           flow_dt: float = 1e-2) -> float:
-    """max over triples of d_T(rho,nu) - d_T(rho,mu) - d_T(mu,nu)."""
-    pis = [rho for rho, _, _ in samples] * 2 + [mu for _, mu, _ in samples]
-    rhos = ([nu for _, _, nu in samples] + [mu for _, mu, _ in samples]
-            + [nu for _, _, nu in samples])
-    lhs, rho_mu, mu_nu = _tataru_pairs(space, pis, rhos, flow_dt)[0].reshape(3, len(samples))
+def verify_tataru_triangle(space: Space, samples, flow_dt: float = 1e-2) -> float:
+    """max over triples (rho, mu, nu) of d_T(rho,nu) - d_T(rho,mu) - d_T(mu,nu);
+    samples is an (n, 3, dimension) coordinate array."""
+    rho, mu, nu = _suite_samples(samples, 3)
+    lhs, rho_mu, mu_nu = _tataru_rows(space, np.concatenate([rho, rho, mu]),
+                                      np.concatenate([nu, mu, nu]),
+                                      flow_dt)[0].reshape(3, len(rho))
     return float(np.max(lhs - (rho_mu + mu_nu), initial=-math.inf))
 
 
 def tataru_batch_csv(space: Space, in_path, out_path, flow_dt: float = 1e-2) -> int:
     """Evaluate d_T on point pairs from a CSV (one row per pair: the first
-    dim columns are pi, the next dim are rho) and write value,t_star rows."""
+    dim columns are pi, the next dim are rho) and write value,t_star rows,
+    with csv.writer's bytes (a float repr never needs quoting)."""
     n = space.dimension
-    pis, rhos = [], []
     with open(in_path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0] in ("pi_0", "t"):
-                continue
-            vals = [float(v) for v in row]
-            if len(vals) != 2 * n:
-                raise UsageError(f"expected {2 * n} columns, got {len(vals)}")
-            pis.append(StatePoint.of(vals[:n]))
-            rhos.append(StatePoint.of(vals[n:]))
-    values, t_stars, _ = _tataru_pairs(space, pis, rhos, flow_dt)
+        rows = [row for row in csv.reader(fh)
+                if row and not row[0].startswith("#") and row[0] not in ("pi_0", "t")]
+    for row in rows:
+        if len(row) != 2 * n:
+            raise UsageError(f"expected {2 * n} columns, got {len(row)}")
+    try:
+        table = np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:
+        raise UsageError(f"pairs table {in_path}: {exc}") from exc
+    table = table.reshape(len(rows), 2, n)
+    values, t_stars, _ = _tataru_rows(space, table[:, 0], table[:, 1], flow_dt)
     with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value", "t_star"])
-        for value, t_star in zip(values.tolist(), t_stars.tolist()):
-            writer.writerow([repr(value), repr(t_star)])
-    return len(pis)
+        fh.write("value,t_star\r\n")
+        fh.writelines(f"{v!r},{t!r}\r\n" for v, t in zip(values.tolist(), t_stars.tolist()))
+    return len(rows)

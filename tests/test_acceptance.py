@@ -131,15 +131,13 @@ def test_criterion_04_tataru(ou, cir):
     rng = np.random.default_rng(101)
     worst = -math.inf
     for space in (ou, cir):
-        quads = [tuple(space.sample_point(rng) for _ in range(4))
-                 for _ in range(1000)]
+        # the numbers of 1000 samples of k sample_point draws each
+        quads = space.sample_rows(rng, 4000).reshape(1000, 4, 1)
         worst = max(worst, verify_tataru_lipschitz(space, quads, 5e-3))
-        pairs = [tuple(space.sample_point(rng) for _ in range(2))
-                 for _ in range(1000)]
+        pairs = space.sample_rows(rng, 2000).reshape(1000, 2, 1)
         worst = max(worst, verify_tataru_flow_lipschitz(space, pairs,
                                                         (1e-2, 1e-3), 5e-3))
-        triples = [tuple(space.sample_point(rng) for _ in range(3))
-                   for _ in range(1000)]
+        triples = space.sample_rows(rng, 3000).reshape(1000, 3, 1)
         worst = max(worst, verify_tataru_triangle(space, triples, 5e-3))
     elapsed = time.perf_counter() - t0
     report(4, oracle_ok and worst <= 1e-4,

@@ -4,10 +4,11 @@ perfbench/tracing.py rebinds evikit functions by name and reads counters
 from their arguments and results.  A rename or a changed signature can
 pass every other test and still break the traced run, so this runs, under
 the tracer, a small resolvent config (with rollout), a small viscosity
-config, a minimizing-movement EVI config and a Tataru pairs table without
-a closed-form flow, in a child process started at the repository root.
-It checks that the counters moved, and that the viscosity sweeps make one
-tataru_batch call per anchor.  It only reads perfbench/: the child
+config, a minimizing-movement EVI config, a Tataru pairs table without
+a closed-form flow and two Tataru suite configs, in a child process
+started at the repository root.  It checks that the counters moved, that
+the viscosity sweeps make one tataru_batch call per anchor, and that the
+suites build no StatePoint per sample.  It only reads perfbench/: the child
 writes no bytecode and its results go to tmp_path.
 """
 
@@ -26,8 +27,11 @@ import tracing
 tracer = tracing.Tracer()
 tracing.install(tracer)   # raises if a wrapped name is gone
 import evikit.cli
-codes = [evikit.cli.run(path) for path in sys.argv[1:]]
-print(json.dumps({"codes": codes, "totals": tracer.snapshot()}))
+codes, runs = [], []
+for path in sys.argv[1:]:
+    codes.append(evikit.cli.run(path))
+    runs.append(tracer.snapshot())
+print(json.dumps({"codes": codes, "totals": tracer.snapshot(), "runs": runs}))
 """
 
 CIR = {"space": "cir", "params": {"mu": 1.0, "x_lo": 1e-3, "x_hi": 8.0}}
@@ -51,19 +55,25 @@ def test_traced_runs_count_every_hook(tmp_path):
     params["evi"] = {"x0": [1.0], "T": 0.05, "dt": 1e-2, "tol": 1.0,
                      "probes": [[0.5], [-0.5]]}
     params["tataru"] = {"pairs_in": str(pairs), "flow_dt": 0.05}
+    configs = [(kind, QUAD_JKO if kind in ("evi", "tataru") else CIR, kind, p)
+               for kind, p in params.items()]
+    # the OU suites with the d_T(0, e) oracle, at two sample counts
+    for n in (5, 50):
+        configs.append((f"suites_{n}", {"space": "ou", "params": {"kappa": 1.0}}, "tataru",
+                        {"n_samples": n, "flow_dt": 0.01, "tol": 1e-3,
+                         "oracle": {"pi": [0.0], "rho": [2.718281828459045]}}))
     paths = []
-    for kind, p in params.items():
-        path = tmp_path / f"{kind}.json"
-        space = QUAD_JKO if kind in ("evi", "tataru") else CIR
+    for name, space, kind, p in configs:
+        path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({"space": space, "kind": kind, "params": p,
-                                    "output_dir": str(tmp_path / kind), "seed": 0}))
+                                    "output_dir": str(tmp_path / name), "seed": 0}))
         paths.append(str(path))
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     res = subprocess.run([sys.executable, "-c", CHILD, *paths], cwd=ROOT, env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     out = json.loads(res.stdout.strip().splitlines()[-1])
-    assert out["codes"] == [0, 0, 0, 0]
+    assert out["codes"] == [0] * len(configs)
     totals = out["totals"]
     for counter in ("core.StatePoint.of.calls", "hj.value_by_rollout.calls",
                     "hj.solve_resolvent_1d.iterations", "cli.write.calls",
@@ -76,3 +86,8 @@ def test_traced_runs_count_every_hook(tmp_path):
     anchors = {tuple(r["anchor_tataru"]) for r in report["subsolution"]["records"]}
     assert len(report["subsolution"]["records"]) == 4 * len(anchors)
     assert totals["tataru.tataru_batch.calls"] == 2 * len(anchors)
+    # the suites' samples are coordinate rows: the two oracle points are the
+    # only StatePoints either suite config builds, whatever its sample count
+    built = [after.get("core.StatePoint.of.calls", 0) - before.get("core.StatePoint.of.calls", 0)
+             for before, after in zip(out["runs"][-3:-1], out["runs"][-2:])]
+    assert built == [2, 2]

@@ -7,10 +7,16 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import evikit.cli
 from evikit.cli import _ekeland_exactness_cell, list_builtins, run
-from evikit.spaces import make_ou
+from evikit.spaces import CirDescriptor, make_cir, make_ou
+from evikit.tataru import (
+    verify_tataru_flow_lipschitz,
+    verify_tataru_lipschitz,
+    verify_tataru_triangle,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -107,6 +113,17 @@ class TestRunConfigs:
         }
         assert run(self.write_config(tmp_path, cfg)) == 3
 
+    @pytest.mark.parametrize("cell", ["-0.5", "abc"])
+    def test_bad_pairs_table_is_config_error(self, tmp_path, capsys, cell):
+        # a CIR coordinate below 0 (DomainError) or a cell that is not a
+        # number (ValueError) in a pairs_in table
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(f"pi_0,rho_0\n1.0,2.0\n0.5,{cell}\n")
+        cfg = self.base_config(tmp_path, space={"space": "cir", "params": {"mu": 1.0}},
+                               kind="tataru", params={"pairs_in": str(pairs)})
+        assert run(self.write_config(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_mms_convergence_reuses_the_configs_flow(self, tmp_path, monkeypatch):
         """With default JKO tolerances the run's own minimizing movement is
         the convergence study's flow at dt, so it is not run twice; other
@@ -166,6 +183,24 @@ class TestRunConfigs:
             assert run(path) == 0
             reports.append((tmp_path / "out" / "tataru_report.json").read_bytes())
         assert reports[0] == reports[1]
+
+    def test_tataru_suites_draw_sample_after_sample(self, tmp_path):
+        """Each suite's samples are the numbers of n samples of k
+        sample_point draws each, from a generator seeded by the run's rng
+        in listed suite order."""
+        cfg = {"space": {"space": "cir", "params": {"mu": 1.0}}, "kind": "tataru",
+               "params": {"n_samples": 7, "flow_dt": 0.01, "tol": 0.001,
+                          "suites": ["triangle", "lipschitz", "flow_lipschitz"]},
+               "output_dir": str(tmp_path / "out"), "seed": 5}
+        assert run(self.write_config(tmp_path, cfg)) == 0
+        report = json.loads((tmp_path / "out" / "tataru_report.json").read_text())
+        space, rng = make_cir(CirDescriptor(mu=1.0)), np.random.default_rng(5)
+        for suite, k, verify in (("triangle", 3, verify_tataru_triangle),
+                                 ("lipschitz", 4, verify_tataru_lipschitz),
+                                 ("flow_lipschitz", 2, verify_tataru_flow_lipschitz)):
+            local = np.random.default_rng(rng.integers(2**63))
+            samples = [[space.sample_point(local).coords for _ in range(k)] for _ in range(7)]
+            assert report[suite] == verify(space, samples, flow_dt=0.01), suite
 
     def test_comparison_report_byte_identical(self, tmp_path):
         # the shifted-data cells run serially and draw nothing from rng,

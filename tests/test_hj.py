@@ -205,6 +205,21 @@ class TestResolvent:
                                   200, 1e-9)
         assert np.max(np.abs(sol.f.values - 3.0)) <= 1e-9
 
+    @pytest.mark.parametrize("c", [0.3, -0.4])
+    @pytest.mark.parametrize("n_grid", [800, 3200, 12800])
+    def test_affine_data_has_affine_resolvent(self, c, n_grid):
+        """Closed-form oracle: on CIR (mu = 1, lambda = 1), h = c x + d has
+        the resolvent f = A x + B, where A + lambda A - lambda A^2 / 2 = c
+        (the root nearest c) and B = d + lambda mu A.  Upwind differences
+        are exact on affine functions, so the solve matches f to rounding."""
+        lam, mu, d = 1.0, DESC.mu, 0.2
+        a = (1.0 + lam - math.sqrt((1.0 + lam) ** 2 - 2.0 * lam * c)) / lam
+        assert abs(a + lam * a - 0.5 * lam * a * a - c) <= 1e-15
+        sol = solve_resolvent_cir(DESC, lam, lambda x: c * np.asarray(x) + d, n_grid, 1e-10)
+        xs = sol.f.coords()
+        assert np.max(np.abs(sol.f.values - (a * xs + d + lam * mu * a))) <= 1e-9
+        assert sol.iterations <= 6
+
     def test_residual_at_production_resolution(self, resolvent):
         assert resolvent.residual <= 1e-6
         assert resolvent.lam == 1.0

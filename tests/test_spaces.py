@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evikit.core import ConstructionError, DomainError, StatePoint, UsageError
+from evikit.core import (
+    ConstructionError,
+    DomainError,
+    StatePoint,
+    UnsupportedFlowError,
+    UsageError,
+)
+from evikit.flow import flow_any, verify_contraction, verify_evi
 from evikit.potentials import Potential, make_potential
 from evikit.spaces import (
     AllenCahnDescriptor,
@@ -249,6 +256,25 @@ class TestWasserstein1D:
                        interaction="quartic", kappa_w=0.0)
         assert sp.kappa == 1.0
 
+    def test_interaction_modulus_not_added_to_kappa(self):
+        """A kappa_w-convex W leaves the interaction energy unchanged under
+        translation, so it adds nothing to kappa: with V = W = x^2/2 on
+        m = 20, a state and its translate by 1 contract at rate 1 (kappa =
+        kappa_v), not at the claimed sum 2, and the EVI with the translate
+        as probe fails at kappa = 2."""
+        space = self.make(m=20, internal=None, potential="quadratic",
+                          interaction="quadratic", kappa_v=1.0, kappa_w=1.0)
+        assert space.kappa == 1.0
+        p = space.sample_point(np.random.default_rng(0))
+        shifted = StatePoint.of(p.array + 1.0)
+        traj = flow_any(space, p, 1.0, 1e-2)
+        # the JKO step's O(dt) error is about 2e-3 (contraction) and 8e-3 (EVI)
+        assert verify_contraction(space, p, shifted, 1.0, 1e-2) <= 2e-2
+        assert verify_evi(space, traj, [shifted]).max_violation <= 2e-2
+        space.kappa = 2.0
+        assert verify_contraction(space, p, shifted, 1.0, 1e-2) >= 0.2
+        assert verify_evi(space, traj, [shifted]).max_violation >= 0.2
+
     def test_odd_interaction_rejected(self):
         odd = Potential("odd", lambda s: np.asarray(s, dtype=float) ** 3,
                         lambda s: 3.0 * np.asarray(s, dtype=float) ** 2)
@@ -367,6 +393,116 @@ def test_chart_rows_equal_to_chart_row_by_row(name, values, n_rows):
     expected = np.stack([space.to_chart(StatePoint.of(c)) for c in coords])
     assert rows.shape == (n_rows, dim)
     assert rows.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Sampling rows
+# ---------------------------------------------------------------------------
+
+def quadratic_sample_point(space, rng):
+    """QuadraticSpace.sample_point before it became a row draw."""
+    return StatePoint.of(rng.normal(0.0, space.desc.scale, space.dimension))
+
+
+def cir_sample_point(space, rng):
+    """CirSpace.sample_point before it became a row draw."""
+    lo, hi = max(space.x_lo, 0.05 * space.mu), min(space.x_hi, 8.0 * space.mu)
+    return StatePoint.of(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+
+SAMPLE_SPACES = {
+    "ou": (make_ou(1.0), quadratic_sample_point),
+    "quadratic3": (make_quadratic(QuadraticDescriptor(dimension=3, kappa=0.5, scale=1.5)),
+                   quadratic_sample_point),
+    "cir": (make_cir(CirDescriptor(mu=1.0)), cir_sample_point),
+    # the draw range clipped by the domain on both sides
+    "cir_bounded": (make_cir(CirDescriptor(mu=2.0, x_lo=0.3, x_hi=5.0)), cir_sample_point),
+    # interleaved draws: the default stacks sample_point
+    "allen_cahn": (make_allen_cahn(AllenCahnDescriptor(grid_size=6, length=2 * math.pi,
+                                                        kappa=1.0)), None),
+    "wasserstein1d": (make_wasserstein1d(Wasserstein1DDescriptor(
+        m=5, internal=make_potential("entropy"))), None),
+}
+
+
+@given(st.sampled_from(sorted(SAMPLE_SPACES)), st.integers(0, 2**32 - 1),
+       st.integers(0, 40))
+@settings(max_examples=150, deadline=None)
+def test_sample_rows_equal_sample_point_draws(name, seed, n):
+    """sample_rows(rng, n) draws the numbers of n point draws, bit for bit,
+    and leaves the generator where they leave it."""
+    space, point_draw = SAMPLE_SPACES[name]
+    point_draw = point_draw or type(space).sample_point
+    rng_rows, rng_points = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = space.sample_rows(rng_rows, n)
+    points = [point_draw(space, rng_points).coords for _ in range(n)]
+    assert rows.shape == (n, space.dimension)
+    assert rows.tobytes() == np.array(points, dtype=float).reshape(rows.shape).tobytes()
+    assert rng_rows.bit_generator.state == rng_points.bit_generator.state
+    assert space.sample_point(rng_rows) == point_draw(space, rng_points)
+
+
+# ---------------------------------------------------------------------------
+# Row forms of validation and of the closed-form flow
+# ---------------------------------------------------------------------------
+
+def test_validate_rows_is_validate_point_row_by_row():
+    cir = make_cir(CirDescriptor(mu=1.0))
+    transport = make_wasserstein1d(Wasserstein1DDescriptor(m=4))
+    cir.validate_rows(np.array([[0.0], [2.5]]))
+    with pytest.raises(DomainError, match="-0.5"):
+        cir.validate_rows(np.array([[1.0], [-0.5], [-2.0]]))
+    with pytest.raises(DomainError):
+        cir.validate_point(StatePoint.of(-0.5))
+    with pytest.raises(UsageError, match="finite"):
+        cir.validate_rows(np.array([[1.0], [np.inf]]))
+    with pytest.raises(UsageError, match="expected dimension 1, got 2"):
+        cir.validate_rows(np.zeros((3, 2)))
+    with pytest.raises(UsageError, match="expected dimension 1, got 2"):
+        cir.validate_point(StatePoint.of([1.0, 2.0]))
+    transport.validate_rows(np.array([[0.0, 1.0, 1.0, 2.0]]))
+    with pytest.raises(DomainError):
+        transport.validate_rows(np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 1.0, 3.0]]))
+    # the default, row by row through validate_point
+    field = SAMPLE_SPACES["allen_cahn"][0]
+    field.validate_rows(np.zeros((2, 6)))
+    for bad in (np.zeros((2, 5)), np.array([[0.0] * 5 + [np.nan]]), np.zeros(6)):
+        with pytest.raises(UsageError):
+            field.validate_rows(bad)
+
+
+@pytest.mark.parametrize("name", ["ou", "quadratic3", "cir", "cir_bounded"])
+def test_exact_flow_rows_keep_exact_flow_arithmetic(name):
+    """exact_flow_rows at one time equals the scalar formulas it replaced:
+    x e^{-kappa r} (quadratic) and mu + (x - mu) e^{-r} (CIR), with
+    math.exp, bit for bit; exact_flow is its one-row case."""
+    space, _ = SAMPLE_SPACES[name]
+    rows = space.sample_rows(np.random.default_rng(5), 50)
+    assert space.has_exact_flow_rows(rows).all()
+    for r in (1e-3, 1e-2, 0.37):
+        got = space.exact_flow_rows(rows, r)
+        if name.startswith("cir"):
+            want = [[space.mu + (x - space.mu) * math.exp(-r)] for (x,) in rows.tolist()]
+        else:
+            want = [[v * math.exp(-space.kappa * r) for v in row] for row in rows.tolist()]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert space.exact_flow(StatePoint.of(rows[7]), r).coords == tuple(want[7])
+
+
+def test_exact_flow_rows_per_row_flags():
+    transport = make_wasserstein1d(Wasserstein1DDescriptor(m=6, internal=make_potential("entropy")))
+    gauss = transport.gaussian_state(0.3, 1.2).array
+    rows = np.array([gauss, gauss + np.linspace(0.0, 0.1, 6), gauss - 1.0])
+    assert transport.has_exact_flow_rows(rows).tolist() == [True, False, True]
+    assert [transport.has_exact_flow(StatePoint.of(r)) for r in rows] == [True, False, True]
+    with pytest.raises(UnsupportedFlowError):
+        transport.exact_flow_rows(rows, 0.1)
+    flowed = transport.exact_flow_rows(rows[[0, 2]], 0.1)
+    assert flowed.tobytes() == transport.exact_flow_chart(rows[[0, 2]], 0.1).tobytes()
+    perturbed = make_quadratic(QuadraticDescriptor(perturbation=make_potential("zero")))
+    assert not perturbed.has_exact_flow_rows(np.zeros((3, 1))).any()
+    with pytest.raises(UnsupportedFlowError):
+        perturbed.exact_flow(StatePoint.of(1.0), 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Tataru distance: calculus oracles, invariants and property suites."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
-from evikit.core import StatePoint
+from evikit.core import DomainError, NumericalError, StatePoint, UsageError
 from evikit.flow import FlowConfig, _time_grid, flow_any, flow_exact, flow_mms
 from evikit.potentials import make_potential
 from evikit.spaces import (
@@ -22,7 +24,8 @@ from evikit.spaces import (
 from evikit.tataru import (
     _BLOCK_ELEMENTS,
     _sampled_scan,
-    _tataru_pairs,
+    _tataru_kernel,
+    _tataru_rows,
     tataru_batch,
     tataru_batch_csv,
     tataru_distance,
@@ -153,9 +156,61 @@ def per_pair_sampled_scan(space, y_rho, d0, flow_dt):
     return scan
 
 
+def statepoint_pairs(space, pis, rhos, flow_dt):
+    """The kernel on StatePoint pairs, as the suites fed it before they took
+    coordinate arrays: every point validated, each rho's has_exact_flow,
+    and one space.to_chart per point."""
+    for p in (*pis, *rhos):
+        space.validate_point(p)
+    exact = np.array([space.has_exact_flow(r) for r in rhos], dtype=bool)
+
+    def charts(points):
+        return np.array([space.to_chart(p) for p in points]).reshape(len(points),
+                                                                     space.dimension)
+    return _tataru_kernel(space, charts(pis), charts(rhos), exact, flow_dt)
+
+
+def statepoint_lipschitz(space, samples, flow_dt):
+    """verify_tataru_lipschitz on a list of StatePoint quadruples."""
+    n = len(samples)
+    vals = statepoint_pairs(space, [s[0] for s in samples] + [s[2] for s in samples],
+                            [s[1] for s in samples] + [s[3] for s in samples], flow_dt)[0]
+    rhs = np.array([space.distance(mu, mu_h) + space.distance(nu, nu_h)
+                    for mu, nu, mu_h, nu_h in samples])
+    return float(np.max(vals[:n] - vals[n:] - rhs, initial=-math.inf))
+
+
+def statepoint_flow_lipschitz(space, samples, r_values=(1e-2, 1e-3), flow_dt=1e-2):
+    """verify_tataru_flow_lipschitz on a list of StatePoint pairs; each
+    offset point is exact_flow or a flow_any trajectory's end."""
+    pis = [nu for nu, _ in samples]
+    for r in r_values:
+        pis += [space.exact_flow(nu, r) if space.has_exact_flow(nu)
+                else flow_any(space, nu, r, r / 4.0).end for nu, _ in samples]
+    vals = statepoint_pairs(space, pis, [nu_h for _, nu_h in samples] * (1 + len(r_values)),
+                            flow_dt)[0].reshape(1 + len(r_values), len(samples))
+    r = np.array(r_values)[:, None]
+    return float(np.max((vals[1:] - vals[0]) / r - 1.0, initial=-math.inf))
+
+
+def statepoint_triangle(space, samples, flow_dt):
+    """verify_tataru_triangle on a list of StatePoint triples."""
+    pis = [rho for rho, _, _ in samples] * 2 + [mu for _, mu, _ in samples]
+    rhos = ([nu for _, _, nu in samples] + [mu for _, mu, _ in samples]
+            + [nu for _, _, nu in samples])
+    lhs, rho_mu, mu_nu = statepoint_pairs(space, pis, rhos, flow_dt)[0].reshape(
+        3, len(samples))
+    return float(np.max(lhs - (rho_mu + mu_nu), initial=-math.inf))
+
+
+def coords_of(samples):
+    """The (n, k, dimension) coordinate array of StatePoint k-tuples."""
+    return np.array([[p.coords for p in sample] for sample in samples], dtype=float)
+
+
 def assert_kernel_matches_scalar(space, pairs, flow_dt, tol=1e-12):
-    values, t_stars, _ = _tataru_pairs(space, [p for p, _ in pairs],
-                                       [r for _, r in pairs], flow_dt)
+    values, t_stars, _ = _tataru_rows(space, [p.coords for p, _ in pairs],
+                                      [r.coords for _, r in pairs], flow_dt)
     for (pi, rho), value, t_star in zip(pairs, values, t_stars):
         ref_value, ref_t = scalar_tataru(space, pi, rho, flow_dt)
         assert abs(value - ref_value) <= tol, (pi, rho)
@@ -341,7 +396,7 @@ class TestPairKernel:
         pairs += [(StatePoint.of([0.0, 0.0]), StatePoint.of([math.e, 0.0])),
                   (StatePoint.of([0.3, -0.2]), StatePoint.of([1.5, 2.5]))]
         assert_kernel_matches_scalar(space, pairs, 1e-2, tol=0.0)
-        t_star = _tataru_pairs(space, [pairs[-2][0]], [pairs[-2][1]], 1e-2)[1][0]
+        t_star = _tataru_rows(space, [pairs[-2][0].coords], [pairs[-2][1].coords], 1e-2)[1][0]
         assert t_star == pytest.approx(1.0, abs=1e-2)
         # tataru_batch flows rho once; pairs with d0 >= flow_dt see the same samples
         rho = pairs[-2][1]
@@ -391,9 +446,9 @@ class TestLockstepScan:
         space = make_quadratic(QuadraticDescriptor(
             dimension=2, kappa=1.0, perturbation=make_potential("zero")))
         rng = np.random.default_rng(79)
-        pis = [space.sample_point(rng) for _ in range(16)]
-        rhos = [StatePoint.of(p.array + rng.uniform(-0.8, 0.8, 2)) for p in pis]
-        whole = _tataru_pairs(space, pis, rhos, 0.05)
+        pis = space.sample_rows(rng, 16)
+        rhos = np.array([p + rng.uniform(-0.8, 0.8, 2) for p in pis])
+        whole = _tataru_rows(space, pis, rhos, 0.05)
         sizes = []
 
         def recording(*args):
@@ -407,7 +462,7 @@ class TestLockstepScan:
 
         monkeypatch.setattr(tataru, "_BLOCK_ELEMENTS", 200)
         monkeypatch.setattr(tataru, "_sampled_scan", recording)
-        split = _tataru_pairs(space, pis, rhos, 0.05)
+        split = _tataru_rows(space, pis, rhos, 0.05)
         assert len(sizes) > 2 and max(sizes) <= 200
         for got, want in zip(split, whole):
             assert got.tobytes() == want.tobytes()
@@ -433,39 +488,33 @@ class TestPairKernelProperties:
 
 class TestSuites:
     def test_lipschitz_diagonal_case(self, ou):
-        p, q = StatePoint.of(0.3), StatePoint.of(1.1)
-        assert verify_tataru_lipschitz(ou, [(p, q, p, q)]) <= 1e-12
+        assert verify_tataru_lipschitz(ou, [[[0.3], [1.1], [0.3], [1.1]]]) <= 1e-12
 
     def test_lipschitz_sampled(self, ou, cir):
         rng = np.random.default_rng(37)
         for space in (ou, cir):
-            quads = [tuple(space.sample_point(rng) for _ in range(4))
-                     for _ in range(100)]
+            quads = space.sample_rows(rng, 400).reshape(100, 4, 1)
             assert verify_tataru_lipschitz(space, quads, 5e-3) <= 1e-4
 
     def test_flow_lipschitz_sampled(self, ou, cir):
         rng = np.random.default_rng(41)
         for space in (ou, cir):
-            pairs = [tuple(space.sample_point(rng) for _ in range(2))
-                     for _ in range(100)]
+            pairs = space.sample_rows(rng, 200).reshape(100, 2, 1)
             viol = verify_tataru_flow_lipschitz(space, pairs, (1e-2, 1e-3), 5e-3)
             assert viol <= 1e-3
 
     def test_flow_lipschitz_stationary_point(self, ou):
         # flow constant at the minimizer: difference quotient <= 0 <= 1
-        nu, nu_hat = StatePoint.of(0.0), StatePoint.of(1.0)
-        assert verify_tataru_flow_lipschitz(ou, [(nu, nu_hat)]) <= 1e-9
+        assert verify_tataru_flow_lipschitz(ou, [[[0.0], [1.0]]]) <= 1e-9
 
     def test_triangle_sampled(self, ou, cir):
         rng = np.random.default_rng(43)
         for space in (ou, cir):
-            triples = [tuple(space.sample_point(rng) for _ in range(3))
-                       for _ in range(100)]
+            triples = space.sample_rows(rng, 300).reshape(100, 3, 1)
             assert verify_tataru_triangle(space, triples, 5e-3) <= 1e-4
 
     def test_triangle_with_repeated_point(self, ou):
-        rho, nu = StatePoint.of(0.4), StatePoint.of(-1.0)
-        assert verify_tataru_triangle(ou, [(rho, rho, nu)]) <= 1e-12
+        assert verify_tataru_triangle(ou, [[[0.4], [0.4], [-1.0]]]) <= 1e-12
 
     def test_triangle_on_transport_gaussians(self):
         space = make_wasserstein1d(Wasserstein1DDescriptor(
@@ -477,7 +526,7 @@ class TestSuites:
                 space.gaussian_state(rng.normal(0, 0.5),
                                      math.exp(rng.uniform(-0.5, 0.7)))
                 for _ in range(3)))
-        assert verify_tataru_triangle(space, triples, 1e-2) <= 1e-2
+        assert verify_tataru_triangle(space, coords_of(triples), 1e-2) <= 1e-2
 
 
 def test_batch_csv_roundtrip(tmp_path, ou):
@@ -491,3 +540,140 @@ def test_batch_csv_roundtrip(tmp_path, ou):
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == pytest.approx(2.0, abs=1e-6)
     assert first[1] == pytest.approx(1.0, abs=1e-4)
+
+
+def statepoint_batch_csv(space, in_path, out_path, flow_dt):
+    """tataru_batch_csv as it was before it parsed the table into one
+    array: one StatePoint per half row, and csv.writer."""
+    n = space.dimension
+    pis, rhos = [], []
+    with open(in_path, newline="") as fh:
+        for row in csv.reader(fh):
+            if not row or row[0].startswith("#") or row[0] in ("pi_0", "t"):
+                continue
+            vals = [float(v) for v in row]
+            pis.append(StatePoint.of(vals[:n]))
+            rhos.append(StatePoint.of(vals[n:]))
+    values, t_stars, _ = statepoint_pairs(space, pis, rhos, flow_dt)
+    with open(out_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["value", "t_star"])
+        for value, t_star in zip(values.tolist(), t_stars.tolist()):
+            writer.writerow([repr(value), repr(t_star)])
+
+
+def mixed_transport_rows(space, rng, count):
+    """Quantile rows of a pure-entropy transport space, alternately
+    Gaussian (a closed-form flow) and logistic (none)."""
+    u = space.levels
+    shape = [ndtri(u), np.log(u / (1.0 - u))]
+    return np.array([rng.normal(0, 0.5) + math.exp(rng.uniform(-0.5, 0.5)) * shape[i % 2]
+                     for i in range(count)])
+
+
+def outcome(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the residual of the NumericalError it
+    raises: a minimizing-movement solve can stall on transport states, and
+    the two routes must then stall alike."""
+    try:
+        return fn(*args, **kwargs)
+    except NumericalError as exc:
+        return ("NumericalError", exc.residual)
+
+
+class TestArraySuites:
+    """The suites on coordinate arrays against the StatePoint suites they
+    replaced (statepoint_lipschitz, statepoint_flow_lipschitz,
+    statepoint_triangle), bit for bit."""
+
+    def assert_suites_match(self, space, rows, n, flow_dt):
+        """rows holds at least 4 n coordinate rows; every suite takes its
+        samples from their start."""
+        for k, suite, reference in (
+                (4, verify_tataru_lipschitz, statepoint_lipschitz),
+                (2, verify_tataru_flow_lipschitz, statepoint_flow_lipschitz),
+                (3, verify_tataru_triangle, statepoint_triangle)):
+            samples = rows[:n * k].reshape(n, k, space.dimension)
+            points = [tuple(StatePoint(tuple(p)) for p in s) for s in samples.tolist()]
+            got = outcome(suite, space, samples, flow_dt=flow_dt)
+            assert got == outcome(reference, space, points, flow_dt=flow_dt), k
+
+    def test_closed_form_spaces(self, ou, cir):
+        rng = np.random.default_rng(83)
+        quad3 = make_quadratic(QuadraticDescriptor(dimension=3, kappa=0.7))
+        for space in (ou, cir, quad3):
+            self.assert_suites_match(space, space.sample_rows(rng, 4 * 60), 60, 5e-3)
+
+    def test_gaussian_transport_states(self):
+        heat = make_wasserstein1d(Wasserstein1DDescriptor(
+            m=100, internal=make_potential("entropy")))
+        rng = np.random.default_rng(89)
+        rows = np.array([heat.gaussian_state(rng.normal(0, 0.5),
+                                             math.exp(rng.uniform(-0.5, 0.7))).coords
+                         for _ in range(4 * 6)])
+        self.assert_suites_match(heat, rows, 6, 1e-2)
+
+    def test_minimizing_movement_rows(self):
+        # no closed form: the scan and the flow-Lipschitz offsets both flow
+        # by minimizing movement
+        space = make_quadratic(QuadraticDescriptor(
+            dimension=2, kappa=1.0, perturbation=make_potential("quartic", coeff=0.2),
+            scale=0.6))
+        self.assert_suites_match(space, space.sample_rows(np.random.default_rng(97), 16),
+                                 4, 0.05)
+
+    def test_mixed_exactness_transport_rows(self):
+        space = make_wasserstein1d(Wasserstein1DDescriptor(
+            m=8, internal=make_potential("entropy")))
+        rows = mixed_transport_rows(space, np.random.default_rng(101), 12)
+        assert space.has_exact_flow_rows(rows).tolist() == [True, False] * 6
+        self.assert_suites_match(space, rows, 3, 0.1)
+
+    def test_sample_shape_checked(self, ou):
+        with pytest.raises(UsageError):
+            verify_tataru_triangle(ou, np.zeros((5, 2, 1)))
+        with pytest.raises(UsageError):
+            verify_tataru_lipschitz(ou, np.zeros((5, 4, 2)))
+
+
+class TestBatchCsv:
+    def assert_csv_matches(self, tmp_path, space, table, flow_dt):
+        src = tmp_path / "pairs.csv"
+        with open(src, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"pi_{i}" for i in range(space.dimension)]
+                            + [f"rho_{i}" for i in range(space.dimension)])
+            writer.writerows([repr(v) for v in row] for row in table.tolist())
+        got = outcome(tataru_batch_csv, space, src, tmp_path / "got.csv", flow_dt)
+        want = outcome(statepoint_batch_csv, space, src, tmp_path / "want.csv", flow_dt)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got == len(table)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_mixed_exactness_tables(self, tmp_path, ou, cir):
+        rng = np.random.default_rng(103)
+        perturbed = make_quadratic(QuadraticDescriptor(
+            dimension=2, kappa=1.0, perturbation=make_potential("quartic", coeff=0.2),
+            scale=0.6))
+        transport = make_wasserstein1d(Wasserstein1DDescriptor(
+            m=8, internal=make_potential("entropy")))
+        rows = mixed_transport_rows(transport, rng, 8)
+        assert transport.has_exact_flow_rows(rows).tolist() == [True, False] * 4
+        # rho rows alternate between Gaussian and not
+        transport_table = np.hstack([rows[[1, 0, 3, 2, 5, 4, 7, 6]], rows])
+        cases = [(ou, ou.sample_rows(rng, 80).reshape(40, 2), 5e-3),
+                 (cir, cir.sample_rows(rng, 80).reshape(40, 2), 5e-3),
+                 (perturbed, perturbed.sample_rows(rng, 8).reshape(4, 4), 0.05),
+                 (transport, transport_table, 0.1)]
+        for space, table, flow_dt in cases:
+            self.assert_csv_matches(tmp_path, space, table, flow_dt)
+
+    @pytest.mark.parametrize("cell,error", [("-0.5", DomainError), ("abc", UsageError),
+                                            ("nan", UsageError)])
+    def test_bad_cells_rejected(self, tmp_path, cir, cell, error):
+        src = tmp_path / "pairs.csv"
+        src.write_text(f"pi_0,rho_0\n1.0,2.0\n0.5,{cell}\n")
+        with pytest.raises(error):
+            tataru_batch_csv(cir, src, tmp_path / "out.csv")
