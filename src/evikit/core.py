@@ -289,6 +289,14 @@ class Space(ABC):
             return ExtendedReal.INF
         return ExtendedReal.finite(s.value**2)
 
+    def information_rows(self, coords: np.ndarray) -> np.ndarray:
+        """information of every row of an (n, dimension) coordinate array,
+        as an (n,) array with +inf where it is infinite; the default goes
+        row by row."""
+        rows = np.asarray(coords, dtype=float).tolist()
+        return np.array([float(self.information(StatePoint(tuple(row)))) for row in rows],
+                        dtype=float)
+
     # -- flow hooks ----------------------------------------------------------
 
     def has_exact_flow(self, p: StatePoint) -> bool:

@@ -382,14 +382,13 @@ def verify_energy_identity(space: Space, traj: Trajectory) -> float:
     e0, e1 = space.energy(traj.start), space.energy(traj.end)
     if e0.infinite:
         raise UsageError("energy identity needs a start in the energy domain")
-    infos = [space.information(traj.point(i)) for i in range(len(traj.times))]
+    infos = space.information_rows(traj.coords)
     times = traj.times
-    if infos[0].infinite:
+    if math.isinf(infos[0]):
         infos, times = infos[1:], times[1:]
-    if any(v.infinite for v in infos):
+    if np.any(np.isinf(infos)):
         return math.inf
-    vals = np.array([v.value for v in infos])
-    integral = float(np.trapezoid(vals, times))
+    integral = float(np.trapezoid(infos, times))
     return abs(float(e1) - float(e0) + integral)
 
 

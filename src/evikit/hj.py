@@ -299,6 +299,9 @@ def verify_supersolution(v: GridFunction, tfs: list[LowerTestFunction],
 # Resolvent solving by policy iteration (one-dimensional spaces)
 # ---------------------------------------------------------------------------
 
+_CSV_CHUNK = 2048  # rows of resolvent.csv formatted at a time
+
+
 @dataclass
 class ResolventSolution:
     f: GridFunction
@@ -308,13 +311,16 @@ class ResolventSolution:
     iterations: int = 0
 
     def write_csv(self, path) -> None:
-        """RFC 4180 rows x,f,policy of float reprs, streamed column-wise;
-        a repr never needs quoting, so the bytes are csv.writer's."""
+        """RFC 4180 rows x,f,policy of float reprs, streamed in chunks of
+        _CSV_CHUNK rows; a repr never needs quoting, so the bytes are
+        csv.writer's."""
+        xs, fs, us = self.f.coords(), self.f.values, self.policy.values
         with open(path, "w", newline="") as fh:
             fh.write("x,f,policy\r\n")
-            fh.writelines(f"{x!r},{f!r},{u!r}\r\n" for x, f, u in zip(
-                self.f.coords().tolist(), self.f.values.tolist(),
-                self.policy.values.tolist()))
+            for i in range(0, len(xs), _CSV_CHUNK):
+                rows = slice(i, i + _CSV_CHUNK)
+                fh.write("".join(f"{x!r},{f!r},{u!r}\r\n" for x, f, u in zip(
+                    xs[rows].tolist(), fs[rows].tolist(), us[rows].tolist())))
 
     def metadata(self) -> dict:
         xs = self.f.coords()
@@ -327,35 +333,44 @@ class ResolventSolution:
             json.dump(self.metadata(), fh, indent=2, sort_keys=True)
 
 
-def _hamiltonian_upwind(drift, sigma, fwd, bwd, leftmost_inward, rightmost_inward):
-    """Godunov-style discrete Hamiltonian and maximizing control.
+def _hamiltonian_upwind(drift, sigma, fwd, bwd, val_zero, out_h, out_u, val_b, u_b,
+                        tmp, mask):
+    """Godunov-style discrete Hamiltonian and maximizing control, written
+    into out_h and out_u.
 
     For each node the control problem sup_u (drift+u) p - u^2/(2 sigma) is
     solved twice, once per one-sided derivative, each branch constrained
-    to the drift sign that makes its difference quotient upwind; boundary
-    nodes only admit the inward branch (state constraint).
+    to the drift sign that makes its difference quotient upwind; a branch
+    whose constraint fails pins the total drift at zero, with value
+    val_zero = -drift^2/(2 sigma).  The boundary nodes only admit the
+    inward branch (state constraint).  val_b, u_b, tmp (float) and mask
+    (bool) are work buffers of the grid's length.
     """
-    n = drift.size
-    val_zero = -(drift**2) / (2.0 * sigma)  # total drift pinned at zero
+    def branch(p, val, u, upwind):
+        # u = sigma p and val = drift p + (0.5 sigma) p^2 where the total
+        # drift has the upwind sign, else -drift and val_zero; each product
+        # and sum in the order of that expression, for its bits
+        np.multiply(sigma, p, out=u)
+        np.add(drift, u, out=tmp)
+        upwind(tmp, 0.0, out=mask)
+        np.logical_not(mask, out=mask)
+        np.square(p, out=val)
+        np.multiply(0.5, sigma, out=tmp)
+        np.multiply(tmp, val, out=val)
+        np.multiply(drift, p, out=tmp)
+        np.add(tmp, val, out=val)
+        np.copyto(val, val_zero, where=mask)
+        np.negative(drift, out=u, where=mask)
 
-    u_f = sigma * fwd
-    ok_f = drift + u_f >= 0.0
-    val_f = np.where(ok_f, drift * fwd + 0.5 * sigma * fwd**2, val_zero)
-    u_f = np.where(ok_f, u_f, -drift)
-
-    u_b = sigma * bwd
-    ok_b = drift + u_b <= 0.0
-    val_b = np.where(ok_b, drift * bwd + 0.5 * sigma * bwd**2, val_zero)
-    u_b = np.where(ok_b, u_b, -drift)
-
-    take_f = val_f >= val_b
-    if leftmost_inward:
-        take_f[0] = True
-    if rightmost_inward:
-        take_f[-1] = False
-    hval = np.where(take_f, val_f, val_b)
-    policy = np.where(take_f, u_f, u_b)
-    return hval, policy
+    branch(fwd, out_h, out_u, np.greater_equal)
+    branch(bwd, val_b, u_b, np.less_equal)
+    # mask: where the backward branch is taken
+    np.greater_equal(out_h, val_b, out=mask)
+    np.logical_not(mask, out=mask)
+    mask[0] = False
+    mask[-1] = True
+    np.copyto(out_h, val_b, where=mask)
+    np.copyto(out_u, u_b, where=mask)
 
 
 def solve_resolvent_1d(xs: np.ndarray, drift: np.ndarray, sigma: np.ndarray,
@@ -366,7 +381,9 @@ def solve_resolvent_1d(xs: np.ndarray, drift: np.ndarray, sigma: np.ndarray,
 
     Each iteration solves the linear upwind system at the current policy
     (an M-matrix, hence the discrete maximum principle) and re-optimizes
-    the control from the one-sided derivatives of the iterate.
+    the control from the one-sided derivatives of the iterate.  The work
+    runs in a fixed set of grid-sized buffers allocated once per call;
+    the tridiagonal solve overwrites its band and right-hand side in place.
     """
     if lam <= 0:
         raise UsageError("resolvent parameter lambda must be positive")
@@ -375,38 +392,60 @@ def solve_resolvent_1d(xs: np.ndarray, drift: np.ndarray, sigma: np.ndarray,
 
     n = xs.size
     dx = float(xs[1] - xs[0])
+    band = np.empty((3, n))      # rows: A[j-1, j], A[j, j], A[j+1, j]
+    sup, dia, sub = band
+    f = np.empty(n)              # right-hand side, then the solve's result
     policy = np.zeros(n)
-    f = h_vals.copy()
+    co = np.empty(n)
+    tmp = np.empty(n)
+    hval = np.empty(n)
+    val_b = np.empty(n)
+    u_b = np.empty(n)
+    diff = np.empty(n + 1)       # fwd = diff[1:], bwd = diff[:-1]
+    fwd, bwd = diff[1:], diff[:-1]
+    ahead = np.empty(n, dtype=bool)
+    behind = np.empty(n, dtype=bool)
+    val_zero = np.square(drift)  # total drift pinned at zero
+    np.negative(val_zero, out=val_zero)
+    np.multiply(2.0, sigma, out=tmp)
+    np.divide(val_zero, tmp, out=val_zero)
     residual = math.inf
     for it in range(max_iter):
-        c = drift + policy
-        c[0] = max(c[0], 0.0)
-        c[-1] = min(c[-1], 0.0)
-        cost = policy**2 / (2.0 * sigma)
-        rhs = h_vals - lam * cost
-        co = lam * c / dx
-        sup = np.zeros(n)   # sup[j] holds A[j-1, j]
-        dia = np.ones(n)
-        sub = np.zeros(n)   # sub[j] holds A[j+1, j]
-        idx_f = np.where(c > 0)[0]          # forward nodes (c[-1] <= 0)
-        dia[idx_f] += co[idx_f]
-        sup[idx_f + 1] = -co[idx_f]
-        idx_b = np.where(c < 0)[0]          # backward nodes (c[0] >= 0)
-        dia[idx_b] -= co[idx_b]
-        sub[idx_b - 1] = co[idx_b]
-        f = solve_banded((1, 1), np.vstack([sup, dia, sub]), rhs)
+        np.add(drift, policy, out=co)
+        co[0] = max(co[0], 0.0)
+        co[-1] = min(co[-1], 0.0)
+        np.greater(co, 0.0, out=ahead)    # forward nodes (co[-1] <= 0)
+        np.less(co, 0.0, out=behind)      # backward nodes (co[0] >= 0)
+        np.multiply(lam, co, out=co)
+        np.divide(co, dx, out=co)
+        # rhs = h - lam * policy^2 / (2 sigma)
+        np.square(policy, out=f)
+        np.multiply(2.0, sigma, out=tmp)
+        np.divide(f, tmp, out=f)
+        np.multiply(lam, f, out=f)
+        np.subtract(h_vals, f, out=f)
+        dia.fill(1.0)
+        np.add(dia, co, out=dia, where=ahead)
+        np.subtract(dia, co, out=dia, where=behind)
+        sup.fill(0.0)
+        np.negative(co[:-1], out=sup[1:], where=ahead[:-1])
+        sub.fill(0.0)
+        np.copyto(sub[:-1], co[1:], where=behind[1:])
+        f = solve_banded((1, 1), band, f, overwrite_ab=True, overwrite_b=True)
 
-        fwd = np.empty(n)
-        bwd = np.empty(n)
-        fwd[:-1] = (f[1:] - f[:-1]) / dx
-        fwd[-1] = (f[-1] - f[-2]) / dx
-        bwd[1:] = (f[1:] - f[:-1]) / dx
-        bwd[0] = fwd[0]
-        hval, new_policy = _hamiltonian_upwind(drift, sigma, fwd, bwd, True, True)
-        residual = float(np.max(np.abs(f - lam * hval - h_vals)[1:-1]))
+        np.subtract(f[1:], f[:-1], out=diff[1:-1])
+        np.divide(diff[1:-1], dx, out=diff[1:-1])
+        diff[0] = diff[1]
+        diff[-1] = diff[-2]
+        _hamiltonian_upwind(drift, sigma, fwd, bwd, val_zero, hval, policy,
+                            val_b, u_b, tmp, ahead)
+        np.multiply(lam, hval, out=tmp)
+        np.subtract(f, tmp, out=tmp)
+        np.subtract(tmp, h_vals, out=tmp)
+        np.abs(tmp, out=tmp)
+        residual = float(np.max(tmp[1:-1]))
         if residual <= tol:
-            return f, new_policy, residual, it + 1
-        policy = new_policy
+            return f, policy, residual, it + 1
     raise NumericalError(
         f"resolvent policy iteration failed to reach tol={tol} "
         f"(residual {residual:.3e})",
@@ -430,7 +469,7 @@ def solve_resolvent_cir(desc: CirDescriptor, lam: float, h,
     over the truncated domain."""
     space = CirSpace(desc)
     xs = np.linspace(space.x_lo, space.x_hi, n_grid)
-    return _solve_on_grid(xs, space.mu - xs, xs.copy(), lam, h, tol)
+    return _solve_on_grid(xs, space.mu - xs, xs, lam, h, tol)
 
 
 def solve_resolvent_quadratic(space: QuadraticSpace, lam: float, h,
@@ -441,7 +480,7 @@ def solve_resolvent_quadratic(space: QuadraticSpace, lam: float, h,
     if space.dimension != 1:
         raise UsageError("grid resolvent supports scalar quadratic spaces only")
     xs = np.linspace(x_lo, x_hi, n_grid)
-    drift = -np.array([space.chart_energy_grad(np.array([x]))[0] for x in xs])
+    drift = -space.chart_energy_grad(xs[:, None])[:, 0]
     return _solve_on_grid(xs, drift, np.ones_like(xs), lam, h, tol)
 
 

@@ -405,6 +405,9 @@ def allen_cahn_information(space: AllenCahnSpace, rho: StatePoint) -> float:
 # Wasserstein-1D in quantile coordinates
 # ---------------------------------------------------------------------------
 
+_INFORMATION_BLOCK_ELEMENTS = 2**14
+
+
 class Wasserstein1DSpace(Space):
     """Quantile vectors Q at midpoint levels u_i = (i - 1/2)/m.
 
@@ -527,6 +530,20 @@ class Wasserstein1DSpace(Space):
             return ExtendedReal.INF
         return ExtendedReal.finite(math.sqrt(val))
 
+    def information_rows(self, coords: np.ndarray) -> np.ndarray:
+        coords = np.asarray(coords, dtype=float)
+        vals = np.empty(len(coords))
+        # blocks of rows keep the quadrature's (rows, m) temporaries small
+        step = max(1, _INFORMATION_BLOCK_ELEMENTS // self.m)
+        for i in range(0, len(coords), step):
+            vals[i:i + step] = wasserstein_information_rows(self, coords[i:i + step])
+        # information's arithmetic: the slope's square root, then its
+        # square as a Python float power (pow, not numpy's square)
+        slopes = np.sqrt(vals)
+        if np.any(np.isnan(slopes)):  # information raises on a NaN slope
+            raise UsageError("finite ExtendedReal requires a finite value, got nan")
+        return np.array([s**2 for s in slopes.tolist()], dtype=float)
+
     def has_exact_flow_rows(self, coords: np.ndarray) -> np.ndarray:
         fam = self._heat_family(np.asarray(coords, dtype=float))
         return np.zeros(len(coords), dtype=bool) if fam is None else fam[3]
@@ -609,31 +626,43 @@ def pava_nondecreasing(y: np.ndarray) -> np.ndarray:
 
 
 def wasserstein_information(space: Wasserstein1DSpace, p: StatePoint) -> float:
-    """Squared slope via discrete quadrature of int |w|^2 drho, where
+    """Squared slope at one quantile vector: the one-row case of
+    wasserstein_information_rows."""
+    return float(wasserstein_information_rows(space, p.array[None, :])[0])
+
+
+def wasserstein_information_rows(space: Wasserstein1DSpace, coords: np.ndarray) -> np.ndarray:
+    """Squared slopes (n,) of the quantile vectors in the rows of an (n, m)
+    coordinate array, via discrete quadrature of int |w|^2 drho, where
 
         w = (1/rho) d/dx L_F(rho) + V' + W' * rho
 
     in quantile coordinates: the pressure part is the u-derivative of
     L_F(1/Q') evaluated at gap centers (central differences at interior
-    midpoints, one-sided at the two boundary cells)."""
-    space.validate_point(p)
-    q = p.array
+    midpoints, one-sided at the two boundary cells).  A row with a
+    non-positive gap has +inf."""
+    space.validate_rows(coords)
+    q = np.asarray(coords, dtype=float)
     m = space.m
-    w = np.zeros(m)
+    out = np.full(len(q), math.inf)
+    live = np.ones(len(q), dtype=bool)
     if space.internal is not None:
         g = space.gaps(q)
-        if np.any(g <= 0.0):
-            return math.inf
+        live = ~np.any(g <= 0.0, axis=1)
+        q, g = q[live], g[live]
+    w = np.zeros_like(q)
+    if space.internal is not None:
         ell = space.internal.pressure(1.0 / g)
-        w[1:-1] += (ell[1:] - ell[:-1]) * m
-        w[0] += (ell[1] - ell[0]) * m
-        w[-1] += (ell[-1] - ell[-2]) * m
+        w[:, 1:-1] += (ell[:, 1:] - ell[:, :-1]) * m
+        w[:, 0] += (ell[:, 1] - ell[:, 0]) * m
+        w[:, -1] += (ell[:, -1] - ell[:, -2]) * m
     if space.potential is not None:
         w += space.potential.df(q)
     if space.interaction is not None:
-        diffs = q[:, None] - q[None, :]
-        w += np.sum(space.interaction.df(diffs), axis=1) / m
-    return float(np.mean(w**2))
+        for w_row, q_row in zip(w, q):  # one (m, m) table at a time
+            w_row += np.sum(space.interaction.df(q_row[:, None] - q_row[None, :]), axis=1) / m
+    out[live] = np.mean(w**2, axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

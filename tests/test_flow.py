@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evikit.core import NumericalError, StatePoint, UnsupportedFlowError, UsageError
+from evikit.core import (
+    ExtendedReal,
+    NumericalError,
+    StatePoint,
+    UnsupportedFlowError,
+    UsageError,
+)
 from evikit.flow import (
     EviReport,
     FlowConfig,
@@ -444,6 +450,30 @@ class TestContraction:
         assert viol <= 1e-3  # kappa = 0: distances may not grow
 
 
+def loop_energy_identity(space, traj):
+    """verify_energy_identity as it was before the information rows hook:
+    one StatePoint and one information call per sample."""
+    e0, e1 = space.energy(traj.start), space.energy(traj.end)
+    if e0.infinite:
+        raise UsageError("energy identity needs a start in the energy domain")
+    infos = [space.information(traj.point(i)) for i in range(len(traj.times))]
+    times = traj.times
+    if infos[0].infinite:
+        infos, times = infos[1:], times[1:]
+    if any(v.infinite for v in infos):
+        return math.inf
+    vals = np.array([v.value for v in infos])
+    return abs(float(e1) - float(e0) + float(np.trapezoid(vals, times)))
+
+
+class SingularStartQuadratic(QuadraticSpace):
+    """OU with the slope declared infinite at x = 2, as at a start from
+    which a flow regularizes instantly."""
+
+    def slope(self, p):
+        return ExtendedReal.INF if p.coords == (2.0,) else super().slope(p)
+
+
 class TestEnergyIdentity:
     def test_ou_closed_form(self, ou):
         # E drop = 2(1 - e^{-2}); int I = int kappa^2 x0^2 e^{-2 kappa s} ds
@@ -459,6 +489,23 @@ class TestEnergyIdentity:
         q0 = heat_space.gaussian_state(0.0, 1.0)
         traj = flow_exact(heat_space, q0, 1.0, 1e-2)
         assert verify_energy_identity(heat_space, traj) <= 1e-2
+
+    def test_matches_statepoint_loop(self, ou, cir, heat_space):
+        singular = SingularStartQuadratic(QuadraticDescriptor(dimension=1, kappa=1.0))
+        gauss = heat_space.gaussian_state(0.2, 0.7).array
+        flat = gauss.copy()
+        flat[5] = flat[6]
+        trajs = [(ou, flow_exact(ou, StatePoint.of(2.0), 1.0, 1e-3)),
+                 (cir, flow_exact(cir, StatePoint.of(3.0), 1.0, 1e-2)),
+                 (heat_space, flow_exact(heat_space, StatePoint.of(gauss), 1.0, 1e-2)),
+                 # the start's infinite information is dropped
+                 (singular, flow_exact(singular, StatePoint.of(2.0), 1.0, 1e-3)),
+                 # an interior state with a flat gap has infinite information
+                 (heat_space, Trajectory(np.array([0.0, 0.1, 0.2]),
+                                         np.array([gauss, flat, gauss]), heat_space.name))]
+        for space, traj in trajs:
+            assert verify_energy_identity(space, traj) == loop_energy_identity(space, traj)
+        assert verify_energy_identity(*trajs[-1]) == math.inf
 
 
 # ---------------------------------------------------------------------------

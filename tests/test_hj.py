@@ -3,9 +3,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import evikit.hj
 from evikit.core import NumericalError, StatePoint, UsageError
@@ -19,6 +26,7 @@ from evikit.hj import (
     eval_upper,
     hamiltonian_sandwich_check,
     make_data_function,
+    solve_resolvent_1d,
     solve_resolvent_cir,
     solve_resolvent_quadratic,
     value_by_rollout,
@@ -119,6 +127,81 @@ def scalar_rollout(space, lam, h, start, control_grid, dt, T, state_grid=None,
         x = x_new
         disc *= beta
     return total
+
+
+def reference_hamiltonian_upwind(drift, sigma, fwd, bwd, leftmost_inward, rightmost_inward):
+    """The upwind Hamiltonian as it was before the solver reused its
+    buffers: fresh arrays and np.where selections."""
+    val_zero = -(drift**2) / (2.0 * sigma)
+    u_f = sigma * fwd
+    ok_f = drift + u_f >= 0.0
+    val_f = np.where(ok_f, drift * fwd + 0.5 * sigma * fwd**2, val_zero)
+    u_f = np.where(ok_f, u_f, -drift)
+    u_b = sigma * bwd
+    ok_b = drift + u_b <= 0.0
+    val_b = np.where(ok_b, drift * bwd + 0.5 * sigma * bwd**2, val_zero)
+    u_b = np.where(ok_b, u_b, -drift)
+    take_f = val_f >= val_b
+    if leftmost_inward:
+        take_f[0] = True
+    if rightmost_inward:
+        take_f[-1] = False
+    return np.where(take_f, val_f, val_b), np.where(take_f, u_f, u_b)
+
+
+def reference_resolvent_1d(xs, drift, sigma, lam, h_vals, tol=1e-6, max_iter=200):
+    """Policy iteration as it was before the solver reused its buffers:
+    about two dozen fresh grid-sized arrays an iteration, the band stacked
+    by np.vstack and solved without overwriting."""
+    from scipy.linalg import solve_banded
+
+    n = xs.size
+    dx = float(xs[1] - xs[0])
+    policy = np.zeros(n)
+    residual = math.inf
+    for it in range(max_iter):
+        c = drift + policy
+        c[0] = max(c[0], 0.0)
+        c[-1] = min(c[-1], 0.0)
+        cost = policy**2 / (2.0 * sigma)
+        rhs = h_vals - lam * cost
+        co = lam * c / dx
+        sup = np.zeros(n)
+        dia = np.ones(n)
+        sub = np.zeros(n)
+        idx_f = np.where(c > 0)[0]
+        dia[idx_f] += co[idx_f]
+        sup[idx_f + 1] = -co[idx_f]
+        idx_b = np.where(c < 0)[0]
+        dia[idx_b] -= co[idx_b]
+        sub[idx_b - 1] = co[idx_b]
+        f = solve_banded((1, 1), np.vstack([sup, dia, sub]), rhs)
+        fwd = np.empty(n)
+        bwd = np.empty(n)
+        fwd[:-1] = (f[1:] - f[:-1]) / dx
+        fwd[-1] = (f[-1] - f[-2]) / dx
+        bwd[1:] = (f[1:] - f[:-1]) / dx
+        bwd[0] = fwd[0]
+        hval, new_policy = reference_hamiltonian_upwind(drift, sigma, fwd, bwd, True, True)
+        residual = float(np.max(np.abs(f - lam * hval - h_vals)[1:-1]))
+        if residual <= tol:
+            return f, new_policy, residual, it + 1
+        policy = new_policy
+    raise NumericalError(
+        f"resolvent policy iteration failed to reach tol={tol} "
+        f"(residual {residual:.3e})",
+        residual=residual,
+    )
+
+
+def solve_outcome(solver, *args):
+    """(f bytes, policy bytes, residual, iterations), or the error raised:
+    its type, message and residual."""
+    try:
+        f, policy, residual, iters = solver(*args)
+    except (NumericalError, ValueError) as err:
+        return type(err), str(err), repr(getattr(err, "residual", None))
+    return f.tobytes(), policy.tobytes(), residual, iters
 
 
 def csv_writer_bytes(path, xs, fs, us):
@@ -276,6 +359,170 @@ class TestResolvent:
         sol = solve_resolvent_quadratic(ou, 1.0, h, -4.0, 4.0, 400, 1e-8)
         assert sol.residual <= 1e-8
         assert float(np.max(np.abs(sol.f.values))) <= 1.0 + 1e-9
+
+
+@st.composite
+def resolvent_problems(draw):
+    """Arguments of solve_resolvent_1d: a uniform grid of 2 to 5 000 nodes
+    with CIR drift mu - x and sigma = x, or quadratic drift -grad E
+    (zero or quartic perturbation) and sigma = 1; affine-clipped, bump or
+    constant data; lambda in [0.2, 5]."""
+    n = draw(st.integers(2, 5000))
+    if draw(st.booleans()):
+        lo, hi = draw(st.floats(1e-3, 0.5)), draw(st.floats(2.0, 10.0))
+        xs = np.linspace(lo, hi, n)
+        drift, sigma = draw(st.floats(0.2, 3.0)) - xs, xs
+    else:
+        lo = -draw(st.floats(1.0, 6.0))
+        hi = -lo
+        perturbation = make_potential(draw(st.sampled_from(["zero", "quartic"])))
+        space = make_quadratic(QuadraticDescriptor(dimension=1, kappa=draw(st.floats(0.1, 3.0)),
+                                                   perturbation=perturbation))
+        xs = np.linspace(lo, hi, n)
+        drift, sigma = -space.chart_energy_grad(xs[:, None])[:, 0], np.ones(n)
+    kind = draw(st.sampled_from(["affine_clipped", "gaussian_bump", "constant"]))
+    if kind == "affine_clipped":
+        h = make_data_function(kind, slope=draw(st.floats(-2.0, 2.0)),
+                               intercept=draw(st.floats(-1.0, 1.0)),
+                               cap=draw(st.floats(0.5, 3.0)))
+    elif kind == "gaussian_bump":
+        h = make_data_function(kind, center=draw(st.floats(lo, hi)),
+                               width=draw(st.floats(0.2, 2.0)),
+                               height=draw(st.floats(-1.5, 1.5)))
+    else:
+        h = make_data_function(kind, value=draw(st.floats(-3.0, 3.0)))
+    lam = draw(st.floats(0.2, 5.0))
+    tol = draw(st.sampled_from([1e-6, 1e-8, 1e-10]))
+    return xs, drift, sigma, lam, np.asarray(h(xs), dtype=float), tol
+
+
+def outward_slope_problem(half, slope, lam):
+    """Quadratic drift -x/10 on [-half, half] and data min(slope x, 3),
+    whose solution's slope at one edge points the total drift out of the
+    grid there, so only the state constraint keeps the inward branch."""
+    xs = np.linspace(-half, half, 200)
+    h_vals = make_data_function("affine_clipped", slope=slope, intercept=0.0, cap=3.0)(xs)
+    return xs, -0.1 * xs, np.ones(200), lam, h_vals, 1e-8
+
+
+class TestBufferedResolvent:
+    """The solver in reused buffers and the chunked writer against the
+    fresh-array versions they replace."""
+
+    @given(resolvent_problems())
+    @example(outward_slope_problem(1.0, -2.0, 1.0))   # left edge
+    @example(outward_slope_problem(2.0, 2.0, 5.0))    # right edge
+    @settings(max_examples=100, deadline=None)
+    def test_bit_equal_to_fresh_array_solver(self, problem):
+        assert (solve_outcome(solve_resolvent_1d, *problem)
+                == solve_outcome(reference_resolvent_1d, *problem))
+
+    def test_two_node_grid_raises_like_reference(self):
+        xs = np.array([0.5, 1.5])
+        problem = (xs, 1.0 - xs, xs, 1.0, H_CLIP(xs), 1e-6)
+        outcome = solve_outcome(solve_resolvent_1d, *problem)
+        assert outcome[0] is ValueError
+        assert outcome == solve_outcome(reference_resolvent_1d, *problem)
+
+    def test_steep_bump_stalls_with_reference_residual(self):
+        xs = np.linspace(DESC.x_lo, DESC.x_hi, 12800)
+        h = make_data_function("gaussian_bump", center=2.5, width=0.5, height=1.2)
+        problem = (xs, DESC.mu - xs, xs, 1.0, h(xs), 1e-6)
+        outcome = solve_outcome(solve_resolvent_1d, *problem)
+        assert outcome[0] is NumericalError
+        assert outcome == solve_outcome(reference_resolvent_1d, *problem)
+
+    def test_returns_fresh_arrays(self):
+        xs = np.linspace(DESC.x_lo, DESC.x_hi, 300)
+        h_vals = H_CLIP(xs)
+        first = solve_resolvent_1d(xs, DESC.mu - xs, xs, 1.0, h_vals, 1e-8)
+        kept = first[0].copy(), first[1].copy()
+        solve_resolvent_1d(xs, DESC.mu - xs, xs, 0.5, h_vals + 0.25, 1e-8)
+        assert np.array_equal(first[0], kept[0]) and np.array_equal(first[1], kept[1])
+        assert not np.shares_memory(first[0], first[1])
+        assert np.array_equal(h_vals, H_CLIP(xs))
+
+    @pytest.mark.parametrize("rows", [1, evikit.hj._CSV_CHUNK - 1, evikit.hj._CSV_CHUNK,
+                                      evikit.hj._CSV_CHUNK + 1])
+    def test_chunked_csv_matches_csv_writer(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        xs, fs, us = rng.normal(0.0, 1.0, (3, rows)) * 10.0 ** rng.integers(-30, 30, (3, rows))
+        sol = ResolventSolution(GridFunction(xs[:, None], fs), GridFunction(xs[:, None], us),
+                                0.0, 1.0)
+        sol.write_csv(tmp_path / "chunked.csv")
+        expected = csv_writer_bytes(tmp_path / "reference.csv", xs, fs, us)
+        assert (tmp_path / "chunked.csv").read_bytes() == expected
+
+    def test_solve_and_write_memory(self, tmp_path):
+        """The 51 200-node solve stays within 20 grid-sized float arrays,
+        inputs and result included, and writing its CSV within 1 MB."""
+        n = 51200
+        h = make_data_function("gaussian_bump", center=1.7, width=1.0, height=1.0)
+        solve_resolvent_cir(DESC, 1.0, h, 50, 1e-6)  # scipy.linalg's first-use import
+        tracemalloc.start()
+        try:
+            sol = solve_resolvent_cir(DESC, 1.0, h, n, 1e-6)
+            solve_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            sol.write_csv(tmp_path / "resolvent.csv")
+            write_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solve_peak <= 20 * 8 * n
+        assert write_peak < 1e6
+
+
+def test_manufactured_solution_first_order():
+    """Manufactured oracle on CIR (mu = lambda = 1): for
+    F = exp(-(x - 2)^2 / 0.5) / 2 the data h = F - lambda [(mu - x) F' +
+    x F'^2 / 2] has the resolvent f = F.  The upwind scheme is first
+    order, so the sup error falls like dx."""
+    lam, mu = 1.0, DESC.mu
+
+    def exact(x):
+        return 0.5 * np.exp(-((x - 2.0) ** 2) / 0.5)
+
+    def h(x):
+        x = np.asarray(x, dtype=float)
+        d_exact = -4.0 * (x - 2.0) * exact(x)
+        return exact(x) - lam * ((mu - x) * d_exact + 0.5 * x * d_exact**2)
+
+    errors, steps = [], []
+    for n in (800, 3200, 12800, 51200):
+        sol = solve_resolvent_cir(DESC, lam, h, n, 1e-9)
+        xs = sol.f.coords()
+        errors.append(float(np.max(np.abs(sol.f.values - exact(xs)))))
+        steps.append(float(xs[1] - xs[0]))
+    orders = [math.log(errors[i] / errors[i + 1]) / math.log(steps[i] / steps[i + 1])
+              for i in range(len(errors) - 1)]
+    assert all(0.95 <= p <= 1.05 for p in orders), (errors, orders)
+    assert errors[-1] <= 1e-4
+
+
+def test_scipy_linalg_loads_on_first_solve():
+    """Importing the command line loads no scipy module; the first
+    resolvent solve imports scipy.linalg."""
+    child = (
+        "import sys\n"
+        "import evikit.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "from evikit.hj import make_data_function, solve_resolvent_cir\n"
+        "from evikit.spaces import CirDescriptor\n"
+        "solve_resolvent_cir(CirDescriptor(mu=1.0, x_lo=1e-3, x_hi=8.0), 1.0,\n"
+        "                    make_data_function('constant', value=1.0), 20)\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                         env=env, cwd=root)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["[]", "True"]
 
 
 # ---------------------------------------------------------------------------
