@@ -299,6 +299,8 @@ def run_tataru(space, params, out: Path, rng):
 
 
 def _solve_for(space, params, lam, h_fn, n_grid, tol):
+    if n_grid < 3:
+        raise ConfigError(f"a resolvent grid needs at least 3 nodes, got {n_grid}")
     if space.name == "cir":
         return solve_resolvent_cir(space.desc, lam, h_fn, n_grid, tol)
     if space.name == "quadratic" and space.dimension == 1:
@@ -314,6 +316,10 @@ def run_resolvent(space, params, out: Path, rng):
     n_grid = int(params.get("n_grid", 800))
     h_spec = _require(params, "h")
     h_fn = make_data_function(_require(h_spec, "name"), **h_spec.get("params", {}))
+    indices = [int(idx) for idx in params.get("rollout", {}).get("nodes", [])]
+    for idx in indices:
+        if not 0 <= idx < n_grid:
+            raise ConfigError(f"rollout node {idx} is not a node of the {n_grid}-node grid")
     sol = _solve_for(space, params, lam, h_fn, n_grid, tol)
     sol.write_csv(out / "resolvent.csv")
     sol.write_json(out / "resolvent.json")
@@ -331,7 +337,6 @@ def run_resolvent(space, params, out: Path, rng):
         T = float(ro.get("T", lam * math.log(1e4)))
         xs = sol.f.coords()
         dx = xs[1] - xs[0]
-        indices = [int(idx) for idx in ro.get("nodes", [])]
         vals = value_by_rollout(space, lam, h_fn, sol.f.nodes[indices], us, dt, T,
                                 state_grid=xs)
         rows = []

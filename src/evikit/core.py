@@ -18,6 +18,9 @@ into projected descent in flat coordinates.  The local slope
 
 has a closed form on each space; a definitional verifier based on
 shrinking geodesic spheres is provided for cross-checks.
+
+Spaces implement the chart, projection, energy, gradient and sampling
+operations once, on rows; ``Space`` derives the one-point forms.
 """
 
 from __future__ import annotations
@@ -171,9 +174,13 @@ class Space(ABC):
     """A complete geodesic metric space with energy, slope and flow hooks.
 
     Subclasses fix the chart isometry, the energy in chart coordinates
-    and (where available) a closed-form gradient flow.  All operations
-    are pure; instances are immutable after construction and safe to
-    share across threads.
+    and (where available) a closed-form gradient flow, on rows of an
+    (n, dimension) array: a space implements chart_energy_rows,
+    chart_energy_grad_rows, sample_rows and slope, plus the chart and
+    projection row hooks if its chart is not the identity or it has a
+    feasible set.  The one-point forms are their one-row cases, here
+    only.  All operations are pure; instances are immutable after
+    construction and safe to share across threads.
     """
 
     name: str = "abstract"
@@ -185,56 +192,47 @@ class Space(ABC):
 
     # -- chart -------------------------------------------------------------
 
-    @abstractmethod
-    def to_chart(self, p: StatePoint) -> np.ndarray:
-        ...
-
-    @abstractmethod
-    def from_chart(self, y: np.ndarray) -> StatePoint:
-        ...
-
     def to_chart_rows(self, coords: np.ndarray) -> np.ndarray:
-        """Chart rows (n, dimension) of a coordinate array (n, dimension),
-        equal to to_chart row by row; spaces with an elementwise chart
-        override it with one array operation."""
-        rows = [self.to_chart(StatePoint(tuple(row))) for row in np.asarray(coords).tolist()]
-        return np.array(rows, dtype=float).reshape(len(rows), self.dimension)
+        """Chart rows (n, dimension) of a coordinate array (n, dimension);
+        the identity chart by default."""
+        return np.asarray(coords, dtype=float)
 
     def from_chart_rows(self, y: np.ndarray) -> np.ndarray:
-        """Coordinate array (n, dimension) of chart rows (n, dimension),
-        equal to from_chart row by row; spaces with an elementwise chart
-        override it with one array operation."""
-        rows = [self.from_chart(row).coords for row in np.asarray(y, dtype=float)]
-        return np.array(rows, dtype=float).reshape(len(rows), self.dimension)
-
-    def project_chart(self, y: np.ndarray) -> np.ndarray:
-        """Project raw chart coordinates back onto the feasible set."""
-        return y
+        """Coordinate array (n, dimension) of chart rows (n, dimension), as
+        a new array; the identity chart by default."""
+        return np.array(y, dtype=float)
 
     def project_chart_rows(self, y: np.ndarray) -> np.ndarray:
-        """project_chart of every row of an (n, dimension) chart array."""
-        rows = [self.project_chart(row) for row in np.asarray(y, dtype=float)]
-        return np.array(rows, dtype=float).reshape(len(rows), self.dimension)
+        """Chart rows (n, dimension) projected back onto the feasible set;
+        no projection by default."""
+        return np.asarray(y, dtype=float)
+
+    def to_chart(self, p: StatePoint) -> np.ndarray:
+        return self.to_chart_rows(p.array[None])[0]
+
+    def from_chart(self, y: np.ndarray) -> StatePoint:
+        return StatePoint.of(self.from_chart_rows(np.asarray(y, dtype=float)[None])[0])
+
+    def project_chart(self, y: np.ndarray) -> np.ndarray:
+        return self.project_chart_rows(np.asarray(y, dtype=float)[None])[0]
 
     @abstractmethod
-    def chart_energy_value(self, y: np.ndarray) -> float:
-        """Energy in chart coordinates; +inf outside the effective domain."""
-        ...
-
-    @abstractmethod
-    def chart_energy_grad(self, y: np.ndarray) -> np.ndarray:
-        ...
-
     def chart_energy_rows(self, y: np.ndarray) -> np.ndarray:
-        """chart_energy_value of every row of an (n, dimension) chart
-        array, as an (n,) array."""
-        return np.array([self.chart_energy_value(row) for row in np.asarray(y, dtype=float)],
-                        dtype=float)
+        """Energy (n,) of each row of an (n, dimension) chart array; +inf
+        outside the effective domain."""
+        ...
 
+    @abstractmethod
     def chart_energy_grad_rows(self, y: np.ndarray) -> np.ndarray:
-        """chart_energy_grad of every row of an (n, dimension) chart array."""
-        rows = [self.chart_energy_grad(row) for row in np.asarray(y, dtype=float)]
-        return np.array(rows, dtype=float).reshape(len(rows), self.dimension)
+        """Energy gradient (n, dimension) at each row of an (n, dimension)
+        chart array."""
+        ...
+
+    def chart_energy_value(self, y: np.ndarray) -> float:
+        return float(self.chart_energy_rows(np.asarray(y, dtype=float)[None])[0])
+
+    def chart_energy_grad(self, y: np.ndarray) -> np.ndarray:
+        return self.chart_energy_grad_rows(np.asarray(y, dtype=float)[None])[0]
 
     # -- metric ------------------------------------------------------------
 
@@ -244,15 +242,17 @@ class Space(ABC):
                 f"{self.name}: expected dimension {self.dimension}, got {len(p.coords)}"
             )
 
-    def validate_rows(self, coords: np.ndarray) -> None:
+    def validate_rows(self, coords: np.ndarray) -> np.ndarray:
         """validate_point of every row of an (n, dimension) coordinate
-        array, each row also finite as a StatePoint's; the default goes row
-        by row, and spaces override it with array tests (finite_rows)."""
+        array, each row also finite as a StatePoint's, by array tests;
+        returns coords as a float array."""
         coords = np.asarray(coords, dtype=float)
-        if coords.ndim != 2:
-            raise UsageError(f"{self.name}: expected an (n, dimension) coordinate array")
-        for row in coords.tolist():
-            self.validate_point(StatePoint(tuple(row)))
+        if coords.ndim != 2 or coords.shape[1] != self.dimension:
+            got = coords.shape[-1] if coords.ndim else 0
+            raise UsageError(f"{self.name}: expected dimension {self.dimension}, got {got}")
+        if not np.all(np.isfinite(coords)):
+            raise UsageError("StatePoint coordinates must be finite")
+        return coords
 
     def distance(self, p: StatePoint, q: StatePoint) -> float:
         self.validate_point(p)
@@ -329,16 +329,13 @@ class Space(ABC):
     # -- sampling ------------------------------------------------------------
 
     @abstractmethod
-    def sample_point(self, rng: np.random.Generator) -> StatePoint:
-        """A random point in the effective domain, for property checks."""
+    def sample_rows(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """The coordinates (n, dimension) of n random points in the
+        effective domain, for property checks."""
         ...
 
-    def sample_rows(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """The coordinates (n, dimension) of n sample_point draws, drawing
-        the same numbers in the same order; spaces whose draws are one
-        array call override it."""
-        rows = [self.sample_point(rng).coords for _ in range(n)]
-        return np.array(rows, dtype=float).reshape(n, self.dimension)
+    def sample_point(self, rng: np.random.Generator) -> StatePoint:
+        return StatePoint.of(self.sample_rows(rng, 1)[0])
 
     def sphere_points(self, p: StatePoint, radius: float,
                       count: int, rng: np.random.Generator) -> list[StatePoint]:
@@ -366,18 +363,6 @@ class Space(ABC):
 
     def descriptor(self) -> dict:
         return {"space": self.name, "params": {}}
-
-
-def finite_rows(space: Space, coords: np.ndarray) -> np.ndarray:
-    """The dimension and finiteness checks of Space.validate_rows as array
-    tests; returns coords as a float array."""
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2 or coords.shape[1] != space.dimension:
-        got = coords.shape[-1] if coords.ndim else 0
-        raise UsageError(f"{space.name}: expected dimension {space.dimension}, got {got}")
-    if not np.all(np.isfinite(coords)):
-        raise UsageError("StatePoint coordinates must be finite")
-    return coords
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ transport space) pool-adjacent-violators feasibility projection.
 ``jko_step`` takes one step of one trajectory; ``jko_rows`` takes one
 step of many trajectories in lockstep, with each row's arithmetic that
 of ``jko_step``, which is how the Tataru scan flows the second arguments
-of many pairs at once.  A ``Trajectory`` holds its samples as an
-(n_t, dim) coordinate array, so the verifiers below work on all samples
-at once through the space's row hooks.
+of many pairs at once.  Both stay, since on one row ``jko_rows`` runs
+slower than ``jko_step``: it pays for its per-row masks and indexing in
+every iteration.  A ``Trajectory`` holds its samples as an (n_t, dim) coordinate array, so
+the verifiers below work on all samples at once through the space's row
+hooks.
 
 Verifiers cover the standard consequences of the evolution variational
 inequality: the EVI inequality itself with the upper-right derivative
@@ -154,15 +156,17 @@ def flow_exact(space: Space, p: StatePoint, T: float, dt: float) -> Trajectory:
 
 def jko_step(space: Space, y_prev: np.ndarray, dt: float,
              inner_tol: float, max_iter: int) -> np.ndarray:
-    """One minimizing-movement step in chart coordinates."""
+    """One minimizing-movement step in chart coordinates, calling the
+    space's row hooks on one (1, dimension) row."""
     s2 = space.chart_scale**2
 
     def objective(y):
         diff = y - y_prev
-        return space.chart_energy_value(y) + s2 * float(np.dot(diff, diff)) / (2 * dt)
+        energy = float(space.chart_energy_rows(y[None])[0])
+        return energy + s2 * float(np.dot(diff, diff)) / (2 * dt)
 
     def grad(y):
-        return space.chart_energy_grad(y) + s2 * (y - y_prev) / dt
+        return space.chart_energy_grad_rows(y[None])[0] + s2 * (y - y_prev) / dt
 
     y = y_prev.copy()
     fy = objective(y)
@@ -172,7 +176,7 @@ def jko_step(space: Space, y_prev: np.ndarray, dt: float,
     step = dt / s2
     scale = max(1.0, math.sqrt(float(np.dot(y_prev, y_prev))))  # np.linalg.norm's bits
     for _ in range(max_iter):
-        y_new = space.project_chart(y - step * g)
+        y_new = space.project_chart_rows((y - step * g)[None])[0]
         d = y_new - y
         dn2 = float(np.dot(d, d))
         if math.sqrt(dn2) <= inner_tol * scale:
@@ -182,7 +186,7 @@ def jko_step(space: Space, y_prev: np.ndarray, dt: float,
         while (not math.isfinite(f_new)
                or f_new > fy + float(np.dot(g, d)) + 0.5 * dn2 / step) and backtracks < 60:
             step *= 0.5
-            y_new = space.project_chart(y - step * g)
+            y_new = space.project_chart_rows((y - step * g)[None])[0]
             d = y_new - y
             dn2 = float(np.dot(d, d))
             f_new = objective(y_new)

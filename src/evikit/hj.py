@@ -480,7 +480,7 @@ def solve_resolvent_quadratic(space: QuadraticSpace, lam: float, h,
     if space.dimension != 1:
         raise UsageError("grid resolvent supports scalar quadratic spaces only")
     xs = np.linspace(x_lo, x_hi, n_grid)
-    drift = -space.chart_energy_grad(xs[:, None])[:, 0]
+    drift = -space.chart_energy_grad_rows(xs[:, None])[:, 0]
     return _solve_on_grid(xs, drift, np.ones_like(xs), lam, h, tol)
 
 
@@ -511,7 +511,8 @@ def value_by_rollout(space: Space, lam: float, h, starts: np.ndarray,
         drift_fn, sigma_fn = (lambda x: space.mu - x), (lambda x: x)
     elif isinstance(space, QuadraticSpace) and space.dimension == 1:
         lo, hi = -8.0, 8.0
-        drift_fn, sigma_fn = (lambda x: -space.chart_energy_grad(x)), np.ones_like
+        drift_fn = lambda x: -space.chart_energy_grad_rows(x[:, None])[:, 0]
+        sigma_fn = np.ones_like
     else:
         raise UsageError("rollout values support scalar spaces only")
     xs = np.linspace(lo, hi, n_state) if state_grid is None else state_grid

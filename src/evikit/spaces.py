@@ -35,7 +35,6 @@ from .core import (
     StatePoint,
     UnsupportedFlowError,
     UsageError,
-    finite_rows,
 )
 from .potentials import Potential, sampled_convexity_check
 
@@ -128,36 +127,32 @@ class CirSpace(Space):
         if p.coords[0] < 0.0:
             raise DomainError(f"cir coordinate must be nonnegative, got {p.coords[0]}")
 
-    def validate_rows(self, coords: np.ndarray) -> None:
-        x = finite_rows(self, coords)[:, 0]
+    def validate_rows(self, coords: np.ndarray) -> np.ndarray:
+        coords = super().validate_rows(coords)
+        x = coords[:, 0]
         if np.any(x < 0.0):
             raise DomainError(f"cir coordinate must be nonnegative, got {x[x < 0.0][0]}")
-
-    def to_chart(self, p: StatePoint) -> np.ndarray:
-        return np.sqrt(p.array)
+        return coords
 
     def to_chart_rows(self, coords: np.ndarray) -> np.ndarray:
         return np.sqrt(np.asarray(coords, dtype=float))
 
-    def from_chart(self, y: np.ndarray) -> StatePoint:
-        return StatePoint.of(np.asarray(y) ** 2)
-
     def from_chart_rows(self, y: np.ndarray) -> np.ndarray:
         return np.asarray(y, dtype=float) ** 2
 
-    def project_chart(self, y: np.ndarray) -> np.ndarray:
+    def project_chart_rows(self, y: np.ndarray) -> np.ndarray:
         return np.clip(y, math.sqrt(self.x_lo), math.sqrt(self.x_hi))
 
-    def project_chart_rows(self, y: np.ndarray) -> np.ndarray:
-        return self.project_chart(y)  # the clip is elementwise
+    def chart_energy_rows(self, y: np.ndarray) -> np.ndarray:
+        # math.log and float ** 2 on Python floats: np.log and np.square
+        # can differ from them in the last bit
+        out = []
+        for v in np.asarray(y, dtype=float)[:, 0].tolist():
+            x = v ** 2
+            out.append(math.inf if x <= 0.0 else -self.mu * math.log(x) + x - self._e0)
+        return np.array(out, dtype=float)
 
-    def chart_energy_value(self, y: np.ndarray) -> float:
-        x = float(np.asarray(y).ravel()[0]) ** 2
-        if x <= 0.0:
-            return math.inf
-        return -self.mu * math.log(x) + x - self._e0
-
-    def chart_energy_grad(self, y: np.ndarray) -> np.ndarray:
+    def chart_energy_grad_rows(self, y: np.ndarray) -> np.ndarray:
         yv = np.asarray(y, dtype=float)
         # d/dy E(y^2) = (1 - mu / y^2) * 2y
         return 2.0 * yv - 2.0 * self.mu / yv
@@ -180,9 +175,6 @@ class CirSpace(Space):
         # the same mean reversion in the chart y = sqrt(x)
         decay = np.exp(-np.asarray(t, dtype=float))[..., None]
         return np.sqrt(self.mu + (np.square(y0) - self.mu) * decay)
-
-    def sample_point(self, rng: np.random.Generator) -> StatePoint:
-        return StatePoint.of(self.sample_rows(rng, 1)[0])
 
     def sample_rows(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # math.exp per draw: np.exp can differ from it in the last bit
@@ -226,48 +218,24 @@ class QuadraticSpace(Space):
         self.kappa = desc.kappa
         self.perturbation = desc.perturbation
 
-    def validate_rows(self, coords: np.ndarray) -> None:
-        finite_rows(self, coords)
-
-    def to_chart(self, p: StatePoint) -> np.ndarray:
-        return p.array
-
-    def to_chart_rows(self, coords: np.ndarray) -> np.ndarray:
-        return np.asarray(coords, dtype=float)
-
-    def from_chart(self, y: np.ndarray) -> StatePoint:
-        return StatePoint.of(y)
-
-    def from_chart_rows(self, y: np.ndarray) -> np.ndarray:
-        return np.array(y, dtype=float)
-
-    def project_chart_rows(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(y, dtype=float)
-
-    def chart_energy_value(self, y: np.ndarray) -> float:
-        y = np.asarray(y, dtype=float)
-        e = 0.5 * self.kappa * float(np.dot(y, y)) + self.desc.energy_offset
-        if self.perturbation is not None:
-            e += float(np.sum(self.perturbation(y)))
-        return e
-
     def chart_energy_rows(self, y: np.ndarray) -> np.ndarray:
-        # row-wise vecdot and last-axis sums give chart_energy_value's bits
+        # row-wise vecdot and last-axis sums give each row's np.dot and
+        # np.sum bits; on jko_step's one-row calls, Python float arithmetic
+        # and the sum method cost less than numpy's scalar-array operations
+        # and np.sum's wrapper
         y = np.asarray(y, dtype=float)
-        e = 0.5 * self.kappa * np.vecdot(y, y) + self.desc.energy_offset
+        e = np.array([0.5 * self.kappa * v + self.desc.energy_offset
+                      for v in np.vecdot(y, y).tolist()])
         if self.perturbation is not None:
-            e = e + np.sum(self.perturbation(y), axis=-1)
+            e = e + self.perturbation(y).sum(axis=-1)
         return e
 
-    def chart_energy_grad(self, y: np.ndarray) -> np.ndarray:
+    def chart_energy_grad_rows(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         g = self.kappa * y
         if self.perturbation is not None:
             g = g + self.perturbation.df(y)
         return g
-
-    def chart_energy_grad_rows(self, y: np.ndarray) -> np.ndarray:
-        return self.chart_energy_grad(y)  # elementwise
 
     def slope(self, p: StatePoint) -> ExtendedReal:
         self.validate_point(p)
@@ -286,9 +254,6 @@ class QuadraticSpace(Space):
             raise UnsupportedFlowError("quadratic flow with perturbation has no closed form")
         decay = np.exp(-self.kappa * np.asarray(t, dtype=float))
         return decay[..., None] * np.asarray(y0, dtype=float)
-
-    def sample_point(self, rng: np.random.Generator) -> StatePoint:
-        return StatePoint.of(self.sample_rows(rng, 1)[0])
 
     def sample_rows(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.normal(0.0, self.desc.scale, (n, self.dimension))
@@ -344,26 +309,18 @@ class AllenCahnSpace(Space):
         self.tol_geo = 1e-9
 
     def laplacian(self, rho: np.ndarray) -> np.ndarray:
-        return (np.roll(rho, -1) - 2.0 * rho + np.roll(rho, 1)) / self.dx**2
+        """The circulant stencil along the last axis of rho (..., grid_size)."""
+        return (np.roll(rho, -1, axis=-1) - 2.0 * rho + np.roll(rho, 1, axis=-1)) / self.dx**2
 
-    def to_chart(self, p: StatePoint) -> np.ndarray:
-        return p.array
-
-    def from_chart(self, y: np.ndarray) -> StatePoint:
-        return StatePoint.of(y)
-
-    def from_chart_rows(self, y: np.ndarray) -> np.ndarray:
-        return np.array(y, dtype=float)
-
-    def chart_energy_value(self, y: np.ndarray) -> float:
+    def chart_energy_rows(self, y: np.ndarray) -> np.ndarray:
         rho = np.asarray(y, dtype=float)
-        grad = (np.roll(rho, -1) - rho) / self.dx
-        e = 0.5 * self.dx * float(np.sum(grad**2) + self.kappa * np.sum(rho**2))
+        grad = (np.roll(rho, -1, axis=-1) - rho) / self.dx
+        e = 0.5 * self.dx * ((grad**2).sum(axis=-1) + self.kappa * (rho**2).sum(axis=-1))
         if self.well is not None:
-            e += self.dx * float(np.sum(self.well(rho)))
+            e = e + self.dx * self.well(rho).sum(axis=-1)
         return e
 
-    def chart_energy_grad(self, y: np.ndarray) -> np.ndarray:
+    def chart_energy_grad_rows(self, y: np.ndarray) -> np.ndarray:
         rho = np.asarray(y, dtype=float)
         g = -self.laplacian(rho) + self.kappa * rho
         if self.well is not None:
@@ -378,14 +335,16 @@ class AllenCahnSpace(Space):
             drive = drive - self.well.df(rho)
         return ExtendedReal.finite(math.sqrt(self.dx * float(np.sum(drive**2))))
 
-    def sample_point(self, rng: np.random.Generator) -> StatePoint:
-        # smooth random field: a few low Fourier modes
-        n = self.dimension
-        xs = np.arange(n) * (2.0 * np.pi / n)
-        rho = np.zeros(n)
+    def sample_rows(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        # smooth random fields: a few low Fourier modes, each row's
+        # coefficients drawn as sin, cos pairs at scales 1, 1/2, 1/3
+        xs = np.arange(self.dimension) * (2.0 * np.pi / self.dimension)
+        coef = rng.normal(0.0, 1.0 / np.repeat(np.arange(1.0, 4.0), 2), (n, 6))
+        rho = np.zeros((n, self.dimension))
         for k in range(1, 4):
-            rho += rng.normal(0, 1.0 / k) * np.sin(k * xs) + rng.normal(0, 1.0 / k) * np.cos(k * xs)
-        return StatePoint.of(rho)
+            a, b = coef[:, 2 * k - 2, None], coef[:, 2 * k - 1, None]
+            rho += a * np.sin(k * xs) + b * np.cos(k * xs)
+        return rho
 
     def descriptor(self) -> dict:
         params = {"grid_size": self.dimension, "length": self.length,
@@ -393,12 +352,6 @@ class AllenCahnSpace(Space):
         if self.well is not None:
             params["well"] = self.well.to_json()
         return {"space": "allen_cahn", "params": params}
-
-
-def allen_cahn_information(space: AllenCahnSpace, rho: StatePoint) -> float:
-    """Discrete squared L^2 norm of Lap rho - F'(rho) - kappa rho."""
-    info = space.information(rho)
-    return info.value
 
 
 # ---------------------------------------------------------------------------
@@ -470,58 +423,59 @@ class Wasserstein1DSpace(Space):
     def validate_point(self, p: StatePoint) -> None:
         self.validate_rows(p.array[None, :])
 
-    def validate_rows(self, coords: np.ndarray) -> None:
-        if np.any(np.diff(finite_rows(self, coords), axis=1) < -1e-12):
+    def validate_rows(self, coords: np.ndarray) -> np.ndarray:
+        coords = super().validate_rows(coords)
+        if np.any(np.diff(coords, axis=1) < -1e-12):
             raise DomainError("quantile vector must be nondecreasing")
+        return coords
 
-    def to_chart(self, p: StatePoint) -> np.ndarray:
-        return p.array
-
-    def from_chart(self, y: np.ndarray) -> StatePoint:
-        return StatePoint.of(y)
-
-    def from_chart_rows(self, y: np.ndarray) -> np.ndarray:
-        return np.array(y, dtype=float)
-
-    def project_chart(self, y: np.ndarray) -> np.ndarray:
-        return pava_nondecreasing(np.asarray(y, dtype=float))
+    def project_chart_rows(self, y: np.ndarray) -> np.ndarray:
+        """pava_nondecreasing of each row, on the rows that need it: a row
+        that is already nondecreasing is kept as it is."""
+        y = np.array(y, dtype=float)
+        for i in (~(y[:, 1:] >= y[:, :-1]).all(axis=1)).nonzero()[0]:
+            y[i] = pava_nondecreasing(y[i])
+        return y
 
     def gaps(self, q: np.ndarray) -> np.ndarray:
         """Quantile derivative estimates q_j = m (Q_{j+1} - Q_j) at the
         m-1 forward gaps."""
-        return self.m * np.diff(q)
+        return self.m * (q[..., 1:] - q[..., :-1])  # np.diff's bits
 
-    def chart_energy_value(self, y: np.ndarray) -> float:
+    def chart_energy_rows(self, y: np.ndarray) -> np.ndarray:
         q = np.asarray(y, dtype=float)
-        e = 0.0
+        e = np.zeros(len(q))
         if self.internal is not None:
             g = self.gaps(q)
-            if np.any(g <= 0.0) or np.any(1.0 / np.maximum(g, 1e-300) < _DENSITY_FLOOR):
-                return math.inf
-            e += float(np.sum(self.internal(1.0 / g) * g)) / self.m
+            dead = ((g <= 0.0) | (1.0 / np.maximum(g, 1e-300) < _DENSITY_FLOOR)).any(axis=1)
+            if dead.any():
+                e[dead] = math.inf
+                e[~dead] = self.chart_energy_rows(q[~dead])
+                return e
+            e += (self.internal(1.0 / g) * g).sum(axis=1) / self.m
         if self.potential is not None:
-            e += float(np.sum(self.potential(q))) / self.m
-        if self.interaction is not None:
-            diffs = q[:, None] - q[None, :]
-            e += 0.5 * float(np.sum(self.interaction(diffs))) / self.m**2
+            e += self.potential(q).sum(axis=1) / self.m
+        if self.interaction is not None:  # one (m, m) table at a time
+            e += [0.5 * float(np.sum(self.interaction(row[:, None] - row[None, :]))) / self.m**2
+                  for row in q]
         return e
 
-    def chart_energy_grad(self, y: np.ndarray) -> np.ndarray:
+    def chart_energy_grad_rows(self, y: np.ndarray) -> np.ndarray:
         q = np.asarray(y, dtype=float)
         grad = np.zeros_like(q)
         if self.internal is not None:
-            g = self.gaps(q)
-            # d/dg [F(1/g) g] = F(1/g) - F'(1/g)/g
-            rho = 1.0 / g
+            # d/dg [F(1/g) g] = F(1/g) - F'(1/g)/g, which is
+            # (1/m) * dA/dg * dg/dQ with dg/dQ = +-m
+            rho = 1.0 / self.gaps(q)
             dAdg = self.internal(rho) - self.internal.df(rho) * rho
-            contrib = dAdg  # (1/m) * dA/dg * dg/dQ with dg/dQ = +-m
-            grad[1:] += contrib
-            grad[:-1] -= contrib
+            grad[:, 1:] += dAdg
+            grad[:, :-1] -= dAdg
         if self.potential is not None:
             grad += self.potential.df(q) / self.m
         if self.interaction is not None:
-            diffs = q[:, None] - q[None, :]
-            grad += np.sum(self.interaction.df(diffs), axis=1) / self.m**2
+            for g_row, q_row in zip(grad, q):  # one (m, m) table at a time
+                table = self.interaction.df(q_row[:, None] - q_row[None, :])
+                g_row += table.sum(axis=1) / self.m**2
         return grad
 
     def slope(self, p: StatePoint) -> ExtendedReal:
@@ -586,14 +540,16 @@ class Wasserstein1DSpace(Space):
 
         return StatePoint.of(mean + sd * ndtri(self.levels))
 
-    def sample_point(self, rng: np.random.Generator) -> StatePoint:
-        mean = rng.normal(0.0, 1.0)
-        sd = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
-        q = np.sort(rng.normal(mean, sd, self.m))
-        # smooth out near-ties so the entropy stays finite
-        q = pava_nondecreasing(q)
-        q += np.linspace(0.0, 1e-6, self.m)
-        return StatePoint.of(q)
+    def sample_rows(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        # each row's mean, spread and values drawn in turn, as one point's
+        q = np.empty((n, self.m))
+        for row in q:
+            mean = rng.normal(0.0, 1.0)
+            sd = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+            row[:] = rng.normal(mean, sd, self.m)
+        # sorted rows are nondecreasing; the ramp smooths out near-ties so
+        # the entropy stays finite
+        return np.sort(q, axis=1) + np.linspace(0.0, 1e-6, self.m)
 
     def descriptor(self) -> dict:
         params: dict = {"m": self.m, "kappa_v": self.desc.kappa_v,
@@ -607,14 +563,10 @@ class Wasserstein1DSpace(Space):
 
 def pava_nondecreasing(y: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators projection onto nondecreasing vectors
-    (euclidean, unweighted).  Input that is already nondecreasing is
-    returned as a float copy; a NaN anywhere takes the pooling loop."""
-    y = np.asarray(y, dtype=float)
-    if np.all(y[1:] >= y[:-1]):
-        return y.copy()
+    (euclidean, unweighted), as a new float array."""
     vals: list[float] = []
     counts: list[int] = []
-    for cv in y.tolist():
+    for cv in np.asarray(y, dtype=float).tolist():
         cw = 1
         while vals and vals[-1] > cv:
             pv, pw = vals.pop(), counts.pop()

@@ -124,6 +124,34 @@ class TestRunConfigs:
         assert run(self.write_config(tmp_path, cfg)) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    def shipped_config(self, tmp_path, name):
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        return cfg
+
+    @pytest.mark.parametrize("name", ["cir_resolvent", "cir_viscosity", "cir_comparison",
+                                      "ou_quadruplication"])
+    @pytest.mark.parametrize("n_grid", [1, 2])
+    def test_grid_below_three_nodes_is_config_error(self, tmp_path, capsys, name, n_grid):
+        cfg = self.shipped_config(tmp_path, name)
+        cfg["params"].pop("rollout", None)
+        if name == "ou_quadruplication":
+            cfg["params"]["grid"]["n"] = n_grid
+        else:
+            cfg["params"]["n_grid"] = n_grid
+        assert run(self.write_config(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err == (
+            f"config error: a resolvent grid needs at least 3 nodes, got {n_grid}\n")
+
+    @pytest.mark.parametrize("node", [-1, 800, 900])
+    def test_rollout_node_off_the_grid_is_config_error(self, tmp_path, capsys, node):
+        cfg = self.shipped_config(tmp_path, "cir_resolvent")
+        cfg["params"]["rollout"]["nodes"] = [100, node]
+        assert run(self.write_config(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err == (
+            f"config error: rollout node {node} is not a node of the 800-node grid\n")
+        assert not (tmp_path / "out" / "rollout.json").exists()
+
     def test_mms_convergence_reuses_the_configs_flow(self, tmp_path, monkeypatch):
         """With default JKO tolerances the run's own minimizing movement is
         the convergence study's flow at dt, so it is not run twice; other

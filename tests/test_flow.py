@@ -175,22 +175,22 @@ class TestMinimizingMovement:
 
 
 class CountingQuadratic(QuadraticSpace):
-    """A quadratic space that counts jko_step's scalar hook calls: every
-    inner iteration projects once and every backtrack once more, and
-    every iteration but the converging one takes one gradient (plus the
-    gradient at the start)."""
+    """A quadratic space that counts jko_step's calls of the row hooks,
+    each on one row: every inner iteration projects once and every
+    backtrack once more, and every iteration but the converging one
+    takes one gradient (plus the gradient at the start)."""
 
     def __init__(self, desc):
         super().__init__(desc)
         self.projections = self.gradients = 0
 
-    def project_chart(self, y):
+    def project_chart_rows(self, y):
         self.projections += 1
-        return super().project_chart(y)
+        return super().project_chart_rows(y)
 
-    def chart_energy_grad(self, y):
+    def chart_energy_grad_rows(self, y):
         self.gradients += 1
-        return super().chart_energy_grad(y)
+        return super().chart_energy_grad_rows(y)
 
 
 def quadratic(dimension, perturbation, kappa=1.0):

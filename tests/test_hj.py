@@ -379,7 +379,7 @@ def resolvent_problems(draw):
         space = make_quadratic(QuadraticDescriptor(dimension=1, kappa=draw(st.floats(0.1, 3.0)),
                                                    perturbation=perturbation))
         xs = np.linspace(lo, hi, n)
-        drift, sigma = -space.chart_energy_grad(xs[:, None])[:, 0], np.ones(n)
+        drift, sigma = -space.chart_energy_grad_rows(xs[:, None])[:, 0], np.ones(n)
     kind = draw(st.sampled_from(["affine_clipped", "gaussian_bump", "constant"]))
     if kind == "affine_clipped":
         h = make_data_function(kind, slope=draw(st.floats(-2.0, 2.0)),

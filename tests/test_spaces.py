@@ -23,7 +23,6 @@ from evikit.spaces import (
     CirDescriptor,
     QuadraticDescriptor,
     Wasserstein1DDescriptor,
-    allen_cahn_information,
     make_allen_cahn,
     make_cir,
     make_ou,
@@ -123,7 +122,7 @@ class TestAllenCahn:
         space = self.make(kappa=1.0, well=make_potential("quartic"))
         zero = StatePoint.of(np.zeros(64))
         assert float(space.energy(zero)) == pytest.approx(0.0)
-        assert allen_cahn_information(space, zero) == pytest.approx(0.0)
+        assert space.information(zero).value == pytest.approx(0.0)
 
     def test_information_on_laplacian_eigenvector(self):
         n, k = 64, 3
@@ -135,7 +134,7 @@ class TestAllenCahn:
         stencil = space.laplacian(rho) - 1.0 * rho
         oracle = space.dx * float(np.sum(stencil**2))
         expected = space.dx * float(np.sum(((-lam_k - 1.0) * rho) ** 2))
-        got = allen_cahn_information(space, StatePoint.of(rho))
+        got = space.information(StatePoint.of(rho)).value
         assert got == pytest.approx(oracle, rel=1e-12)
         assert got == pytest.approx(expected, rel=1e-10)
 
@@ -144,7 +143,7 @@ class TestAllenCahn:
         c = 0.7
         rho = StatePoint.of(np.full(64, c))
         expected = 2 * math.pi * (c**3 + c) ** 2
-        assert allen_cahn_information(space, rho) == pytest.approx(expected, rel=1e-12)
+        assert space.information(rho).value == pytest.approx(expected, rel=1e-12)
 
     def test_linear_interpolation_convexity(self):
         space = self.make(kappa=1.0, well=make_potential("quartic"))
@@ -413,8 +412,7 @@ def test_pava_bit_identical_to_pooling_loop():
        st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_pava_matches_pooling_loop_on_drawn_vectors(values, presorted):
-    # presorted vectors take the monotone fast path; ties come from the
-    # sampled values
+    # presorted vectors pool nothing; ties come from the sampled values
     y = np.sort(np.array(values, dtype=float)) if presorted else np.array(values, dtype=float)
     assert pava_nondecreasing(y).tobytes() == pava_reference(y).tobytes()
 
@@ -427,7 +425,7 @@ CHART_SPACES = {
     "cir": make_cir(CirDescriptor(mu=1.0)),
     "ou": make_ou(1.0),
     "quadratic3": make_quadratic(QuadraticDescriptor(dimension=3, kappa=0.5)),
-    # no override: the default maps row by row through to_chart
+    # no override: the default identity chart
     "allen_cahn": make_allen_cahn(AllenCahnDescriptor(grid_size=4, length=2 * math.pi,
                                                        kappa=1.0)),
 }
@@ -467,6 +465,26 @@ def cir_sample_point(space, rng):
     return StatePoint.of(math.exp(rng.uniform(math.log(lo), math.log(hi))))
 
 
+def allen_cahn_sample_point(space, rng):
+    """AllenCahnSpace.sample_point before it became a row draw."""
+    n = space.dimension
+    xs = np.arange(n) * (2.0 * np.pi / n)
+    rho = np.zeros(n)
+    for k in range(1, 4):
+        rho += rng.normal(0, 1.0 / k) * np.sin(k * xs) + rng.normal(0, 1.0 / k) * np.cos(k * xs)
+    return StatePoint.of(rho)
+
+
+def wasserstein_sample_point(space, rng):
+    """Wasserstein1DSpace.sample_point before it became a row draw."""
+    mean = rng.normal(0.0, 1.0)
+    sd = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+    q = np.sort(rng.normal(mean, sd, space.m))
+    q = pava_nondecreasing(q)
+    q += np.linspace(0.0, 1e-6, space.m)
+    return StatePoint.of(q)
+
+
 SAMPLE_SPACES = {
     "ou": (make_ou(1.0), quadratic_sample_point),
     "quadratic3": (make_quadratic(QuadraticDescriptor(dimension=3, kappa=0.5, scale=1.5)),
@@ -474,11 +492,12 @@ SAMPLE_SPACES = {
     "cir": (make_cir(CirDescriptor(mu=1.0)), cir_sample_point),
     # the draw range clipped by the domain on both sides
     "cir_bounded": (make_cir(CirDescriptor(mu=2.0, x_lo=0.3, x_hi=5.0)), cir_sample_point),
-    # interleaved draws: the default stacks sample_point
+    # six coefficient draws a point, drawn as one array
     "allen_cahn": (make_allen_cahn(AllenCahnDescriptor(grid_size=6, length=2 * math.pi,
-                                                        kappa=1.0)), None),
+                                                        kappa=1.0)), allen_cahn_sample_point),
+    # interleaved draws: one point's mean, spread and values at a time
     "wasserstein1d": (make_wasserstein1d(Wasserstein1DDescriptor(
-        m=5, internal=make_potential("entropy"))), None),
+        m=5, internal=make_potential("entropy"))), wasserstein_sample_point),
 }
 
 
@@ -497,6 +516,184 @@ def test_sample_rows_equal_sample_point_draws(name, seed, n):
     assert rows.tobytes() == np.array(points, dtype=float).reshape(rows.shape).tobytes()
     assert rng_rows.bit_generator.state == rng_points.bit_generator.state
     assert space.sample_point(rng_rows) == point_draw(space, rng_points)
+
+
+# ---------------------------------------------------------------------------
+# Row hooks against the one-point code they replace
+# ---------------------------------------------------------------------------
+
+def cir_energy(space, y):
+    x = float(np.asarray(y).ravel()[0]) ** 2
+    if x <= 0.0:
+        return math.inf
+    return -space.mu * math.log(x) + x - space._e0
+
+
+def cir_grad(space, y):
+    yv = np.asarray(y, dtype=float)
+    return 2.0 * yv - 2.0 * space.mu / yv
+
+
+def cir_project(space, y):
+    return np.clip(y, math.sqrt(space.x_lo), math.sqrt(space.x_hi))
+
+
+def quadratic_energy(space, y):
+    y = np.asarray(y, dtype=float)
+    e = 0.5 * space.kappa * float(np.dot(y, y)) + space.desc.energy_offset
+    if space.perturbation is not None:
+        e += float(np.sum(space.perturbation(y)))
+    return e
+
+
+def quadratic_grad(space, y):
+    y = np.asarray(y, dtype=float)
+    g = space.kappa * y
+    if space.perturbation is not None:
+        g = g + space.perturbation.df(y)
+    return g
+
+
+def allen_cahn_energy(space, y):
+    rho = np.asarray(y, dtype=float)
+    grad = (np.roll(rho, -1) - rho) / space.dx
+    e = 0.5 * space.dx * float(np.sum(grad**2) + space.kappa * np.sum(rho**2))
+    if space.well is not None:
+        e += space.dx * float(np.sum(space.well(rho)))
+    return e
+
+
+def allen_cahn_grad(space, y):
+    rho = np.asarray(y, dtype=float)
+    lap = (np.roll(rho, -1) - 2.0 * rho + np.roll(rho, 1)) / space.dx**2
+    g = -lap + space.kappa * rho
+    if space.well is not None:
+        g = g + space.well.df(rho)
+    return space.dx * g
+
+
+def wasserstein_energy(space, y):
+    q = np.asarray(y, dtype=float)
+    e = 0.0
+    if space.internal is not None:
+        g = space.m * np.diff(q)
+        if np.any(g <= 0.0) or np.any(1.0 / np.maximum(g, 1e-300) < 1e-12):
+            return math.inf
+        e += float(np.sum(space.internal(1.0 / g) * g)) / space.m
+    if space.potential is not None:
+        e += float(np.sum(space.potential(q))) / space.m
+    if space.interaction is not None:
+        diffs = q[:, None] - q[None, :]
+        e += 0.5 * float(np.sum(space.interaction(diffs))) / space.m**2
+    return e
+
+
+def wasserstein_grad(space, y):
+    q = np.asarray(y, dtype=float)
+    grad = np.zeros_like(q)
+    if space.internal is not None:
+        rho = 1.0 / (space.m * np.diff(q))
+        dAdg = space.internal(rho) - space.internal.df(rho) * rho
+        grad[1:] += dAdg
+        grad[:-1] -= dAdg
+    if space.potential is not None:
+        grad += space.potential.df(q) / space.m
+    if space.interaction is not None:
+        diffs = q[:, None] - q[None, :]
+        grad += np.sum(space.interaction.df(diffs), axis=1) / space.m**2
+    return grad
+
+
+def wasserstein_project(space, y):
+    return pava_nondecreasing(np.asarray(y, dtype=float))
+
+
+def identity_project(space, y):
+    return y
+
+
+def transport(m, **pots):
+    return make_wasserstein1d(Wasserstein1DDescriptor(
+        m=m, **{k: make_potential(v) for k, v in pots.items()}))
+
+
+def wasserstein_edge_rows(space, rows):
+    """Sampled rows with a non-increasing pair, a flat gap, and a gap
+    whose density lies below the floor of 1e-12."""
+    swapped, flat, wide = rows[0].copy(), rows[1].copy(), rows[2].copy()
+    swapped[[3, 4]] = swapped[[4, 3]]
+    flat[5] = flat[4]
+    wide[-1] = wide[-2] + 2e12 / space.m
+    return np.vstack([rows, swapped, flat, wide])
+
+
+def cir_log_rows(space, rows):
+    """Sampled rows, and rows of a larger draw where np.log(y^2) is not
+    math.log(y^2)."""
+    many = np.sqrt(space.sample_rows(np.random.default_rng(17), 20_000))
+    x = many[:, 0] ** 2
+    differ = many[np.log(x) != np.array([math.log(v) for v in x.tolist()])]
+    assert len(differ) >= 5
+    return np.vstack([rows, differ])
+
+
+# name: (space, energy, gradient, projection, extra rows in chart coordinates)
+REFERENCE_SPACES = {
+    "cir": (make_cir(CirDescriptor(mu=1.0)), cir_energy, cir_grad, cir_project,
+            cir_log_rows),
+    "cir_bounded": (make_cir(CirDescriptor(mu=2.0, x_lo=0.3, x_hi=5.0)), cir_energy, cir_grad,
+                    cir_project, None),
+    "ou": (make_ou(1.0), quadratic_energy, quadratic_grad, identity_project, None),
+    "quadratic_quartic": (make_quadratic(QuadraticDescriptor(
+        dimension=7, kappa=0.5, perturbation=make_potential("quartic"), energy_offset=0.3)),
+        quadratic_energy, quadratic_grad, identity_project, None),
+    "allen_cahn": (make_allen_cahn(AllenCahnDescriptor(grid_size=16, length=2 * math.pi,
+                                                        kappa=1.0)),
+                   allen_cahn_energy, allen_cahn_grad, identity_project, None),
+    "allen_cahn_well": (make_allen_cahn(AllenCahnDescriptor(
+        grid_size=37, length=3.0, kappa=0.5, well=make_potential("quartic"))),
+        allen_cahn_energy, allen_cahn_grad, identity_project, None),
+    "entropy": (transport(37, internal="entropy"), wasserstein_energy, wasserstein_grad,
+                wasserstein_project, wasserstein_edge_rows),
+    "entropy_potential_interaction": (
+        transport(23, internal="entropy", potential="quadratic", interaction="quadratic"),
+        wasserstein_energy, wasserstein_grad, wasserstein_project, wasserstein_edge_rows),
+    "potential_interaction": (transport(12, potential="quartic", interaction="quadratic"),
+                              wasserstein_energy, wasserstein_grad, wasserstein_project,
+                              wasserstein_edge_rows),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SPACES))
+def test_row_hooks_bit_equal_to_one_point_code(name):
+    """chart_energy_rows, chart_energy_grad_rows and project_chart_rows
+    equal the per-point code they replaced, row by row and bit for bit,
+    on sampled rows, on the edge rows of each space and on perturbed rows
+    that leave the feasible set; the one-point forms are their one-row
+    cases."""
+    space, energy, grad, project, edge_rows = REFERENCE_SPACES[name]
+    rng = np.random.default_rng(3)
+    rows = space.to_chart_rows(space.sample_rows(rng, 60))
+    if edge_rows is not None:
+        rows = edge_rows(space, rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want_e = np.array([energy(space, row) for row in rows])
+        want_g = np.array([grad(space, row) for row in rows])
+        got_e, got_g = space.chart_energy_rows(rows), space.chart_energy_grad_rows(rows)
+    assert got_e.tobytes() == want_e.tobytes()
+    assert got_g.tobytes() == want_g.tobytes()
+    finite = np.isfinite(want_e)
+    # the three edge rows of an internal energy are the infinite ones
+    assert (~finite).sum() == (3 if getattr(space, "internal", None) is not None else 0)
+    for row, e, g in zip(rows[finite], want_e[finite], want_g[finite]):
+        assert space.chart_energy_value(row) == e
+        assert space.chart_energy_grad(row).tobytes() == g.tobytes()
+    # steps off the feasible set: past the bounds of the half-line's
+    # chart, out of order in the quantile rows
+    moved = rows + rng.normal(0.0, 3.0 / space.chart_scale, rows.shape)
+    want_p = np.array([project(space, row) for row in moved])
+    assert space.project_chart_rows(moved).tobytes() == want_p.tobytes()
+    assert space.project_chart(moved[0]).tobytes() == want_p[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +717,7 @@ def test_validate_rows_is_validate_point_row_by_row():
     transport.validate_rows(np.array([[0.0, 1.0, 1.0, 2.0]]))
     with pytest.raises(DomainError):
         transport.validate_rows(np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 1.0, 3.0]]))
-    # the default, row by row through validate_point
+    # the default: the dimension and finiteness tests alone
     field = SAMPLE_SPACES["allen_cahn"][0]
     field.validate_rows(np.zeros((2, 6)))
     for bad in (np.zeros((2, 5)), np.array([[0.0] * 5 + [np.nan]]), np.zeros(6)):
