@@ -122,6 +122,13 @@ def _positive(params: dict, key: str) -> float:
     return val
 
 
+def _positive_int(params: dict, key: str, default: int) -> int:
+    val = params.get(key, default)
+    if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+        raise ConfigError(f"config field '{key}' must be a positive integer, got {val!r}")
+    return val
+
+
 def _potential_from(spec) -> object | None:
     if spec is None:
         return None
@@ -272,7 +279,7 @@ def run_tataru(space, params, out: Path, rng):
         n = tataru_batch_csv(space, params["pairs_in"], out / "tataru_values.csv",
                              float(params.get("flow_dt", 1e-2)))
         return [("batch", True, f"{n} pairs evaluated")]
-    n = int(params.get("n_samples", 1000))
+    n = _positive_int(params, "n_samples", 1000)
     flow_dt = float(params.get("flow_dt", 5e-3))
     tol = _positive(params, "tol")
     suites = params.get("suites", ["lipschitz", "flow_lipschitz", "triangle"])
@@ -448,7 +455,7 @@ def run_quadruplication(space, params, out: Path, rng):
 
 def run_properties(space, params, out: Path, rng):
     checks = params.get("checks", ["metric", "geodesic", "kappa_convexity"])
-    n = int(params.get("n_samples", 1000))
+    n = _positive_int(params, "n_samples", 1000)
     assertions = []
     payload = {}
     for check in checks:

@@ -147,10 +147,17 @@ def flow_exact(space: Space, p: StatePoint, T: float, dt: float) -> Trajectory:
     """Closed-form trajectory sampled at multiples of dt.
 
     Raises UnsupportedFlowError when no closed form is registered for the
-    state's family; callers fall back to flow_mms.
+    state's family; callers fall back to flow_mms.  p is validated once,
+    and each time is one exact_flow_rows call on p's row, so a closed form
+    keeps its per-time math.exp bits (exact_flow_chart's np.exp over all
+    times can differ in the last bit).
     """
+    space.validate_point(p)
     times = _time_grid(T, dt)
-    coords = [space.exact_flow(p, float(t)).coords for t in times]
+    row = p.array[None, :]
+    coords = np.concatenate([space.exact_flow_rows(row, t) for t in times.tolist()])
+    if not np.isfinite(coords).all():
+        raise UsageError("StatePoint coordinates must be finite")
     return Trajectory(times, coords, space.name)
 
 

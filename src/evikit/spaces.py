@@ -172,9 +172,11 @@ class CirSpace(Space):
         return self.mu + (np.asarray(coords, dtype=float) - self.mu) * math.exp(-t)
 
     def exact_flow_chart(self, y0: np.ndarray, t) -> np.ndarray:
-        # the same mean reversion in the chart y = sqrt(x)
+        # the same mean reversion in the chart y = sqrt(x), in one buffer
         decay = np.exp(-np.asarray(t, dtype=float))[..., None]
-        return np.sqrt(self.mu + (np.square(y0) - self.mu) * decay)
+        x = (np.square(y0) - self.mu) * decay
+        x += self.mu
+        return np.sqrt(x, out=x)
 
     def sample_rows(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # math.exp per draw: np.exp can differ from it in the last bit
@@ -515,7 +517,9 @@ class Wasserstein1DSpace(Space):
                 "Gaussian quantile vector"
             )
         mean, sd, z, _ = fam
-        return mean + np.sqrt(sd**2 + 2.0 * np.asarray(t, dtype=float)[..., None]) * z
+        q = np.sqrt(sd**2 + 2.0 * np.asarray(t, dtype=float)[..., None]) * z
+        q += mean
+        return q
 
     def _heat_family(self, q: np.ndarray):
         """(mean, sd, z, member) for quantile vectors q[..., :], where

@@ -19,13 +19,21 @@ refinement rule:
 * when the space registers a closed-form flow for rho
   (``Space.exact_flow_chart``), the scan samples it on multiples of
   flow_dt up to d(pi, rho), plus d(pi, rho) itself, and every refinement
-  query evaluates the closed form;
+  query evaluates the closed form.  The pairs of a scan block share one
+  time grid, flow_dt * arange(width), so the flow is one call on that grid
+  (each closed form's exp runs once per column) plus one for the pairs'
+  own d(pi, rho) column;
 * otherwise the flow is computed by minimizing movement and the
   refinement queries the chart-linear interpolant of its samples.  Each
   pair's rho flows over [0, d(pi, rho)] on its own samples, but the pairs
   of a scan block step in lockstep (``flow.jko_rows``): rows with the same
   step go together and each drops out after its own number of steps, with
   every sample bit for bit that of the pair's own ``flow_mms``.
+
+Both scans compute phi by one routine, in one buffer of the block's chart
+differences: square, sum over the last axis (np.linalg.norm's arithmetic),
+sqrt, scale, then exp(kappa_hat t) -- left out when kappa_hat = 0, where
+it is exactly 1 -- and t.  flow_dt must be finite and positive.
 
 d_T is not symmetric, 1-Lipschitz in each argument with respect to d,
 1-Lipschitz along the flow in its first argument, and satisfies the
@@ -70,20 +78,73 @@ class TataruResult:
 # The kernel
 # ---------------------------------------------------------------------------
 
-def _closed_form_scan(space: Space, y_rho: np.ndarray, d0: np.ndarray, flow_dt: float):
+def _phi_of(dist: np.ndarray, t, kappa_hat: float) -> np.ndarray:
+    """phi = t + exp(kappa_hat t) dist, computed in dist; t broadcasts
+    against it.  When kappa_hat = 0 the factor is exactly 1 and is left
+    out."""
+    if kappa_hat != 0.0:
+        dist *= np.exp(kappa_hat * t)
+    dist += t
+    return dist
+
+
+def _scan_phi(space: Space, diff: np.ndarray, times, kappa_hat: float) -> np.ndarray:
+    """phi on a scan block, (rows, width), from diff = chart(rho(t)) -
+    chart(pi), a (rows, width, dimension) array that it overwrites; times
+    broadcasts against (rows, width).  The distance is np.linalg.norm's:
+    the squares summed by np.add.reduce (a copy when dimension = 1, so
+    skipped there), then sqrt, then the scale (left out when it is 1)."""
+    np.square(diff, out=diff)
+    dist = diff[..., 0] if diff.shape[-1] == 1 else np.add.reduce(diff, axis=-1)
+    np.sqrt(dist, out=dist)
+    if space.chart_scale != 1.0:
+        dist *= space.chart_scale
+    return _phi_of(dist, times, kappa_hat)
+
+
+def _bracket_cols(k: np.ndarray, counts: np.ndarray):
+    """The columns k - 1, k and k + 1 of each row, kept within its counts."""
+    return np.maximum(k - 1, 0), k, np.minimum(k + 1, counts - 1)
+
+
+def _closed_form_scan(space: Space, y_pi: np.ndarray, y_rho: np.ndarray,
+                      d0: np.ndarray, flow_dt: float, kappa_hat: float):
     """Scan rows on the closed-form flow.  Row i holds the times of
     flow._time_grid(d0[i], min(flow_dt, d0[i])): the multiples of flow_dt
-    up to d0 on a shared row, then d0 itself where that row misses it
-    (so a pair with d0 < flow_dt gets [0, d0])."""
+    up to d0, then d0 itself where the row misses it (so a pair with
+    d0 < flow_dt gets [0, d0]).
+
+    The rows of a block share the column times flow_dt * arange(width), so
+    the flow is one exact_flow_chart call on that grid and exp(kappa_hat t)
+    is taken once per column; a second call gives each row's own d0 column,
+    whose phi is scattered in.  phi is computed in the flow's buffer by
+    _scan_phi, the routine the sampled scan uses too.  Returns phi, the
+    counts and the bracket (times at columns k - 1, k, k + 1) of argmin k."""
     def scan(rows):
         d = d0[rows]
         short = d < flow_dt
         n = np.where(short, 0, np.floor(d / flow_dt + 1e-12)).astype(np.int64)
-        counts = n + 1 + (short | (flow_dt * n < d - 1e-12 * np.maximum(1.0, d)))
-        cols = np.arange(int(counts.max()))
-        times = np.where(cols == n[:, None] + 1, d[:, None], flow_dt * cols)
+        ends = short | (flow_dt * n < d - 1e-12 * np.maximum(1.0, d))
+        counts = n + 1 + ends
+        grid = flow_dt * np.arange(int(counts.max()))
         y_r = y_rho if len(y_rho) == 1 else y_rho[rows]
-        return times, counts, space.exact_flow_chart(y_r[:, None, :], times)
+        pi = y_pi[rows, None, :]
+
+        def phi_on(y, t, pi):
+            # one shared rho row flows once, into a (1, width, dim) array
+            flow = space.exact_flow_chart(y[:, None, :], t)
+            diff = np.subtract(flow, pi, out=flow if len(flow) == len(pi) else None)
+            return _scan_phi(space, diff, t, kappa_hat)
+
+        phi = phi_on(y_r, grid, pi)
+        e = np.flatnonzero(ends)
+        if len(e):
+            y_e = y_r if len(y_r) == 1 else y_r[e]
+            phi[e, n[e] + 1] = phi_on(y_e, d[e, None], pi[e])[:, 0]
+
+        def bracket(k):
+            return tuple(np.where(j == n + 1, d, grid[j]) for j in _bracket_cols(k, counts))
+        return phi, counts, bracket
     return scan
 
 
@@ -154,47 +215,60 @@ def _minimize(space: Space, y_pi: np.ndarray, y_rho: np.ndarray, d0: np.ndarray,
     a, b, best, t_best = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     samples = np.empty(n, dtype=np.int64)
     if closed:
-        scan = _closed_form_scan(space, y_rho, d0, flow_dt)
+        scan = _closed_form_scan(space, y_pi, y_rho, d0, flow_dt, kappa_hat)
 
         def flow_at(t):
             return space.exact_flow_chart(y_rho, t)
     else:
-        scan = _sampled_scan(space, y_rho, d0, flow_dt)
+        sampled = _sampled_scan(space, y_rho, d0, flow_dt)
         win_t, win_s = np.empty((n, 3)), np.empty((n, 3, dim))
+
+        def scan(rows):
+            times, counts, states = sampled(rows)
+            phi = _scan_phi(space, states - y_pi[rows, None, :], times, kappa_hat)
+            idx = np.arange(len(rows))
+
+            def bracket(k):
+                # the bracket [t_{k-1}, t_{k+1}] lies within three consecutive samples
+                cols = np.clip(k - 1, 0, np.maximum(counts - 3, 0))[:, None] + np.arange(3)
+                inside = cols < counts[:, None]
+                cols = np.minimum(cols, counts[:, None] - 1)
+                win_t[rows] = np.where(inside, times[idx[:, None], cols], np.inf)
+                win_s[rows] = states[idx[:, None], cols]
+                return tuple(times[idx, j] for j in _bracket_cols(k, counts))
+            return phi, counts, bracket
 
         def flow_at(t):
             return _window_interp(win_t, win_s, t)
 
     # scan, in blocks of pairs sorted by d0 whose chart arrays stay bounded
     order = np.argsort(d0, kind="stable")
-    width = (np.floor(d0[order] / flow_dt + 1e-12).astype(np.int64) + 2) * dim
+    width = ((np.floor(d0[order] / flow_dt + 1e-12).astype(np.int64) + 2) * dim).tolist()
     start = 0
     for stop in range(1, n + 1):
         if stop < n and (stop - start + 1) * width[stop] <= _BLOCK_ELEMENTS:
             continue
         rows = order[start:stop]
         start = stop
-        times, counts, states = scan(rows)
-        idx = np.arange(len(rows))
-        dist = space.chart_scale * np.linalg.norm(states - y_pi[rows, None, :], axis=-1)
-        phi = times + np.exp(kappa_hat * times) * dist
-        phi = np.where(np.arange(times.shape[1]) < counts[:, None], phi, np.inf)
+        phi, counts, bracket = scan(rows)
+        # a row's first minimum, when it lies within the row's counts, is the
+        # first minimum of those.  Past them t > d0 and phi >= t, while phi(0)
+        # is d0 up to rounding, so only a row with NaN there (or a flow that
+        # does not start at rho) finds its minimum past them; such rows are
+        # masked there and searched again
         k = np.argmin(phi, axis=1)
-        best[rows], t_best[rows] = phi[idx, k], times[idx, k]
-        a[rows] = times[idx, np.maximum(k - 1, 0)]
-        b[rows] = times[idx, np.minimum(k + 1, counts - 1)]
+        past = np.flatnonzero(k >= counts)
+        if len(past):
+            tail = phi[past]
+            tail[np.arange(tail.shape[1]) >= counts[past, None]] = np.inf
+            k[past] = np.argmin(tail, axis=1)
+        best[rows] = phi[np.arange(len(rows)), k]
+        a[rows], t_best[rows], b[rows] = bracket(k)
         samples[rows] = counts
-        if not closed:
-            # the bracket [t_{k-1}, t_{k+1}] lies within three consecutive samples
-            cols = np.clip(k - 1, 0, np.maximum(counts - 3, 0))[:, None] + np.arange(3)
-            inside = cols < counts[:, None]
-            cols = np.minimum(cols, counts[:, None] - 1)
-            win_t[rows] = np.where(inside, times[idx[:, None], cols], np.inf)
-            win_s[rows] = states[idx[:, None], cols]
 
     def phi_at(t):
         diff = y_pi - flow_at(t)
-        return t + np.exp(kappa_hat * t) * (space.chart_scale * np.sqrt(np.vecdot(diff, diff)))
+        return _phi_of(space.chart_scale * np.sqrt(np.vecdot(diff, diff)), t, kappa_hat)
 
     # golden section, every pair to its own tolerance
     tol = 1e-10 * np.maximum(1.0, d0)
@@ -240,10 +314,18 @@ def _tataru_kernel(space: Space, y_pi: np.ndarray, y_rho: np.ndarray,
     return values, t_stars, samples
 
 
+def _check_flow_dt(flow_dt: float) -> float:
+    flow_dt = float(flow_dt)
+    if not (math.isfinite(flow_dt) and flow_dt > 0.0):
+        raise UsageError(f"flow_dt must be finite and positive, got {flow_dt}")
+    return flow_dt
+
+
 def _tataru_rows(space: Space, pis, rhos, flow_dt: float):
     """The kernel on coordinate rows: d_T(pis[i], rhos[i]) for two
     (n, dimension) arrays, validated and charted here, with each rho's own
     closed-form flag."""
+    flow_dt = _check_flow_dt(flow_dt)
     pis, rhos = np.asarray(pis, dtype=float), np.asarray(rhos, dtype=float)
     space.validate_rows(pis)
     space.validate_rows(rhos)
@@ -276,6 +358,7 @@ def tataru_batch(space: Space, pis: np.ndarray, rho: StatePoint,
     pis holds the first arguments as chart rows, an (n, dimension) array
     (space.to_chart_rows of their coordinates), so a caller sweeping one
     grid computes its chart once; the result has shape (n,)."""
+    flow_dt = _check_flow_dt(flow_dt)
     pis = np.asarray(pis, dtype=float).reshape(len(pis), space.dimension)
     y_rho = rho.array[None, :]
     return _tataru_kernel(space, pis, space.to_chart_rows(y_rho),

@@ -124,6 +124,34 @@ class TestRunConfigs:
         assert run(self.write_config(tmp_path, cfg)) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("flow_dt", [0, -0.01])
+    @pytest.mark.parametrize("route", ["suites", "pairs_in"])
+    def test_flow_dt_not_positive_is_config_error(self, tmp_path, capsys, route, flow_dt):
+        if route == "pairs_in":
+            pairs = tmp_path / "pairs.csv"
+            pairs.write_text("pi_0,rho_0\n1.0,2.0\n")
+            params = {"pairs_in": str(pairs), "flow_dt": flow_dt}
+        else:
+            params = {"n_samples": 5, "flow_dt": flow_dt, "tol": 1e-4}
+        cfg = self.base_config(tmp_path, space={"space": "cir", "params": {"mu": 1.0}},
+                               kind="tataru", params=params)
+        assert run(self.write_config(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err == (
+            f"config error: flow_dt must be finite and positive, got {float(flow_dt)}\n")
+        assert not (tmp_path / "out" / "tataru_values.csv").exists()
+        assert not (tmp_path / "out" / "tataru_report.json").exists()
+
+    @pytest.mark.parametrize("n_samples", [0, -3, 2.5])
+    def test_n_samples_not_a_positive_integer_is_config_error(self, tmp_path, capsys,
+                                                               n_samples):
+        cfg = self.base_config(tmp_path, kind="tataru",
+                               params={"n_samples": n_samples, "tol": 1e-4})
+        assert run(self.write_config(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err == (
+            "config error: config field 'n_samples' must be a positive integer, "
+            f"got {n_samples!r}\n")
+        assert not (tmp_path / "out" / "tataru_report.json").exists()
+
     def shipped_config(self, tmp_path, name):
         cfg = json.loads((CONFIGS / f"{name}.json").read_text())
         cfg["output_dir"] = str(tmp_path / "out")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evikit.core import (
+    DomainError,
     ExtendedReal,
     NumericalError,
     StatePoint,
@@ -21,6 +22,7 @@ from evikit.flow import (
     ProbeRecord,
     Trajectory,
     _refine_minimum,
+    _time_grid,
     check_semigroup,
     fit_quadratic_lower_bound,
     flow_any,
@@ -97,6 +99,36 @@ class TestExactFlows:
             dimension=1, kappa=1.0, perturbation=make_potential("quartic")))
         with pytest.raises(UnsupportedFlowError):
             flow_exact(space, StatePoint.of(1.0), 1.0, 0.1)
+
+    def test_trajectory_bytes_equal_per_time_route(self, tmp_path, ou, cir, heat_space):
+        """flow_exact's trajectory.csv against the route it replaced, one
+        exact_flow StatePoint per grid time, byte for byte; grids that hit
+        T and grids that append it."""
+        cases = [
+            (ou, StatePoint.of(-2.3), 1.0, 1e-3),
+            (make_quadratic(QuadraticDescriptor(dimension=3, kappa=0.7)),
+             StatePoint.of([1.0, -2.0, 0.5]), 0.7, 3e-3),
+            (make_quadratic(QuadraticDescriptor(dimension=2, kappa=-0.4)),
+             StatePoint.of([0.3, -1.1]), 1.3, 0.07),
+            (cir, StatePoint.of(0.07), 2.0, 1e-3),
+            (cir, StatePoint.of(6.5), 0.5, 0.03),
+            (heat_space, heat_space.gaussian_state(0.4, 0.6), 0.5, 1e-2),
+        ]
+        for space, p, T, dt in cases:
+            times = _time_grid(T, dt)
+            route = Trajectory(times, [space.exact_flow(p, float(t)).coords for t in times],
+                               space.name)
+            route.to_csv(tmp_path / "route.csv")
+            flow_exact(space, p, T, dt).to_csv(tmp_path / "trajectory.csv")
+            assert ((tmp_path / "trajectory.csv").read_bytes()
+                    == (tmp_path / "route.csv").read_bytes())
+
+    def test_start_validated_and_samples_finite(self, cir):
+        with pytest.raises(DomainError):
+            flow_exact(cir, StatePoint.of(-1.0), 1.0, 0.1)
+        growing = make_quadratic(QuadraticDescriptor(dimension=1, kappa=-1.0))
+        with pytest.raises(UsageError, match="must be finite"), np.errstate(over="ignore"):
+            flow_exact(growing, StatePoint.of(1e308), 10.0, 1.0)
 
     def test_chart_flow_matches_statepoint_flow(self, ou, cir, heat_space):
         """exact_flow_chart, row by row, against the chart of exact_flow."""

@@ -15,6 +15,7 @@ from evikit.potentials import make_potential
 from evikit.spaces import (
     CirDescriptor,
     QuadraticDescriptor,
+    QuadraticSpace,
     Wasserstein1DDescriptor,
     make_cir,
     make_ou,
@@ -23,7 +24,9 @@ from evikit.spaces import (
 )
 from evikit.tataru import (
     _BLOCK_ELEMENTS,
+    _minimize,
     _sampled_scan,
+    _scan_phi,
     _tataru_kernel,
     _tataru_rows,
     tataru_batch,
@@ -154,6 +157,88 @@ def per_pair_sampled_scan(space, y_rho, d0, flow_dt):
             times[j, :c], states[j, :c] = t[:c], y[:c]
         return times, counts, states
     return scan
+
+
+def dense_closed_minimize(space, y_pi, y_rho, d0, flow_dt):
+    """The closed-form _minimize that the shared-grid scan replaced: each
+    block builds a (rows, width) array of its rows' own scan times, calls
+    exact_flow_chart on it, takes np.linalg.norm, multiplies by
+    exp(kappa_hat t) even when kappa_hat = 0, masks past the counts with
+    np.where and reads the bracket from the times array; then the same
+    golden section.  Returns (values, t_stars, sample counts)."""
+    n, dim = y_pi.shape
+    kappa_hat = min(0.0, space.kappa)
+    a, b, best, t_best = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    samples = np.empty(n, dtype=np.int64)
+
+    def scan(rows):
+        d = d0[rows]
+        short = d < flow_dt
+        n = np.where(short, 0, np.floor(d / flow_dt + 1e-12)).astype(np.int64)
+        counts = n + 1 + (short | (flow_dt * n < d - 1e-12 * np.maximum(1.0, d)))
+        cols = np.arange(int(counts.max()))
+        times = np.where(cols == n[:, None] + 1, d[:, None], flow_dt * cols)
+        y_r = y_rho if len(y_rho) == 1 else y_rho[rows]
+        return times, counts, space.exact_flow_chart(y_r[:, None, :], times)
+
+    order = np.argsort(d0, kind="stable")
+    width = (np.floor(d0[order] / flow_dt + 1e-12).astype(np.int64) + 2) * dim
+    start = 0
+    for stop in range(1, n + 1):
+        if stop < n and (stop - start + 1) * width[stop] <= _BLOCK_ELEMENTS:
+            continue
+        rows = order[start:stop]
+        start = stop
+        times, counts, states = scan(rows)
+        idx = np.arange(len(rows))
+        dist = space.chart_scale * np.linalg.norm(states - y_pi[rows, None, :], axis=-1)
+        phi = times + np.exp(kappa_hat * times) * dist
+        phi = np.where(np.arange(times.shape[1]) < counts[:, None], phi, np.inf)
+        k = np.argmin(phi, axis=1)
+        best[rows], t_best[rows] = phi[idx, k], times[idx, k]
+        a[rows] = times[idx, np.maximum(k - 1, 0)]
+        b[rows] = times[idx, np.minimum(k + 1, counts - 1)]
+        samples[rows] = counts
+
+    def phi_at(t):
+        diff = y_pi - space.exact_flow_chart(y_rho, t)
+        return t + np.exp(kappa_hat * t) * (space.chart_scale * np.sqrt(np.vecdot(diff, diff)))
+
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    tol = 1e-10 * np.maximum(1.0, d0)
+    c = b - golden * (b - a)
+    d = a + golden * (b - a)
+    fc, fd = phi_at(c), phi_at(d)
+    while True:
+        active = b - a > tol
+        if not active.any():
+            break
+        left = active & (fc < fd)
+        right = active & ~(fc < fd)
+        a, b, c, d, fc, fd = (np.where(right, c, a), np.where(left, d, b),
+                              np.where(right, d, c), np.where(left, c, d),
+                              np.where(right, fd, fc), np.where(left, fc, fd))
+        t = np.where(left, b - golden * (b - a), a + golden * (b - a))
+        ft = phi_at(t)
+        c, fc = np.where(left, t, c), np.where(left, ft, fc)
+        d, fd = np.where(right, t, d), np.where(right, ft, fd)
+    t_star = 0.5 * (a + b)
+    value = phi_at(t_star)
+    grid = best < value
+    return np.where(grid, best, value), np.where(grid, t_best, t_star), samples
+
+
+def dense_closed_kernel(space, y_pi, y_rho, flow_dt):
+    """_tataru_kernel on closed-form pairs, with dense_closed_minimize."""
+    values, t_stars = np.zeros(len(y_pi)), np.zeros(len(y_pi))
+    samples = np.zeros(len(y_pi), dtype=np.int64)
+    diff = y_pi - y_rho
+    d0 = space.chart_scale * np.sqrt(np.vecdot(diff, diff))
+    pairs = np.flatnonzero(d0 > 0.0)
+    rho = y_rho if len(y_rho) == 1 else y_rho[pairs]
+    values[pairs], t_stars[pairs], samples[pairs] = dense_closed_minimize(
+        space, y_pi[pairs], rho, d0[pairs], flow_dt)
+    return values, t_stars, samples
 
 
 def statepoint_pairs(space, pis, rhos, flow_dt):
@@ -291,6 +376,17 @@ class TestDistance:
             ts = np.linspace(0.0, 1.5 * d0, 4001)
             extended = float(np.min(ts + np.abs(pi.x - rho.x * np.exp(-ts))))
             assert extended >= res.value - 1e-6
+
+    @pytest.mark.parametrize("flow_dt", [0.0, -0.01, math.inf, math.nan])
+    def test_flow_dt_must_be_finite_and_positive(self, ou, flow_dt):
+        pi, rho = StatePoint.of(0.0), StatePoint.of(1.0)
+        message = "flow_dt must be finite and positive"
+        with pytest.raises(UsageError, match=message):
+            tataru_distance(ou, pi, rho, flow_dt)
+        with pytest.raises(UsageError, match=message):
+            tataru_batch(ou, np.array([[0.0], [0.5]]), rho, flow_dt)
+        with pytest.raises(UsageError, match=message):
+            _tataru_rows(ou, [[0.0]], [[1.0]], flow_dt)
 
     def test_asymmetry_is_expected(self, ou):
         a, b = StatePoint.of(0.0), StatePoint.of(math.e)
@@ -438,34 +534,156 @@ class TestLockstepScan:
 
 
     def test_blocks_stay_bounded(self, monkeypatch):
-        """Every scan block's sample array holds at most _BLOCK_ELEMENTS
-        chart elements, and how the pairs split into blocks does not move
-        a bit of the result."""
+        """Every scan block's arrays hold at most _BLOCK_ELEMENTS chart
+        elements, on the minimizing-movement path (the sample array) and on
+        the closed-form path (every flow exact_flow_chart returns, and the
+        buffer phi is computed in), with one rho per pair and with one
+        shared rho; how the pairs split into blocks does not move a bit of
+        the result."""
         import evikit.tataru as tataru
 
-        space = make_quadratic(QuadraticDescriptor(
+        mms = make_quadratic(QuadraticDescriptor(
             dimension=2, kappa=1.0, perturbation=make_potential("zero")))
+        closed = make_quadratic(QuadraticDescriptor(dimension=2, kappa=1.0))
         rng = np.random.default_rng(79)
-        pis = space.sample_rows(rng, 16)
+        pis = mms.sample_rows(rng, 16)
         rhos = np.array([p + rng.uniform(-0.8, 0.8, 2) for p in pis])
-        whole = _tataru_rows(space, pis, rhos, 0.05)
-        sizes = []
+        near = rhos[0] + rng.uniform(-0.8, 0.8, (16, 2))
+
+        def results():
+            return [*_tataru_rows(mms, pis, rhos, 0.05),
+                    *_tataru_rows(closed, pis, rhos, 0.05),
+                    tataru_batch(closed, near, StatePoint.of(rhos[0]), 0.05)]
+
+        whole = results()
+        sizes = {"samples": [], "flow": [], "phi buffer": []}
 
         def recording(*args):
             scan = _sampled_scan(*args)
 
             def scan_and_record(rows):
                 out = scan(rows)
-                sizes.append(out[2].size)
+                sizes["samples"].append(out[2].size)
                 return out
             return scan_and_record
 
+        def recording_phi(space, diff, times, kappa_hat):
+            sizes["phi buffer"].append(diff.size)
+            return _scan_phi(space, diff, times, kappa_hat)
+
+        def recording_flow(y0, t):
+            out = QuadraticSpace.exact_flow_chart(closed, y0, t)
+            sizes["flow"].append(out.size)
+            return out
+
         monkeypatch.setattr(tataru, "_BLOCK_ELEMENTS", 200)
         monkeypatch.setattr(tataru, "_sampled_scan", recording)
-        split = _tataru_rows(space, pis, rhos, 0.05)
-        assert len(sizes) > 2 and max(sizes) <= 200
+        monkeypatch.setattr(tataru, "_scan_phi", recording_phi)
+        monkeypatch.setattr(closed, "exact_flow_chart", recording_flow, raising=False)
+        split = results()
+        for name, seen in sizes.items():
+            assert len(seen) > 2 and max(seen) <= 200, name
         for got, want in zip(split, whole):
             assert got.tobytes() == want.tobytes()
+
+
+class TestClosedFormScan:
+    """The shared-grid closed-form scan against dense_closed_minimize: the
+    values, t_stars and sample counts must be the same bytes, with one rho
+    per pair and with one shared rho."""
+
+    FLOW_DT = 2 ** -7
+
+    @staticmethod
+    def spaces():
+        heat = make_wasserstein1d(Wasserstein1DDescriptor(
+            m=40, internal=make_potential("entropy")))
+        z = ndtri(heat.levels)
+        return [
+            ("ou", make_ou(1.0), None),
+            ("cir", make_cir(CirDescriptor(mu=1.0)), None),
+            ("quadratic 3-d", make_quadratic(QuadraticDescriptor(dimension=3, kappa=0.7)),
+             None),
+            ("quadratic 1-d, kappa < 0",
+             make_quadratic(QuadraticDescriptor(dimension=1, kappa=-0.5)), None),
+            ("quadratic 2-d, kappa < 0",
+             make_quadratic(QuadraticDescriptor(dimension=2, kappa=-0.3)), None),
+            # Gaussian quantile vectors: the family with a closed-form flow
+            ("heat", heat, lambda rng, k: (rng.normal(0.0, 0.5, (k, 1))
+                                           + np.exp(rng.uniform(-0.5, 0.7, (k, 1))) * z)),
+        ]
+
+    def chart_pairs(self, space, draw, rng, count):
+        """count drawn pairs as chart rows, then edge pairs: d0 = 0, d0 <
+        flow_dt and, where the chart arithmetic is exact, d0 = 40 flow_dt."""
+        draw = draw or space.sample_rows
+        y_pi = space.to_chart_rows(draw(rng, count))
+        y_rho = space.to_chart_rows(draw(rng, count))
+        y_rho[:3] = y_pi[:3]
+        y_rho[3:6] = y_pi[3:6] + 0.3 * self.FLOW_DT / space.chart_scale / space.dimension
+        if space.chart_scale in (1.0, 2.0):
+            # dyadic chart points 40 flow_dt apart along the first axis
+            y_pi[6:9] = rng.integers(32, 96, (3, space.dimension)) / 64
+            y_rho[6:9] = y_pi[6:9]
+            y_rho[6:9, 0] += 40 * self.FLOW_DT / space.chart_scale
+        return y_pi, y_rho
+
+    def assert_same_bytes(self, got, want):
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_pairs_bit_equal_to_dense_scan(self, index):
+        name, space, draw = self.spaces()[index]
+        rng = np.random.default_rng(83 + index)
+        y_pi, y_rho = self.chart_pairs(space, draw, rng, 300)
+        exact = np.ones(len(y_pi), dtype=bool)
+        got = _tataru_kernel(space, y_pi, y_rho, exact, self.FLOW_DT)
+        self.assert_same_bytes(got, dense_closed_kernel(space, y_pi, y_rho, self.FLOW_DT))
+        if space.chart_scale in (1.0, 2.0):
+            assert (got[2][6:9] == 41).all(), name
+        # one shared rho, as tataru_batch flows it
+        rho = space.from_chart(y_rho[10])
+        batch = tataru_batch(space, y_pi, rho, self.FLOW_DT)
+        want = dense_closed_kernel(space, y_pi, y_rho[10:11], self.FLOW_DT)[0]
+        assert batch.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_edge_lengths_bit_equal_to_dense_scan(self, index):
+        """d0 handed to _minimize directly: below flow_dt, flow_dt itself,
+        exact multiples of it, within 1e-12 of one, and a spread of lengths
+        in one block."""
+        _, space, draw = self.spaces()[index]
+        rng = np.random.default_rng(89 + index)
+        y_pi, y_rho = self.chart_pairs(space, draw, rng, 24)
+        dt = self.FLOW_DT
+        d0 = np.concatenate([[0.3 * dt, 0.999 * dt, dt, 2 * dt, 40 * dt, 40 * dt * (1 + 1e-13),
+                              40 * dt * (1 - 1e-13), 41.5 * dt],
+                             rng.uniform(0.01, 1.5, 16)])
+        for rho in (y_rho, y_rho[:1]):
+            self.assert_same_bytes(_minimize(space, y_pi, rho, d0, dt, True),
+                                   dense_closed_minimize(space, y_pi, rho, d0, dt))
+
+    def test_cells_past_the_counts_are_ignored(self):
+        """A closed form that is NaN past each pair's d0: the cells past a
+        row's counts, which argmin would pick, are masked as the dense scan
+        masked them."""
+        class StoppedOu(QuadraticSpace):
+            # NaN once t passes |y0|, which is d0 for a pair with pi = 0
+            def exact_flow_chart(self, y0, t):
+                out = super().exact_flow_chart(y0, t)
+                late = np.asarray(t) > np.abs(np.asarray(y0)[..., 0])
+                out[np.broadcast_to(late, out.shape[:-1])] = np.nan
+                return out
+
+        space = StoppedOu(QuadraticDescriptor(dimension=1, kappa=1.0))
+        rng = np.random.default_rng(97)
+        d0 = rng.uniform(0.05, 1.0, 40)
+        y_pi, y_rho = np.zeros((40, 1)), d0[:, None]
+        got = _minimize(space, y_pi, y_rho, d0, self.FLOW_DT, True)
+        self.assert_same_bytes(got, dense_closed_minimize(space, y_pi, y_rho, d0,
+                                                          self.FLOW_DT))
+        assert np.isfinite(got[0]).all()
 
 
 class TestPairKernelProperties:
