@@ -106,6 +106,9 @@ class ConfigError(ValueError):
     pass
 
 
+_REQUIRED = object()   # the default of a field that has none
+
+
 def _require(params: dict, key: str, kind=None):
     if key not in params:
         raise ConfigError(f"missing config field '{key}'")
@@ -115,18 +118,39 @@ def _require(params: dict, key: str, kind=None):
     return val
 
 
-def _positive(params: dict, key: str) -> float:
-    val = float(_require(params, key))
-    if val <= 0:
-        raise ConfigError(f"config field '{key}' must be positive, got {val}")
-    return val
+def _field(params: dict, key: str, default=_REQUIRED, kind=float, positive: bool = False):
+    """params[key] as a `kind` (float, int or bool, or [float] / [int] for a
+    list of them), or default when the key is absent.  A float takes any
+    JSON number, an int an integral one; any other value, or with positive
+    a number not above 0, is a ConfigError naming the field."""
+    if key not in params:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing config field '{key}'")
+        return default
+    val = params[key]
+    if isinstance(kind, list):
+        if not isinstance(val, list):
+            raise ConfigError(f"config field '{key}' must be a list, got {val!r}")
+        return [_field({key: v}, key, kind=kind[0], positive=positive) for v in val]
+    if kind is bool:
+        ok = isinstance(val, bool)
+    else:
+        ok = (isinstance(val, (int, float)) and not isinstance(val, bool)
+              and (kind is float or isinstance(val, int) or val.is_integer())
+              and (not positive or val > 0))
+    if not ok:
+        what = {bool: "true or false", int: "an integer", float: "a number"}[kind]
+        if positive:
+            what = "a positive " + what.split()[-1]
+        raise ConfigError(f"config field '{key}' must be {what}, got {val!r}")
+    return kind(val)
 
 
-def _positive_int(params: dict, key: str, default: int) -> int:
-    val = params.get(key, default)
-    if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-        raise ConfigError(f"config field '{key}' must be a positive integer, got {val!r}")
-    return val
+def _builtin(spec: dict, make):
+    """make(name, **params) for a named built-in {"name": ..., "params": {...}},
+    its parameters read as numbers."""
+    params = spec.get("params", {})
+    return make(_require(spec, "name"), **{k: _field(params, k) for k in params})
 
 
 def _potential_from(spec) -> object | None:
@@ -134,7 +158,7 @@ def _potential_from(spec) -> object | None:
         return None
     if isinstance(spec, str):
         return make_potential(spec)
-    return make_potential(_require(spec, "name"), **spec.get("params", {}))
+    return _builtin(spec, make_potential)
 
 
 def build_space(desc: dict) -> Space:
@@ -143,46 +167,50 @@ def build_space(desc: dict) -> Space:
     try:
         if name == "cir":
             return make_cir(CirDescriptor(
-                mu=_positive(params, "mu"),
-                x_lo=float(params.get("x_lo", 1e-4)),
-                x_hi=params.get("x_hi"),
+                mu=_field(params, "mu", positive=True),
+                x_lo=_field(params, "x_lo", 1e-4),
+                x_hi=_field(params, "x_hi", None),
             ))
         if name == "ou":
-            return make_ou(float(params.get("kappa", 1.0)))
+            return make_ou(_field(params, "kappa", 1.0))
         if name == "quadratic":
             return make_quadratic(QuadraticDescriptor(
-                dimension=int(params.get("dimension", 1)),
-                kappa=float(params.get("kappa", 1.0)),
+                dimension=_field(params, "dimension", 1, int),
+                kappa=_field(params, "kappa", 1.0),
                 perturbation=_potential_from(params.get("perturbation")),
             ))
         if name == "allen_cahn":
             return make_allen_cahn(AllenCahnDescriptor(
-                grid_size=int(_require(params, "grid_size")),
-                length=_positive(params, "length"),
-                kappa=float(params.get("kappa", 0.0)),
+                grid_size=_field(params, "grid_size", kind=int),
+                length=_field(params, "length", positive=True),
+                kappa=_field(params, "kappa", 0.0),
                 well=_potential_from(params.get("well")),
             ))
         if name == "wasserstein1d":
             return make_wasserstein1d(Wasserstein1DDescriptor(
-                m=int(_require(params, "m")),
+                m=_field(params, "m", kind=int),
                 internal=_potential_from(params.get("internal")),
                 potential=_potential_from(params.get("potential")),
                 interaction=_potential_from(params.get("interaction")),
-                kappa_v=float(params.get("kappa_v", 0.0)),
-                kappa_w=float(params.get("kappa_w", 0.0)),
+                kappa_v=_field(params, "kappa_v", 0.0),
+                kappa_w=_field(params, "kappa_w", 0.0),
             ))
     except ConstructionError as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown space '{name}'; available: {builtin_spaces()}")
 
 
-def _state(space: Space, spec) -> StatePoint:
+def _state(space: Space, params: dict, key: str, default=_REQUIRED) -> StatePoint:
+    """The state point of a coordinate field: a number, a list of numbers,
+    or {"gaussian": {"mean": m, "sd": s}} on a space with a Gaussian family."""
+    spec = _require(params, key) if default is _REQUIRED else params.get(key, default)
     if isinstance(spec, dict) and spec.get("gaussian") is not None:
         if not hasattr(space, "gaussian_state"):
             raise ConfigError(f"space '{space.name}' has no gaussian state family")
         g = spec["gaussian"]
-        return space.gaussian_state(float(g.get("mean", 0.0)), float(g.get("sd", 1.0)))
-    return StatePoint.of(spec)
+        return space.gaussian_state(_field(g, "mean", 0.0), _field(g, "sd", 1.0))
+    coords = spec if isinstance(spec, list) else [spec]
+    return StatePoint.of(_field({key: coords}, key, kind=[float]))
 
 
 def _json_default(obj):
@@ -208,39 +236,44 @@ def _write_json(path: Path, payload) -> None:
 # ---------------------------------------------------------------------------
 
 def run_flow(space, params, out: Path, rng):
-    dt = _positive(params, "dt")
-    T = _positive(params, "T")
+    dt = _field(params, "dt", positive=True)
+    T = _field(params, "T", positive=True)
     if dt > T:
         raise ConfigError("config field 'dt' must not exceed 'T'")
-    x0 = _state(space, _require(params, "x0"))
+    x0 = _state(space, params, "x0")
     mode = params.get("mode", "auto")
+    energy_tol = _field(params, "energy_tol", None)
+    contraction = params.get("contraction")
+    if contraction is not None:
+        q0 = _state(space, contraction, "q0")
+        contraction_tol = _field(contraction, "tol", 1e-6)
+    convergence = params.get("mms_convergence")
+    if convergence is not None:
+        dts = _field(convergence, "dts", kind=[float])
+        ratio_range = _field(convergence, "ratio_range", [1.7, 2.3], [float])
+        if len(ratio_range) != 2:
+            raise ConfigError(f"config field 'ratio_range' must be [lo, hi], got {ratio_range}")
+        lo_r, hi_r = ratio_range
     mms_config = None
     if mode == "exact":
         traj = flow_exact(space, x0, T, dt)
     elif mode == "mms":
         mms_config = FlowConfig(
             dt=dt, horizon=T,
-            jko_inner_tol=float(params.get("jko_inner_tol", 1e-9)),
-            jko_max_iter=int(params.get("jko_max_iter", 500)))
+            jko_inner_tol=_field(params, "jko_inner_tol", 1e-9),
+            jko_max_iter=_field(params, "jko_max_iter", 500, int))
         traj = flow_mms(space, x0, mms_config)
     else:
         traj = flow_any(space, x0, T, dt)
     traj.to_csv(out / "trajectory.csv")
     assertions = []
-    if "energy_tol" in params:
+    if energy_tol is not None:
         resid = verify_energy_identity(space, traj)
-        assertions.append(("energy_identity", resid <= float(params["energy_tol"]),
-                           f"residual {resid:.3e}"))
-    if "contraction" in params:
-        sub = params["contraction"]
-        q0 = _state(space, _require(sub, "q0"))
+        assertions.append(("energy_identity", resid <= energy_tol, f"residual {resid:.3e}"))
+    if contraction is not None:
         viol = verify_contraction(space, x0, q0, T, dt)
-        assertions.append(("contraction", viol <= float(sub.get("tol", 1e-6)),
-                           f"violation {viol:.3e}"))
-    if "mms_convergence" in params:
-        sub = params["mms_convergence"]
-        dts = [float(v) for v in _require(sub, "dts", list)]
-        lo_r, hi_r = sub.get("ratio_range", [1.7, 2.3])
+        assertions.append(("contraction", viol <= contraction_tol, f"violation {viol:.3e}"))
+    if convergence is not None:
         errs = []
         for dt_k in dts:
             cfg_k = FlowConfig(dt=dt_k, horizon=T)
@@ -256,11 +289,11 @@ def run_flow(space, params, out: Path, rng):
 
 
 def run_evi(space, params, out: Path, rng):
-    dt = _positive(params, "dt")
-    T = _positive(params, "T")
-    tol = _positive(params, "tol")
-    x0 = _state(space, _require(params, "x0"))
-    probes = [_state(space, p) for p in _require(params, "probes", list)]
+    dt = _field(params, "dt", positive=True)
+    T = _field(params, "T", positive=True)
+    tol = _field(params, "tol", positive=True)
+    x0 = _state(space, params, "x0")
+    probes = [_state(space, {"probes": p}, "probes") for p in _require(params, "probes", list)]
     traj = flow_any(space, x0, T, dt)
     report = verify_evi(space, traj, probes)
     report.write_json(out / "evi_report.json")
@@ -277,12 +310,15 @@ _TATARU_SUITES = {"lipschitz": (4, verify_tataru_lipschitz),
 def run_tataru(space, params, out: Path, rng):
     if "pairs_in" in params:
         n = tataru_batch_csv(space, params["pairs_in"], out / "tataru_values.csv",
-                             float(params.get("flow_dt", 1e-2)))
+                             _field(params, "flow_dt", 1e-2))
         return [("batch", True, f"{n} pairs evaluated")]
-    n = _positive_int(params, "n_samples", 1000)
-    flow_dt = float(params.get("flow_dt", 5e-3))
-    tol = _positive(params, "tol")
+    n = _field(params, "n_samples", 1000, int, positive=True)
+    flow_dt = _field(params, "flow_dt", 5e-3)
+    tol = _field(params, "tol", positive=True)
     suites = params.get("suites", ["lipschitz", "flow_lipschitz", "triangle"])
+    oracle = params.get("oracle")
+    if oracle is not None:
+        pi, rho = _state(space, oracle, "pi"), _state(space, oracle, "rho")
 
     def cell(suite):
         local = np.random.default_rng(rng.integers(2**63))
@@ -296,10 +332,8 @@ def run_tataru(space, params, out: Path, rng):
     # serial, in listed order, so each suite's seed is the same draw from rng
     results = dict(cell(suite) for suite in suites)
     payload = {k: results[k] for k in sorted(results)}
-    if "oracle" in params:
-        o = params["oracle"]
-        res = tataru_distance(space, _state(space, o["pi"]), _state(space, o["rho"]),
-                              flow_dt)
+    if oracle is not None:
+        res = tataru_distance(space, pi, rho, flow_dt)
         payload["oracle"] = {"value": res.value, "t_star": res.t_star}
     _write_json(out / "tataru_report.json", payload)
     return [(k, v <= tol, f"violation {v:.3e} <= {tol}") for k, v in sorted(results.items())]
@@ -311,22 +345,28 @@ def _solve_for(space, params, lam, h_fn, n_grid, tol):
     if space.name == "cir":
         return solve_resolvent_cir(space.desc, lam, h_fn, n_grid, tol)
     if space.name == "quadratic" and space.dimension == 1:
-        lo = float(params.get("x_lo", -4.0))
-        hi = float(params.get("x_hi", 4.0))
+        lo = _field(params, "x_lo", -4.0)
+        hi = _field(params, "x_hi", 4.0)
         return solve_resolvent_quadratic(space, lam, h_fn, lo, hi, n_grid, tol)
     raise ConfigError(f"resolvent solving is not supported on space '{space.name}'")
 
 
 def run_resolvent(space, params, out: Path, rng):
-    lam = _positive(params, "lambda")
-    tol = float(params.get("tol", 1e-6))
-    n_grid = int(params.get("n_grid", 800))
-    h_spec = _require(params, "h")
-    h_fn = make_data_function(_require(h_spec, "name"), **h_spec.get("params", {}))
-    indices = [int(idx) for idx in params.get("rollout", {}).get("nodes", [])]
+    lam = _field(params, "lambda", positive=True)
+    tol = _field(params, "tol", 1e-6)
+    n_grid = _field(params, "n_grid", 800, int)
+    h_fn = _builtin(_require(params, "h"), make_data_function)
+    ro = params.get("rollout")
+    indices = _field(ro or {}, "nodes", [], [int])
     for idx in indices:
         if not 0 <= idx < n_grid:
             raise ConfigError(f"rollout node {idx} is not a node of the {n_grid}-node grid")
+    if ro is not None:
+        cg = ro.get("control", {})
+        us = np.linspace(_field(cg, "lo", -3.0), _field(cg, "hi", 3.0),
+                         _field(cg, "n", 21, int, positive=True))
+        dt = _field(ro, "dt", 5e-3)
+        T = _field(ro, "T", lam * math.log(1e4))
     sol = _solve_for(space, params, lam, h_fn, n_grid, tol)
     sol.write_csv(out / "resolvent.csv")
     sol.write_json(out / "resolvent.json")
@@ -335,13 +375,7 @@ def run_resolvent(space, params, out: Path, rng):
                    float(np.max(np.abs(sol.f.values)))
                    <= float(np.max(np.abs(h_fn(sol.f.coords())))) + 1e-9,
                    "||f|| <= ||h||")]
-    if "rollout" in params:
-        ro = params["rollout"]
-        cg = ro.get("control", {})
-        us = np.linspace(float(cg.get("lo", -3.0)), float(cg.get("hi", 3.0)),
-                         int(cg.get("n", 21)))
-        dt = float(ro.get("dt", 5e-3))
-        T = float(ro.get("T", lam * math.log(1e4)))
+    if ro is not None:
         xs = sol.f.coords()
         dx = xs[1] - xs[0]
         vals = value_by_rollout(space, lam, h_fn, sol.f.nodes[indices], us, dt, T,
@@ -360,18 +394,18 @@ def run_resolvent(space, params, out: Path, rng):
 
 
 def run_viscosity(space, params, out: Path, rng):
-    lam = _positive(params, "lambda")
-    n_grid = int(params.get("n_grid", 800))
-    h_spec = _require(params, "h")
-    h_fn = make_data_function(_require(h_spec, "name"), **h_spec.get("params", {}))
-    sol = _solve_for(space, params, lam, h_fn, n_grid, float(params.get("tol", 1e-6)))
+    lam = _field(params, "lambda", positive=True)
+    n_grid = _field(params, "n_grid", 800, int)
+    h_fn = _builtin(_require(params, "h"), make_data_function)
+    tol_factor = _field(params, "tol_factor", 10.0)
+    sweep = params.get("sweep", {})
+    a_values = _field(sweep, "a_values", [0.5, 1.0, 2.0, 4.0], [float])
+    b_values = _field(sweep, "b_values", [1e-3, 1e-2, 1e-1], [float])
+    n_anchors = _field(sweep, "n_anchors", 5, int)
+    sol = _solve_for(space, params, lam, h_fn, n_grid, _field(params, "tol", 1e-6))
     xs = sol.f.coords()
     dx = xs[1] - xs[0]
-    tol = float(params.get("tol_factor", 10.0)) * dx
-    sweep = params.get("sweep", {})
-    a_values = sweep.get("a_values", [0.5, 1.0, 2.0, 4.0])
-    b_values = sweep.get("b_values", [1e-3, 1e-2, 1e-1])
-    n_anchors = int(sweep.get("n_anchors", 5))
+    tol = tol_factor * dx
     idx = np.linspace(0.05 * n_grid, 0.95 * n_grid, n_anchors).astype(int)
     h_grid = GridFunction(sol.f.nodes, h_fn(xs))
     anchors = [sol.f.point(i) for i in idx]
@@ -390,16 +424,16 @@ def run_viscosity(space, params, out: Path, rng):
 
 
 def run_comparison(space, params, out: Path, rng):
-    lam = _positive(params, "lambda")
-    n_grid = int(params.get("n_grid", 800))
-    deltas = [float(d) for d in _require(params, "deltas", list)]
-    h_spec = _require(params, "h")
-    h_fn = make_data_function(_require(h_spec, "name"), **h_spec.get("params", {}))
-    tol_sol = float(params.get("tol", 1e-6))
+    lam = _field(params, "lambda", positive=True)
+    n_grid = _field(params, "n_grid", 800, int)
+    deltas = _field(params, "deltas", kind=[float])
+    h_fn = _builtin(_require(params, "h"), make_data_function)
+    tol_sol = _field(params, "tol", 1e-6)
+    tol_factor = _field(params, "tol_factor", 10.0)
     base = _solve_for(space, params, lam, h_fn, n_grid, tol_sol)
     xs = base.f.coords()
     dx = xs[1] - xs[0]
-    tol = float(params.get("tol_factor", 10.0)) * dx
+    tol = tol_factor * dx
     h_grid = GridFunction(base.f.nodes, h_fn(xs))
 
     def cell(delta):
@@ -423,24 +457,23 @@ def run_comparison(space, params, out: Path, rng):
 
 
 def run_quadruplication(space, params, out: Path, rng):
-    lam = _positive(params, "lambda")
+    lam = _field(params, "lambda", positive=True)
     grid = params.get("grid", {})
-    lo, hi = float(grid.get("lo", -2.0)), float(grid.get("hi", 2.0))
-    n = int(grid.get("n", 41))
-    alphas = [float(a) for a in params.get("alphas", [10.0, 100.0, 1000.0])]
-    h_spec = _require(params, "h")
-    h_fn = make_data_function(_require(h_spec, "name"), **h_spec.get("params", {}))
-    v_scale = float(params.get("v_scale", 0.9))
+    lo, hi = _field(grid, "lo", -2.0), _field(grid, "hi", 2.0)
+    n = _field(grid, "n", 41, int)
+    alphas = _field(params, "alphas", [10.0, 100.0, 1000.0], [float])
+    h_fn = _builtin(_require(params, "h"), make_data_function)
+    v_scale = _field(params, "v_scale", 0.9)
+    nu0 = _state(space, params, "nu0", [0.0])
+    ratio_max = _field(params, "ratio_max", 0.1)
+    shrink_min = _field(params, "shrink_min", 1.5)
     sol_u = _solve_for(space, params, lam, h_fn, n, 1e-8)
     sol_v = _solve_for(space, params, lam, lambda x: v_scale * h_fn(x), n, 1e-8)
-    nu0 = _state(space, params.get("nu0", [0.0]))
     result = quadruplicate(space, sol_u.f, sol_v.f, alphas, nu0)
     result.write_json(out / "quadruplication_report.json")
     trend = result.trend()
     mono = all(trend[i + 1] <= trend[i] + 1e-15 for i in range(len(trend) - 1))
     ratio = trend[-1] / trend[0] if trend[0] > 0 else 0.0
-    ratio_max = float(params.get("ratio_max", 0.1))
-    shrink_min = float(params.get("shrink_min", 1.5))
     shrinks = []
     for i in range(len(result.entries) - 1):
         r0 = abs(result.entries[i][1].key1_residual) + abs(result.entries[i][1].key2_residual)
@@ -453,67 +486,59 @@ def run_quadruplication(space, params, out: Path, rng):
             ("gap_bound", True, f"C = {result.gap_constant:.4f}")]
 
 
+# properties check -> assertion name of each check that reports a worst violation
+_PROPERTY_LABELS = {"metric": "metric_axioms", "geodesic": "geodesic_property",
+                    "kappa_convexity": "kappa_convexity", "noise_identity": "noise_identity",
+                    "jensen": "jensen", "sandwich": "hamiltonian_sandwich"}
+
+
 def run_properties(space, params, out: Path, rng):
     checks = params.get("checks", ["metric", "geodesic", "kappa_convexity"])
-    n = _positive_int(params, "n_samples", 1000)
+    n = _field(params, "n_samples", 1000, int, positive=True)
+    n_geodesics = _field(params, "n_geodesics", 100, int, positive=True)
     assertions = []
     payload = {}
+
+    def draw(k, count):
+        # count samples of k points each, drawn point after point
+        return space.sample_rows(rng, count * k).reshape(count, k, space.dimension)
+
     for check in checks:
-        if check == "metric":
-            rep = check_metric_axioms(space, n, rng)
-            payload["metric"] = rep.max_violation
-            assertions.append(("metric_axioms", rep.max_violation <= space.tol_metric,
-                               f"violation {rep.max_violation:.3e}"))
-        elif check == "geodesic":
-            worst = -math.inf
-            for _ in range(int(params.get("n_geodesics", 20))):
-                p, q = space.sample_point(rng), space.sample_point(rng)
-                worst = max(worst, check_geodesic_property(space, p, q))
-            payload["geodesic"] = worst
-            assertions.append(("geodesic_property", worst <= space.tol_geo,
-                               f"violation {worst:.3e}"))
-        elif check == "kappa_convexity":
-            rep = check_kappa_convexity(space, int(params.get("n_geodesics", 100)),
-                                        rng=rng)
-            tol = float(params.get("convexity_tol", 1e-8))
-            payload["kappa_convexity"] = rep.max_violation
-            assertions.append(("kappa_convexity", rep.max_violation <= tol,
-                               f"violation {rep.max_violation:.3e}"))
-        elif check == "noise_identity":
-            pairs = [(space.sample_point(rng), space.sample_point(rng))
-                     for _ in range(int(params.get("n_pairs", 20)))]
-            rep = check_noise_identity(space, pairs, rng)
-            payload["noise_identity"] = rep.max_violation
-            assertions.append(("noise_identity", rep.max_violation <= 1e-4,
-                               f"violation {rep.max_violation:.3e}"))
-        elif check == "mccann":
+        if check == "mccann":
             pot = _potential_from(_require(params, "mccann_potential"))
+            expected = _field(params, "mccann_expect_pass", True, bool)
             rep = mccann_check(pot)
             payload["mccann"] = rep.to_json()
-            expected = bool(params.get("mccann_expect_pass", True))
             assertions.append(("mccann", rep.passed == expected,
                                "; ".join(rep.violations) or "all predicates hold"))
-        elif check == "jensen":
-            quads = [tuple(space.sample_point(rng) for _ in range(4))
-                     for _ in range(n)]
-            worst = jensen_distance_check(space, quads)
-            payload["jensen"] = worst
-            assertions.append(("jensen", worst <= float(params.get("jensen_tol", 1e-9)),
-                               f"violation {worst:.3e}"))
-        elif check == "sandwich":
-            anchors = [space.sample_point(rng) for _ in range(5)]
-            samples = [space.sample_point(rng) for _ in range(20)]
-            tf_params = [(a, anchor) for a in (0.5, 1.0, 2.0) for anchor in anchors]
-            worst = hamiltonian_sandwich_check(space, tf_params, samples)
-            payload["sandwich"] = worst
-            assertions.append(("hamiltonian_sandwich", worst <= 1e-4,
-                               f"violation {worst:.3e}"))
-        elif check == "ekeland":
+            continue
+        if check == "ekeland":
             ok, detail = _ekeland_exactness_cell(space, params)
             payload["ekeland"] = detail
             assertions.append(("ekeland_exactness", ok, detail))
+            continue
+        if check == "metric":
+            worst, tol = check_metric_axioms(space, draw(3, n)), space.tol_metric
+        elif check == "geodesic":
+            worst, tol = check_geodesic_property(space, draw(2, n_geodesics)), space.tol_geo
+        elif check == "kappa_convexity":
+            worst = check_kappa_convexity(space, n_geodesics, rng=rng)
+            tol = _field(params, "convexity_tol", 1e-8)
+        elif check == "noise_identity":
+            n_pairs = _field(params, "n_pairs", 20, int, positive=True)
+            pairs = [(space.sample_point(rng), space.sample_point(rng)) for _ in range(n_pairs)]
+            worst, tol = check_noise_identity(space, pairs, rng), 1e-4
+        elif check == "jensen":
+            worst = jensen_distance_check(space, draw(4, n))
+            tol = _field(params, "jensen_tol", 1e-9)
+        elif check == "sandwich":
+            anchors, samples = space.sample_rows(rng, 5), space.sample_rows(rng, 20)
+            worst = hamiltonian_sandwich_check(space, (0.5, 1.0, 2.0), anchors, samples)
+            tol = 1e-4
         else:
             raise ConfigError(f"unknown properties check '{check}'")
+        payload[check] = worst
+        assertions.append((_PROPERTY_LABELS[check], worst <= tol, f"violation {worst:.3e}"))
     _write_json(out / "properties_report.json", payload)
     return assertions
 
@@ -521,7 +546,7 @@ def run_properties(space, params, out: Path, rng):
 def _ekeland_exactness_cell(space, params):
     """Exhaustive Ekeland run: a line problem on the space's chart plus a
     Tataru-penalized product-grid problem, both verified exhaustively."""
-    n_line = int(params.get("ekeland_points", 2001))
+    n_line = _field(params, "ekeland_points", 2001, int, positive=True)
     xs = np.linspace(-5.0, 5.0, n_line)
     g = np.sin(3.0 * xs) - 0.1 * xs**2
     line = EkelandProblem(list(range(n_line)), g,
@@ -572,7 +597,7 @@ def run(config_path: str) -> int:
         space = build_space(_require(config, "space", dict))
         out = Path(config.get("output_dir", "out"))
         out.mkdir(parents=True, exist_ok=True)
-        seed = int(config.get("seed", 0))
+        seed = _field(config, "seed", 0, int)
         rng = np.random.default_rng(seed)
         params = config.get("params", {})
     except (ConfigError, UsageError, ConstructionError, OSError,

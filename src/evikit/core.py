@@ -20,14 +20,16 @@ has a closed form on each space; a definitional verifier based on
 shrinking geodesic spheres is provided for cross-checks.
 
 Spaces implement the chart, projection, energy, gradient and sampling
-operations once, on rows; ``Space`` derives the one-point forms.
+operations once, on rows; ``Space`` derives the one-point forms.  The
+sampled property checks take one (n, k, dimension) coordinate array of n
+samples of k points, as ``Space.sample_rows`` draws it.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -265,12 +267,7 @@ class Space(ABC):
             raise UsageError(f"geodesic parameter must lie in [0, 1], got {t}")
         self.validate_point(p)
         self.validate_point(q)
-        if p == q or t == 0.0:
-            return p  # degenerate geodesic: the constant curve
-        if t == 1.0:
-            return q
-        yp, yq = self.to_chart(p), self.to_chart(q)
-        return self.from_chart((1.0 - t) * yp + t * yq)
+        return StatePoint.of(_geodesic_rows(self, p.array[None], q.array[None], [t])[0, 0])
 
     # -- energy ------------------------------------------------------------
 
@@ -361,8 +358,53 @@ class Space(ABC):
     def _chart_feasible(self, y: np.ndarray) -> bool:
         return True
 
-    def descriptor(self) -> dict:
-        return {"space": self.name, "params": {}}
+
+# ---------------------------------------------------------------------------
+# Row helpers
+# ---------------------------------------------------------------------------
+
+def _chart_distances(space: Space, chart: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """space.distance from each chart row to the chart point(s) y, with
+    its bits: the row-wise vecdot is np.dot's sum."""
+    diff = chart - y
+    return space.chart_scale * np.sqrt(np.vecdot(diff, diff))
+
+
+def _squares(d: np.ndarray) -> np.ndarray:
+    """d ** 2 by Python floats: float ** 2 is the C library's pow, which
+    can differ from d * d (numpy's square) in the last bit."""
+    return np.array([v ** 2 for v in d.tolist()])
+
+
+def _suite_samples(space: Space, samples, k: int) -> list[np.ndarray]:
+    """The k validated (n, dimension) coordinate arrays of an (n, k,
+    dimension) sample array: the j-th point of every sample."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 3 or samples.shape[1] != k:
+        raise UsageError(f"expected an (n, {k}, dimension) sample array, got shape "
+                         f"{samples.shape}")
+    space.validate_rows(samples.reshape(-1, samples.shape[2]))
+    return list(samples.transpose(1, 0, 2))
+
+
+def _geodesic_rows(space: Space, p: np.ndarray, q: np.ndarray, ts) -> np.ndarray:
+    """Coordinates (n, len(ts), dimension) of the geodesic from p[i] to
+    q[i] at each t for coordinate rows p, q (n, dimension): p itself where
+    t = 0 or p == q (the constant curve), q where t = 1, else the chart
+    interpolation mapped back."""
+    n, dim = p.shape
+    ts = np.asarray(ts, dtype=float)[None, :, None]
+    yp, yq = space.to_chart_rows(p)[:, None], space.to_chart_rows(q)[:, None]
+    pts = space.from_chart_rows(((1.0 - ts) * yp + ts * yq).reshape(-1, dim))
+    pts = np.where(ts == 1.0, q[:, None], pts.reshape(n, ts.shape[1], dim))
+    return np.where((ts == 0.0) | np.all(p == q, axis=1)[:, None, None], p[:, None], pts)
+
+
+def _energy_rows(space: Space, coords: np.ndarray) -> np.ndarray:
+    """space.energy of every row of a (..., dimension) coordinate array,
+    as floats with +inf outside the domain."""
+    flat = coords.reshape(-1, coords.shape[-1])
+    return space.chart_energy_rows(space.to_chart_rows(flat)).reshape(coords.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -398,78 +440,61 @@ def slope_by_definition(space: Space, fn: Callable[[StatePoint], float],
     return float(coeffs[1])
 
 
-@dataclass
-class PropertyReport:
-    """Worst violation of a sampled property, with the sample count."""
-
-    name: str
-    max_violation: float
-    samples: int
-    details: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_violation <= self.details.get("tol", math.inf)
+def check_metric_axioms(space: Space, samples) -> float:
+    """Worst violation of symmetry, d(p, p) = 0, the triangle inequality
+    and d >= 0 over triples (p, q, r); samples is an (n, 3, dimension)
+    coordinate array.  0.0 when nothing is violated."""
+    yp, yq, yr = (space.to_chart_rows(x) for x in _suite_samples(space, samples, 3))
+    dpq = _chart_distances(space, yp, yq)
+    return float(np.max([np.abs(dpq - _chart_distances(space, yq, yp)),
+                         np.abs(_chart_distances(space, yp, yp)),
+                         _chart_distances(space, yp, yr) - dpq - _chart_distances(space, yq, yr),
+                         -dpq], initial=0.0))
 
 
-def check_metric_axioms(space: Space, n_samples: int = 1000,
-                        rng: np.random.Generator | None = None) -> PropertyReport:
-    """Symmetry, identity of indiscernibles and triangle inequality on
-    random sampled pairs/triples, against the space's metric tolerance."""
-    rng = rng or np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(n_samples):
-        p, q, r = (space.sample_point(rng) for _ in range(3))
-        dpq, dqp = space.distance(p, q), space.distance(q, p)
-        worst = max(worst, abs(dpq - dqp))
-        worst = max(worst, abs(space.distance(p, p)))
-        worst = max(worst, space.distance(p, r) - dpq - space.distance(q, r))
-        worst = max(worst, -dpq)
-    return PropertyReport("metric_axioms", worst, n_samples,
-                          {"tol": space.tol_metric})
-
-
-def check_geodesic_property(space: Space, p: StatePoint, q: StatePoint,
-                            grid: int = 11) -> float:
-    """max |d(gamma(s), gamma(t)) - |t-s| d(p,q)| over a grid x grid mesh."""
+def check_geodesic_property(space: Space, samples, grid: int = 11) -> float:
+    """max |d(gamma(s), gamma(t)) - |t-s| d(p,q)| over a grid x grid mesh
+    of each pair (p, q); samples is an (n, 2, dimension) coordinate array.
+    -inf when n = 0."""
+    p, q = _suite_samples(space, samples, 2)
     ts = np.linspace(0.0, 1.0, grid)
-    d = space.distance(p, q)
-    pts = [space.geodesic_point(p, q, t) for t in ts]
-    worst = 0.0
-    for i, s in enumerate(ts):
-        for j, t in enumerate(ts):
-            worst = max(worst, abs(space.distance(pts[i], pts[j]) - abs(t - s) * d))
-    return worst
+    d = _chart_distances(space, space.to_chart_rows(p), space.to_chart_rows(q))
+    pts = _geodesic_rows(space, p, q, ts)
+    y = space.to_chart_rows(pts.reshape(-1, space.dimension)).reshape(pts.shape)
+    # row i of the mesh: d(gamma(s_i), gamma(t)) for every t
+    dist = np.stack([_chart_distances(space, y, y[:, i:i + 1]) for i in range(grid)], axis=1)
+    dev = np.abs(dist - np.abs(ts[None, :] - ts[:, None]) * d[:, None, None])
+    return float(np.max(dev, initial=-math.inf))
 
 
 def check_kappa_convexity(space: Space, n_geodesics: int = 100,
                           ts: Sequence[float] = tuple(np.linspace(0.1, 0.9, 9)),
-                          rng: np.random.Generator | None = None) -> PropertyReport:
-    """E(gamma(t)) <= (1-t)E(p) + tE(q) - kappa/2 t(1-t) d^2(p,q) on random
-    geodesics with finite endpoint energies."""
+                          rng: np.random.Generator | None = None) -> float:
+    """Worst violation of E(gamma(t)) <= (1-t)E(p) + tE(q) - kappa/2
+    t(1-t) d^2(p,q) on random geodesics with finite endpoint energies.
+    Pairs with an infinite endpoint energy are rejected and redrawn, a batch
+    of the missing count at a time: the pairs, and rng's final state, of
+    drawing pair after pair until n_geodesics are accepted."""
     rng = rng or np.random.default_rng(11)
-    worst = -math.inf
-    used = 0
-    while used < n_geodesics:
-        p, q = space.sample_point(rng), space.sample_point(rng)
-        ep, eq = space.energy(p), space.energy(q)
-        if ep.infinite or eq.infinite:
-            continue
-        used += 1
-        d2 = space.distance(p, q) ** 2
-        for t in ts:
-            em = space.energy(space.geodesic_point(p, q, t))
-            if em.infinite:
-                worst = math.inf
-                continue
-            bound = (1 - t) * ep.value + t * eq.value - 0.5 * space.kappa * t * (1 - t) * d2
-            worst = max(worst, em.value - bound)
-    return PropertyReport("kappa_convexity", worst, used, {"kappa": space.kappa})
+    dim = space.dimension
+    rows, e = np.empty((0, 2, dim)), np.empty((0, 2))
+    while len(rows) < n_geodesics:
+        pairs = space.sample_rows(rng, 2 * (n_geodesics - len(rows))).reshape(-1, 2, dim)
+        energies = _energy_rows(space, pairs)
+        ok = ~np.isinf(energies).any(axis=1)
+        rows, e = np.concatenate([rows, pairs[ok]]), np.concatenate([e, energies[ok]])
+    p, q = rows[:, 0], rows[:, 1]
+    d2 = _squares(_chart_distances(space, space.to_chart_rows(p), space.to_chart_rows(q)))
+    ts = np.asarray(ts, dtype=float)
+    bound = ((1 - ts) * e[:, :1] + ts * e[:, 1:]
+             - 0.5 * space.kappa * ts * (1 - ts) * d2[:, None])
+    return float(np.max(_energy_rows(space, _geodesic_rows(space, p, q, ts)) - bound,
+                        initial=-math.inf))
 
 
 def check_noise_identity(space: Space, pairs: Sequence[tuple[StatePoint, StatePoint]],
-                         rng: np.random.Generator | None = None) -> PropertyReport:
-    """|d(half-squared-distance slope) - d(pi,rho)| via the definitional
+                         rng: np.random.Generator | None = None) -> float:
+    """max |d(half-squared-distance slope) - d(pi,rho)| via the definitional
     slope, on smooth spaces where the identity |d(1/2 d^2(.,rho))|(pi) =
     d(pi,rho) is expected to hold."""
     rng = rng or np.random.default_rng(13)
@@ -479,4 +504,4 @@ def check_noise_identity(space: Space, pairs: Sequence[tuple[StatePoint, StatePo
         fn = lambda z: 0.5 * space.distance(z, rho) ** 2
         est = slope_by_definition(space, fn, pi, scale=max(d, 1.0), rng=rng)
         worst = max(worst, abs(est - d))
-    return PropertyReport("noise_identity", worst, len(pairs), {})
+    return worst

@@ -46,7 +46,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NumericalError, Space, StatePoint, UsageError
+from .core import (
+    NumericalError,
+    Space,
+    StatePoint,
+    UsageError,
+    _chart_distances,
+    _squares,
+    _suite_samples,
+)
 from .flow import fit_quadratic_lower_bound
 from .hj import GridFunction
 from .tataru import tataru_batch
@@ -60,7 +68,7 @@ from .tataru import tataru_batch
 class EkelandProblem:
     """A finite-set instance: candidates, objective values, penalty.
 
-    `penalty(i, j)` evaluates B(points[i], points[j]); `penalty_batch`
+    `penalty(i, j)` evaluates B(points[i], points[j]); `penalty_batch(j)`
     evaluates B(points[k], points[j]) for every k at once and is what the
     iteration and the exhaustive checks use.
     """
@@ -70,7 +78,7 @@ class EkelandProblem:
     penalty: object                # callable (i, j) -> float
     delta: float
     x_hat: int
-    penalty_batch: object = None   # callable (j) -> array over all candidates
+    penalty_batch: object          # callable (j) -> array over all candidates
 
     def __post_init__(self):
         self.g_values = np.asarray(self.g_values, dtype=float)
@@ -82,26 +90,6 @@ class EkelandProblem:
             raise UsageError("objective must be bounded above and well defined")
         if not 0 <= self.x_hat < len(self.points):
             raise UsageError("x_hat index out of range")
-        if self.penalty_batch is None:
-            pen = self.penalty
-            self.penalty_batch = lambda j: np.array(
-                [pen(k, j) for k in range(len(self.points))]
-            )
-
-    def validate_penalty(self, rng: np.random.Generator | None = None,
-                         n_samples: int = 50, tol: float = 1e-9) -> None:
-        """Sampled checks of B >= 0, B(x,x) = 0 and the triangle inequality."""
-        rng = rng or np.random.default_rng(5)
-        n = len(self.points)
-        for _ in range(n_samples):
-            i, j, k = (int(rng.integers(n)) for _ in range(3))
-            bij = self.penalty(i, j)
-            if bij < -tol:
-                raise UsageError(f"penalty must be nonnegative, B({i},{j}) = {bij}")
-            if abs(self.penalty(i, i)) > tol:
-                raise UsageError(f"penalty must vanish on the diagonal at {i}")
-            if self.penalty(i, k) > bij + self.penalty(j, k) + tol:
-                raise UsageError(f"penalty triangle inequality fails at ({i},{j},{k})")
 
 
 @dataclass
@@ -261,16 +249,13 @@ class QuadruplicationResult:
                       indent=2, sort_keys=True)
 
 
-def _ebar_values(space: Space, base: list[StatePoint], nu0: StatePoint,
+def _ebar_values(space: Space, chart: np.ndarray, nu0: StatePoint,
                  c1: float, c2: float) -> np.ndarray:
-    out = np.empty(len(base))
-    for i, p in enumerate(base):
-        e = space.energy(p)
-        if e.infinite:
-            out[i] = math.inf
-        else:
-            out[i] = e.value + 0.5 * c1 * space.distance(p, nu0) ** 2 + c2
-    return out
+    """Ebar = E + c1/2 d^2(., nu0) + c2 at each chart row, +inf outside
+    the energy domain."""
+    e = space.chart_energy_rows(chart)
+    d2 = _squares(_chart_distances(space, chart, space.to_chart(nu0)))
+    return np.where(np.isinf(e), math.inf, e + 0.5 * c1 * d2 + c2)
 
 
 def argmax_by_elimination(u: np.ndarray, v: np.ndarray, sq: np.ndarray,
@@ -339,19 +324,17 @@ def quadruplicate(space: Space, u: GridFunction, v: GridFunction,
     tie rule is np.argmax's on the dense product grid, the first maximizer
     in C order of (pi, rho, mu, gamma).
     """
-    n = len(u.nodes)
     if not np.array_equal(u.nodes, v.nodes):
         raise UsageError("u and v must share one grid")
     if c1 is None:
         c1 = max(1.0, 1.0 - space.kappa)
     c2, _ = fit_quadratic_lower_bound(space, nu0, c1)
 
-    base = [u.point(i) for i in range(n)]
     chart = space.to_chart_rows(u.nodes)
     sq = space.chart_scale**2 * (
         np.sum((chart[:, None, :] - chart[None, :, :]) ** 2, axis=2)
     )
-    ebar = _ebar_values(space, base, nu0, c1, c2)
+    ebar = _ebar_values(space, chart, nu0, c1, c2)
     if np.any(np.isinf(ebar)):
         raise UsageError("quadruplication grids must lie in the energy domain")
     sup_gap = float(np.max(u.values - v.values))
@@ -374,8 +357,8 @@ def quadruplicate(space: Space, u: GridFunction, v: GridFunction,
         psi = (0.5 * wm * sq[i_pi, i_rho] + 0.5 * sq[i_rho, i_gamma]
                + 0.5 * wp * sq[i_gamma, i_mu])
         xi = eps * wm * ebar[i_rho] + eps * wp * ebar[i_gamma]
-        state = QuadrupleState(base[i_pi], base[i_rho], base[i_mu], base[i_gamma],
-                               alpha, eps, nu0, c1, c2)
+        state = QuadrupleState(u.point(i_pi), u.point(i_rho), u.point(i_mu),
+                               u.point(i_gamma), alpha, eps, nu0, c1, c2)
         key = verify_key_estimates(space, state)
         entries.append((state, QuadrupleReport(
             alpha, eps, float(phi), float(psi), float(xi), float(alpha * psi),
@@ -384,8 +367,7 @@ def quadruplicate(space: Space, u: GridFunction, v: GridFunction,
     return QuadruplicationResult(entries, sup_gap, worst_c)
 
 
-def verify_key_estimates(space: Space, q: QuadrupleState,
-                         lam: float | None = None) -> dict:
+def verify_key_estimates(space: Space, q: QuadrupleState) -> dict:
     """Both sides of the drift and squared-distance key bounds at a
     quadruple, with the vanishing terms reported as signed residuals.
 
@@ -411,7 +393,7 @@ def verify_key_estimates(space: Space, q: QuadrupleState,
     lhs2 = 0.5 * alpha**2 * wm * d2_pr - 0.5 * alpha**2 * wp * d2_gm
     rhs2 = eps * wm * i_rho + eps * wp * i_gamma
     return {
-        "alpha": alpha, "eps": eps, "lambda": lam,
+        "alpha": alpha, "eps": eps,
         "lhs1": lhs1, "rhs1": rhs1, "residual1": lhs1 - rhs1,
         "lhs2": lhs2, "rhs2": rhs2, "residual2": lhs2 - rhs2,
     }
@@ -421,9 +403,7 @@ def verify_key_estimates(space: Space, q: QuadrupleState,
 # Jensen-type inequality for the quadratic distance
 # ---------------------------------------------------------------------------
 
-def jensen_distance_check(space: Space,
-                          samples: list[tuple[StatePoint, StatePoint,
-                                              StatePoint, StatePoint]],
+def jensen_distance_check(space: Space, samples,
                           eps_grid: tuple[float, ...] = (0.05, 0.15, 0.3),
                           eps_prime_grid: tuple[float, ...] = (0.05, 0.15, 0.3)
                           ) -> float:
@@ -432,19 +412,16 @@ def jensen_distance_check(space: Space,
         1/6 1/(1-eps') 1/2 d^2(n1,n4) <= 1/(1-eps) 1/2 d^2(n1,n2)
             + 1/2 d^2(n2,n3) + 1/(1+eps) 1/2 d^2(n3,n4)
 
-    over the sample quadruples and the (eps, eps') grids."""
+    over the sample quadruples and the (eps, eps') grids; samples is an
+    (n, 4, dimension) coordinate array.  -inf when n = 0."""
     for e in (*eps_grid, *eps_prime_grid):
         if not 0.0 < e < 1.0 / 3.0:
             raise UsageError("jensen weights must lie in (0, 1/3)")
-    worst = -math.inf
-    for n1, n2, n3, n4 in samples:
-        d14 = space.distance(n1, n4) ** 2
-        d12 = space.distance(n1, n2) ** 2
-        d23 = space.distance(n2, n3) ** 2
-        d34 = space.distance(n3, n4) ** 2
-        for ep in eps_prime_grid:
-            lhs = d14 / (12.0 * (1.0 - ep))
-            for e in eps_grid:
-                rhs = 0.5 * d12 / (1.0 - e) + 0.5 * d23 + 0.5 * d34 / (1.0 + e)
-                worst = max(worst, lhs - rhs)
-    return worst
+    y1, y2, y3, y4 = (space.to_chart_rows(x) for x in _suite_samples(space, samples, 4))
+    d14, d12, d23, d34 = (_squares(_chart_distances(space, a, b))[:, None, None]
+                          for a, b in ((y1, y4), (y1, y2), (y2, y3), (y3, y4)))
+    ep = np.asarray(eps_prime_grid, dtype=float)[:, None]
+    e = np.asarray(eps_grid, dtype=float)
+    lhs = d14 / (12.0 * (1.0 - ep))
+    rhs = 0.5 * d12 / (1.0 - e) + 0.5 * d23 + 0.5 * d34 / (1.0 + e)
+    return float(np.max(lhs - rhs, initial=-math.inf))

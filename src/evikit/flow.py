@@ -40,6 +40,8 @@ from .core import (
     Space,
     StatePoint,
     UsageError,
+    _chart_distances,
+    _squares,
 )
 
 
@@ -310,34 +312,18 @@ def flow_mms(space: Space, p: StatePoint, config: FlowConfig) -> Trajectory:
     return Trajectory(times, coords, space.name)
 
 
-def flow_any(space: Space, p: StatePoint, T: float, dt: float,
-             config: FlowConfig | None = None) -> Trajectory:
+def flow_any(space: Space, p: StatePoint, T: float, dt: float) -> Trajectory:
     """Exact flow when registered for p's family, else minimizing movement."""
     if space.has_exact_flow(p):
         return flow_exact(space, p, T, dt)
-    cfg = config or FlowConfig(dt=dt, horizon=T)
-    return flow_mms(space, p, cfg)
+    return flow_mms(space, p, FlowConfig(dt=dt, horizon=T))
 
 
 # ---------------------------------------------------------------------------
 # Verifiers
 # ---------------------------------------------------------------------------
 
-def _chart_distances(space: Space, chart: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """space.distance from each chart row to the chart point(s) y, with
-    its bits: the row-wise vecdot is np.dot's sum."""
-    diff = chart - y
-    return space.chart_scale * np.sqrt(np.vecdot(diff, diff))
-
-
-def _squares(d: np.ndarray) -> np.ndarray:
-    """d ** 2 by Python floats: float ** 2 is the C library's pow, which
-    can differ from d * d (numpy's square) in the last bit."""
-    return np.array([v ** 2 for v in d.tolist()])
-
-
-def verify_evi(space: Space, traj: Trajectory, probes: list[StatePoint],
-               tol: float | None = None) -> EviReport:
+def verify_evi(space: Space, traj: Trajectory, probes: list[StatePoint]) -> EviReport:
     """Forward-difference check of the EVI inequality along a trajectory.
 
     For each probe rho and grid time t the discretized upper-right
@@ -405,8 +391,7 @@ def verify_energy_identity(space: Space, traj: Trajectory) -> float:
 
 def fit_quadratic_lower_bound(space: Space, nu0: StatePoint, c1: float,
                               sample_count: int = 4000,
-                              rng: np.random.Generator | None = None,
-                              refine: bool = True) -> tuple[float, float]:
+                              rng: np.random.Generator | None = None) -> tuple[float, float]:
     """Estimate inf_pi [ E(pi) + c1/2 d^2(pi, nu0) ] and return (c2, estimate)
     with c2 = -estimate, so that the shifted energy has infimum ~ 0.
 
@@ -454,8 +439,7 @@ def fit_quadratic_lower_bound(space: Space, nu0: StatePoint, c1: float,
             f"sample schedule (stage minima {stage_best})",
             residual=float(stage_best[-1]),
         )
-    if refine:
-        best = _refine_minimum(space, shifted, best_y, best)
+    best = _refine_minimum(space, shifted, best_y, best)
     return -best, best
 
 
@@ -481,10 +465,3 @@ def _refine_minimum(space, fn, y, fy, iters: int = 200) -> float:
                 break
     return fy
 
-
-def check_semigroup(space: Space, p: StatePoint, T: float, dt: float) -> float:
-    """|flow(2T) - flow(T) twice| in the metric (exact flows: ~0)."""
-    one = flow_any(space, p, 2 * T, dt)
-    half = flow_any(space, p, T, dt)
-    again = flow_any(space, half.end, T, dt)
-    return space.distance(one.end, again.end)

@@ -38,14 +38,16 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .core import (
-    ExtendedReal,
     NumericalError,
     Space,
     StatePoint,
     UsageError,
+    _chart_distances,
+    _energy_rows,
+    _squares,
 )
 from .spaces import CirDescriptor, CirSpace, QuadraticSpace
-from .tataru import tataru_batch, tataru_distance
+from .tataru import tataru_batch
 
 
 # ---------------------------------------------------------------------------
@@ -141,44 +143,19 @@ class LowerTestFunction:
             raise UsageError("lower test function requires E(gamma) < inf")
 
 
-def upper_bound_value(space: Space, a: float, b: float, e_anchor: float,
-                      e_pi: ExtendedReal, d: float) -> float:
-    """g+ at distance d from the anchor rho with E(rho) = e_anchor."""
-    if e_pi.infinite:
-        return -math.inf
-    return (a * (e_anchor - e_pi.value) - 0.5 * a * space.kappa * d**2
-            + b + 0.5 * a**2 * d**2 + a * b * d + 0.5 * b**2)
+def upper_bound_value(space: Space, a: float, b: float, e_anchor, e_pi, d, d2):
+    """g+ at distance d (d2 = d ** 2) from the anchor rho with E(rho) =
+    e_anchor, where E(pi) = e_pi; -inf where e_pi = +inf.  Numbers or
+    arrays that broadcast."""
+    return (a * (e_anchor - e_pi) - 0.5 * a * space.kappa * d2
+            + b + 0.5 * a**2 * d2 + a * b * d + 0.5 * b**2)
 
 
-def lower_bound_value(space: Space, a: float, b: float, e_anchor: float,
-                      e_mu: ExtendedReal, d: float) -> float:
-    """g- at distance d from the anchor gamma with E(gamma) = e_anchor."""
-    if e_mu.infinite:
-        return math.inf
-    return (a * (e_mu.value - e_anchor) + 0.5 * a * space.kappa * d**2
-            - b + 0.5 * a**2 * d**2 - a * b * d - 0.5 * b**2)
-
-
-def eval_upper(tf: UpperTestFunction, pi: StatePoint) -> tuple[float, float]:
-    """(f+, g+) at pi; g+ = -inf when E(pi) = +inf."""
-    sp = tf.space
-    d = sp.distance(pi, tf.rho)
-    dt_val = tataru_distance(sp, pi, tf.mu, tf.flow_dt).value
-    f_val = 0.5 * tf.a * d**2 + tf.b * dt_val + tf.c
-    g_val = upper_bound_value(sp, tf.a, tf.b, float(sp.energy(tf.rho)),
-                              sp.energy(pi), d)
-    return f_val, g_val
-
-
-def eval_lower(tf: LowerTestFunction, mu: StatePoint) -> tuple[float, float]:
-    """(f-, g-) at mu; g- = +inf when E(mu) = +inf."""
-    sp = tf.space
-    d = sp.distance(tf.gamma, mu)
-    dt_val = tataru_distance(sp, mu, tf.pi, tf.flow_dt).value
-    f_val = -0.5 * tf.a * d**2 - tf.b * dt_val + tf.c
-    g_val = lower_bound_value(sp, tf.a, tf.b, float(sp.energy(tf.gamma)),
-                              sp.energy(mu), d)
-    return f_val, g_val
+def lower_bound_value(space: Space, a: float, b: float, e_anchor, e_mu, d, d2):
+    """g- at distance d (d2 = d ** 2) from the anchor gamma with E(gamma) =
+    e_anchor, where E(mu) = e_mu; +inf where e_mu = +inf."""
+    return (a * (e_mu - e_anchor) + 0.5 * a * space.kappa * d2
+            - b + 0.5 * a**2 * d2 - a * b * d - 0.5 * b**2)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +200,6 @@ class ViscosityReport:
         }
 
 
-def _grid_distances(space: Space, chart: np.ndarray, anchor: StatePoint) -> np.ndarray:
-    ya = space.to_chart(anchor)
-    return space.chart_scale * np.linalg.norm(chart - ya[None, :], axis=1)
-
-
 def _grid_charts(grid: GridFunction, tfs) -> list[np.ndarray]:
     """The grid's chart rows for each test function, computed once per space."""
     charts = {id(tf.space): tf.space for tf in tfs}
@@ -261,11 +233,12 @@ def verify_subsolution(u: GridFunction, tfs: list[UpperTestFunction],
     dts = _grid_tataru(tfs, charts, [tf.mu for tf in tfs])
     for tf, chart, dt_vals in zip(tfs, charts, dts):
         sp = tf.space
-        d = _grid_distances(sp, chart, tf.rho)
+        d = _chart_distances(sp, chart, sp.to_chart(tf.rho))
         f_plus = 0.5 * tf.a * d**2 + tf.b * dt_vals + tf.c
         i_star = int(np.argmax(u.values - f_plus))
+        d_i = float(d[i_star])
         g_val = upper_bound_value(sp, tf.a, tf.b, float(sp.energy(tf.rho)),
-                                  sp.energy(u.point(i_star)), float(d[i_star]))
+                                  float(sp.energy(u.point(i_star))), d_i, d_i**2)
         val = u.values[i_star] - lam * g_val - h.values[i_star]
         report.records.append(ViscosityRecord(
             tf.a, tf.b, tf.rho.to_json(), tf.mu.to_json(), i_star,
@@ -283,11 +256,12 @@ def verify_supersolution(v: GridFunction, tfs: list[LowerTestFunction],
     dts = _grid_tataru(tfs, charts, [tf.pi for tf in tfs])
     for tf, chart, dt_vals in zip(tfs, charts, dts):
         sp = tf.space
-        d = _grid_distances(sp, chart, tf.gamma)
+        d = _chart_distances(sp, chart, sp.to_chart(tf.gamma))
         f_minus = -0.5 * tf.a * d**2 - tf.b * dt_vals + tf.c
         i_star = int(np.argmin(v.values - f_minus))
+        d_i = float(d[i_star])
         g_val = lower_bound_value(sp, tf.a, tf.b, float(sp.energy(tf.gamma)),
-                                  sp.energy(v.point(i_star)), float(d[i_star]))
+                                  float(sp.energy(v.point(i_star))), d_i, d_i**2)
         val = v.values[i_star] - lam * g_val - h.values[i_star]
         report.records.append(ViscosityRecord(
             tf.a, tf.b, tf.gamma.to_json(), tf.pi.to_json(), i_star,
@@ -490,13 +464,12 @@ def solve_resolvent_quadratic(space: QuadraticSpace, lam: float, h,
 
 def value_by_rollout(space: Space, lam: float, h, starts: np.ndarray,
                      control_grid: np.ndarray, dt: float, T: float,
-                     state_grid: np.ndarray | None = None,
-                     n_state: int = 400) -> np.ndarray:
+                     state_grid: np.ndarray) -> np.ndarray:
     """Discounted reward of an explicitly simulated piecewise-constant
     control, hence a lower bound on the resolvent value up to O(dt).
 
     A finite-horizon dynamic program over the control grid synthesizes a
-    feedback policy on a state grid (linear value interpolation); the
+    feedback policy on state_grid (linear value interpolation); the
     policy is then rolled forward from every start at once with Euler
     steps of the controlled drift, accumulating
     exp(-t/lambda) [h/lambda - u^2/(2 sigma)] dt.  Trajectories leaving
@@ -515,7 +488,7 @@ def value_by_rollout(space: Space, lam: float, h, starts: np.ndarray,
         sigma_fn = np.ones_like
     else:
         raise UsageError("rollout values support scalar spaces only")
-    xs = np.linspace(lo, hi, n_state) if state_grid is None else state_grid
+    xs = state_grid
     h_vals = np.asarray(h(xs), dtype=float)
     us = np.asarray(control_grid, dtype=float)
     beta = math.exp(-dt / lam)
@@ -589,43 +562,35 @@ def check_comparison(u: GridFunction, v: GridFunction, h_up: GridFunction,
 # Hamiltonian sandwich on smooth scalar spaces
 # ---------------------------------------------------------------------------
 
-def formal_hamiltonian_quadratic(space: Space, a: float, anchor: StatePoint,
-                                 pi: StatePoint, sign: float) -> float:
-    """Exact chart-calculus H on the quadratic test part sign * a/2 d^2(., anchor):
-
-        H = -sign a (y - y_anchor) dE/dy + a^2/2 d^2(pi, anchor).
-    """
-    y = space.to_chart(pi)
-    ya = space.to_chart(anchor)
-    de = space.chart_energy_grad(y)
-    d2 = space.distance(pi, anchor) ** 2
-    return float(-sign * a * np.dot(y - ya, de) + 0.5 * a**2 * d2)
-
-
-def hamiltonian_sandwich_check(space: Space,
-                               tf_params: list[tuple[float, StatePoint]],
-                               pi_samples: list[StatePoint],
+def hamiltonian_sandwich_check(space: Space, a_values, anchors, samples,
                                b0: float = 1e-6) -> float:
-    """max violation of H_exact <= g+ and g- <= H_exact over the sweep.
+    """max violation of H_exact <= g+ and g- <= H_exact over the test
+    functions +-a/2 d^2(., anchor), a in a_values and anchor a row of the
+    (k, dimension) coordinate array anchors, at the rows of the (m,
+    dimension) array samples that have finite energy.  H_exact is their
+    chart-calculus Hamiltonian
+
+        H = -sign a (y - y_anchor) . dE/dy + a^2/2 d^2(pi, anchor).
 
     The bounds require b > 0, so the effectively-quadratic test functions
     use b = b0; the analytic slack b0 + a b0 d + b0^2/2 carried inside
     g+/g- keeps the inequalities strict.
     """
-    worst = -math.inf
-    for a, anchor in tf_params:
-        e_anchor = space.energy(anchor)
-        if e_anchor.infinite:
-            raise UsageError("sandwich anchors must have finite energy")
-        for pi in pi_samples:
-            e_pi = space.energy(pi)
-            if e_pi.infinite:
-                continue
-            d = space.distance(pi, anchor)
-            h_up = formal_hamiltonian_quadratic(space, a, anchor, pi, +1.0)
-            g_up = upper_bound_value(space, a, b0, e_anchor.value, e_pi, d)
-            worst = max(worst, h_up - g_up)
-            h_low = formal_hamiltonian_quadratic(space, a, anchor, pi, -1.0)
-            g_low = lower_bound_value(space, a, b0, e_anchor.value, e_pi, d)
-            worst = max(worst, g_low - h_low)
-    return worst
+    anchors, samples = space.validate_rows(anchors), space.validate_rows(samples)
+    e_anchor = _energy_rows(space, anchors)[:, None]
+    if np.any(np.isinf(e_anchor)):
+        raise UsageError("sandwich anchors must have finite energy")
+    e_pi = _energy_rows(space, samples)
+    live = ~np.isinf(e_pi)
+    y, e_pi = space.to_chart_rows(samples[live]), e_pi[live]
+    ya = space.to_chart_rows(anchors)[:, None]                  # (k, 1, dimension)
+    d = _chart_distances(space, y, ya)                          # (k, m)
+    d2 = _squares(d.ravel()).reshape(d.shape)
+    drift = np.vecdot(y - ya, space.chart_energy_grad_rows(y))  # (y - y_anchor) . dE/dy
+    out = []
+    for a in a_values:
+        h_up = -a * drift + 0.5 * a**2 * d2
+        h_low = a * drift + 0.5 * a**2 * d2
+        out += [h_up - upper_bound_value(space, a, b0, e_anchor, e_pi, d, d2),
+                lower_bound_value(space, a, b0, e_anchor, e_pi, d, d2) - h_low]
+    return float(np.max(out, initial=-math.inf))

@@ -9,7 +9,7 @@ transport-space velocity field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,8 +22,6 @@ class Potential:
     name: str
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
-    convexity: float = 0.0  # a modulus kappa such that f'' >= kappa where smooth
 
     def __call__(self, s):
         return self.f(np.asarray(s, dtype=float))
@@ -32,9 +30,6 @@ class Potential:
         """L(z) = z f'(z) - f(z), the integrand driving the flow velocity."""
         z = np.asarray(z, dtype=float)
         return z * self.df(z) - self.f(z)
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "params": dict(self.params)}
 
 
 def _entropy() -> Potential:
@@ -61,7 +56,7 @@ def _power(alpha: float) -> Potential:
     def df(s):
         return c * alpha * np.power(np.maximum(np.asarray(s, dtype=float), 0.0), alpha - 1.0)
 
-    return Potential("power", f, df, {"alpha": alpha})
+    return Potential("power", f, df)
 
 
 def _quadratic(coeff: float = 1.0) -> Potential:
@@ -71,7 +66,7 @@ def _quadratic(coeff: float = 1.0) -> Potential:
     def df(s):
         return coeff * np.asarray(s, dtype=float)
 
-    return Potential("quadratic", f, df, {"coeff": coeff}, convexity=coeff)
+    return Potential("quadratic", f, df)
 
 
 def _quartic(coeff: float = 1.0) -> Potential:
@@ -84,7 +79,7 @@ def _quartic(coeff: float = 1.0) -> Potential:
     def df(s):
         return coeff * np.asarray(s, dtype=float) ** 3
 
-    return Potential("quartic", f, df, {"coeff": coeff})
+    return Potential("quartic", f, df)
 
 
 def _zero() -> Potential:
@@ -118,8 +113,7 @@ def make_potential(name: str, **params) -> Potential:
 
 
 def sampled_convexity_check(pot: Potential, lo: float, hi: float,
-                            modulus: float = 0.0, n: int = 400,
-                            tol: float = 1e-8) -> float:
+                            modulus: float = 0.0, n: int = 400) -> float:
     """Worst violation of f'' >= modulus by symmetric second differences
     on a uniform grid; nonpositive means the sampled check passed."""
     xs = np.linspace(lo, hi, n)

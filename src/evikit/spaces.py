@@ -23,7 +23,7 @@ Four families are implemented, each through its flat chart:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,10 +187,6 @@ class CirSpace(Space):
     def _chart_feasible(self, y: np.ndarray) -> bool:
         return bool(np.all(np.asarray(y) > 0.0))
 
-    def descriptor(self) -> dict:
-        return {"space": "cir", "params": {"mu": self.mu, "x_lo": self.x_lo,
-                                           "x_hi": self.x_hi}}
-
 
 # ---------------------------------------------------------------------------
 # Quadratic / Ornstein-Uhlenbeck
@@ -260,14 +256,6 @@ class QuadraticSpace(Space):
     def sample_rows(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.normal(0.0, self.desc.scale, (n, self.dimension))
 
-    def descriptor(self) -> dict:
-        params = {"dimension": self.dimension, "kappa": self.kappa}
-        if self.desc.energy_offset:
-            params["energy_offset"] = self.desc.energy_offset
-        if self.perturbation is not None:
-            params["perturbation"] = self.perturbation.to_json()
-        return {"space": "quadratic", "params": params}
-
 
 # ---------------------------------------------------------------------------
 # Allen-Cahn periodic field
@@ -303,7 +291,6 @@ class AllenCahnSpace(Space):
         self.desc = desc
         self.dimension = desc.grid_size
         self.kappa = desc.kappa
-        self.length = desc.length
         self.dx = desc.length / desc.grid_size
         self.well = well
         self.chart_scale = math.sqrt(self.dx)
@@ -347,13 +334,6 @@ class AllenCahnSpace(Space):
             a, b = coef[:, 2 * k - 2, None], coef[:, 2 * k - 1, None]
             rho += a * np.sin(k * xs) + b * np.cos(k * xs)
         return rho
-
-    def descriptor(self) -> dict:
-        params = {"grid_size": self.dimension, "length": self.length,
-                  "kappa": self.kappa}
-        if self.well is not None:
-            params["well"] = self.well.to_json()
-        return {"space": "allen_cahn", "params": params}
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +461,7 @@ class Wasserstein1DSpace(Space):
         return grad
 
     def slope(self, p: StatePoint) -> ExtendedReal:
-        val = wasserstein_information(self, p)
+        val = float(wasserstein_information_rows(self, p.array[None, :])[0])
         if math.isinf(val):
             return ExtendedReal.INF
         return ExtendedReal.finite(math.sqrt(val))
@@ -555,15 +535,6 @@ class Wasserstein1DSpace(Space):
         # the entropy stays finite
         return np.sort(q, axis=1) + np.linspace(0.0, 1e-6, self.m)
 
-    def descriptor(self) -> dict:
-        params: dict = {"m": self.m, "kappa_v": self.desc.kappa_v,
-                        "kappa_w": self.desc.kappa_w}
-        for key, pot in (("internal", self.internal), ("potential", self.potential),
-                         ("interaction", self.interaction)):
-            if pot is not None:
-                params[key] = pot.to_json()
-        return {"space": "wasserstein1d", "params": params}
-
 
 def pava_nondecreasing(y: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators projection onto nondecreasing vectors
@@ -579,12 +550,6 @@ def pava_nondecreasing(y: np.ndarray) -> np.ndarray:
         vals.append(cv)
         counts.append(cw)
     return np.repeat(vals, counts)
-
-
-def wasserstein_information(space: Wasserstein1DSpace, p: StatePoint) -> float:
-    """Squared slope at one quantile vector: the one-row case of
-    wasserstein_information_rows."""
-    return float(wasserstein_information_rows(space, p.array[None, :])[0])
 
 
 def wasserstein_information_rows(space: Wasserstein1DSpace, coords: np.ndarray) -> np.ndarray:
@@ -660,7 +625,6 @@ class McCannReport:
     violations: list[str]
     doubling_constant: float
     dimension_map_increasing: bool
-    details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -671,9 +635,9 @@ class McCannReport:
         }
 
 
-def mccann_check(F: Potential, s_max: float = 50.0, n: int = 200,
-                 d_spatial: int = 1) -> McCannReport:
-    """Admissibility of an internal-energy integrand on a log-spaced grid.
+def mccann_check(F: Potential, s_max: float = 50.0, n: int = 200) -> McCannReport:
+    """Admissibility of an internal-energy integrand on a log-spaced grid,
+    in d = 1 spatial dimension.
 
     Checked predicates: convexity of F, convexity of s -> s^d F(s^{-d}),
     superlinear growth (F(s)/s eventually increasing), the doubling bound
@@ -684,8 +648,6 @@ def mccann_check(F: Potential, s_max: float = 50.0, n: int = 200,
     not fail the check: the classical condition asks for non-increase,
     and e.g. the entropy integrand yields a decreasing convex map.
     """
-    if d_spatial != 1:
-        raise UsageError("only d_spatial = 1 is implemented")
     s = np.logspace(-6, math.log10(s_max), n)
     vals = F(s)
     if not np.all(np.isfinite(vals)):
@@ -726,7 +688,7 @@ def mccann_check(F: Potential, s_max: float = 50.0, n: int = 200,
     if abs(float(F(0.0))) > 1e-9:
         violations.append("origin: F(0) != 0")
 
-    alpha = d_spatial / (d_spatial + 2.0) + 0.05
+    alpha = 1 / 3.0 + 0.05
     small = np.logspace(-9, -3, 30)
     lower = F(small) * small**alpha
     if float(np.min(lower)) < -1e3:

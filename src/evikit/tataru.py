@@ -55,8 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Space, StatePoint, UsageError
-from .flow import FlowConfig, _chart_distances, finite_coords, flow_mms, jko_rows
+from .core import Space, StatePoint, UsageError, _chart_distances, _suite_samples
+from .flow import FlowConfig, finite_coords, flow_mms, jko_rows
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Bound on the (pairs x scan times x dimension) chart array of one scan
@@ -369,16 +369,6 @@ def tataru_batch(space: Space, pis: np.ndarray, rho: StatePoint,
 # Property suites
 # ---------------------------------------------------------------------------
 
-def _suite_samples(samples, k: int) -> list[np.ndarray]:
-    """The k (n, dimension) coordinate arrays of an (n, k, dimension)
-    sample array: the j-th point of every sample."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 3 or samples.shape[1] != k:
-        raise UsageError(f"expected an (n, {k}, dimension) sample array, got shape "
-                         f"{samples.shape}")
-    return list(samples.transpose(1, 0, 2))
-
-
 def _flowed_rows(space: Space, coords: np.ndarray, r: float) -> np.ndarray:
     """The flow at time r from every validated coordinate row: the closed
     form where one is registered, else flow_any's minimizing movement at
@@ -397,7 +387,7 @@ def verify_tataru_lipschitz(space: Space, samples, flow_dt: float = 1e-2) -> flo
     """max over quadruples (mu, nu, mu^, nu^) of
     d_T(mu,nu) - d_T(mu^,nu^) - d(mu,mu^) - d(nu,nu^); samples is an
     (n, 4, dimension) coordinate array."""
-    mu, nu, mu_h, nu_h = _suite_samples(samples, 4)
+    mu, nu, mu_h, nu_h = _suite_samples(space, samples, 4)
     vals = _tataru_rows(space, np.concatenate([mu, mu_h]), np.concatenate([nu, nu_h]),
                         flow_dt)[0]
 
@@ -416,8 +406,7 @@ def verify_tataru_flow_lipschitz(space: Space, samples,
     samples is an (n, 2, dimension) coordinate array."""
     if any(r <= 0 for r in r_values):
         raise UsageError("flow-Lipschitz offsets r must be positive")
-    nu, nu_h = _suite_samples(samples, 2)
-    space.validate_rows(nu)
+    nu, nu_h = _suite_samples(space, samples, 2)
     pis = np.concatenate([nu] + [_flowed_rows(space, nu, r) for r in r_values])
     vals = _tataru_rows(space, pis, np.tile(nu_h, (1 + len(r_values), 1)),
                         flow_dt)[0].reshape(1 + len(r_values), len(nu))
@@ -428,7 +417,7 @@ def verify_tataru_flow_lipschitz(space: Space, samples,
 def verify_tataru_triangle(space: Space, samples, flow_dt: float = 1e-2) -> float:
     """max over triples (rho, mu, nu) of d_T(rho,nu) - d_T(rho,mu) - d_T(mu,nu);
     samples is an (n, 3, dimension) coordinate array."""
-    rho, mu, nu = _suite_samples(samples, 3)
+    rho, mu, nu = _suite_samples(space, samples, 3)
     lhs, rho_mu, mu_nu = _tataru_rows(space, np.concatenate([rho, rho, mu]),
                                       np.concatenate([nu, mu, nu]),
                                       flow_dt)[0].reshape(3, len(rho))

@@ -217,14 +217,11 @@ def test_criterion_07_comparison(cir_resolvent):
 
 def test_criterion_08_hamiltonian_sandwich(ou, cir):
     t0 = time.perf_counter()
-    params_ou = [(a, StatePoint.of(r)) for a in (0.5, 1.0, 2.0, 4.0)
-                 for r in (-1.0, 0.0, 1.0)]
-    samples_ou = [StatePoint.of(v) for v in np.linspace(-2.0, 3.0, 21)]
-    v_ou = hamiltonian_sandwich_check(ou, params_ou, samples_ou)
-    params_cir = [(a, StatePoint.of(r)) for a in (0.5, 1.0, 2.0, 4.0)
-                  for r in (0.5, 1.0, 2.0)]
-    samples_cir = [StatePoint.of(v) for v in np.linspace(0.2, 5.0, 21)]
-    v_cir = hamiltonian_sandwich_check(cir, params_cir, samples_cir)
+    a_values = (0.5, 1.0, 2.0, 4.0)
+    v_ou = hamiltonian_sandwich_check(ou, a_values, np.array([[-1.0], [0.0], [1.0]]),
+                                      np.linspace(-2.0, 3.0, 21)[:, None])
+    v_cir = hamiltonian_sandwich_check(cir, a_values, np.array([[0.5], [1.0], [2.0]]),
+                                       np.linspace(0.2, 5.0, 21)[:, None])
     elapsed = time.perf_counter() - t0
     report(8, v_ou <= 1e-4 and v_cir <= 1e-4,
            f"sandwich: OU violation={v_ou:.1e}, CIR violation={v_cir:.1e} <= 1e-4",
@@ -303,10 +300,8 @@ def test_criterion_10_quadruplication_trend(ou):
 def test_criterion_11_jensen(ou, cir):
     t0 = time.perf_counter()
     rng = np.random.default_rng(202)
-    quads_e = [tuple(ou.sample_point(rng) for _ in range(4)) for _ in range(10_000)]
-    v_e = jensen_distance_check(ou, quads_e)
-    quads_c = [tuple(cir.sample_point(rng) for _ in range(4)) for _ in range(1000)]
-    v_c = jensen_distance_check(cir, quads_c)
+    v_e = jensen_distance_check(ou, ou.sample_rows(rng, 4 * 10_000).reshape(10_000, 4, 1))
+    v_c = jensen_distance_check(cir, cir.sample_rows(rng, 4 * 1000).reshape(1000, 4, 1))
     elapsed = time.perf_counter() - t0
     report(11, v_e <= 1e-9 and v_c <= 1e-9,
            f"jensen: euclidean violation={v_e:.1e}, half-line violation={v_c:.1e}"

@@ -5,10 +5,11 @@ from their arguments and results.  A rename or a changed signature can
 pass every other test and still break the traced run, so this runs, under
 the tracer, a small resolvent config (with rollout), a small viscosity
 config, a minimizing-movement EVI config, a Tataru pairs table without
-a closed-form flow and two Tataru suite configs, in a child process
-started at the repository root.  It checks that the counters moved, that
-the viscosity sweeps make one tataru_batch call per anchor, and that the
-suites build no StatePoint per sample.  It only reads perfbench/: the child
+a closed-form flow, two Tataru suite configs and two properties configs,
+in a child process started at the repository root.  It checks that the
+counters moved, that the viscosity sweeps make one tataru_batch call per
+anchor, and that neither the suites nor the property checks build a
+StatePoint per sample.  It only reads perfbench/: the child
 writes no bytecode and its results go to tmp_path.
 """
 
@@ -62,6 +63,12 @@ def test_traced_runs_count_every_hook(tmp_path):
         configs.append((f"suites_{n}", {"space": "ou", "params": {"kappa": 1.0}}, "tataru",
                         {"n_samples": n, "flow_dt": 0.01, "tol": 1e-3,
                          "oracle": {"pi": [0.0], "rho": [2.718281828459045]}}))
+    # the row-drawn property checks, at two sample counts
+    for n in (10, 100):
+        configs.append((f"properties_{n}", {"space": "cir", "params": {"mu": 1.0}},
+                        "properties",
+                        {"checks": ["metric", "geodesic", "kappa_convexity", "jensen"],
+                         "n_samples": n, "n_geodesics": n}))
     paths = []
     for name, space, kind, p in configs:
         path = tmp_path / f"{name}.json"
@@ -86,8 +93,9 @@ def test_traced_runs_count_every_hook(tmp_path):
     anchors = {tuple(r["anchor_tataru"]) for r in report["subsolution"]["records"]}
     assert len(report["subsolution"]["records"]) == 4 * len(anchors)
     assert totals["tataru.tataru_batch.calls"] == 2 * len(anchors)
-    # the suites' samples are coordinate rows: the two oracle points are the
-    # only StatePoints either suite config builds, whatever its sample count
     built = [after.get("core.StatePoint.of.calls", 0) - before.get("core.StatePoint.of.calls", 0)
-             for before, after in zip(out["runs"][-3:-1], out["runs"][-2:])]
-    assert built == [2, 2]
+             for before, after in zip(out["runs"][-5:-1], out["runs"][-4:])]
+    # the suites' samples are coordinate rows: the two oracle points are the
+    # only StatePoints either suite config builds, whatever its sample count;
+    # the property checks build none
+    assert built == [2, 2, 0, 0]

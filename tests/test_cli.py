@@ -280,6 +280,93 @@ class TestRunConfigs:
         assert reports[0] == reports[1] == reports[2]
 
 
+def set_field(params, path, value):
+    """Set the field at a dotted path ("rollout.nodes") of params to value."""
+    *outer, key = path.split(".")
+    for part in outer:
+        params = params[part]
+    params[key] = value
+
+
+# (shipped config, dotted path of a float field under params) for each kind
+FLOAT_FIELDS = [("ou_flow_contraction", "dt"), ("ou_flow_contraction", "contraction.tol"),
+                ("ou_evi", "tol"), ("ou_cir_tataru", "flow_dt"), ("ou_cir_tataru", "tol"),
+                ("cir_resolvent", "lambda"), ("cir_resolvent", "tol"),
+                ("cir_resolvent", "rollout.dt"), ("cir_viscosity", "lambda"),
+                ("cir_viscosity", "tol"), ("cir_comparison", "lambda"),
+                ("cir_comparison", "tol"), ("ou_quadruplication", "lambda"),
+                ("ou_quadruplication", "ratio_max"), ("cir_properties", "jensen_tol")]
+# (shipped config, dotted path under params, malformed value)
+OTHER_FIELDS = [
+    ("cir_resolvent", "n_grid", 800.7),
+    ("cir_viscosity", "n_grid", 800.7),
+    ("cir_comparison", "n_grid", 800.7),
+    ("cir_resolvent", "rollout.nodes", [100.5]),
+    ("ou_flow_contraction", "x0", "abc"),
+    ("ou_evi", "x0", "abc"),
+    ("ou_evi", "probes", [[0.5], ["abc"]]),
+    ("ou_flow_contraction", "contraction.q0", [None]),
+    ("ou_quadruplication", "nu0", "abc"),
+    ("ou_quadruplication", "grid.n", 41.5),
+    ("ou_cir_tataru", "oracle.pi", ["abc"]),
+    ("ou_cir_tataru", "n_samples", True),
+    ("cir_viscosity", "sweep.a_values", [1.0, "2"]),
+    ("cir_comparison", "deltas", [0.05, None]),
+    ("mccann_checks", "mccann_expect_pass", "false"),
+    ("cir_properties", "n_geodesics", 100.5),
+    ("ou_mms_convergence", "mms_convergence.ratio_range", [1.7]),
+]
+
+
+class TestMalformedFields:
+    """A malformed numeric or coordinate field is a config error (exit 2)
+    that names the field, and the run writes no result file."""
+
+    @staticmethod
+    def shipped(tmp_path, name):
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        return cfg
+
+    @staticmethod
+    def assert_config_error(tmp_path, capsys, cfg, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        assert run(str(config)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"'{key}'" in err, err
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
+
+    def run_with(self, tmp_path, capsys, name, path, value):
+        cfg = self.shipped(tmp_path, name)
+        set_field(cfg["params"], path, value)
+        self.assert_config_error(tmp_path, capsys, cfg, path.split(".")[-1])
+
+    @pytest.mark.parametrize("value", ["abc", None, True, [1.0]],
+                             ids=["string", "null", "bool", "list"])
+    @pytest.mark.parametrize("name,path", FLOAT_FIELDS)
+    def test_float_field(self, tmp_path, capsys, name, path, value):
+        self.run_with(tmp_path, capsys, name, path, value)
+
+    @pytest.mark.parametrize("name,path,value", OTHER_FIELDS)
+    def test_integer_coordinate_and_bool_fields(self, tmp_path, capsys, name, path, value):
+        self.run_with(tmp_path, capsys, name, path, value)
+
+    @pytest.mark.parametrize("key,value", [("x_hi", "8"), ("mu", True), ("cap", None)])
+    def test_space_and_data_function_parameters(self, tmp_path, capsys, key, value):
+        cfg = self.shipped(tmp_path, "cir_resolvent")
+        section = cfg["params"]["h"] if key == "cap" else cfg["space"]
+        section["params"][key] = value
+        self.assert_config_error(tmp_path, capsys, cfg, key)
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        cfg = self.shipped(tmp_path, "cir_comparison")
+        cfg["params"].update(n_grid=200.0, deltas=[0.5])
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert run(str(tmp_path / "config.json")) == 0
+
+
 class TestEkelandCell:
     def test_product_base_points_are_distinct(self, monkeypatch):
         # the product problem's base points come from one generator, so

@@ -25,6 +25,21 @@ from evikit.spaces import CirDescriptor, make_cir, make_ou
 from evikit.tataru import tataru_distance
 
 
+def validate_penalty(problem, rng=None, n_samples=50, tol=1e-9):
+    """Sampled checks of B >= 0, B(x,x) = 0 and the triangle inequality."""
+    rng = rng or np.random.default_rng(5)
+    n = len(problem.points)
+    for _ in range(n_samples):
+        i, j, k = (int(rng.integers(n)) for _ in range(3))
+        bij = problem.penalty(i, j)
+        if bij < -tol:
+            raise UsageError(f"penalty must be nonnegative, B({i},{j}) = {bij}")
+        if abs(problem.penalty(i, i)) > tol:
+            raise UsageError(f"penalty must vanish on the diagonal at {i}")
+        if problem.penalty(i, k) > bij + problem.penalty(j, k) + tol:
+            raise UsageError(f"penalty triangle inequality fails at ({i},{j},{k})")
+
+
 def line_problem(g_values, delta, x_hat):
     xs = np.arange(len(g_values)) / 10.0
     pts = [StatePoint.of(v) for v in xs]
@@ -37,7 +52,7 @@ class TestEkelandPrinciple:
     def test_parabola_walk_and_exhaustive_invariants(self):
         xs = np.arange(101) / 10.0
         prob = line_problem(-(xs - 3.14) ** 2, 0.1, 0)
-        prob.validate_penalty()
+        validate_penalty(prob)
         res = ekeland_optimize(prob)
         assert xs[res.x_delta] == pytest.approx(3.1)
         chk = verify_ekeland_result(prob, res)
@@ -91,14 +106,15 @@ class TestEkelandPrinciple:
 
     def test_problem_validation(self):
         pts = [StatePoint.of(v) for v in (0.0, 1.0)]
+        zero = lambda j: np.zeros(2)
         with pytest.raises(UsageError):
-            EkelandProblem(pts, np.zeros(2), lambda i, j: 0.0, -1.0, 0)
+            EkelandProblem(pts, np.zeros(2), lambda i, j: 0.0, -1.0, 0, zero)
         with pytest.raises(UsageError):
-            EkelandProblem(pts, np.array([0.0, math.inf]), lambda i, j: 0.0, 1.0, 0)
+            EkelandProblem(pts, np.array([0.0, math.inf]), lambda i, j: 0.0, 1.0, 0, zero)
         bad = EkelandProblem(pts, np.zeros(2), lambda i, j: -1.0 if i != j else 0.0,
-                             1.0, 0)
+                             1.0, 0, zero)
         with pytest.raises(UsageError):
-            bad.validate_penalty()
+            validate_penalty(bad)
 
 
 def tataru_product_penalty(space, points, eps):
@@ -370,26 +386,22 @@ class TestKeyEstimates:
 class TestJensen:
     def test_equal_points_trivial(self):
         ou = make_ou(1.0)
-        p = StatePoint.of(0.5)
-        assert jensen_distance_check(ou, [(p, p, p, p)]) <= 0.0
+        assert jensen_distance_check(ou, np.full((1, 4, 1), 0.5)) <= 0.0
 
     def test_euclidean_samples(self):
         ou = make_ou(1.0)
-        rng = np.random.default_rng(5)
-        quads = [tuple(ou.sample_point(rng) for _ in range(4)) for _ in range(2000)]
+        quads = ou.sample_rows(np.random.default_rng(5), 4 * 2000).reshape(2000, 4, 1)
         assert jensen_distance_check(ou, quads) <= 1e-12
 
     def test_cir_samples(self):
         cir = make_cir(CirDescriptor(mu=1.0))
-        rng = np.random.default_rng(7)
-        quads = [tuple(cir.sample_point(rng) for _ in range(4)) for _ in range(500)]
+        quads = cir.sample_rows(np.random.default_rng(7), 4 * 500).reshape(500, 4, 1)
         assert jensen_distance_check(cir, quads) <= 1e-9
 
     def test_weights_out_of_range_rejected(self):
         ou = make_ou(1.0)
-        p = StatePoint.of(0.0)
         with pytest.raises(UsageError):
-            jensen_distance_check(ou, [(p, p, p, p)], eps_grid=(0.4,))
+            jensen_distance_check(ou, np.zeros((1, 4, 1)), eps_grid=(0.4,))
 
     @given(st.tuples(*[st.floats(min_value=-50, max_value=50) for _ in range(4)]),
            st.floats(min_value=0.01, max_value=0.33),

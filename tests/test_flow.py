@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evikit.flow
+
 from evikit.core import (
     DomainError,
     ExtendedReal,
@@ -23,7 +25,6 @@ from evikit.flow import (
     Trajectory,
     _refine_minimum,
     _time_grid,
-    check_semigroup,
     fit_quadratic_lower_bound,
     flow_any,
     flow_exact,
@@ -66,6 +67,14 @@ def heat_space():
 # ---------------------------------------------------------------------------
 # Exact flows
 # ---------------------------------------------------------------------------
+
+def check_semigroup(space, p, T, dt):
+    """|flow(2T) - flow(T) twice| in the metric (exact flows: ~0)."""
+    one = flow_any(space, p, 2 * T, dt)
+    half = flow_any(space, p, T, dt)
+    again = flow_any(space, half.end, T, dt)
+    return space.distance(one.end, again.end)
+
 
 class TestExactFlows:
     def test_ou_exponential_decay(self, ou):
@@ -444,15 +453,17 @@ def loop_quadratic_lower_bound(space, nu0, c1, sample_count, rng):
     return stage_best, best_y
 
 
-def test_quadratic_lower_bound_matches_loop(ou, cir):
+def test_quadratic_lower_bound_matches_loop(ou, cir, monkeypatch):
     cases = [(ou, StatePoint.of(0.3), 1.0), (cir, StatePoint.of(1.0), 0.5),
              (cir, StatePoint.of(0.05), 2.0), (quadratic(3, "quartic"), StatePoint.of([0.5, 0.0, -1.0]), 0.2)]
     for space, nu0, c1 in cases:
         for count in (4000, 37):
             stages, best_y = loop_quadratic_lower_bound(space, nu0, c1, count,
                                                         np.random.default_rng(3))
-            got = fit_quadratic_lower_bound(space, nu0, c1, count,
-                                            np.random.default_rng(3), refine=False)
+            with monkeypatch.context() as m:  # the sampled minimum, unrefined
+                m.setattr(evikit.flow, "_refine_minimum", lambda space, fn, y, fy: fy)
+                got = fit_quadratic_lower_bound(space, nu0, c1, count,
+                                                np.random.default_rng(3))
             assert got == (-stages[-1], stages[-1])
             # refinement starts from the same point, so it ends at the same value
             refined = fit_quadratic_lower_bound(space, nu0, c1, count, np.random.default_rng(3))

@@ -22,13 +22,13 @@ from evikit.hj import (
     ResolventSolution,
     UpperTestFunction,
     check_comparison,
-    eval_lower,
-    eval_upper,
     hamiltonian_sandwich_check,
+    lower_bound_value,
     make_data_function,
     solve_resolvent_1d,
     solve_resolvent_cir,
     solve_resolvent_quadratic,
+    upper_bound_value,
     value_by_rollout,
     verify_subsolution,
     verify_supersolution,
@@ -42,7 +42,7 @@ from evikit.spaces import (
     make_ou,
     make_quadratic,
 )
-from evikit.tataru import tataru_batch
+from evikit.tataru import tataru_batch, tataru_distance
 
 DESC = CirDescriptor(mu=1.0, x_lo=1e-3, x_hi=8.0)
 H_CLIP = make_data_function("affine_clipped", slope=1.0, intercept=0.0, cap=2.0)
@@ -61,6 +61,28 @@ def cir():
 @pytest.fixture(scope="module")
 def resolvent():
     return solve_resolvent_cir(DESC, 1.0, H_CLIP, 800, 1e-6)
+
+
+def eval_upper(tf, pi):
+    """(f+, g+) at pi, one point at a time; g+ = -inf when E(pi) = +inf."""
+    sp = tf.space
+    d = sp.distance(pi, tf.rho)
+    dt_val = tataru_distance(sp, pi, tf.mu, tf.flow_dt).value
+    f_val = 0.5 * tf.a * d**2 + tf.b * dt_val + tf.c
+    g_val = upper_bound_value(sp, tf.a, tf.b, float(sp.energy(tf.rho)),
+                              float(sp.energy(pi)), d, d**2)
+    return f_val, g_val
+
+
+def eval_lower(tf, mu):
+    """(f-, g-) at mu, one point at a time; g- = +inf when E(mu) = +inf."""
+    sp = tf.space
+    d = sp.distance(tf.gamma, mu)
+    dt_val = tataru_distance(sp, mu, tf.pi, tf.flow_dt).value
+    f_val = -0.5 * tf.a * d**2 - tf.b * dt_val + tf.c
+    g_val = lower_bound_value(sp, tf.a, tf.b, float(sp.energy(tf.gamma)),
+                              float(sp.energy(mu)), d, d**2)
+    return f_val, g_val
 
 
 def sweep(space, grid, kind, a_values=(0.5, 1.0, 2.0, 4.0),
@@ -638,17 +660,25 @@ class TestViscosity:
 # Rollout values
 # ---------------------------------------------------------------------------
 
+def state_grid(space):
+    """A 400-node rollout state grid over the space's clipping bounds."""
+    if isinstance(space, CirSpace):
+        return np.linspace(space.x_lo, space.x_hi, 400)
+    return np.linspace(-8.0, 8.0, 400)
+
+
 class TestRollout:
     def test_zero_data_zero_value(self, cir):
         val, = value_by_rollout(cir, 1.0, make_data_function("constant", value=0.0),
-                                [2.0], np.linspace(-2, 2, 11), 1e-2, 5.0)
+                                [2.0], np.linspace(-2, 2, 11), 1e-2, 5.0, state_grid(cir))
         assert val == pytest.approx(0.0, abs=1e-9)
 
     def test_nonpositive_data_on_quadratic_space(self, ou):
         h = lambda x: -np.asarray(x, dtype=float) ** 2
         us = np.linspace(-2, 2, 21)
         # true value at the origin is 0 (u = 0); the rollout sits just below
-        at_zero, at_one = value_by_rollout(ou, 1.0, h, [0.0, 1.0], us, 1e-2, 8.0)
+        at_zero, at_one = value_by_rollout(ou, 1.0, h, [0.0, 1.0], us, 1e-2, 8.0,
+                                           state_grid(ou))
         assert -1e-2 <= at_zero <= 1e-12
         assert at_one <= 0.0
 
@@ -676,7 +706,7 @@ class TestRollout:
         # with starts at and beyond the clipping bounds
         cases = [(cir, H_CLIP, xs[[0, 1, 150, 400, 798, 799]], 5e-3, 1.0, xs),
                  (ou, lambda x: -np.asarray(x, dtype=float) ** 2,
-                  np.array([-8.0, -1.3, 0.0, 0.7, 8.0, 9.5]), 1e-2, 3.0, None)]
+                  np.array([-8.0, -1.3, 0.0, 0.7, 8.0, 9.5]), 1e-2, 3.0, state_grid(ou))]
         for space, h, starts, dt, T, grid in cases:
             for us in controls:
                 batch = value_by_rollout(space, 1.0, h, starts[:, None], us, dt, T,
@@ -688,8 +718,9 @@ class TestRollout:
     def test_single_start_is_one_row(self, cir):
         us = np.linspace(-2, 2, 11)
         h = make_data_function("gaussian_bump", center=1.0, width=0.5, height=1.0)
-        many = value_by_rollout(cir, 1.0, h, [[0.5], [2.0], [4.0]], us, 1e-2, 2.0)
-        one = value_by_rollout(cir, 1.0, h, [[2.0]], us, 1e-2, 2.0)
+        many = value_by_rollout(cir, 1.0, h, [[0.5], [2.0], [4.0]], us, 1e-2, 2.0,
+                                state_grid(cir))
+        one = value_by_rollout(cir, 1.0, h, [[2.0]], us, 1e-2, 2.0, state_grid(cir))
         assert many.shape == (3,) and one.shape == (1,)
         assert one[0] == many[1]
 
@@ -735,33 +766,30 @@ class TestComparison:
 # ---------------------------------------------------------------------------
 
 class TestSandwich:
+    A_VALUES = (0.5, 1.0, 2.0, 4.0)
+
     def test_coincident_point_trivial(self, ou):
         b0 = 1e-6
-        anchor = StatePoint.of(1.0)
-        worst = hamiltonian_sandwich_check(ou, [(1.0, anchor)], [anchor], b0)
+        worst = hamiltonian_sandwich_check(ou, (1.0,), [[1.0]], [[1.0]], b0)
         # H_exact = 0 <= g+ = b0 + b0^2/2
         assert worst <= -b0 / 2
 
     def test_ou_sweep(self, ou):
-        params = [(a, StatePoint.of(r)) for a in (0.5, 1.0, 2.0, 4.0)
-                  for r in (-1.0, 0.0, 1.0)]
-        samples = [StatePoint.of(v) for v in np.linspace(-2.0, 3.0, 11)]
-        assert hamiltonian_sandwich_check(ou, params, samples) <= 1e-5
+        anchors = np.array([[-1.0], [0.0], [1.0]])
+        samples = np.linspace(-2.0, 3.0, 11)[:, None]
+        assert hamiltonian_sandwich_check(ou, self.A_VALUES, anchors, samples) <= 1e-5
 
     def test_cir_sweep(self, cir):
-        params = [(a, StatePoint.of(r)) for a in (0.5, 1.0, 2.0, 4.0)
-                  for r in (0.5, 1.0, 2.0)]
-        samples = [StatePoint.of(v) for v in np.linspace(0.2, 5.0, 11)]
-        assert hamiltonian_sandwich_check(cir, params, samples) <= 1e-4
+        anchors = np.array([[0.5], [1.0], [2.0]])
+        samples = np.linspace(0.2, 5.0, 11)[:, None]
+        assert hamiltonian_sandwich_check(cir, self.A_VALUES, anchors, samples) <= 1e-4
 
     def test_wrong_modulus_violates_bound(self):
         """With the modulus forced to 1 the upper bound fails on the
         half-line: the sandwich check is sharp enough to detect it."""
         cir = make_cir(CirDescriptor(mu=1.0))
         cir.kappa = 1.0
-        params = [(1.0, StatePoint.of(0.25))]
-        samples = [StatePoint.of(4.0)]
-        assert hamiltonian_sandwich_check(cir, params, samples) > 0.5
+        assert hamiltonian_sandwich_check(cir, (1.0,), [[0.25]], [[4.0]]) > 0.5
 
 
 def test_grid_function_validation():

@@ -30,7 +30,7 @@ from evikit.spaces import (
     make_wasserstein1d,
     mccann_check,
     pava_nondecreasing,
-    wasserstein_information,
+    wasserstein_information_rows,
 )
 
 
@@ -78,11 +78,6 @@ class TestCir:
                       + 0.5 * float(self.space.energy(q))
                       - 0.5 * 1.0 * 0.25 * self.space.distance(p, q) ** 2)
         assert float(self.space.energy(mid)) > e_bound_k1 + 0.1
-
-    def test_descriptor_json(self):
-        d = self.space.descriptor()
-        assert d["space"] == "cir"
-        assert d["params"]["mu"] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +253,13 @@ class TestWasserstein1D:
         space = self.make(m=128, internal=None, potential="quadratic", kappa_v=1.0)
         rng = np.random.default_rng(9)
         q = np.sort(rng.normal(0.5, 1.3, 128))
-        got = wasserstein_information(space, StatePoint.of(q))
+        got = wasserstein_information_rows(space, q[None])[0]
         assert got == pytest.approx(float(np.mean(q**2)), rel=1e-12)
 
     def test_uniform_density_interior_score_vanishes(self):
         space = self.make(m=64)
         q = np.linspace(0.0, 1.0, 64)  # affine quantiles: uniform density
-        assert wasserstein_information(space, StatePoint.of(q)) == pytest.approx(0.0)
+        assert wasserstein_information_rows(space, q[None])[0] == pytest.approx(0.0)
 
     def test_nonmonotone_rejected_and_flat_is_infinite(self):
         space = self.make(m=8)
