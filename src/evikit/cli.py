@@ -119,10 +119,11 @@ def _require(params: dict, key: str, kind=None):
 
 
 def _field(params: dict, key: str, default=_REQUIRED, kind=float, positive: bool = False):
-    """params[key] as a `kind` (float, int or bool, or [float] / [int] for a
-    list of them), or default when the key is absent.  A float takes any
-    JSON number, an int an integral one; any other value, or with positive
-    a number not above 0, is a ConfigError naming the field."""
+    """params[key] as a `kind` (float, int, bool or dict, a nested JSON
+    object of fields, or [float] / [int] for a list of them), or default
+    when the key is absent.  A float takes any JSON number, an int an
+    integral one; any other value, or with positive a number not above 0,
+    is a ConfigError naming the field."""
     if key not in params:
         if default is _REQUIRED:
             raise ConfigError(f"missing config field '{key}'")
@@ -132,14 +133,15 @@ def _field(params: dict, key: str, default=_REQUIRED, kind=float, positive: bool
         if not isinstance(val, list):
             raise ConfigError(f"config field '{key}' must be a list, got {val!r}")
         return [_field({key: v}, key, kind=kind[0], positive=positive) for v in val]
-    if kind is bool:
-        ok = isinstance(val, bool)
+    if kind is bool or kind is dict:
+        ok = isinstance(val, kind)
     else:
         ok = (isinstance(val, (int, float)) and not isinstance(val, bool)
               and (kind is float or isinstance(val, int) or val.is_integer())
               and (not positive or val > 0))
     if not ok:
-        what = {bool: "true or false", int: "an integer", float: "a number"}[kind]
+        what = {bool: "true or false", int: "an integer", float: "a number",
+                dict: "an object"}[kind]
         if positive:
             what = "a positive " + what.split()[-1]
         raise ConfigError(f"config field '{key}' must be {what}, got {val!r}")
@@ -149,7 +151,7 @@ def _field(params: dict, key: str, default=_REQUIRED, kind=float, positive: bool
 def _builtin(spec: dict, make):
     """make(name, **params) for a named built-in {"name": ..., "params": {...}},
     its parameters read as numbers."""
-    params = spec.get("params", {})
+    params = _field(spec, "params", {}, dict)
     return make(_require(spec, "name"), **{k: _field(params, k) for k in params})
 
 
@@ -163,7 +165,7 @@ def _potential_from(spec) -> object | None:
 
 def build_space(desc: dict) -> Space:
     name = _require(desc, "space")
-    params = desc.get("params", {})
+    params = _field(desc, "params", {}, dict)
     try:
         if name == "cir":
             return make_cir(CirDescriptor(
@@ -207,7 +209,7 @@ def _state(space: Space, params: dict, key: str, default=_REQUIRED) -> StatePoin
     if isinstance(spec, dict) and spec.get("gaussian") is not None:
         if not hasattr(space, "gaussian_state"):
             raise ConfigError(f"space '{space.name}' has no gaussian state family")
-        g = spec["gaussian"]
+        g = _field(spec, "gaussian", kind=dict)
         return space.gaussian_state(_field(g, "mean", 0.0), _field(g, "sd", 1.0))
     coords = spec if isinstance(spec, list) else [spec]
     return StatePoint.of(_field({key: coords}, key, kind=[float]))
@@ -243,11 +245,11 @@ def run_flow(space, params, out: Path, rng):
     x0 = _state(space, params, "x0")
     mode = params.get("mode", "auto")
     energy_tol = _field(params, "energy_tol", None)
-    contraction = params.get("contraction")
+    contraction = _field(params, "contraction", None, dict)
     if contraction is not None:
         q0 = _state(space, contraction, "q0")
         contraction_tol = _field(contraction, "tol", 1e-6)
-    convergence = params.get("mms_convergence")
+    convergence = _field(params, "mms_convergence", None, dict)
     if convergence is not None:
         dts = _field(convergence, "dts", kind=[float])
         ratio_range = _field(convergence, "ratio_range", [1.7, 2.3], [float])
@@ -316,7 +318,7 @@ def run_tataru(space, params, out: Path, rng):
     flow_dt = _field(params, "flow_dt", 5e-3)
     tol = _field(params, "tol", positive=True)
     suites = params.get("suites", ["lipschitz", "flow_lipschitz", "triangle"])
-    oracle = params.get("oracle")
+    oracle = _field(params, "oracle", None, dict)
     if oracle is not None:
         pi, rho = _state(space, oracle, "pi"), _state(space, oracle, "rho")
 
@@ -355,14 +357,14 @@ def run_resolvent(space, params, out: Path, rng):
     lam = _field(params, "lambda", positive=True)
     tol = _field(params, "tol", 1e-6)
     n_grid = _field(params, "n_grid", 800, int)
-    h_fn = _builtin(_require(params, "h"), make_data_function)
-    ro = params.get("rollout")
+    h_fn = _builtin(_field(params, "h", kind=dict), make_data_function)
+    ro = _field(params, "rollout", None, dict)
     indices = _field(ro or {}, "nodes", [], [int])
     for idx in indices:
         if not 0 <= idx < n_grid:
             raise ConfigError(f"rollout node {idx} is not a node of the {n_grid}-node grid")
     if ro is not None:
-        cg = ro.get("control", {})
+        cg = _field(ro, "control", {}, dict)
         us = np.linspace(_field(cg, "lo", -3.0), _field(cg, "hi", 3.0),
                          _field(cg, "n", 21, int, positive=True))
         dt = _field(ro, "dt", 5e-3)
@@ -396,9 +398,9 @@ def run_resolvent(space, params, out: Path, rng):
 def run_viscosity(space, params, out: Path, rng):
     lam = _field(params, "lambda", positive=True)
     n_grid = _field(params, "n_grid", 800, int)
-    h_fn = _builtin(_require(params, "h"), make_data_function)
+    h_fn = _builtin(_field(params, "h", kind=dict), make_data_function)
     tol_factor = _field(params, "tol_factor", 10.0)
-    sweep = params.get("sweep", {})
+    sweep = _field(params, "sweep", {}, dict)
     a_values = _field(sweep, "a_values", [0.5, 1.0, 2.0, 4.0], [float])
     b_values = _field(sweep, "b_values", [1e-3, 1e-2, 1e-1], [float])
     n_anchors = _field(sweep, "n_anchors", 5, int)
@@ -427,7 +429,7 @@ def run_comparison(space, params, out: Path, rng):
     lam = _field(params, "lambda", positive=True)
     n_grid = _field(params, "n_grid", 800, int)
     deltas = _field(params, "deltas", kind=[float])
-    h_fn = _builtin(_require(params, "h"), make_data_function)
+    h_fn = _builtin(_field(params, "h", kind=dict), make_data_function)
     tol_sol = _field(params, "tol", 1e-6)
     tol_factor = _field(params, "tol_factor", 10.0)
     base = _solve_for(space, params, lam, h_fn, n_grid, tol_sol)
@@ -458,11 +460,11 @@ def run_comparison(space, params, out: Path, rng):
 
 def run_quadruplication(space, params, out: Path, rng):
     lam = _field(params, "lambda", positive=True)
-    grid = params.get("grid", {})
+    grid = _field(params, "grid", {}, dict)
     lo, hi = _field(grid, "lo", -2.0), _field(grid, "hi", 2.0)
     n = _field(grid, "n", 41, int)
     alphas = _field(params, "alphas", [10.0, 100.0, 1000.0], [float])
-    h_fn = _builtin(_require(params, "h"), make_data_function)
+    h_fn = _builtin(_field(params, "h", kind=dict), make_data_function)
     v_scale = _field(params, "v_scale", 0.9)
     nu0 = _state(space, params, "nu0", [0.0])
     ratio_max = _field(params, "ratio_max", 0.1)
@@ -594,12 +596,12 @@ def run(config_path: str) -> int:
         kind = _require(config, "kind")
         if kind not in _RUNNERS:
             raise ConfigError(f"unknown experiment kind '{kind}'")
-        space = build_space(_require(config, "space", dict))
+        space = build_space(_field(config, "space", kind=dict))
         out = Path(config.get("output_dir", "out"))
         out.mkdir(parents=True, exist_ok=True)
         seed = _field(config, "seed", 0, int)
         rng = np.random.default_rng(seed)
-        params = config.get("params", {})
+        params = _field(config, "params", {}, dict)
     except (ConfigError, UsageError, ConstructionError, OSError,
             json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -356,8 +356,18 @@ def solve_resolvent_1d(xs: np.ndarray, drift: np.ndarray, sigma: np.ndarray,
     Each iteration solves the linear upwind system at the current policy
     (an M-matrix, hence the discrete maximum principle) and re-optimizes
     the control from the one-sided derivatives of the iterate.  The work
-    runs in a fixed set of grid-sized buffers allocated once per call;
-    the tridiagonal solve overwrites its band and right-hand side in place.
+    runs in a fixed set of grid-sized buffers allocated once per call,
+    each holding one thing before the tridiagonal solve and another after:
+
+    - the band rows sup, dia, sub hold the system's three diagonals until
+      the solve, which overwrites them; from then until the next assembly
+      dia holds the discrete Hamiltonian, sup the backward branch's value
+      and sub its control;
+    - diff[:n] holds the drift coefficients lam * c / dx until the solve;
+      from then on diff holds the difference quotients of the iterate,
+      fwd = diff[1:] and bwd = diff[:-1];
+    - f holds the right-hand side, which the solve overwrites with the
+      iterate.
     """
     if lam <= 0:
         raise UsageError("resolvent parameter lambda must be positive")
@@ -368,15 +378,13 @@ def solve_resolvent_1d(xs: np.ndarray, drift: np.ndarray, sigma: np.ndarray,
     dx = float(xs[1] - xs[0])
     band = np.empty((3, n))      # rows: A[j-1, j], A[j, j], A[j+1, j]
     sup, dia, sub = band
+    hval, val_b, u_b = dia, sup, sub   # after the solve
     f = np.empty(n)              # right-hand side, then the solve's result
     policy = np.zeros(n)
-    co = np.empty(n)
     tmp = np.empty(n)
-    hval = np.empty(n)
-    val_b = np.empty(n)
-    u_b = np.empty(n)
-    diff = np.empty(n + 1)       # fwd = diff[1:], bwd = diff[:-1]
-    fwd, bwd = diff[1:], diff[:-1]
+    diff = np.empty(n + 1)
+    co = diff[:n]                # before the solve
+    fwd, bwd = diff[1:], diff[:-1]   # after it
     ahead = np.empty(n, dtype=bool)
     behind = np.empty(n, dtype=bool)
     val_zero = np.square(drift)  # total drift pinned at zero
@@ -462,6 +470,44 @@ def solve_resolvent_quadratic(space: QuadraticSpace, lam: float, h,
 # Control rollout lower bound
 # ---------------------------------------------------------------------------
 
+def _value_program(xs: np.ndarray, reward: np.ndarray, x_next: np.ndarray,
+                   beta: float, steps: int) -> np.ndarray:
+    """The rollout's dynamic program: V = 0, then `steps` times
+    V <- max over controls of reward + beta * np.interp(x_next, xs, V),
+    with reward and x_next (controls, nodes) arrays on the grid xs.
+
+    x_next is fixed, so its np.interp brackets are found once: j with
+    xs[j] <= x_next < xs[j + 1] and the offset x_next - xs[j].  States
+    below the grid, on a node, or at or past its last node take V[j], j
+    clipped to the grid, as np.interp does; the others take np.interp's
+    slope * offset + V[j], in buffers reused across steps.
+    """
+    n = xs.size
+    j = np.searchsorted(xs, x_next, side="right") - 1
+    take = (j < 0) | (j >= n - 1)
+    np.clip(j, 0, n - 1, out=j)
+    take |= xs[j] == x_next
+    j_slope = np.minimum(j, n - 2)
+    off = x_next - xs[j_slope]
+    dxs = xs[1:] - xs[:-1]
+    V = np.zeros_like(xs)
+    slope = np.empty(n - 1)
+    cont = np.empty_like(x_next)
+    v_j = np.empty_like(x_next)
+    for _ in range(steps):
+        np.subtract(V[1:], V[:-1], out=slope)
+        np.divide(slope, dxs, out=slope)
+        np.take(slope, j_slope, out=cont)
+        np.multiply(cont, off, out=cont)
+        np.take(V, j, out=v_j)
+        np.add(cont, v_j, out=cont)
+        np.copyto(cont, v_j, where=take)
+        np.multiply(beta, cont, out=cont)
+        np.add(reward, cont, out=cont)
+        np.max(cont, axis=0, out=V)
+    return V
+
+
 def value_by_rollout(space: Space, lam: float, h, starts: np.ndarray,
                      control_grid: np.ndarray, dt: float, T: float,
                      state_grid: np.ndarray) -> np.ndarray:
@@ -469,11 +515,11 @@ def value_by_rollout(space: Space, lam: float, h, starts: np.ndarray,
     control, hence a lower bound on the resolvent value up to O(dt).
 
     A finite-horizon dynamic program over the control grid synthesizes a
-    feedback policy on state_grid (linear value interpolation); the
-    policy is then rolled forward from every start at once with Euler
-    steps of the controlled drift, accumulating
-    exp(-t/lambda) [h/lambda - u^2/(2 sigma)] dt.  Trajectories leaving
-    the grid are clipped.
+    feedback policy on state_grid, an increasing grid of at least two
+    nodes (linear value interpolation); the policy is then rolled forward
+    from every start at once with Euler steps of the controlled drift,
+    accumulating exp(-t/lambda) [h/lambda - u^2/(2 sigma)] dt.
+    Trajectories leaving the grid are clipped.
 
     starts holds the scalar start coordinates, an (m, 1) array (or (m,));
     the result is the (m,) array of their values, each equal to the value
@@ -488,7 +534,9 @@ def value_by_rollout(space: Space, lam: float, h, starts: np.ndarray,
         sigma_fn = np.ones_like
     else:
         raise UsageError("rollout values support scalar spaces only")
-    xs = state_grid
+    xs = np.asarray(state_grid, dtype=float)
+    if xs.size < 2:
+        raise UsageError("a rollout state grid needs at least 2 nodes")
     h_vals = np.asarray(h(xs), dtype=float)
     us = np.asarray(control_grid, dtype=float)
     beta = math.exp(-dt / lam)
@@ -500,12 +548,8 @@ def value_by_rollout(space: Space, lam: float, h, starts: np.ndarray,
     # contiguous rows
     reward = dfac * (h_vals[None, :] / lam - us[:, None] ** 2 / (2.0 * sigma[None, :]))
     x_next = np.clip(xs[None, :] + dt * (drift[None, :] + us[:, None]), lo, hi)
-
-    V = np.zeros_like(xs)
     steps = int(math.ceil(T / dt))
-    for _ in range(steps):
-        cont = np.interp(x_next, xs, V)
-        V = np.max(reward + beta * cont, axis=0)
+    V = _value_program(xs, reward, x_next, beta, steps)
 
     # forward rollout of the greedy policy, one row per start; reward uses
     # the exact step discount and a trapezoidal state average along the

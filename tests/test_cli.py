@@ -317,6 +317,20 @@ OTHER_FIELDS = [
     ("ou_mms_convergence", "mms_convergence.ratio_range", [1.7]),
 ]
 
+# (shipped config, dotted path under params of a nested object, a value of
+# another JSON type)
+SECTION_FIELDS = [
+    ("cir_resolvent", "rollout", 5),
+    ("cir_resolvent", "rollout.control", [-3.0, 3.0]),
+    ("cir_resolvent", "h", "affine_clipped"),
+    ("cir_viscosity", "sweep", [1]),
+    ("ou_quadruplication", "grid", None),
+    ("ou_flow_contraction", "contraction", [-1.0]),
+    ("ou_mms_convergence", "mms_convergence", "abc"),
+    ("ou_cir_tataru", "oracle", [0.0]),
+    ("wasserstein_heat_mms", "x0.gaussian", 1.0),
+]
+
 
 class TestMalformedFields:
     """A malformed numeric or coordinate field is a config error (exit 2)
@@ -359,6 +373,17 @@ class TestMalformedFields:
         section = cfg["params"]["h"] if key == "cap" else cfg["space"]
         section["params"][key] = value
         self.assert_config_error(tmp_path, capsys, cfg, key)
+
+    @pytest.mark.parametrize("name,path,value", SECTION_FIELDS)
+    def test_section_must_be_an_object(self, tmp_path, capsys, name, path, value):
+        self.run_with(tmp_path, capsys, name, path, value)
+
+    @pytest.mark.parametrize("where", ["config", "space", "h"])
+    def test_params_must_be_an_object(self, tmp_path, capsys, where):
+        cfg = self.shipped(tmp_path, "cir_resolvent")
+        section = {"config": cfg, "space": cfg["space"], "h": cfg["params"]["h"]}[where]
+        section["params"] = [1.0]
+        self.assert_config_error(tmp_path, capsys, cfg, "params")
 
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = self.shipped(tmp_path, "cir_comparison")

@@ -476,7 +476,7 @@ class TestBufferedResolvent:
         assert (tmp_path / "chunked.csv").read_bytes() == expected
 
     def test_solve_and_write_memory(self, tmp_path):
-        """The 51 200-node solve stays within 20 grid-sized float arrays,
+        """The 51 200-node solve stays within 12 grid-sized float arrays,
         inputs and result included, and writing its CSV within 1 MB."""
         n = 51200
         h = make_data_function("gaussian_bump", center=1.7, width=1.0, height=1.0)
@@ -493,7 +493,7 @@ class TestBufferedResolvent:
             write_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert solve_peak <= 20 * 8 * n
+        assert solve_peak <= 12 * 8 * n
         assert write_peak < 1e6
 
 
@@ -660,6 +660,14 @@ class TestViscosity:
 # Rollout values
 # ---------------------------------------------------------------------------
 
+def interp_value_program(xs, reward, x_next, beta, steps):
+    """The rollout's dynamic program with one np.interp call a step."""
+    V = np.zeros_like(xs)
+    for _ in range(steps):
+        V = np.max(reward + beta * np.interp(x_next, xs, V), axis=0)
+    return V
+
+
 def state_grid(space):
     """A 400-node rollout state grid over the space's clipping bounds."""
     if isinstance(space, CirSpace):
@@ -703,10 +711,17 @@ class TestRollout:
         odd = sorted(u for u in drawn if u**2 != u * u)[:9]
         controls = [np.linspace(-3.0, 3.0, 21), np.array(sorted(odd + [-2.5, 0.0, 2.5]))]
         # CIR on the resolvent grid, edge nodes included; OU on its own grid,
-        # with starts at and beyond the clipping bounds
+        # with starts at and beyond the clipping bounds; then OU and CIR on
+        # grids narrower than the clipping bounds, so next states fall below
+        # the first node and past the last one
         cases = [(cir, H_CLIP, xs[[0, 1, 150, 400, 798, 799]], 5e-3, 1.0, xs),
                  (ou, lambda x: -np.asarray(x, dtype=float) ** 2,
-                  np.array([-8.0, -1.3, 0.0, 0.7, 8.0, 9.5]), 1e-2, 3.0, state_grid(ou))]
+                  np.array([-8.0, -1.3, 0.0, 0.7, 8.0, 9.5]), 1e-2, 3.0, state_grid(ou)),
+                 (ou, make_data_function("gaussian_bump", center=0.5, width=1.0, height=1.0),
+                  np.array([-6.0, -2.0, -0.3, 1.9, 2.0, 5.0]), 5e-2, 2.0,
+                  np.linspace(-2.0, 2.0, 101)),
+                 (cir, H_CLIP, np.array([DESC.x_lo, 0.5, 1.3, 4.0, 6.0]), 5e-2, 2.0,
+                  np.linspace(0.5, 4.0, 200))]
         for space, h, starts, dt, T, grid in cases:
             for us in controls:
                 batch = value_by_rollout(space, 1.0, h, starts[:, None], us, dt, T,
@@ -714,6 +729,45 @@ class TestRollout:
                 ref = [scalar_rollout(space, 1.0, h, x, us, dt, T, state_grid=grid)
                        for x in starts]
                 assert batch.tolist() == ref
+
+    @pytest.mark.parametrize("on_nodes", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_value_program_bit_equal_to_interp_loop(self, seed, on_nodes):
+        # an increasing, unevenly spaced grid of 2 to 60 nodes; next states
+        # on nodes, on both ends, between nodes, below the grid and past it,
+        # or only on nodes, where slope * offset + V[j] can be an ulp off
+        rng = np.random.default_rng(seed)
+        n = 2 if seed == 0 else int(rng.integers(3, 60))
+        xs = np.cumsum(rng.uniform(0.1, 1.0, n)) - 3.0
+        k = 7
+        x_next = rng.uniform(xs[0], xs[-1], (k, n))
+        where = np.zeros((k, n)) if on_nodes else rng.integers(0, 5, (k, n))
+        x_next[where == 0] = rng.choice(xs, int(np.sum(where == 0)))
+        x_next[where == 1] = xs[0] - rng.uniform(0.0, 2.0, int(np.sum(where == 1)))
+        x_next[where == 2] = xs[-1] + rng.uniform(0.0, 2.0, int(np.sum(where == 2)))
+        x_next[0, :2] = xs[0], xs[-1]
+        reward = rng.normal(0.0, 1.0, (k, n))
+        # an ulp's difference can wash out over many steps, so each count
+        for steps in (1, 2, 3, 5, 40):
+            V = evikit.hj._value_program(xs, reward, x_next, 0.9, steps)
+            assert V.tobytes() == interp_value_program(xs, reward, x_next, 0.9, steps).tobytes()
+
+    def test_next_states_on_nodes_bit_equal_to_scalar_rollout(self):
+        # kappa 0 leaves the drift at zero, so on a unit-spaced grid with
+        # dt * u integral every next state is a node or clipped to an end
+        flat = make_quadratic(QuadraticDescriptor(dimension=1, kappa=0.0))
+        grid = np.linspace(-8.0, 8.0, 17)
+        us = np.array([-8.0, -4.0, 0.0, 4.0, 8.0])
+        h = make_data_function("gaussian_bump", center=1.0, width=2.0, height=1.0)
+        starts = np.array([-8.0, -3.0, 0.0, 2.5, 7.0, 8.0])
+        batch = value_by_rollout(flat, 1.0, h, starts, us, 0.25, 2.0, grid)
+        ref = [scalar_rollout(flat, 1.0, h, x, us, 0.25, 2.0, state_grid=grid)
+               for x in starts]
+        assert batch.tolist() == ref
+
+    def test_one_node_state_grid_rejected(self, ou):
+        with pytest.raises(UsageError):
+            value_by_rollout(ou, 1.0, H_CLIP, [0.0], np.zeros(1), 0.1, 1.0, np.zeros(1))
 
     def test_single_start_is_one_row(self, cir):
         us = np.linspace(-2, 2, 11)
