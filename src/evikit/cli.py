@@ -244,6 +244,9 @@ def run_flow(space, params, out: Path, rng):
         raise ConfigError("config field 'dt' must not exceed 'T'")
     x0 = _state(space, params, "x0")
     mode = params.get("mode", "auto")
+    if mode not in ("exact", "mms", "auto"):
+        raise ConfigError(f"config field 'mode' must be \"exact\", \"mms\" or \"auto\", "
+                          f"got {mode!r}")
     energy_tol = _field(params, "energy_tol", None)
     contraction = _field(params, "contraction", None, dict)
     if contraction is not None:
@@ -296,6 +299,8 @@ def run_evi(space, params, out: Path, rng):
     tol = _field(params, "tol", positive=True)
     x0 = _state(space, params, "x0")
     probes = [_state(space, {"probes": p}, "probes") for p in _require(params, "probes", list)]
+    if not probes:
+        raise ConfigError("config field 'probes' must list at least one probe")
     traj = flow_any(space, x0, T, dt)
     report = verify_evi(space, traj, probes)
     report.write_json(out / "evi_report.json")
@@ -464,6 +469,8 @@ def run_quadruplication(space, params, out: Path, rng):
     lo, hi = _field(grid, "lo", -2.0), _field(grid, "hi", 2.0)
     n = _field(grid, "n", 41, int)
     alphas = _field(params, "alphas", [10.0, 100.0, 1000.0], [float])
+    if not alphas:
+        raise ConfigError("config field 'alphas' must list at least one weight")
     h_fn = _builtin(_field(params, "h", kind=dict), make_data_function)
     v_scale = _field(params, "v_scale", 0.9)
     nu0 = _state(space, params, "nu0", [0.0])
@@ -551,9 +558,7 @@ def _ekeland_exactness_cell(space, params):
     n_line = _field(params, "ekeland_points", 2001, int, positive=True)
     xs = np.linspace(-5.0, 5.0, n_line)
     g = np.sin(3.0 * xs) - 0.1 * xs**2
-    line = EkelandProblem(list(range(n_line)), g,
-                          lambda i, j: abs(xs[i] - xs[j]), 0.05, 0,
-                          penalty_batch=lambda j: np.abs(xs - xs[j]))
+    line = EkelandProblem(list(range(n_line)), g, lambda j: np.abs(xs - xs[j]), 0.05, 0)
     res = verify_ekeland_result(line, ekeland_optimize(line))
     ok = (res["inv1_slack"] >= -1e-12 and res["inv2_max"] <= 1e-12
           and res["uniqueness_margin"] > 0.0)
@@ -562,10 +567,8 @@ def _ekeland_exactness_cell(space, params):
     base = [space.sample_point(base_rng) for _ in range(6)]
     n = len(base)
     g4 = np.random.default_rng(9).normal(0.0, 1.0, n**4)
-    pen, pen_batch = product_penalty(tataru_matrix(space, base, 1e-2),
-                                     (1.0, 1.0, 1.0, 1.0))
-    prod = EkelandProblem(list(range(n**4)), g4, pen, 0.2, 0,
-                          penalty_batch=pen_batch)
+    pen = product_penalty(tataru_matrix(space, base, 1e-2), (1.0, 1.0, 1.0, 1.0))
+    prod = EkelandProblem(list(range(n**4)), g4, pen, 0.2, 0)
     res2 = verify_ekeland_result(prod, ekeland_optimize(prod))
     ok = ok and (res2["inv1_slack"] >= -1e-12 and res2["inv2_max"] <= 1e-12
                  and res2["uniqueness_margin"] > 0.0)

@@ -19,10 +19,10 @@ into projected descent in flat coordinates.  The local slope
 has a closed form on each space; a definitional verifier based on
 shrinking geodesic spheres is provided for cross-checks.
 
-Spaces implement the chart, projection, energy, gradient and sampling
-operations once, on rows; ``Space`` derives the one-point forms.  The
-sampled property checks take one (n, k, dimension) coordinate array of n
-samples of k points, as ``Space.sample_rows`` draws it.
+Spaces implement the chart, projection, energy, gradient, slope and
+sampling operations once, on rows; ``Space`` derives the one-point forms.
+The sampled property checks take one (n, k, dimension) coordinate array of
+n samples of k points, as ``Space.sample_rows`` draws it.
 """
 
 from __future__ import annotations
@@ -67,14 +67,13 @@ class UnsupportedFlowError(RuntimeError):
 # Extended reals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True)
 class ExtendedReal:
     """A real number or the distinguished value +inf, as a tagged value.
 
-    Energies take values in (-inf, +inf]; the tag keeps +inf out of the
-    finite arithmetic paths.  Addition propagates +inf, comparisons are
-    total, and -inf is never representable.  The `value` slot of the
-    infinite element is meaningless; check `infinite` first.
+    Energies take values in (-inf, +inf]; the tag keeps +inf apart from
+    the finite values, and -inf is never representable.  The `value` slot
+    of the infinite element is meaningless; check `infinite` first.
     """
 
     value: float = 0.0
@@ -89,40 +88,6 @@ class ExtendedReal:
 
     def __float__(self) -> float:
         return math.inf if self.infinite else self.value
-
-    def __add__(self, other):
-        o = other if isinstance(other, ExtendedReal) else ExtendedReal.finite(other)
-        if self.infinite or o.infinite:
-            return ExtendedReal.INF
-        return ExtendedReal(self.value + o.value, False)
-
-    __radd__ = __add__
-
-    def __mul__(self, scalar: float):
-        if scalar < 0:
-            raise UsageError("ExtendedReal supports scaling by nonnegative reals only")
-        if self.infinite:
-            return ExtendedReal.INF if scalar > 0 else ExtendedReal(0.0, False)
-        return ExtendedReal(self.value * scalar, False)
-
-    __rmul__ = __mul__
-
-    def _key(self) -> float:
-        return math.inf if self.infinite else self.value
-
-    def __lt__(self, other):
-        o = other if isinstance(other, ExtendedReal) else ExtendedReal.finite(other)
-        return self._key() < o._key()
-
-    def __le__(self, other):
-        o = other if isinstance(other, ExtendedReal) else ExtendedReal.finite(other)
-        return self._key() <= o._key()
-
-    def __gt__(self, other):
-        return not self.__le__(other)
-
-    def __ge__(self, other):
-        return not self.__lt__(other)
 
 
 ExtendedReal.INF = ExtendedReal(0.0, True)
@@ -158,12 +123,6 @@ class StatePoint:
     def array(self) -> np.ndarray:
         return np.asarray(self.coords, dtype=float)
 
-    @property
-    def x(self) -> float:
-        if len(self.coords) != 1:
-            raise UsageError("scalar access on a non-scalar point")
-        return self.coords[0]
-
     def to_json(self) -> list:
         return [float(c) for c in self.coords]
 
@@ -178,7 +137,7 @@ class Space(ABC):
     Subclasses fix the chart isometry, the energy in chart coordinates
     and (where available) a closed-form gradient flow, on rows of an
     (n, dimension) array: a space implements chart_energy_rows,
-    chart_energy_grad_rows, sample_rows and slope, plus the chart and
+    chart_energy_grad_rows, sample_rows and slope_rows, plus the chart and
     projection row hooks if its chart is not the identity or it has a
     feasible set.  The one-point forms are their one-row cases, here
     only.  All operations are pure; instances are immutable after
@@ -215,9 +174,6 @@ class Space(ABC):
     def from_chart(self, y: np.ndarray) -> StatePoint:
         return StatePoint.of(self.from_chart_rows(np.asarray(y, dtype=float)[None])[0])
 
-    def project_chart(self, y: np.ndarray) -> np.ndarray:
-        return self.project_chart_rows(np.asarray(y, dtype=float)[None])[0]
-
     @abstractmethod
     def chart_energy_rows(self, y: np.ndarray) -> np.ndarray:
         """Energy (n,) of each row of an (n, dimension) chart array; +inf
@@ -239,15 +195,13 @@ class Space(ABC):
     # -- metric ------------------------------------------------------------
 
     def validate_point(self, p: StatePoint) -> None:
-        if len(p.coords) != self.dimension:
-            raise UsageError(
-                f"{self.name}: expected dimension {self.dimension}, got {len(p.coords)}"
-            )
+        self.validate_rows(p.array[None])
 
     def validate_rows(self, coords: np.ndarray) -> np.ndarray:
-        """validate_point of every row of an (n, dimension) coordinate
-        array, each row also finite as a StatePoint's, by array tests;
-        returns coords as a float array."""
+        """Check that coords is an (n, dimension) array of finite rows,
+        each a point of the space (a space with a smaller domain extends
+        this check); returns coords as a float array.  validate_point is
+        its one-row case."""
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != self.dimension:
             got = coords.shape[-1] if coords.ndim else 0
@@ -277,22 +231,28 @@ class Space(ABC):
         return ExtendedReal.INF if math.isinf(v) else ExtendedReal.finite(v)
 
     @abstractmethod
-    def slope(self, p: StatePoint) -> ExtendedReal:
+    def slope_rows(self, coords: np.ndarray) -> np.ndarray:
+        """Metric slope |dE| (n,) at each validated row of an (n,
+        dimension) coordinate array; +inf where it is infinite."""
         ...
 
+    def slope(self, p: StatePoint) -> ExtendedReal:
+        v = float(self.slope_rows(p.array[None])[0])
+        return ExtendedReal.INF if math.isinf(v) else ExtendedReal.finite(v)
+
     def information(self, p: StatePoint) -> ExtendedReal:
-        s = self.slope(p)
-        if s.infinite:
-            return ExtendedReal.INF
-        return ExtendedReal.finite(s.value**2)
+        v = float(self.information_rows(p.array[None])[0])
+        return ExtendedReal.INF if math.isinf(v) else ExtendedReal.finite(v)
 
     def information_rows(self, coords: np.ndarray) -> np.ndarray:
-        """information of every row of an (n, dimension) coordinate array,
-        as an (n,) array with +inf where it is infinite; the default goes
-        row by row."""
-        rows = np.asarray(coords, dtype=float).tolist()
-        return np.array([float(self.information(StatePoint(tuple(row)))) for row in rows],
-                        dtype=float)
+        """Fisher information |dE|^2 (n,) at each row of an (n,
+        dimension) coordinate array, +inf where the slope is; a NaN slope
+        is a UsageError."""
+        slopes = self.slope_rows(coords)
+        if np.any(np.isnan(slopes)):
+            raise UsageError("the slope is not a number at some row")
+        # a Python float power (pow, not numpy's square) of each slope
+        return np.array([s**2 for s in slopes.tolist()], dtype=float)
 
     # -- flow hooks ----------------------------------------------------------
 

@@ -68,17 +68,15 @@ from .tataru import tataru_batch
 class EkelandProblem:
     """A finite-set instance: candidates, objective values, penalty.
 
-    `penalty(i, j)` evaluates B(points[i], points[j]); `penalty_batch(j)`
-    evaluates B(points[k], points[j]) for every k at once and is what the
-    iteration and the exhaustive checks use.
+    `penalty(j)` evaluates B(points[k], points[j]) for every k at once, as
+    an array over the candidates.
     """
 
     points: object                 # sequence of candidates
     g_values: np.ndarray           # objective, -inf allowed, bounded above
-    penalty: object                # callable (i, j) -> float
+    penalty: object                # callable (j) -> array over all candidates
     delta: float
     x_hat: int
-    penalty_batch: object          # callable (j) -> array over all candidates
 
     def __post_init__(self):
         self.g_values = np.asarray(self.g_values, dtype=float)
@@ -118,7 +116,7 @@ def ekeland_optimize(problem: EkelandProblem) -> EkelandResult:
     for it in range(len(g) + 1):
         if g[current] >= g_max:
             return EkelandResult(current, it, path)
-        scores = g - half * problem.penalty_batch(current)
+        scores = g - half * problem.penalty(current)
         y = int(np.argmax(scores))
         if scores[y] <= g[current] + 0.0:
             return EkelandResult(current, it, path)
@@ -133,10 +131,10 @@ def verify_ekeland_result(problem: EkelandProblem, result: EkelandResult) -> dic
     g = problem.g_values
     xd = result.x_delta
     half = 0.5 * problem.delta
-    b_to_xd = problem.penalty_batch(xd)
+    b_to_xd = problem.penalty(xd)
     inv2 = g - half * b_to_xd - g[xd]
     inv2_max = float(np.max(inv2))
-    b_xd_xhat = problem.penalty(xd, problem.x_hat)
+    b_xd_xhat = problem.penalty(problem.x_hat)[xd]
     inv1_slack = float(g[xd] - g[problem.x_hat] - half * b_xd_xhat)
     others = np.arange(len(g)) != xd
     strict = g - problem.delta * b_to_xd - g[xd]
@@ -175,24 +173,20 @@ def product_penalty(dt_matrix: np.ndarray, weights: tuple[float, ...]):
 
         B(i, j) = ((w0 DT[i0,j0] + w1 DT[i1,j1]) + w2 DT[i2,j2]) + w3 DT[i3,j3].
 
-    Returns (penalty, penalty_batch) for an EkelandProblem: penalty(i, j)
-    is B(i, j) and penalty_batch(j) is B(k, j) for every k at once.
+    Returns the penalty of an EkelandProblem: penalty(j) is B(k, j) for
+    every k at once.
     """
     shape = (dt_matrix.shape[0],) * 4
     if len(weights) != 4:
         raise UsageError("product penalty needs one weight per component")
 
-    def penalty(i: int, j: int) -> float:
-        ii, jj = np.unravel_index(i, shape), np.unravel_index(j, shape)
-        return sum(w * dt_matrix[a, b] for w, a, b in zip(weights, ii, jj))
-
-    def penalty_batch(j: int) -> np.ndarray:
+    def penalty(j: int) -> np.ndarray:
         cols = [dt_matrix[:, b] * w for w, b in zip(weights, np.unravel_index(j, shape))]
         return (cols[0][:, None, None, None] + cols[1][None, :, None, None]
                 + cols[2][None, None, :, None] + cols[3][None, None, None, :]
                 ).reshape(-1)
 
-    return penalty, penalty_batch
+    return penalty
 
 
 # ---------------------------------------------------------------------------

@@ -405,17 +405,11 @@ def fit_quadratic_lower_bound(space: Space, nu0: StatePoint, c1: float,
     if c1 <= -space.kappa:
         raise UsageError(f"quadratic lower bound needs c1 > -kappa = {-space.kappa}")
     rng = rng or np.random.default_rng(3)
-
-    def shifted(p: StatePoint) -> float:
-        e = space.energy(p)
-        if e.infinite:
-            return math.inf
-        return e.value + 0.5 * c1 * space.distance(p, nu0) ** 2
-
+    space.validate_point(nu0)
     y0 = space.to_chart(nu0)
 
     def shifted_rows(y):
-        # the chart of each sample's coordinates, as shifted(from_chart(y)) sees it
+        # E + c1/2 d^2(., nu0) at the coordinates of each chart row y
         chart = space.to_chart_rows(space.from_chart_rows(y))
         energy = space.chart_energy_rows(chart)
         shift = 0.5 * c1 * _squares(_chart_distances(space, chart, y0))
@@ -423,7 +417,7 @@ def fit_quadratic_lower_bound(space: Space, nu0: StatePoint, c1: float,
 
     stage_best = []
     best_y = y0.copy()
-    best = shifted(nu0)
+    best = float(shifted_rows(y0[None])[0])
     for radius in (1.0, 2.0, 4.0, 8.0):
         z = rng.standard_normal((sample_count // 4, y0.size))
         ys = space.project_chart_rows(y0 + radius * z / space.chart_scale)
@@ -439,26 +433,38 @@ def fit_quadratic_lower_bound(space: Space, nu0: StatePoint, c1: float,
             f"sample schedule (stage minima {stage_best})",
             residual=float(stage_best[-1]),
         )
-    best = _refine_minimum(space, shifted, best_y, best)
+    best = _refine_minimum(space, shifted_rows, best_y, best)
     return -best, best
 
 
-def _refine_minimum(space, fn, y, fy, iters: int = 200) -> float:
+def _refine_minimum(space, score_rows, y, fy, iters: int = 200) -> float:
     """Compass-search polish of a sampled minimizer (derivative-free,
-    deterministic, tolerance ~1e-8 in chart coordinates)."""
-    step = 0.5
+    deterministic, tolerance ~1e-8 in chart coordinates).
+
+    A sweep tries y[i] + step, then y[i] - step, for each chart axis i in
+    turn, and moves to each projected candidate that scores below fy; a
+    sweep without a move halves the step.  The candidates left in a sweep
+    are scored as one array of chart rows by score_rows, and again from
+    the new point after each move."""
     n = y.size
+    axes = np.repeat(np.arange(n), 2)
+    signs = np.tile([1.0, -1.0], n)
+    step = 0.5
     for _ in range(iters):
         improved = False
-        for i in range(n):
-            for sign in (+1.0, -1.0):
-                cand = y.copy()
-                cand[i] += sign * step
-                cand = space.project_chart(cand)
-                val = fn(space.from_chart(cand))
-                if val < fy - 1e-15:
-                    y, fy = cand, val
-                    improved = True
+        k = 0
+        while k < 2 * n:
+            cand = np.repeat(y[None], 2 * n - k, axis=0)
+            cand[np.arange(2 * n - k), axes[k:]] += signs[k:] * step
+            cand = space.project_chart_rows(cand)
+            vals = score_rows(cand)
+            better = np.flatnonzero(vals < fy - 1e-15)
+            if not len(better):
+                break
+            j = int(better[0])
+            y, fy = cand[j], float(vals[j])
+            improved = True
+            k += j + 1
         if not improved:
             step *= 0.5
             if step < 1e-9:

@@ -437,9 +437,19 @@ def solve_resolvent_1d(xs: np.ndarray, drift: np.ndarray, sigma: np.ndarray,
 
 def _solve_on_grid(xs: np.ndarray, drift: np.ndarray, sigma: np.ndarray, lam: float,
                    h, tol: float) -> ResolventSolution:
-    """solve_resolvent_1d for the data function h, as functions on the grid xs."""
-    f, policy, residual, iters = solve_resolvent_1d(
-        xs, drift, sigma, lam, np.asarray(h(xs), dtype=float), tol)
+    """solve_resolvent_1d for the data function h, as functions on the grid
+    xs.  h must be finite on the grid, and so must lam * max(sigma) * p^2
+    for its largest difference quotient p: the policy step squares the
+    iterate's difference quotients, which start near the data's, and an
+    overflow there reaches the solve as an infinite right-hand side."""
+    h_vals = np.asarray(h(xs), dtype=float)
+    if not np.all(np.isfinite(h_vals)):
+        raise UsageError("the data function is not finite on the resolvent grid")
+    p = float(np.max(np.abs(np.diff(h_vals)), initial=0.0)) / float(xs[1] - xs[0])
+    if not math.isfinite(lam * float(np.max(sigma)) * p * p):
+        raise UsageError("the data function is too steep for the resolvent grid: "
+                         "the squares of its difference quotients overflow")
+    f, policy, residual, iters = solve_resolvent_1d(xs, drift, sigma, lam, h_vals, tol)
     return ResolventSolution(GridFunction(xs[:, None], f), GridFunction(xs[:, None], policy),
                              residual, lam, iters)
 

@@ -30,7 +30,6 @@ import numpy as np
 from .core import (
     ConstructionError,
     DomainError,
-    ExtendedReal,
     Space,
     StatePoint,
     UnsupportedFlowError,
@@ -122,11 +121,6 @@ class CirSpace(Space):
         self.kappa = 0.5
         self._e0 = desc.mu - desc.mu * math.log(desc.mu)
 
-    def validate_point(self, p: StatePoint) -> None:
-        super().validate_point(p)
-        if p.coords[0] < 0.0:
-            raise DomainError(f"cir coordinate must be nonnegative, got {p.coords[0]}")
-
     def validate_rows(self, coords: np.ndarray) -> np.ndarray:
         coords = super().validate_rows(coords)
         x = coords[:, 0]
@@ -157,12 +151,10 @@ class CirSpace(Space):
         # d/dy E(y^2) = (1 - mu / y^2) * 2y
         return 2.0 * yv - 2.0 * self.mu / yv
 
-    def slope(self, p: StatePoint) -> ExtendedReal:
-        self.validate_point(p)
-        x = p.coords[0]
-        if x <= 0.0:
-            return ExtendedReal.INF
-        return ExtendedReal.finite(abs(x - self.mu) / math.sqrt(x))
+    def slope_rows(self, coords: np.ndarray) -> np.ndarray:
+        x = self.validate_rows(coords)[:, 0]
+        with np.errstate(divide="ignore"):
+            return np.where(x > 0.0, np.abs(x - self.mu) / np.sqrt(x), math.inf)
 
     def has_exact_flow_rows(self, coords: np.ndarray) -> np.ndarray:
         return np.ones(len(coords), dtype=bool)
@@ -235,9 +227,9 @@ class QuadraticSpace(Space):
             g = g + self.perturbation.df(y)
         return g
 
-    def slope(self, p: StatePoint) -> ExtendedReal:
-        self.validate_point(p)
-        return ExtendedReal.finite(float(np.linalg.norm(self.chart_energy_grad(p.array))))
+    def slope_rows(self, coords: np.ndarray) -> np.ndarray:
+        g = self.chart_energy_grad_rows(self.validate_rows(coords))
+        return np.sqrt(np.vecdot(g, g))  # np.linalg.norm's bits
 
     def has_exact_flow_rows(self, coords: np.ndarray) -> np.ndarray:
         return np.full(len(coords), self.perturbation is None)
@@ -316,13 +308,12 @@ class AllenCahnSpace(Space):
             g = g + self.well.df(rho)
         return self.dx * g
 
-    def slope(self, p: StatePoint) -> ExtendedReal:
-        self.validate_point(p)
-        rho = p.array
+    def slope_rows(self, coords: np.ndarray) -> np.ndarray:
+        rho = self.validate_rows(coords)
         drive = self.laplacian(rho) - self.kappa * rho
         if self.well is not None:
             drive = drive - self.well.df(rho)
-        return ExtendedReal.finite(math.sqrt(self.dx * float(np.sum(drive**2))))
+        return np.sqrt(self.dx * np.sum(drive**2, axis=-1))
 
     def sample_rows(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # smooth random fields: a few low Fourier modes, each row's
@@ -402,9 +393,6 @@ class Wasserstein1DSpace(Space):
         m = self.m
         return (np.arange(m) + 0.5) / m
 
-    def validate_point(self, p: StatePoint) -> None:
-        self.validate_rows(p.array[None, :])
-
     def validate_rows(self, coords: np.ndarray) -> np.ndarray:
         coords = super().validate_rows(coords)
         if np.any(np.diff(coords, axis=1) < -1e-12):
@@ -460,25 +448,14 @@ class Wasserstein1DSpace(Space):
                 g_row += table.sum(axis=1) / self.m**2
         return grad
 
-    def slope(self, p: StatePoint) -> ExtendedReal:
-        val = float(wasserstein_information_rows(self, p.array[None, :])[0])
-        if math.isinf(val):
-            return ExtendedReal.INF
-        return ExtendedReal.finite(math.sqrt(val))
-
-    def information_rows(self, coords: np.ndarray) -> np.ndarray:
+    def slope_rows(self, coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
         vals = np.empty(len(coords))
         # blocks of rows keep the quadrature's (rows, m) temporaries small
         step = max(1, _INFORMATION_BLOCK_ELEMENTS // self.m)
         for i in range(0, len(coords), step):
             vals[i:i + step] = wasserstein_information_rows(self, coords[i:i + step])
-        # information's arithmetic: the slope's square root, then its
-        # square as a Python float power (pow, not numpy's square)
-        slopes = np.sqrt(vals)
-        if np.any(np.isnan(slopes)):  # information raises on a NaN slope
-            raise UsageError("finite ExtendedReal requires a finite value, got nan")
-        return np.array([s**2 for s in slopes.tolist()], dtype=float)
+        return np.sqrt(vals)
 
     def has_exact_flow_rows(self, coords: np.ndarray) -> np.ndarray:
         fam = self._heat_family(np.asarray(coords, dtype=float))

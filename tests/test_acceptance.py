@@ -150,7 +150,7 @@ def test_criterion_05_mms_convergence(ou):
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
         traj = flow_mms(ou, StatePoint.of(1.0), FlowConfig(dt=dt, horizon=1.0))
-        errs.append(abs(traj.end.x - math.exp(-1.0)))
+        errs.append(abs(traj.end.coords[0] - math.exp(-1.0)))
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     ratios_ok = all(1.7 <= r <= 2.3 for r in ratios)
     w200 = make_wasserstein1d(Wasserstein1DDescriptor(
@@ -235,23 +235,20 @@ def _shipped_ekeland_problems(ou):
     xs = np.arange(101) / 10.0
     problems.append(("parabola", EkelandProblem(
         [StatePoint.of(v) for v in xs], -(xs - 3.14) ** 2,
-        lambda i, j: abs(xs[i] - xs[j]), 0.1, 0,
-        penalty_batch=lambda j: np.abs(xs - xs[j])), 31))
+        lambda j: np.abs(xs - xs[j]), 0.1, 0), 31))
     ys = np.linspace(-5.0, 5.0, 100_000)
     g = np.sin(3.0 * ys) - 0.1 * ys**2
     problems.append(("rugged_1e5", EkelandProblem(
-        list(range(len(ys))), g, lambda i, j: abs(ys[i] - ys[j]), 0.05, 0,
-        penalty_batch=lambda j: np.abs(ys - ys[j])), int(np.argmax(g))))
+        list(range(len(ys))), g, lambda j: np.abs(ys - ys[j]), 0.05, 0),
+        int(np.argmax(g))))
     base = [StatePoint.of(v) for v in np.linspace(-1.5, 1.5, 7)]
     dt_m = tataru_matrix(ou, base, 1e-2)
     n = len(base)
     eps = 0.1
     rng = np.random.default_rng(55)
     g4 = rng.normal(0.0, 1.0, n**4)
-    pen, pen_batch = product_penalty(
-        dt_m, (1.0 / (1.0 - eps), 1.0, 1.0 / (1.0 + eps), 1.0))
-    problems.append(("tataru_product", EkelandProblem(
-        list(range(n**4)), g4, pen, 0.2, 0, penalty_batch=pen_batch), 0))
+    pen = product_penalty(dt_m, (1.0 / (1.0 - eps), 1.0, 1.0 / (1.0 + eps), 1.0))
+    problems.append(("tataru_product", EkelandProblem(list(range(n**4)), g4, pen, 0.2, 0), 0))
     return problems
 
 
@@ -266,8 +263,7 @@ def test_criterion_09_ekeland_exactness(ou):
                 and chk["uniqueness_margin"] > 0.0)
         # consequence (a) from a near-optimal start
         prob2 = EkelandProblem(prob.points, prob.g_values, prob.penalty,
-                               prob.delta, near_start,
-                               penalty_batch=prob.penalty_batch)
+                               prob.delta, near_start)
         res2 = ekeland_optimize(prob2)
         chk2 = verify_ekeland_result(prob2, res2)
         if chk2["near_optimal_start"]:

@@ -315,6 +315,10 @@ OTHER_FIELDS = [
     ("mccann_checks", "mccann_expect_pass", "false"),
     ("cir_properties", "n_geodesics", 100.5),
     ("ou_mms_convergence", "mms_convergence.ratio_range", [1.7]),
+    ("ou_flow_contraction", "mode", "exactt"),
+    ("ou_flow_contraction", "mode", 5),
+    ("ou_evi", "probes", []),
+    ("ou_quadruplication", "alphas", []),
 ]
 
 # (shipped config, dotted path under params of a nested object, a value of
@@ -384,6 +388,29 @@ class TestMalformedFields:
         section = {"config": cfg, "space": cfg["space"], "h": cfg["params"]["h"]}[where]
         section["params"] = [1.0]
         self.assert_config_error(tmp_path, capsys, cfg, "params")
+
+    @pytest.mark.parametrize("name,h_params,reason", [
+        ("cir_resolvent", {"slope": 1e308, "cap": 1e308}, "too steep"),
+        ("cir_viscosity", {"slope": 1e308, "cap": 1e308}, "too steep"),
+        ("cir_comparison", {"slope": 1e308, "cap": 1e308}, "too steep"),
+        ("cir_resolvent", {"slope": 1e308, "cap": float("inf")}, "not finite"),
+        ("cir_resolvent", {"cap": float("nan")}, "not finite"),
+        # -inf below the origin
+        ("ou_quadruplication", {"slope": 1e308, "cap": 1e308}, "not finite")])
+    def test_data_function_unfit_for_the_grid(self, tmp_path, capsys, name, h_params, reason):
+        """Data that is not finite on the resolvent grid, or whose difference
+        quotients square to an overflow, is exit 2 before the solve and
+        before any result file."""
+        cfg = self.shipped(tmp_path, name)
+        cfg["params"]["h"] = {"name": "affine_clipped",
+                              "params": {"slope": 1.0, "intercept": 0.0, **h_params}}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        with np.errstate(over="ignore"):
+            assert run(str(tmp_path / "config.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the data function is " + reason), err
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
 
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = self.shipped(tmp_path, "cir_comparison")

@@ -31,21 +31,19 @@ def validate_penalty(problem, rng=None, n_samples=50, tol=1e-9):
     n = len(problem.points)
     for _ in range(n_samples):
         i, j, k = (int(rng.integers(n)) for _ in range(3))
-        bij = problem.penalty(i, j)
+        bij = problem.penalty(j)[i]
         if bij < -tol:
             raise UsageError(f"penalty must be nonnegative, B({i},{j}) = {bij}")
-        if abs(problem.penalty(i, i)) > tol:
+        if abs(problem.penalty(i)[i]) > tol:
             raise UsageError(f"penalty must vanish on the diagonal at {i}")
-        if problem.penalty(i, k) > bij + problem.penalty(j, k) + tol:
+        if problem.penalty(k)[i] > bij + problem.penalty(k)[j] + tol:
             raise UsageError(f"penalty triangle inequality fails at ({i},{j},{k})")
 
 
 def line_problem(g_values, delta, x_hat):
     xs = np.arange(len(g_values)) / 10.0
     pts = [StatePoint.of(v) for v in xs]
-    return EkelandProblem(pts, g_values, lambda i, j: abs(xs[i] - xs[j]),
-                          delta, x_hat,
-                          penalty_batch=lambda j: np.abs(xs - xs[j]))
+    return EkelandProblem(pts, g_values, lambda j: np.abs(xs - xs[j]), delta, x_hat)
 
 
 class TestEkelandPrinciple:
@@ -108,11 +106,11 @@ class TestEkelandPrinciple:
         pts = [StatePoint.of(v) for v in (0.0, 1.0)]
         zero = lambda j: np.zeros(2)
         with pytest.raises(UsageError):
-            EkelandProblem(pts, np.zeros(2), lambda i, j: 0.0, -1.0, 0, zero)
+            EkelandProblem(pts, np.zeros(2), zero, -1.0, 0)
         with pytest.raises(UsageError):
-            EkelandProblem(pts, np.array([0.0, math.inf]), lambda i, j: 0.0, 1.0, 0, zero)
-        bad = EkelandProblem(pts, np.zeros(2), lambda i, j: -1.0 if i != j else 0.0,
-                             1.0, 0, zero)
+            EkelandProblem(pts, np.array([0.0, math.inf]), zero, 1.0, 0)
+        bad = EkelandProblem(pts, np.zeros(2), lambda j: np.where(np.arange(2) != j, -1.0, 0.0),
+                             1.0, 0)
         with pytest.raises(UsageError):
             validate_penalty(bad)
 
@@ -121,10 +119,10 @@ def tataru_product_penalty(space, points, eps):
     """The weighted Tataru sum on quadruples of points: product_penalty
     over their Tataru matrix, with weights (1/(1-eps), 1, 1/(1+eps), 1)."""
     weights = (1.0 / (1.0 - eps), 1.0, 1.0 / (1.0 + eps), 1.0)
-    pen, _ = product_penalty(tataru_matrix(space, points, 1e-2), weights)
+    pen = product_penalty(tataru_matrix(space, points, 1e-2), weights)
     shape = (len(points),) * 4
-    return lambda x, x_tilde: pen(int(np.ravel_multi_index(x, shape)),
-                                  int(np.ravel_multi_index(x_tilde, shape)))
+    return lambda x, x_tilde: pen(int(np.ravel_multi_index(x_tilde, shape)))[
+        int(np.ravel_multi_index(x, shape))]
 
 
 class TestTataruPenalty:
@@ -201,34 +199,89 @@ class TestProductPenalty:
         rough = np.exp(np.random.default_rng(17).uniform(-20.0, 20.0, (5, 5)))
         return [tataru_matrix(ou, base, 1e-2), rough]
 
-    def test_batch_matches_pointwise(self, matrices):
-        for dt_m in matrices:
-            pen, pen_batch = product_penalty(dt_m, self.WEIGHTS)
-            for j in (0, 1, 7, 312, 624):
-                batch = pen_batch(j)
-                assert batch.shape == (5**4,)
-                assert all(batch[k] == pen(k, j) for k in range(5**4))
-
     def test_bit_equal_to_decode_reference(self, matrices):
         rng = np.random.default_rng(19)
         for dt_m in matrices:
             for weights in (self.WEIGHTS, (1.0, 1.0, 1.0, 1.0)):
-                pen, pen_batch = product_penalty(dt_m, weights)
+                pen = product_penalty(dt_m, weights)
                 ref, ref_batch = decode_product_penalty(dt_m, weights)
                 for j in (0, 3, 131, 624):
-                    assert pen_batch(j).tobytes() == ref_batch(j).tobytes()
+                    assert pen(j).shape == (5**4,)
+                    assert pen(j).tobytes() == ref_batch(j).tobytes()
+                # each entry of a column is the scalar sum of the four terms
                 for i, j in rng.integers(5**4, size=(200, 2)):
-                    assert pen(int(i), int(j)) == ref(int(i), int(j))
+                    assert pen(int(j))[int(i)] == ref(int(i), int(j))
 
     def test_vanishes_on_diagonal(self, matrices):
-        pen, pen_batch = product_penalty(matrices[0], self.WEIGHTS)
+        pen = product_penalty(matrices[0], self.WEIGHTS)
         for x in (0, 1, 200, 624):
-            assert pen(x, x) == 0.0
-            assert pen_batch(x)[x] == 0.0
+            assert pen(x)[x] == 0.0
 
     def test_needs_four_weights(self, matrices):
         with pytest.raises(UsageError):
             product_penalty(matrices[0], (1.0, 1.0, 1.0))
+
+
+def reference_verify_ekeland_result(problem, result, pointwise):
+    """verify_ekeland_result as it was when a problem carried a scalar
+    penalty pointwise(i, j) = B(i, j) beside the column one."""
+    g = problem.g_values
+    xd = result.x_delta
+    half = 0.5 * problem.delta
+    b_to_xd = problem.penalty(xd)
+    inv2 = g - half * b_to_xd - g[xd]
+    inv2_max = float(np.max(inv2))
+    b_xd_xhat = pointwise(xd, problem.x_hat)
+    inv1_slack = float(g[xd] - g[problem.x_hat] - half * b_xd_xhat)
+    others = np.arange(len(g)) != xd
+    strict = g - problem.delta * b_to_xd - g[xd]
+    uniqueness_margin = float(-np.max(strict[others])) if np.any(others) else math.inf
+    near_optimal_start = bool(
+        g[problem.x_hat] >= float(np.max(g)) - 0.5 * problem.delta**2
+    )
+    return {
+        "inv1_slack": inv1_slack,
+        "inv2_max": inv2_max,
+        "uniqueness_margin": uniqueness_margin,
+        "near_optimal_start": near_optimal_start,
+        "penalty_to_start": float(b_xd_xhat),
+    }
+
+
+def test_verify_result_bit_equal_to_scalar_penalty_reference():
+    """verify_ekeland_result reads B(x_delta, x_hat) from the column
+    penalty(x_hat); its report equals the one the scalar penalty gave,
+    bit for bit, on line problems (a parabola and random objectives) and on
+    Tataru product-grid problems, from several starts."""
+    rng = np.random.default_rng(31)
+    xs = np.arange(101) / 10.0
+    cases = [(line_problem(-(xs - 3.14) ** 2, delta, x_hat),
+              lambda i, j: abs(xs[i] - xs[j]))
+             for delta in (0.1, 0.5, 3.0) for x_hat in (0, 31, 77)]
+    for _ in range(30):
+        g = rng.normal(0.0, 10.0, int(rng.integers(3, 60)))
+        pts = np.arange(len(g)) / 10.0
+        cases.append((line_problem(g, float(rng.uniform(0.01, 10.0)),
+                                   int(rng.integers(len(g)))),
+                      lambda i, j, pts=pts: abs(pts[i] - pts[j])))
+    ou = make_ou(1.0)
+    dt_m = tataru_matrix(ou, [StatePoint.of(v) for v in np.linspace(-1.5, 1.5, 5)], 1e-2)
+    rough = np.exp(rng.uniform(-20.0, 20.0, (5, 5)))
+    for matrix in (dt_m, rough):
+        for weights in ((1.0 / 0.9, 1.0, 1.0 / 1.1, 1.0), (1.0, 1.0, 1.0, 1.0)):
+            ref, _ = decode_product_penalty(matrix, weights)
+            g4 = rng.normal(0.0, 1.0, 5**4)
+            for x_hat in (0, 312, int(np.argmax(g4))):
+                cases.append((EkelandProblem(list(range(5**4)), g4,
+                                             product_penalty(matrix, weights), 0.2, x_hat),
+                              ref))
+    moved = 0
+    for problem, pointwise in cases:
+        result = ekeland_optimize(problem)
+        moved += result.x_delta != problem.x_hat
+        got = verify_ekeland_result(problem, result)
+        assert repr(got) == repr(reference_verify_ekeland_result(problem, result, pointwise))
+    assert moved >= len(cases) // 2
 
 
 def make_desk_case(n):

@@ -12,7 +12,6 @@ import evikit.flow
 
 from evikit.core import (
     DomainError,
-    ExtendedReal,
     NumericalError,
     StatePoint,
     UnsupportedFlowError,
@@ -79,12 +78,12 @@ def check_semigroup(space, p, T, dt):
 class TestExactFlows:
     def test_ou_exponential_decay(self, ou):
         traj = flow_exact(ou, StatePoint.of(1.0), math.log(2.0), 1e-3)
-        assert traj.end.x == pytest.approx(0.5, abs=1e-12)
+        assert traj.end.coords[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_cir_mean_reversion(self, cir):
         # xdot = mu - x: x(ln 2) = 1 + 2 * 0.5 = 2
         traj = flow_exact(cir, StatePoint.of(3.0), math.log(2.0), 1e-3)
-        assert traj.end.x == pytest.approx(2.0, abs=1e-12)
+        assert traj.end.coords[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_heat_flow_hits_heat_kernel_convolution(self, heat_space):
         """Quantiles of N(0,1) flowed for t=1.5 against an independent
@@ -178,7 +177,7 @@ class TestExactFlows:
 class TestMinimizingMovement:
     def test_ou_first_order_accuracy(self, ou):
         traj = flow_mms(ou, StatePoint.of(1.0), FlowConfig(dt=1e-3, horizon=1.0))
-        assert abs(traj.end.x - math.exp(-1.0)) <= 1e-3
+        assert abs(traj.end.coords[0] - math.exp(-1.0)) <= 1e-3
         assert traj.coords.shape == (1001, 1)
 
     def test_stationary_start_stays_constant(self, ou, cir):
@@ -191,14 +190,14 @@ class TestMinimizingMovement:
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
             traj = flow_mms(ou, StatePoint.of(1.0), FlowConfig(dt=dt, horizon=1.0))
-            errs.append(abs(traj.end.x - math.exp(-1.0)))
+            errs.append(abs(traj.end.coords[0] - math.exp(-1.0)))
         for i in range(2):
             assert 1.7 <= errs[i] / errs[i + 1] <= 2.3
 
     def test_cir_mms_matches_closed_form(self, cir):
         traj = flow_mms(cir, StatePoint.of(3.0), FlowConfig(dt=1e-3, horizon=1.0))
         exact = 1.0 + 2.0 * math.exp(-1.0)
-        assert abs(traj.end.x - exact) <= 2e-3
+        assert abs(traj.end.coords[0] - exact) <= 2e-3
 
     def test_energy_monotone_along_trajectories(self, ou, cir, heat_space):
         cases = [(ou, StatePoint.of(2.0)), (cir, StatePoint.of(3.0)),
@@ -445,12 +444,44 @@ def loop_quadratic_lower_bound(space, nu0, c1, sample_count, rng):
     stage_best = []
     for radius in (1.0, 2.0, 4.0, 8.0):
         for _ in range(sample_count // 4):
-            y = space.project_chart(y0 + radius * rng.standard_normal(y0.size) / space.chart_scale)
+            y = y0 + radius * rng.standard_normal(y0.size) / space.chart_scale
+            y = space.project_chart_rows(y[None])[0]
             val = shifted(space.from_chart(y))
             if val < best:
                 best, best_y = val, y
         stage_best.append(best)
     return stage_best, best_y
+
+
+def loop_refine_minimum(space, fn, y, fy, iters=200):
+    """The compass search as it was before it scored chart rows: one
+    candidate, one projection, one StatePoint and one fn call at a time."""
+    step = 0.5
+    n = y.size
+    for _ in range(iters):
+        improved = False
+        for i in range(n):
+            for sign in (+1.0, -1.0):
+                cand = y.copy()
+                cand[i] += sign * step
+                cand = space.project_chart_rows(cand[None])[0]
+                val = fn(space.from_chart(cand))
+                if val < fy - 1e-15:
+                    y, fy = cand, val
+                    improved = True
+        if not improved:
+            step *= 0.5
+            if step < 1e-9:
+                break
+    return fy
+
+
+def loop_shifted(space, nu0, c1):
+    """The shifted energy on one StatePoint, as the search scored it."""
+    def shifted(p):
+        e = space.energy(p)
+        return math.inf if e.infinite else e.value + 0.5 * c1 * space.distance(p, nu0) ** 2
+    return shifted
 
 
 def test_quadratic_lower_bound_matches_loop(ou, cir, monkeypatch):
@@ -467,9 +498,72 @@ def test_quadratic_lower_bound_matches_loop(ou, cir, monkeypatch):
             assert got == (-stages[-1], stages[-1])
             # refinement starts from the same point, so it ends at the same value
             refined = fit_quadratic_lower_bound(space, nu0, c1, count, np.random.default_rng(3))
-            shifted = lambda p: float(space.energy(p)) + 0.5 * c1 * space.distance(p, nu0) ** 2
             assert refined[1] <= stages[-1]
-            assert refined[1] == _refine_minimum(space, shifted, best_y, stages[-1])
+            assert refined[1] == loop_refine_minimum(space, loop_shifted(space, nu0, c1),
+                                                     best_y, stages[-1])
+
+
+@pytest.mark.parametrize("name", ["ou", "cir", "cir_bounded", "quadratic_quartic", "transport"])
+def test_refined_lower_bound_bit_equal_on_drawn_starts(name):
+    """fit_quadratic_lower_bound, refinement included, equals the sampled
+    stage and compass search scored one StatePoint at a time, bit for bit,
+    from drawn centres nu0; few samples leave the search work to do."""
+    space, c1 = {
+        "ou": (make_ou(1.0), 1.0),
+        "cir": (make_cir(CirDescriptor(mu=1.0)), 0.5),
+        "cir_bounded": (make_cir(CirDescriptor(mu=2.0, x_lo=0.3, x_hi=5.0)), 2.0),
+        "quadratic_quartic": (quadratic(3, "quartic"), 0.2),
+        "transport": (make_wasserstein1d(Wasserstein1DDescriptor(
+            m=6, internal=make_potential("entropy"))), 1.0),
+    }[name]
+    for row in space.sample_rows(np.random.default_rng(41), 40):
+        nu0 = StatePoint.of(row)
+        stages, best_y = loop_quadratic_lower_bound(space, nu0, c1, 8,
+                                                    np.random.default_rng(5))
+        want = loop_refine_minimum(space, loop_shifted(space, nu0, c1), best_y, stages[-1])
+        got = fit_quadratic_lower_bound(space, nu0, c1, 8, np.random.default_rng(5))
+        assert repr(got) == repr((-want, want))
+
+
+@pytest.mark.parametrize("name", ["ou", "quadratic3", "cir_bounded"])
+def test_refinement_follows_the_one_candidate_search(name):
+    """On a rugged score, where the order in which candidates are tried and
+    taken decides the local minimum the search ends in, _refine_minimum
+    ends where the one-candidate-at-a-time search ends, bit for bit, after
+    1, 2, 5 and 200 sweeps; the half-line's projection clips candidates at
+    its bounds."""
+    space = {"ou": make_ou(1.0), "quadratic3": make_quadratic(QuadraticDescriptor(dimension=3)),
+             "cir_bounded": make_cir(CirDescriptor(mu=2.0, x_lo=0.3, x_hi=5.0))}[name]
+
+    def rugged_rows(y):
+        return np.sum(np.sin(7.0 * y) + 0.05 * y**2, axis=1)
+
+    rugged = lambda p: float(rugged_rows(space.to_chart(p)[None])[0])
+    rng = np.random.default_rng(43)
+    ends = set()
+    for row in space.sample_rows(rng, 60):
+        y = space.to_chart(StatePoint.of(row))
+        fy = float(rugged_rows(y[None])[0])
+        # a few sweeps end before the step is fine enough to hide the path
+        for iters in (1, 2, 5, 200):
+            want = loop_refine_minimum(space, rugged, y, fy, iters)
+            assert repr(_refine_minimum(space, rugged_rows, y, fy, iters)) == repr(want)
+        ends.add(want)
+    assert len(ends) >= 5
+
+
+def test_information_rows_and_refinement_build_no_statepoint(ou, monkeypatch):
+    """information_rows on an OU trajectory and the compass search score
+    rows: neither builds a StatePoint per row or candidate."""
+    traj = flow_exact(ou, StatePoint.of(2.0), 1.0, 1e-3)
+    nu0 = StatePoint.of(0.3)
+    built = []
+    post_init = StatePoint.__post_init__
+    monkeypatch.setattr(StatePoint, "__post_init__",
+                        lambda self: (built.append(self), post_init(self)))
+    infos = ou.information_rows(traj.coords)
+    fit_quadratic_lower_bound(ou, nu0, 1.0)
+    assert len(infos) == 1001 and built == []
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +607,10 @@ class SingularStartQuadratic(QuadraticSpace):
     """OU with the slope declared infinite at x = 2, as at a start from
     which a flow regularizes instantly."""
 
-    def slope(self, p):
-        return ExtendedReal.INF if p.coords == (2.0,) else super().slope(p)
+    def slope_rows(self, coords):
+        slopes = super().slope_rows(coords)
+        slopes[np.asarray(coords)[:, 0] == 2.0] = math.inf
+        return slopes
 
 
 class TestEnergyIdentity:
@@ -576,6 +672,12 @@ class TestQuadraticLowerBound:
     def test_c1_below_minus_kappa_rejected(self, ou):
         with pytest.raises(UsageError):
             fit_quadratic_lower_bound(ou, StatePoint.of(0.0), -1.5)
+
+    def test_centre_validated(self, ou, cir):
+        with pytest.raises(DomainError):
+            fit_quadratic_lower_bound(cir, StatePoint.of(-1.0), 1.0)
+        with pytest.raises(UsageError, match="expected dimension 1, got 2"):
+            fit_quadratic_lower_bound(ou, StatePoint.of([0.0, 1.0]), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from evikit.core import (
     ConstructionError,
     DomainError,
-    Space,
+    ExtendedReal,
     StatePoint,
     UnsupportedFlowError,
     UsageError,
@@ -62,8 +62,8 @@ class TestCir:
         """Coupled-flow dissipation <= -1/2 d^2 via the chart formulas."""
         rng = np.random.default_rng(2)
         for _ in range(200):
-            x = float(self.space.sample_point(rng).x)
-            y = float(self.space.sample_point(rng).x)
+            x = float(self.space.sample_point(rng).coords[0])
+            y = float(self.space.sample_point(rng).coords[0])
             sx, sy = math.sqrt(x), math.sqrt(y)
             t1 = 2.0 * (self.space.mu - x) * (sx - sy) / sx
             t2 = 2.0 * (self.space.mu - y) * (sx - sy) / sy
@@ -171,10 +171,9 @@ def gaussian_entropy(sd):
     return -0.5 * math.log(2 * math.pi * math.e * sd**2)
 
 
-def loop_information(space, coords):
-    """Fisher information at one quantile vector as the scalar quadrature
-    computed it before the row form: w built on one (m,) vector, the
-    slope's math.sqrt, then its square as a Python float power."""
+def loop_squared_slope(space, coords):
+    """The squared slope at one quantile vector as the scalar quadrature
+    computed it before the row form: w built on one (m,) vector."""
     q = np.asarray(coords, dtype=float)
     m = space.m
     w = np.zeros(m)
@@ -191,7 +190,13 @@ def loop_information(space, coords):
     if space.interaction is not None:
         diffs = q[:, None] - q[None, :]
         w += np.sum(space.interaction.df(diffs), axis=1) / m
-    val = float(np.mean(w**2))
+    return float(np.mean(w**2))
+
+
+def loop_information(space, coords):
+    """Fisher information at one quantile vector: the slope's math.sqrt of
+    loop_squared_slope, then its square as a Python float power."""
+    val = loop_squared_slope(space, coords)
     return math.inf if math.isinf(val) else math.sqrt(val) ** 2
 
 
@@ -272,9 +277,9 @@ class TestWasserstein1D:
     def test_information_rows_match_scalar_quadrature(self):
         """information_rows on Gaussian, logistic and flat (infinite
         information) quantile rows equals the scalar quadrature row by row,
-        and the row-by-row default of the base class.  About one drawn value
-        in 2 000 has a Python float square an ulp off numpy's square, so
-        the draws are many."""
+        and information is its one-row case.  About one drawn value in
+        2 000 has a Python float square an ulp off numpy's square, so the
+        draws are many."""
         rng = np.random.default_rng(17)
         cases = [self.make(m=200), self.make(m=37),
                  self.make(m=24, potential="quadratic", interaction="quartic", kappa_v=1.0),
@@ -290,7 +295,7 @@ class TestWasserstein1D:
             coords = np.array(rows)
             expected = [loop_information(space, row) for row in coords]
             assert space.information_rows(coords).tolist() == expected
-            assert (Space.information_rows(space, coords[::25]).tolist()
+            assert ([float(space.information(StatePoint.of(row))) for row in coords[::25]]
                     == expected[::25])
             if space.internal is not None:
                 assert math.isinf(expected[-1]) and math.isinf(expected[-2])
@@ -688,7 +693,87 @@ def test_row_hooks_bit_equal_to_one_point_code(name):
     moved = rows + rng.normal(0.0, 3.0 / space.chart_scale, rows.shape)
     want_p = np.array([project(space, row) for row in moved])
     assert space.project_chart_rows(moved).tobytes() == want_p.tobytes()
-    assert space.project_chart(moved[0]).tobytes() == want_p[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Row slopes against the one-point slopes they replace
+# ---------------------------------------------------------------------------
+
+def cir_slope(space, p):
+    x = p.coords[0]
+    if x <= 0.0:
+        return ExtendedReal.INF
+    return ExtendedReal.finite(abs(x - space.mu) / math.sqrt(x))
+
+
+def quadratic_slope(space, p):
+    return ExtendedReal.finite(float(np.linalg.norm(quadratic_grad(space, p.array))))
+
+
+def allen_cahn_slope(space, p):
+    rho = p.array
+    drive = space.laplacian(rho) - space.kappa * rho
+    if space.well is not None:
+        drive = drive - space.well.df(rho)
+    return ExtendedReal.finite(math.sqrt(space.dx * float(np.sum(drive**2))))
+
+
+def wasserstein_slope(space, p):
+    val = loop_squared_slope(space, p.array)
+    return ExtendedReal.INF if math.isinf(val) else ExtendedReal.finite(math.sqrt(val))
+
+
+def point_information(slope):
+    """Space.information of a slope, as it was before information_rows."""
+    return ExtendedReal.INF if slope.infinite else ExtendedReal.finite(slope.value**2)
+
+
+# name: (space, the space's one-point slope before slope_rows)
+SLOPE_SPACES = {
+    "cir": (make_cir(CirDescriptor(mu=1.0)), cir_slope),
+    "ou": (make_ou(1.0), quadratic_slope),
+    "quadratic_quartic": (make_quadratic(QuadraticDescriptor(
+        dimension=3, kappa=0.5, perturbation=make_potential("quartic"))), quadratic_slope),
+    "allen_cahn": (make_allen_cahn(AllenCahnDescriptor(grid_size=16, length=2 * math.pi,
+                                                        kappa=1.0)), allen_cahn_slope),
+    "allen_cahn_well": (make_allen_cahn(AllenCahnDescriptor(
+        grid_size=37, length=3.0, kappa=0.5, well=make_potential("quartic"))),
+        allen_cahn_slope),
+    "entropy": (transport(37, internal="entropy"), wasserstein_slope),
+    "entropy_potential_interaction": (
+        transport(23, internal="entropy", potential="quadratic", interaction="quadratic"),
+        wasserstein_slope),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOPE_SPACES))
+def test_slope_rows_bit_equal_to_one_point_slope(name):
+    """slope_rows and information_rows equal the one-point slope code they
+    replaced, and the information derived from it, bit for bit on 300
+    drawn rows: on CIR with rows at x = 0, where both are +inf, and on
+    transport with a flat gap, where both are +inf.  slope and information
+    are their one-row cases, and a NaN row is a UsageError."""
+    space, slope = SLOPE_SPACES[name]
+    rows = space.sample_rows(np.random.default_rng(23), 300)
+    if space.name == "cir":
+        rows[[0, 150]] = 0.0
+    if space.name == "wasserstein1d":
+        rows[7, 5] = rows[7, 4]
+    points = [StatePoint(tuple(row)) for row in rows.tolist()]
+    want_s = [slope(space, p) for p in points]
+    want_i = [point_information(s) for s in want_s]
+    assert space.slope_rows(rows).tobytes() == np.array([float(s) for s in want_s]).tobytes()
+    assert (space.information_rows(rows).tobytes()
+            == np.array([float(i) for i in want_i]).tobytes())
+    if space.name in ("cir", "wasserstein1d"):
+        assert want_s[0 if space.name == "cir" else 7].infinite
+    for p, s, i in zip(points[:30], want_s, want_i):
+        assert repr(float(space.slope(p))) == repr(float(s))
+        assert repr(float(space.information(p))) == repr(float(i))
+    rows[11, -1] = math.nan
+    for hook in (space.slope_rows, space.information_rows):
+        with pytest.raises(UsageError, match="finite"):
+            hook(rows)
 
 
 # ---------------------------------------------------------------------------

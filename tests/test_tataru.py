@@ -339,7 +339,7 @@ class TestDistance:
             if d0 == 0:
                 continue
             ts = np.linspace(0.0, d0, 60001)
-            oracle = float(np.min(ts + np.abs(pi.x - rho.x * np.exp(-ts))))
+            oracle = float(np.min(ts + np.abs(pi.coords[0] - rho.coords[0] * np.exp(-ts))))
             res = tataru_distance(ou, pi, rho, flow_dt=5e-3)
             assert res.value == pytest.approx(oracle, abs=1e-5)
 
@@ -374,7 +374,7 @@ class TestDistance:
                 continue
             res = tataru_distance(ou, pi, rho, flow_dt=5e-3)
             ts = np.linspace(0.0, 1.5 * d0, 4001)
-            extended = float(np.min(ts + np.abs(pi.x - rho.x * np.exp(-ts))))
+            extended = float(np.min(ts + np.abs(pi.coords[0] - rho.coords[0] * np.exp(-ts))))
             assert extended >= res.value - 1e-6
 
     @pytest.mark.parametrize("flow_dt", [0.0, -0.01, math.inf, math.nan])
