@@ -372,8 +372,8 @@ def run_resolvent(space, params, out: Path, rng):
         cg = _field(ro, "control", {}, dict)
         us = np.linspace(_field(cg, "lo", -3.0), _field(cg, "hi", 3.0),
                          _field(cg, "n", 21, int, positive=True))
-        dt = _field(ro, "dt", 5e-3)
-        T = _field(ro, "T", lam * math.log(1e4))
+        dt = _field(ro, "dt", 5e-3, positive=True)
+        T = _field(ro, "T", lam * math.log(1e4), positive=True)
     sol = _solve_for(space, params, lam, h_fn, n_grid, tol)
     sol.write_csv(out / "resolvent.csv")
     sol.write_json(out / "resolvent.json")
@@ -408,7 +408,10 @@ def run_viscosity(space, params, out: Path, rng):
     sweep = _field(params, "sweep", {}, dict)
     a_values = _field(sweep, "a_values", [0.5, 1.0, 2.0, 4.0], [float])
     b_values = _field(sweep, "b_values", [1e-3, 1e-2, 1e-1], [float])
-    n_anchors = _field(sweep, "n_anchors", 5, int)
+    for key, values in (("a_values", a_values), ("b_values", b_values)):
+        if not values:
+            raise ConfigError(f"config field '{key}' must list at least one value")
+    n_anchors = _field(sweep, "n_anchors", 5, int, positive=True)
     sol = _solve_for(space, params, lam, h_fn, n_grid, _field(params, "tol", 1e-6))
     xs = sol.f.coords()
     dx = xs[1] - xs[0]

@@ -319,6 +319,14 @@ OTHER_FIELDS = [
     ("ou_flow_contraction", "mode", 5),
     ("ou_evi", "probes", []),
     ("ou_quadruplication", "alphas", []),
+    ("cir_resolvent", "rollout.dt", 0),
+    ("cir_resolvent", "rollout.dt", -0.005),
+    ("cir_resolvent", "rollout.T", 0),
+    ("cir_resolvent", "rollout.T", -10.0),
+    ("cir_viscosity", "sweep.n_anchors", 0),
+    ("cir_viscosity", "sweep.n_anchors", -3),
+    ("cir_viscosity", "sweep.a_values", []),
+    ("cir_viscosity", "sweep.b_values", []),
 ]
 
 # (shipped config, dotted path under params of a nested object, a value of

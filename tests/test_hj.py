@@ -480,7 +480,7 @@ class TestBufferedResolvent:
         inputs and result included, and writing its CSV within 1 MB."""
         n = 51200
         h = make_data_function("gaussian_bump", center=1.7, width=1.0, height=1.0)
-        solve_resolvent_cir(DESC, 1.0, h, 50, 1e-6)  # scipy.linalg's first-use import
+        solve_resolvent_cir(DESC, 1.0, h, 50, 1e-6)  # loads the LAPACK extension
         tracemalloc.start()
         try:
             sol = solve_resolvent_cir(DESC, 1.0, h, n, 1e-6)
@@ -524,27 +524,155 @@ def test_manufactured_solution_first_order():
     assert errors[-1] <= 1e-4
 
 
-def test_scipy_linalg_loads_on_first_solve():
-    """Importing the command line loads no scipy module; the first
-    resolvent solve imports scipy.linalg."""
-    child = (
-        "import sys\n"
-        "import evikit.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-        "from evikit.hj import make_data_function, solve_resolvent_cir\n"
-        "from evikit.spaces import CirDescriptor\n"
-        "solve_resolvent_cir(CirDescriptor(mu=1.0, x_lo=1e-3, x_hi=8.0), 1.0,\n"
-        "                    make_data_function('constant', value=1.0), 20)\n"
-        "print('scipy.linalg' in sys.modules)\n"
-    )
+def upwind_band(rng, n, scale):
+    """The band and right-hand side of a drawn upwind system as
+    solve_resolvent_1d assembles it: coefficients co of random sign and
+    size up to scale, 1 + |co| on the diagonal, -co ahead of a forward
+    node and co behind a backward one.  A large coefficient next to a
+    small one makes gtsv pivot on a 2x2 block."""
+    co = rng.choice([-1.0, 1.0], n) * scale ** rng.uniform(-1.0, 1.0, n)
+    co[0], co[-1] = abs(co[0]), -abs(co[-1])
+    band = np.zeros((3, n))
+    sup, dia, sub = band
+    dia[:] = 1.0 + np.abs(co)
+    sup[1:] = np.where(co[:-1] > 0, -co[:-1], 0.0)
+    sub[:-1] = np.where(co[1:] < 0, co[1:], 0.0)
+    return band, rng.normal(0.0, 1.0, n) * scale
+
+
+def tridiagonal_outcome(solver, band, f):
+    """The solution's bytes, or the type and message of the error raised."""
+    try:
+        return solver(band.copy(), f.copy()).tobytes()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def banded_reference(band, f):
+    from scipy.linalg import solve_banded
+
+    return solve_banded((1, 1), band, f, overwrite_ab=True, overwrite_b=True)
+
+
+class TestTridiagonalSolve:
+    """The direct dgtsv call against scipy.linalg.solve_banded, whose
+    (1, 1) branch it reproduces."""
+
+    solve = staticmethod(evikit.hj._solve_tridiagonal)
+
+    def test_bit_equal_on_drawn_upwind_systems(self):
+        rng = np.random.default_rng(19)
+        pivots = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 3001))
+            band, f = upwind_band(rng, n, 10.0 ** rng.uniform(0.0, 5.0))
+            sup, dia, sub = band
+            pivots += int(np.any(np.abs(sub[:-1]) > dia[:-1]))
+            expected = banded_reference(band.copy(), f.copy()).tobytes()
+            assert tridiagonal_outcome(self.solve, band, f) == expected
+        assert pivots > 100
+
+    def test_three_nodes(self):
+        band = np.array([[0.0, -2.0, -1e5], [3.0, 1e5 + 1.0, 2.0], [-4.0, -0.5, 0.0]])
+        f = np.array([1.0, -2.0, 3.0])
+        assert (tridiagonal_outcome(self.solve, band, f)
+                == banded_reference(band.copy(), f.copy()).tobytes())
+
+    @pytest.mark.parametrize("case", ["zero_row", "zero_band"])
+    def test_singular_band_raises_like_reference(self, case):
+        band, f = upwind_band(np.random.default_rng(3), 50, 10.0)
+        if case == "zero_row":
+            band[:, 20] = 0.0
+            band[0, 21] = band[2, 19] = 0.0
+        else:
+            band[:] = 0.0
+        outcome = tridiagonal_outcome(self.solve, band, f)
+        assert outcome == (np.linalg.LinAlgError, "singular matrix")
+        assert outcome == tridiagonal_outcome(banded_reference, band, f)
+
+    @pytest.mark.parametrize("row,col", [(0, 0), (0, 7), (1, 3), (2, 11), (2, 15), (3, 5)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_not_finite_raises_like_reference(self, row, col, bad):
+        """A non-finite entry of any band row, its unused corners included
+        (row 3 is the right-hand side), is a ValueError before the call."""
+        band, f = upwind_band(np.random.default_rng(4), 16, 10.0)
+        (band[row] if row < 3 else f)[col] = bad
+        outcome = tridiagonal_outcome(self.solve, band, f)
+        assert outcome == (ValueError, "array must not contain infs or NaNs")
+        assert outcome == tridiagonal_outcome(banded_reference, band, f)
+
+
+def run_child(code: str) -> list[str]:
+    """Run code in a fresh interpreter with evikit on its path; its
+    standard output lines."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, cwd=root)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == ["[]", "True"]
+    return res.stdout.splitlines()
+
+
+SOLVE_IN_CHILD = (
+    "from evikit.hj import make_data_function, solve_resolvent_cir\n"
+    "from evikit.spaces import CirDescriptor\n"
+    "def solve():\n"
+    "    return solve_resolvent_cir(CirDescriptor(mu=1.0, x_lo=1e-3, x_hi=8.0), 1.0,\n"
+    "        make_data_function('gaussian_bump', center=1.7, width=1.0, height=1.0),\n"
+    "        200).f.values.tobytes()\n"
+)
+
+
+def test_cli_import_loads_no_scipy():
+    assert run_child(
+        "import sys\n"
+        "import evikit.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    ) == ["[]"]
+
+
+def test_solve_loads_lapack_without_scipy_linalg():
+    """A solve loads scipy's LAPACK extension but not scipy.linalg; a later
+    `import scipy.linalg` shares the module, so its dgtsv is the function
+    the solve called, and the solve's bits do not change."""
+    assert run_child(
+        "import sys\n" + SOLVE_IN_CHILD +
+        "before = solve()\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "called = sys.modules['scipy.linalg._flapack'].dgtsv\n"
+        "import scipy.linalg\n"
+        "print(scipy.linalg.lapack.dgtsv is called)\n"
+        "print(solve() == before)\n"
+    ) == ["False", "True", "True"]
+
+
+def test_solve_after_scipy_linalg_uses_its_lapack():
+    """With scipy.linalg imported first, the solve calls its dgtsv and
+    loads no second copy of the extension."""
+    assert run_child(
+        "import sys\n"
+        "import scipy.linalg\n"
+        "module = sys.modules['scipy.linalg._flapack']\n" + SOLVE_IN_CHILD +
+        "solve()\n"
+        "print(sys.modules['scipy.linalg._flapack'] is module)\n"
+        "print(scipy.linalg.lapack.dgtsv is module.dgtsv)\n"
+    ) == ["True", "True"]
+
+
+def test_missing_lapack_extension_names_the_searched_path(tmp_path):
+    (tmp_path / "linalg").mkdir()
+    lines = run_child(
+        "import scipy\n"
+        f"scipy.__path__ = [{str(tmp_path)!r}]\n" + SOLVE_IN_CHILD +
+        "try:\n"
+        "    solve()\n"
+        "except ImportError as err:\n"
+        "    print(err)\n"
+    )
+    assert lines == [f"scipy's LAPACK extension scipy.linalg._flapack is not in "
+                     f"{tmp_path / 'linalg'}"]
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +896,13 @@ class TestRollout:
     def test_one_node_state_grid_rejected(self, ou):
         with pytest.raises(UsageError):
             value_by_rollout(ou, 1.0, H_CLIP, [0.0], np.zeros(1), 0.1, 1.0, np.zeros(1))
+
+    @pytest.mark.parametrize("dt,T", [(0.0, 1.0), (-0.1, 1.0), (0.1, 0.0), (0.1, -1.0),
+                                      (math.nan, 1.0), (0.1, math.nan)])
+    def test_time_step_and_horizon_must_be_positive(self, ou, dt, T):
+        with pytest.raises(UsageError, match="positive time step dt and horizon T"):
+            value_by_rollout(ou, 1.0, H_CLIP, [0.0], np.zeros(1), dt, T,
+                             np.linspace(-1.0, 1.0, 5))
 
     def test_single_start_is_one_row(self, cir):
         us = np.linspace(-2, 2, 11)
