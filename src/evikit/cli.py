@@ -20,6 +20,11 @@ sorted keys) are byte-identical for a fixed config and seed; the
 manifest.json echoing the config additionally records versions and wall
 time.  Exit codes: 0 all assertions pass, 1 assertion failure, 2 config
 error, 3 numerical-solver failure.  Every kind runs serially.
+
+Every field is declared once, in the table of its kind, space or nested
+object.  A key no table declares, a number that is not finite, an empty
+list or a value of the wrong type is a config error, raised before any
+result file is written.
 """
 
 from __future__ import annotations
@@ -30,189 +35,158 @@ import math
 import platform
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core import (
-    ConstructionError,
-    DomainError,
-    NumericalError,
-    Space,
-    StatePoint,
-    UsageError,
-    check_geodesic_property,
-    check_kappa_convexity,
-    check_metric_axioms,
-    check_noise_identity,
-)
+from .core import (ConstructionError, DomainError, NumericalError, Space, StatePoint,
+                   UsageError, check_geodesic_property, check_kappa_convexity,
+                   check_metric_axioms, check_noise_identity)
 from .potentials import builtin_potentials, make_potential
-from .spaces import (
-    AllenCahnDescriptor,
-    CirDescriptor,
-    QuadraticDescriptor,
-    Wasserstein1DDescriptor,
-    builtin_spaces,
-    make_allen_cahn,
-    make_cir,
-    make_ou,
-    make_quadratic,
-    make_wasserstein1d,
-    mccann_check,
-)
-from .flow import (
-    FlowConfig,
-    flow_any,
-    flow_exact,
-    flow_mms,
-    verify_contraction,
-    verify_energy_identity,
-    verify_evi,
-)
-from .tataru import (
-    tataru_batch_csv,
-    tataru_distance,
-    verify_tataru_flow_lipschitz,
-    verify_tataru_lipschitz,
-    verify_tataru_triangle,
-)
-from .hj import (
-    GridFunction,
-    LowerTestFunction,
-    UpperTestFunction,
-    builtin_data_functions,
-    check_comparison,
-    hamiltonian_sandwich_check,
-    make_data_function,
-    solve_resolvent_cir,
-    solve_resolvent_quadratic,
-    value_by_rollout,
-    verify_subsolution,
-    verify_supersolution,
-)
-from .ekeland import (
-    EkelandProblem,
-    ekeland_optimize,
-    jensen_distance_check,
-    product_penalty,
-    quadruplicate,
-    tataru_matrix,
-    verify_ekeland_result,
-)
+from .spaces import (AllenCahnDescriptor, CirDescriptor, QuadraticDescriptor,
+                     Wasserstein1DDescriptor, builtin_spaces, make_allen_cahn, make_cir,
+                     make_ou, make_quadratic, make_wasserstein1d, mccann_check)
+from .flow import (FlowConfig, flow_any, flow_exact, flow_mms, verify_contraction,
+                   verify_energy_identity, verify_evi)
+from .tataru import (tataru_batch_csv, tataru_distance, verify_tataru_flow_lipschitz,
+                     verify_tataru_lipschitz, verify_tataru_triangle)
+from .hj import (GridFunction, LowerTestFunction, UpperTestFunction, builtin_data_functions,
+                 check_comparison, hamiltonian_sandwich_check, make_data_function,
+                 solve_resolvent_cir, solve_resolvent_quadratic, value_by_rollout,
+                 verify_subsolution, verify_supersolution)
+from .ekeland import (EkelandProblem, ekeland_optimize, jensen_distance_check, product_penalty,
+                      quadruplicate, tataru_matrix, verify_ekeland_result)
 
 
 class ConfigError(ValueError):
     pass
 
 
-_REQUIRED = object()   # the default of a field that has none
+_REQUIRED = object()    # the default of a field that has none
+_STATE = "state"        # a number, a list of numbers or {"gaussian": {...}}
+_POTENTIAL = "potential"    # a built-in's name or {"name": ..., "params": {...}}
+_DATA_FUNCTION = "data function"    # {"name": ..., "params": {...}}
+# built-in kind -> (factory, its names)
+_BUILTINS = {_POTENTIAL: (make_potential, tuple(builtin_potentials())),
+             _DATA_FUNCTION: (make_data_function, tuple(builtin_data_functions()))}
 
 
-def _require(params: dict, key: str, kind=None):
-    if key not in params:
+@dataclass(frozen=True)
+class Field:
+    """One config field.  kind is float, int, bool, str, _STATE, a _BUILTINS
+    kind, a table (a dict of Fields: a nested object), dict (an object whose
+    table a sibling field selects), [k] (a non-empty list of k) or [k1, k2]
+    (a list of exactly two).  default is _REQUIRED when the field must be
+    given, None when it is None unless given, or else a value read as a
+    given one is.  positive asks numbers above 0; choices lists the values
+    a string may take."""
+    kind: object
+    default: object = _REQUIRED
+    positive: bool = False
+    choices: tuple = ()
+
+
+_WHAT = {(bool, False): "true or false", (str, False): "a string",
+         (int, False): "an integer", (int, True): "a positive integer",
+         (float, False): "a finite number", (float, True): "a finite positive number"}
+
+
+def _number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _field(section: dict, key: str, spec: Field):
+    """section[key] read as spec declares, or its default when the key is
+    absent.  A float is a finite JSON number and an int an integral one,
+    a list is not empty, and an object has no key its table does not
+    declare; anything else is a ConfigError naming the field."""
+    if key in section:
+        val = section[key]
+    elif spec.default is _REQUIRED:
         raise ConfigError(f"missing config field '{key}'")
-    val = params[key]
-    if kind is not None and not isinstance(val, kind):
-        raise ConfigError(f"config field '{key}' has wrong type")
-    return val
-
-
-def _field(params: dict, key: str, default=_REQUIRED, kind=float, positive: bool = False):
-    """params[key] as a `kind` (float, int, bool or dict, a nested JSON
-    object of fields, or [float] / [int] for a list of them), or default
-    when the key is absent.  A float takes any JSON number, an int an
-    integral one; any other value, or with positive a number not above 0,
-    is a ConfigError naming the field."""
-    if key not in params:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing config field '{key}'")
-        return default
-    val = params[key]
-    if isinstance(kind, list):
-        if not isinstance(val, list):
-            raise ConfigError(f"config field '{key}' must be a list, got {val!r}")
-        return [_field({key: v}, key, kind=kind[0], positive=positive) for v in val]
-    if kind is bool or kind is dict:
-        ok = isinstance(val, kind)
+    elif spec.default is None:
+        return None
     else:
-        ok = (isinstance(val, (int, float)) and not isinstance(val, bool)
+        val = spec.default
+    kind = spec.kind
+    if isinstance(kind, list):
+        if not (isinstance(val, list) and val and len(kind) in (1, len(val))):
+            size = "a non-empty list" if len(kind) == 1 else f"a list of {len(kind)}"
+            raise ConfigError(f"config field '{key}' must be {size}, got {val!r}")
+        item = [Field(k, positive=spec.positive, choices=spec.choices) for k in kind]
+        return [_field({key: v}, key, item[i % len(item)]) for i, v in enumerate(val)]
+    if kind is _STATE:
+        if isinstance(val, dict):
+            return _read(val, _GAUSSIAN_STATE)
+        return _field({key: val if isinstance(val, list) else [val]}, key, Field([float]))
+    if isinstance(kind, dict) or kind is dict:
+        if not isinstance(val, dict):
+            raise ConfigError(f"config field '{key}' must be an object, got {val!r}")
+        return val if kind is dict else _read(val, kind)
+    if kind in _BUILTINS:
+        make, names = _BUILTINS[kind]
+        if kind is _POTENTIAL and isinstance(val, str):
+            val = {"name": val}
+        table = {"name": Field(str, choices=names), "params": Field(dict, {})}
+        named = _field({key: val}, key, Field(table))
+        # any numbers: the built-in checks its own parameters
+        for k, v in named["params"].items():
+            if not _number(v):
+                raise ConfigError(f"config field '{k}' must be a number, got {v!r}")
+        return make(named["name"], **{k: float(v) for k, v in named["params"].items()})
+    if kind in (bool, str):
+        ok = isinstance(val, kind) and (not spec.choices or val in spec.choices)
+    else:
+        ok = (_number(val) and abs(val) <= sys.float_info.max
               and (kind is float or isinstance(val, int) or val.is_integer())
-              and (not positive or val > 0))
+              and (not spec.positive or val > 0))
     if not ok:
-        what = {bool: "true or false", int: "an integer", float: "a number",
-                dict: "an object"}[kind]
-        if positive:
-            what = "a positive " + what.split()[-1]
+        what = f"one of {list(spec.choices)}" if spec.choices else _WHAT[kind, spec.positive]
         raise ConfigError(f"config field '{key}' must be {what}, got {val!r}")
     return kind(val)
 
 
-def _builtin(spec: dict, make):
-    """make(name, **params) for a named built-in {"name": ..., "params": {...}},
-    its parameters read as numbers."""
-    params = _field(spec, "params", {}, dict)
-    return make(_require(spec, "name"), **{k: _field(params, k) for k in params})
+def _read(section: dict, table: dict) -> dict:
+    """Every field of table read from the JSON object section."""
+    for key in section:
+        if key not in table:
+            raise ConfigError(f"unknown config field '{key}'; expected one of {sorted(table)}")
+    return {key: _field(section, key, spec) for key, spec in table.items()}
 
 
-def _potential_from(spec) -> object | None:
-    if spec is None:
-        return None
-    if isinstance(spec, str):
-        return make_potential(spec)
-    return _builtin(spec, make_potential)
+_GAUSSIAN_STATE = {"gaussian": Field({"mean": Field(float, 0.0),
+                                      "sd": Field(float, 1.0, positive=True)})}
+
+# space name -> (factory taking the read parameters, their table)
+_SPACES = {
+    "allen_cahn": (lambda **p: make_allen_cahn(AllenCahnDescriptor(**p)),
+                   {"grid_size": Field(int, positive=True),
+                    "length": Field(float, positive=True),
+                    "kappa": Field(float, 0.0), "well": Field(_POTENTIAL, None)}),
+    "cir": (lambda **p: make_cir(CirDescriptor(**p)),
+            {"mu": Field(float, positive=True), "x_lo": Field(float, 1e-4),
+             "x_hi": Field(float, None)}),
+    "ou": (make_ou, {"kappa": Field(float, 1.0)}),
+    "quadratic": (lambda **p: make_quadratic(QuadraticDescriptor(**p)),
+                  {"dimension": Field(int, 1, positive=True), "kappa": Field(float, 1.0),
+                   "perturbation": Field(_POTENTIAL, None)}),
+    "wasserstein1d": (lambda **p: make_wasserstein1d(Wasserstein1DDescriptor(**p)),
+                      {"m": Field(int, positive=True), "internal": Field(_POTENTIAL, None),
+                       "potential": Field(_POTENTIAL, None),
+                       "interaction": Field(_POTENTIAL, None),
+                       "kappa_v": Field(float, 0.0), "kappa_w": Field(float, 0.0)}),
+}
 
 
-def build_space(desc: dict) -> Space:
-    name = _require(desc, "space")
-    params = _field(desc, "params", {}, dict)
-    try:
-        if name == "cir":
-            return make_cir(CirDescriptor(
-                mu=_field(params, "mu", positive=True),
-                x_lo=_field(params, "x_lo", 1e-4),
-                x_hi=_field(params, "x_hi", None),
-            ))
-        if name == "ou":
-            return make_ou(_field(params, "kappa", 1.0))
-        if name == "quadratic":
-            return make_quadratic(QuadraticDescriptor(
-                dimension=_field(params, "dimension", 1, int),
-                kappa=_field(params, "kappa", 1.0),
-                perturbation=_potential_from(params.get("perturbation")),
-            ))
-        if name == "allen_cahn":
-            return make_allen_cahn(AllenCahnDescriptor(
-                grid_size=_field(params, "grid_size", kind=int),
-                length=_field(params, "length", positive=True),
-                kappa=_field(params, "kappa", 0.0),
-                well=_potential_from(params.get("well")),
-            ))
-        if name == "wasserstein1d":
-            return make_wasserstein1d(Wasserstein1DDescriptor(
-                m=_field(params, "m", kind=int),
-                internal=_potential_from(params.get("internal")),
-                potential=_potential_from(params.get("potential")),
-                interaction=_potential_from(params.get("interaction")),
-                kappa_v=_field(params, "kappa_v", 0.0),
-                kappa_w=_field(params, "kappa_w", 0.0),
-            ))
-    except ConstructionError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown space '{name}'; available: {builtin_spaces()}")
-
-
-def _state(space: Space, params: dict, key: str, default=_REQUIRED) -> StatePoint:
-    """The state point of a coordinate field: a number, a list of numbers,
-    or {"gaussian": {"mean": m, "sd": s}} on a space with a Gaussian family."""
-    spec = _require(params, key) if default is _REQUIRED else params.get(key, default)
-    if isinstance(spec, dict) and spec.get("gaussian") is not None:
-        if not hasattr(space, "gaussian_state"):
-            raise ConfigError(f"space '{space.name}' has no gaussian state family")
-        g = _field(spec, "gaussian", kind=dict)
-        return space.gaussian_state(_field(g, "mean", 0.0), _field(g, "sd", 1.0))
-    coords = spec if isinstance(spec, list) else [spec]
-    return StatePoint.of(_field({key: coords}, key, kind=[float]))
+def _state(space: Space, spec) -> StatePoint:
+    """The state point of a read coordinate field."""
+    if isinstance(spec, list):
+        return StatePoint.of(spec)
+    if not hasattr(space, "gaussian_state"):
+        raise ConfigError(f"space '{space.name}' has no gaussian state family")
+    return space.gaussian_state(spec["gaussian"]["mean"], spec["gaussian"]["sd"])
 
 
 def _json_default(obj):
@@ -234,110 +208,107 @@ def _write_json(path: Path, payload) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Experiment kinds
+# Experiment kinds: each reads the parameters its table declares
 # ---------------------------------------------------------------------------
 
-def run_flow(space, params, out: Path, rng):
-    dt = _field(params, "dt", positive=True)
-    T = _field(params, "T", positive=True)
+_FLOW = {"x0": Field(_STATE), "T": Field(float, positive=True),
+         "dt": Field(float, positive=True),
+         "mode": Field(str, "auto", choices=("exact", "mms", "auto")),
+         "energy_tol": Field(float, None),
+         "contraction": Field({"q0": Field(_STATE), "tol": Field(float, 1e-6)}, None),
+         "mms_convergence": Field({"dts": Field([float], positive=True),
+                                   "ratio_range": Field([float, float], [1.7, 2.3])}, None),
+         "jko_inner_tol": Field(float, 1e-9, positive=True),
+         "jko_max_iter": Field(int, 500, positive=True)}
+
+
+def run_flow(space, p, out: Path, rng):
+    dt, T = p["dt"], p["T"]
     if dt > T:
         raise ConfigError("config field 'dt' must not exceed 'T'")
-    x0 = _state(space, params, "x0")
-    mode = params.get("mode", "auto")
-    if mode not in ("exact", "mms", "auto"):
-        raise ConfigError(f"config field 'mode' must be \"exact\", \"mms\" or \"auto\", "
-                          f"got {mode!r}")
-    energy_tol = _field(params, "energy_tol", None)
-    contraction = _field(params, "contraction", None, dict)
+    x0 = _state(space, p["x0"])
+    contraction, convergence = p["contraction"], p["mms_convergence"]
     if contraction is not None:
-        q0 = _state(space, contraction, "q0")
-        contraction_tol = _field(contraction, "tol", 1e-6)
-    convergence = _field(params, "mms_convergence", None, dict)
-    if convergence is not None:
-        dts = _field(convergence, "dts", kind=[float])
-        ratio_range = _field(convergence, "ratio_range", [1.7, 2.3], [float])
-        if len(ratio_range) != 2:
-            raise ConfigError(f"config field 'ratio_range' must be [lo, hi], got {ratio_range}")
-        lo_r, hi_r = ratio_range
+        q0 = _state(space, contraction["q0"])
     mms_config = None
-    if mode == "exact":
+    if p["mode"] == "exact":
         traj = flow_exact(space, x0, T, dt)
-    elif mode == "mms":
-        mms_config = FlowConfig(
-            dt=dt, horizon=T,
-            jko_inner_tol=_field(params, "jko_inner_tol", 1e-9),
-            jko_max_iter=_field(params, "jko_max_iter", 500, int))
+    elif p["mode"] == "mms":
+        mms_config = FlowConfig(dt=dt, horizon=T, jko_inner_tol=p["jko_inner_tol"],
+                                jko_max_iter=p["jko_max_iter"])
         traj = flow_mms(space, x0, mms_config)
     else:
         traj = flow_any(space, x0, T, dt)
     traj.to_csv(out / "trajectory.csv")
     assertions = []
-    if energy_tol is not None:
+    if p["energy_tol"] is not None:
         resid = verify_energy_identity(space, traj)
-        assertions.append(("energy_identity", resid <= energy_tol, f"residual {resid:.3e}"))
+        assertions.append(("energy_identity", resid <= p["energy_tol"],
+                           f"residual {resid:.3e}"))
     if contraction is not None:
         viol = verify_contraction(space, x0, q0, T, dt)
-        assertions.append(("contraction", viol <= contraction_tol, f"violation {viol:.3e}"))
+        assertions.append(("contraction", viol <= contraction["tol"],
+                           f"violation {viol:.3e}"))
     if convergence is not None:
         errs = []
-        for dt_k in dts:
+        for dt_k in convergence["dts"]:
             cfg_k = FlowConfig(dt=dt_k, horizon=T)
             # the config's own flow, when it is this one, is not run twice
             mms = traj if cfg_k == mms_config else flow_mms(space, x0, cfg_k)
             ref = flow_exact(space, x0, T, dt_k)
             errs.append(space.distance(mms.end, ref.end))
         ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
+        lo_r, hi_r = convergence["ratio_range"]
         ok = all(lo_r <= r <= hi_r for r in ratios)
         assertions.append(("mms_convergence", ok,
                            f"ratios {['%.2f' % r for r in ratios]}"))
     return assertions
 
 
-def run_evi(space, params, out: Path, rng):
-    dt = _field(params, "dt", positive=True)
-    T = _field(params, "T", positive=True)
-    tol = _field(params, "tol", positive=True)
-    x0 = _state(space, params, "x0")
-    probes = [_state(space, {"probes": p}, "probes") for p in _require(params, "probes", list)]
-    if not probes:
-        raise ConfigError("config field 'probes' must list at least one probe")
-    traj = flow_any(space, x0, T, dt)
+_EVI = {"x0": Field(_STATE), "T": Field(float, positive=True),
+        "dt": Field(float, positive=True), "tol": Field(float, positive=True),
+        "probes": Field([_STATE])}
+
+
+def run_evi(space, p, out: Path, rng):
+    x0 = _state(space, p["x0"])
+    probes = [_state(space, q) for q in p["probes"]]
+    traj = flow_any(space, x0, p["T"], p["dt"])
     report = verify_evi(space, traj, probes)
     report.write_json(out / "evi_report.json")
-    return [("evi", report.max_violation <= tol,
-             f"max_violation {report.max_violation:.3e} <= {tol}")]
+    return [("evi", report.max_violation <= p["tol"],
+             f"max_violation {report.max_violation:.3e} <= {p['tol']}")]
 
 
 # suite name -> (points per sample, verifier)
 _TATARU_SUITES = {"lipschitz": (4, verify_tataru_lipschitz),
                   "flow_lipschitz": (2, verify_tataru_flow_lipschitz),
                   "triangle": (3, verify_tataru_triangle)}
+# the suites; a config with pairs_in evaluates a table instead
+_TATARU = {"n_samples": Field(int, 1000, positive=True), "flow_dt": Field(float, 5e-3),
+           "tol": Field(float, positive=True),
+           "suites": Field([str], list(_TATARU_SUITES), choices=tuple(_TATARU_SUITES)),
+           "oracle": Field({"pi": Field(_STATE), "rho": Field(_STATE)}, None)}
+_TATARU_PAIRS = {"pairs_in": Field(str), "flow_dt": Field(float, 1e-2)}
 
 
-def run_tataru(space, params, out: Path, rng):
-    if "pairs_in" in params:
-        n = tataru_batch_csv(space, params["pairs_in"], out / "tataru_values.csv",
-                             _field(params, "flow_dt", 1e-2))
+def run_tataru(space, p, out: Path, rng):
+    if "pairs_in" in p:
+        n = tataru_batch_csv(space, p["pairs_in"], out / "tataru_values.csv", p["flow_dt"])
         return [("batch", True, f"{n} pairs evaluated")]
-    n = _field(params, "n_samples", 1000, int, positive=True)
-    flow_dt = _field(params, "flow_dt", 5e-3)
-    tol = _field(params, "tol", positive=True)
-    suites = params.get("suites", ["lipschitz", "flow_lipschitz", "triangle"])
-    oracle = _field(params, "oracle", None, dict)
+    n, flow_dt, tol, oracle = p["n_samples"], p["flow_dt"], p["tol"], p["oracle"]
     if oracle is not None:
-        pi, rho = _state(space, oracle, "pi"), _state(space, oracle, "rho")
+        pi, rho = _state(space, oracle["pi"]), _state(space, oracle["rho"])
 
     def cell(suite):
         local = np.random.default_rng(rng.integers(2**63))
-        if suite not in _TATARU_SUITES:
-            raise ConfigError(f"unknown tataru suite '{suite}'")
         k, verify = _TATARU_SUITES[suite]
         # n samples of k points each, drawn point after point
         samples = space.sample_rows(local, n * k).reshape(n, k, space.dimension)
         return suite, verify(space, samples, flow_dt=flow_dt)
 
     # serial, in listed order, so each suite's seed is the same draw from rng
-    results = dict(cell(suite) for suite in suites)
+    results = dict(cell(suite) for suite in p["suites"])
     payload = {k: results[k] for k in sorted(results)}
     if oracle is not None:
         res = tataru_distance(space, pi, rho, flow_dt)
@@ -346,35 +317,42 @@ def run_tataru(space, params, out: Path, rng):
     return [(k, v <= tol, f"violation {v:.3e} <= {tol}") for k, v in sorted(results.items())]
 
 
-def _solve_for(space, params, lam, h_fn, n_grid, tol):
+def _solve_for(space, lam, h_fn, n_grid, tol, lo, hi):
+    """The resolvent on n_grid nodes: CIR's grid spans the space's domain,
+    the scalar quadratic space's spans [lo, hi]."""
     if n_grid < 3:
         raise ConfigError(f"a resolvent grid needs at least 3 nodes, got {n_grid}")
     if space.name == "cir":
         return solve_resolvent_cir(space.desc, lam, h_fn, n_grid, tol)
     if space.name == "quadratic" and space.dimension == 1:
-        lo = _field(params, "x_lo", -4.0)
-        hi = _field(params, "x_hi", 4.0)
         return solve_resolvent_quadratic(space, lam, h_fn, lo, hi, n_grid, tol)
     raise ConfigError(f"resolvent solving is not supported on space '{space.name}'")
 
 
-def run_resolvent(space, params, out: Path, rng):
-    lam = _field(params, "lambda", positive=True)
-    tol = _field(params, "tol", 1e-6)
-    n_grid = _field(params, "n_grid", 800, int)
-    h_fn = _builtin(_field(params, "h", kind=dict), make_data_function)
-    ro = _field(params, "rollout", None, dict)
-    indices = _field(ro or {}, "nodes", [], [int])
-    for idx in indices:
-        if not 0 <= idx < n_grid:
-            raise ConfigError(f"rollout node {idx} is not a node of the {n_grid}-node grid")
+# the fields of every kind that solves a resolvent on a grid of n_grid nodes
+_GRID_SOLVE = {"lambda": Field(float, positive=True), "h": Field(_DATA_FUNCTION),
+               "n_grid": Field(int, 800), "tol": Field(float, 1e-6),
+               "x_lo": Field(float, -4.0), "x_hi": Field(float, 4.0)}
+_RESOLVENT = {**_GRID_SOLVE, "rollout": Field({
+    "nodes": Field([int]),
+    "control": Field({"lo": Field(float, -3.0), "hi": Field(float, 3.0),
+                      "n": Field(int, 21, positive=True)}, {}),
+    "dt": Field(float, 5e-3, positive=True),
+    "T": Field(float, None, positive=True)}, None)}
+
+
+def _grid_solve(space, p, h_fn):
+    return _solve_for(space, p["lambda"], h_fn, p["n_grid"], p["tol"], p["x_lo"], p["x_hi"])
+
+
+def run_resolvent(space, p, out: Path, rng):
+    lam, tol, n_grid, ro = p["lambda"], p["tol"], p["n_grid"], p["rollout"]
+    h_fn = p["h"]
     if ro is not None:
-        cg = _field(ro, "control", {}, dict)
-        us = np.linspace(_field(cg, "lo", -3.0), _field(cg, "hi", 3.0),
-                         _field(cg, "n", 21, int, positive=True))
-        dt = _field(ro, "dt", 5e-3, positive=True)
-        T = _field(ro, "T", lam * math.log(1e4), positive=True)
-    sol = _solve_for(space, params, lam, h_fn, n_grid, tol)
+        for idx in ro["nodes"]:
+            if not 0 <= idx < n_grid:
+                raise ConfigError(f"rollout node {idx} is not a node of the {n_grid}-node grid")
+    sol = _grid_solve(space, p, h_fn)
     sol.write_csv(out / "resolvent.csv")
     sol.write_json(out / "resolvent.json")
     assertions = [("residual", sol.residual <= tol, f"{sol.residual:.3e} <= {tol}"),
@@ -385,11 +363,14 @@ def run_resolvent(space, params, out: Path, rng):
     if ro is not None:
         xs = sol.f.coords()
         dx = xs[1] - xs[0]
-        vals = value_by_rollout(space, lam, h_fn, sol.f.nodes[indices], us, dt, T,
+        cg, dt = ro["control"], ro["dt"]
+        us = np.linspace(cg["lo"], cg["hi"], cg["n"])
+        T = lam * math.log(1e4) if ro["T"] is None else ro["T"]
+        vals = value_by_rollout(space, lam, h_fn, sol.f.nodes[ro["nodes"]], us, dt, T,
                                 state_grid=xs)
         rows = []
         ok = True
-        for idx, val in zip(indices, vals.tolist()):
+        for idx, val in zip(ro["nodes"], vals.tolist()):
             f_i = float(sol.f.values[idx])
             in_band = f_i - 10 * dt - 5 * dx <= val <= f_i
             ok = ok and in_band
@@ -400,29 +381,27 @@ def run_resolvent(space, params, out: Path, rng):
     return assertions
 
 
-def run_viscosity(space, params, out: Path, rng):
-    lam = _field(params, "lambda", positive=True)
-    n_grid = _field(params, "n_grid", 800, int)
-    h_fn = _builtin(_field(params, "h", kind=dict), make_data_function)
-    tol_factor = _field(params, "tol_factor", 10.0)
-    sweep = _field(params, "sweep", {}, dict)
-    a_values = _field(sweep, "a_values", [0.5, 1.0, 2.0, 4.0], [float])
-    b_values = _field(sweep, "b_values", [1e-3, 1e-2, 1e-1], [float])
-    for key, values in (("a_values", a_values), ("b_values", b_values)):
-        if not values:
-            raise ConfigError(f"config field '{key}' must list at least one value")
-    n_anchors = _field(sweep, "n_anchors", 5, int, positive=True)
-    sol = _solve_for(space, params, lam, h_fn, n_grid, _field(params, "tol", 1e-6))
+_VISCOSITY = {**_GRID_SOLVE, "tol_factor": Field(float, 10.0), "sweep": Field({
+    "a_values": Field([float], [0.5, 1.0, 2.0, 4.0], positive=True),
+    "b_values": Field([float], [1e-3, 1e-2, 1e-1], positive=True),
+    "n_anchors": Field(int, 5, positive=True)}, {})}
+
+
+def run_viscosity(space, p, out: Path, rng):
+    lam, n_grid, sweep = p["lambda"], p["n_grid"], p["sweep"]
+    h_fn = p["h"]
+    sol = _grid_solve(space, p, h_fn)
     xs = sol.f.coords()
     dx = xs[1] - xs[0]
-    tol = tol_factor * dx
-    idx = np.linspace(0.05 * n_grid, 0.95 * n_grid, n_anchors).astype(int)
+    tol = p["tol_factor"] * dx
+    idx = np.linspace(0.05 * n_grid, 0.95 * n_grid, sweep["n_anchors"]).astype(int)
     h_grid = GridFunction(sol.f.nodes, h_fn(xs))
     anchors = [sol.f.point(i) for i in idx]
-    tfs_up = [UpperTestFunction(space, a, b, 0.0, p, p)
-              for a in a_values for b in b_values for p in anchors]
-    tfs_low = [LowerTestFunction(space, a, b, 0.0, p, p)
-               for a in a_values for b in b_values for p in anchors]
+    a_values, b_values = sweep["a_values"], sweep["b_values"]
+    tfs_up = [UpperTestFunction(space, a, b, 0.0, q, q)
+              for a in a_values for b in b_values for q in anchors]
+    tfs_low = [LowerTestFunction(space, a, b, 0.0, q, q)
+               for a in a_values for b in b_values for q in anchors]
     rep_sub = verify_subsolution(sol.f, tfs_up, lam, h_grid, tol)
     rep_sup = verify_supersolution(sol.f, tfs_low, lam, h_grid, tol)
     _write_json(out / "viscosity_report.json",
@@ -433,27 +412,24 @@ def run_viscosity(space, params, out: Path, rng):
              f"{len(tfs_low)} test functions, worst {rep_sup.worst:.3e}")]
 
 
-def run_comparison(space, params, out: Path, rng):
-    lam = _field(params, "lambda", positive=True)
-    n_grid = _field(params, "n_grid", 800, int)
-    deltas = _field(params, "deltas", kind=[float])
-    h_fn = _builtin(_field(params, "h", kind=dict), make_data_function)
-    tol_sol = _field(params, "tol", 1e-6)
-    tol_factor = _field(params, "tol_factor", 10.0)
-    base = _solve_for(space, params, lam, h_fn, n_grid, tol_sol)
+_COMPARISON = {**_GRID_SOLVE, "tol_factor": Field(float, 10.0), "deltas": Field([float])}
+
+
+def run_comparison(space, p, out: Path, rng):
+    h_fn = p["h"]
+    base = _grid_solve(space, p, h_fn)
     xs = base.f.coords()
     dx = xs[1] - xs[0]
-    tol = tol_factor * dx
+    tol = p["tol_factor"] * dx
     h_grid = GridFunction(base.f.nodes, h_fn(xs))
 
     def cell(delta):
-        shifted = _solve_for(space, params, lam, lambda x: h_fn(x) - delta,
-                             n_grid, tol_sol)
+        shifted = _grid_solve(space, p, lambda x: h_fn(x) - delta)
         res = check_comparison(base.f, shifted.f, h_grid,
                                GridFunction(base.f.nodes, h_fn(xs) - delta), tol)
         return delta, res
 
-    results = dict(cell(delta) for delta in deltas)
+    results = dict(cell(delta) for delta in p["deltas"])
     same = check_comparison(base.f, base.f, h_grid, h_grid, tol)
     payload = {"identical": same.to_json(),
                "shifted": {repr(d): results[d].to_json() for d in sorted(results)}}
@@ -466,22 +442,23 @@ def run_comparison(space, params, out: Path, rng):
     return assertions
 
 
-def run_quadruplication(space, params, out: Path, rng):
-    lam = _field(params, "lambda", positive=True)
-    grid = _field(params, "grid", {}, dict)
-    lo, hi = _field(grid, "lo", -2.0), _field(grid, "hi", 2.0)
-    n = _field(grid, "n", 41, int)
-    alphas = _field(params, "alphas", [10.0, 100.0, 1000.0], [float])
-    if not alphas:
-        raise ConfigError("config field 'alphas' must list at least one weight")
-    h_fn = _builtin(_field(params, "h", kind=dict), make_data_function)
-    v_scale = _field(params, "v_scale", 0.9)
-    nu0 = _state(space, params, "nu0", [0.0])
-    ratio_max = _field(params, "ratio_max", 0.1)
-    shrink_min = _field(params, "shrink_min", 1.5)
-    sol_u = _solve_for(space, params, lam, h_fn, n, 1e-8)
-    sol_v = _solve_for(space, params, lam, lambda x: v_scale * h_fn(x), n, 1e-8)
-    result = quadruplicate(space, sol_u.f, sol_v.f, alphas, nu0)
+_QUADRUPLICATION = {
+    "lambda": Field(float, positive=True), "h": Field(_DATA_FUNCTION),
+    "grid": Field({"lo": Field(float, -2.0), "hi": Field(float, 2.0),
+                   "n": Field(int, 41)}, {}),
+    "alphas": Field([float], [10.0, 100.0, 1000.0], positive=True),
+    "v_scale": Field(float, 0.9), "nu0": Field(_STATE, [0.0]),
+    "ratio_max": Field(float, 0.1), "shrink_min": Field(float, 1.5)}
+
+
+def run_quadruplication(space, p, out: Path, rng):
+    lam, grid, ratio_max, shrink_min = p["lambda"], p["grid"], p["ratio_max"], p["shrink_min"]
+    h_fn = p["h"]
+    nu0 = _state(space, p["nu0"])
+    domain = (grid["n"], 1e-8, grid["lo"], grid["hi"])
+    sol_u = _solve_for(space, lam, h_fn, *domain)
+    sol_v = _solve_for(space, lam, lambda x: p["v_scale"] * h_fn(x), *domain)
+    result = quadruplicate(space, sol_u.f, sol_v.f, p["alphas"], nu0)
     result.write_json(out / "quadruplication_report.json")
     trend = result.trend()
     mono = all(trend[i + 1] <= trend[i] + 1e-15 for i in range(len(trend) - 1))
@@ -502,12 +479,19 @@ def run_quadruplication(space, params, out: Path, rng):
 _PROPERTY_LABELS = {"metric": "metric_axioms", "geodesic": "geodesic_property",
                     "kappa_convexity": "kappa_convexity", "noise_identity": "noise_identity",
                     "jensen": "jensen", "sandwich": "hamiltonian_sandwich"}
+_PROPERTIES = {
+    "checks": Field([str], ["metric", "geodesic", "kappa_convexity"],
+                    choices=(*_PROPERTY_LABELS, "mccann", "ekeland")),
+    "n_samples": Field(int, 1000, positive=True), "n_geodesics": Field(int, 100, positive=True),
+    "mccann_potential": Field(_POTENTIAL, None), "mccann_expect_pass": Field(bool, True),
+    "convexity_tol": Field(float, 1e-8), "n_pairs": Field(int, 20, positive=True),
+    "jensen_tol": Field(float, 1e-9), "ekeland_points": Field(int, 2001, positive=True)}
 
 
-def run_properties(space, params, out: Path, rng):
-    checks = params.get("checks", ["metric", "geodesic", "kappa_convexity"])
-    n = _field(params, "n_samples", 1000, int, positive=True)
-    n_geodesics = _field(params, "n_geodesics", 100, int, positive=True)
+def run_properties(space, p, out: Path, rng):
+    if "mccann" in p["checks"] and p["mccann_potential"] is None:
+        raise ConfigError("the mccann check needs config field 'mccann_potential'")
+    n, n_geodesics = p["n_samples"], p["n_geodesics"]
     assertions = []
     payload = {}
 
@@ -515,17 +499,15 @@ def run_properties(space, params, out: Path, rng):
         # count samples of k points each, drawn point after point
         return space.sample_rows(rng, count * k).reshape(count, k, space.dimension)
 
-    for check in checks:
+    for check in p["checks"]:
         if check == "mccann":
-            pot = _potential_from(_require(params, "mccann_potential"))
-            expected = _field(params, "mccann_expect_pass", True, bool)
-            rep = mccann_check(pot)
+            rep = mccann_check(p["mccann_potential"])
             payload["mccann"] = rep.to_json()
-            assertions.append(("mccann", rep.passed == expected,
+            assertions.append(("mccann", rep.passed == p["mccann_expect_pass"],
                                "; ".join(rep.violations) or "all predicates hold"))
             continue
         if check == "ekeland":
-            ok, detail = _ekeland_exactness_cell(space, params)
+            ok, detail = _ekeland_exactness_cell(space, p)
             payload["ekeland"] = detail
             assertions.append(("ekeland_exactness", ok, detail))
             continue
@@ -534,21 +516,17 @@ def run_properties(space, params, out: Path, rng):
         elif check == "geodesic":
             worst, tol = check_geodesic_property(space, draw(2, n_geodesics)), space.tol_geo
         elif check == "kappa_convexity":
-            worst = check_kappa_convexity(space, n_geodesics, rng=rng)
-            tol = _field(params, "convexity_tol", 1e-8)
+            worst, tol = check_kappa_convexity(space, n_geodesics, rng=rng), p["convexity_tol"]
         elif check == "noise_identity":
-            n_pairs = _field(params, "n_pairs", 20, int, positive=True)
-            pairs = [(space.sample_point(rng), space.sample_point(rng)) for _ in range(n_pairs)]
+            pairs = [(space.sample_point(rng), space.sample_point(rng))
+                     for _ in range(p["n_pairs"])]
             worst, tol = check_noise_identity(space, pairs, rng), 1e-4
         elif check == "jensen":
-            worst = jensen_distance_check(space, draw(4, n))
-            tol = _field(params, "jensen_tol", 1e-9)
-        elif check == "sandwich":
+            worst, tol = jensen_distance_check(space, draw(4, n)), p["jensen_tol"]
+        else:
             anchors, samples = space.sample_rows(rng, 5), space.sample_rows(rng, 20)
             worst = hamiltonian_sandwich_check(space, (0.5, 1.0, 2.0), anchors, samples)
             tol = 1e-4
-        else:
-            raise ConfigError(f"unknown properties check '{check}'")
         payload[check] = worst
         assertions.append((_PROPERTY_LABELS[check], worst <= tol, f"violation {worst:.3e}"))
     _write_json(out / "properties_report.json", payload)
@@ -558,7 +536,7 @@ def run_properties(space, params, out: Path, rng):
 def _ekeland_exactness_cell(space, params):
     """Exhaustive Ekeland run: a line problem on the space's chart plus a
     Tataru-penalized product-grid problem, both verified exhaustively."""
-    n_line = _field(params, "ekeland_points", 2001, int, positive=True)
+    n_line = params["ekeland_points"]
     xs = np.linspace(-5.0, 5.0, n_line)
     g = np.sin(3.0 * xs) - 0.1 * xs**2
     line = EkelandProblem(list(range(n_line)), g, lambda j: np.abs(xs - xs[j]), 0.05, 0)
@@ -578,16 +556,34 @@ def _ekeland_exactness_cell(space, params):
     return ok, f"line({n_line}) and product({n**4}) instances exhaustive"
 
 
-_RUNNERS = {
-    "flow": run_flow,
-    "evi": run_evi,
-    "tataru": run_tataru,
-    "resolvent": run_resolvent,
-    "viscosity": run_viscosity,
-    "comparison": run_comparison,
-    "quadruplication": run_quadruplication,
-    "properties": run_properties,
+# experiment kind -> (runner, table of its params)
+_KINDS = {
+    "flow": (run_flow, _FLOW),
+    "evi": (run_evi, _EVI),
+    "tataru": (run_tataru, _TATARU),
+    "resolvent": (run_resolvent, _RESOLVENT),
+    "viscosity": (run_viscosity, _VISCOSITY),
+    "comparison": (run_comparison, _COMPARISON),
+    "quadruplication": (run_quadruplication, _QUADRUPLICATION),
+    "properties": (run_properties, _PROPERTIES),
 }
+_CONFIG = {"space": Field({"space": Field(str, choices=tuple(_SPACES)),
+                           "params": Field(dict, {})}),
+           "kind": Field(str, choices=tuple(_KINDS)), "params": Field(dict, {}),
+           "output_dir": Field(str, "out"), "seed": Field(int, 0)}
+
+
+def read_config(config) -> dict:
+    """config read through its tables: the top level's, its space's and its
+    kind's.  Raises ConfigError on the first field that breaks them."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"a config must be a JSON object, got {config!r}")
+    cfg = _read(config, _CONFIG)
+    space, kind, params = cfg["space"], cfg["kind"], cfg["params"]
+    space["params"] = _read(space["params"], _SPACES[space["space"]][1])
+    cfg["params"] = _read(params, _TATARU_PAIRS if kind == "tataru" and "pairs_in" in params
+                          else _KINDS[kind][1])
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -599,22 +595,19 @@ def run(config_path: str) -> int:
     try:
         with open(config_path, encoding="utf-8") as fh:
             config = json.load(fh)
-        kind = _require(config, "kind")
-        if kind not in _RUNNERS:
-            raise ConfigError(f"unknown experiment kind '{kind}'")
-        space = build_space(_field(config, "space", kind=dict))
-        out = Path(config.get("output_dir", "out"))
+        cfg = read_config(config)
+        space = _SPACES[cfg["space"]["space"]][0](**cfg["space"]["params"])
+        out = Path(cfg["output_dir"])
         out.mkdir(parents=True, exist_ok=True)
-        seed = _field(config, "seed", 0, int)
-        rng = np.random.default_rng(seed)
-        params = _field(config, "params", {}, dict)
+        rng = np.random.default_rng(cfg["seed"])
     except (ConfigError, UsageError, ConstructionError, OSError,
             json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    kind = cfg["kind"]
     try:
-        assertions = _RUNNERS[kind](space, params, out, rng)
+        assertions = _KINDS[kind][0](space, cfg["params"], out, rng)
     except (ConfigError, UsageError, DomainError) as exc:
         # DomainError: a point of the config or of an input table lies
         # outside the space

@@ -66,3 +66,24 @@ def test_summary_skips_a_metric_a_side_did_not_report():
     del runs[-1]["metrics"]["fast"]
     del runs[-2]["metrics"]["fast"]
     assert "fast" not in bench_pairs.summarize(runs, METRICS)["w"]["0"]["metrics"]
+
+
+FAILING_RUN = """import sys
+for i in range(50):
+    print(f"line {i}", file=sys.stderr)
+sys.exit(1)
+"""
+
+
+def test_a_failing_run_keeps_its_stderr_tail(tmp_path):
+    """A run that exits non-zero keeps the last 40 lines of its stderr, so
+    a refused pair can be told apart from a slow one afterwards."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAILING_RUN)
+    run = bench_pairs.run_once(tmp_path, "w", 0)
+    assert run["exit"] == 1 and run["metrics"] == {}
+    assert run["stderr"] == [f"line {i}" for i in range(10, 50)]
+    (tmp_path / "perfbench" / "run.py").write_text('print(\'{"attempted": 2, "failed": 0, '
+                                                   '"metrics": {"run_s": {"value": 1.5}}}\')\n')
+    assert bench_pairs.run_once(tmp_path, "w", 0) == {
+        "exit": 0, "attempted": 2, "failed": 0, "metrics": {"run_s": 1.5}}

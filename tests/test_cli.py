@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import evikit.cli
+import evikit.cli as cli
 from evikit.cli import _ekeland_exactness_cell, list_builtins, run
 from evikit.spaces import CirDescriptor, make_cir, make_ou
 from evikit.tataru import (
@@ -456,9 +457,23 @@ class TestShippedConfigs:
                 "quadruplication", "properties"} <= kinds
 
     def test_shipped_configs_parse_and_validate(self):
-        for path in sorted(CONFIGS.glob("*.json")):
-            cfg = json.loads(path.read_text())
-            assert "space" in cfg and "kind" in cfg, path.name
+        paths = sorted(CONFIGS.glob("*.json"))
+        for path in paths:
+            cli.read_config(json.loads(path.read_text()))
+        assert len(paths) == 14
+
+    def test_benchmark_configs_read(self, tmp_path, monkeypatch):
+        """Every config the benchmark writes, at seeds 0-4, reads through
+        the tables.  perfbench/ is only read: no bytecode is written."""
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+
+        paths = [op.config_path for name in workloads.WORKLOADS for seed in range(5)
+                 for op in workloads.build(name, seed, tmp_path / f"{name}_{seed}")]
+        for path in paths:
+            cli.read_config(json.loads(path.read_text()))
+        assert len(paths) == 5 * 19
 
     def test_quick_config_runs_from_cli(self, tmp_path):
         res = invoke(["run", str(CONFIGS / "ou_flow_contraction.json")], tmp_path)
@@ -468,3 +483,185 @@ class TestShippedConfigs:
     def test_cli_usage_error(self, tmp_path):
         res = invoke(["run", str(tmp_path / "missing.json")], tmp_path)
         assert res.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# The field tables: bad inputs made from the tables themselves
+# ---------------------------------------------------------------------------
+
+# a config that reads, for each table a field can be reached through:
+# every kind's, the tataru pairs table, every space's and the nested ones
+BASES = {name: json.loads((CONFIGS / f"{name}.json").read_text())
+         for name in ("ou_flow_contraction", "ou_mms_convergence", "wasserstein_heat_mms",
+                      "ou_evi", "ou_cir_tataru", "cir_resolvent", "cir_viscosity",
+                      "cir_comparison", "ou_quadruplication", "cir_properties",
+                      "mccann_checks", "allen_cahn_properties")}
+BASES["tataru_pairs"] = {"space": {"space": "ou", "params": {"kappa": 1.0}}, "kind": "tataru",
+                         "params": {"pairs_in": "pairs.csv", "flow_dt": 0.01}}
+BASES["quadratic_evi"] = {"space": {"space": "quadratic",
+                                    "params": {"dimension": 1, "kappa": 1.0,
+                                               "perturbation": "zero"}},
+                          "kind": "evi", "params": {"x0": [1.0], "T": 0.1, "dt": 0.01,
+                                                    "tol": 0.1, "probes": [0.5]}}
+
+NAN, INF = float("nan"), float("inf")
+
+
+def wrong_values(spec):
+    """(value, the name its config error must quote, or None for the
+    field's own) for values the field's spec refuses: NaN and +-inf, a
+    wrong type, 0 and a negative where it must be positive, an empty list
+    or a list with a bad item, a string outside its choices, and an object
+    with an unknown key."""
+    kind = spec.kind
+    bad = [NAN, INF, -INF]
+    if kind is float or kind is int:
+        bad += ["1", None, True, [1]] + ([2.5] if kind is int else [])
+        bad += [0, -1] if spec.positive else []
+    elif kind is bool:
+        bad += [1, "true", None]
+    elif kind is str:
+        bad += [5, None, ["a"]] + (["no_such_choice"] if spec.choices else [])
+    elif isinstance(kind, list) and len(kind) == 1:
+        item = cli.Field(kind[0], positive=spec.positive, choices=spec.choices)
+        bad += ["abc", {}, [], [None]] + [[v] for v, own in wrong_values(item) if own is None]
+    elif isinstance(kind, list):
+        bad += ["abc", {}, [], [1.0], [1.0, 2.0, 3.0], [NAN, 2.0]]
+    elif kind is cli._STATE:
+        bad += ["abc", None, True, [], [NAN], [1.0, "2"]]
+        return [(v, None) for v in bad] + [({"gaussian": None}, "gaussian"),
+                                           ({"no_such_field": 1}, "no_such_field")]
+    elif kind in (cli._POTENTIAL, cli._DATA_FUNCTION):
+        name = cli._BUILTINS[kind][1][0]
+        bad += [5, None, []] + ([name] if kind is cli._DATA_FUNCTION else [])
+        return [(v, None) for v in bad] + [
+            ({}, "name"), ({"name": 5}, "name"), ({"name": "no_such_builtin"}, "name"),
+            ({"name": name, "params": {"p": "abc"}}, "p"),
+            ({"name": name, "params": [1.0]}, "params"),
+            ({"name": name, "no_such_field": 1}, "no_such_field")]
+    else:   # an object: a nested table, or one a sibling's table reads
+        bad += [5, None, [], "abc"]
+        return [(v, None) for v in bad] + [({"no_such_field": 1}, "no_such_field")]
+    return [(v, None) for v in bad]
+
+
+def fields(section, table, path=()):
+    """(path, key, spec, table) of every field of table and of the nested
+    tables whose objects section holds."""
+    for key, spec in table.items():
+        yield path, key, spec, table
+        nested = (spec.kind if isinstance(spec.kind, dict)
+                  else cli._GAUSSIAN_STATE if spec.kind is cli._STATE else None)
+        if nested is not None and isinstance(section.get(key), dict):
+            yield from fields(section[key], nested, path + (key,))
+
+
+def cases(cfg):
+    """(path into cfg, bad value, the name its error must quote, the table
+    of the field, its key) for every field the config's tables declare,
+    and an unknown key in each object."""
+    read = cli.read_config(json.loads(json.dumps(cfg)))
+    params = cfg.get("params", {})
+    kind_table = (cli._TATARU_PAIRS if "pairs_in" in params
+                  else cli._KINDS[read["kind"]][1])
+    for prefix, section, table in (((), cfg, cli._CONFIG),
+                                   (("params",), params, kind_table),
+                                   (("space", "params"), cfg["space"].get("params", {}),
+                                    cli._SPACES[read["space"]["space"]][1])):
+        objects = set()
+        for path, key, spec, owner in fields(section, table):
+            for value, own in wrong_values(spec):
+                yield prefix + path + (key,), value, own or key, owner, key
+            if path not in objects:
+                objects.add(path)
+                yield prefix + path + ("no_such_field",), 1, "no_such_field", None, None
+
+
+def declared():
+    """(id of its table, key) of every field a table declares."""
+    out = set()
+    todo = [cli._CONFIG, cli._TATARU_PAIRS, cli._GAUSSIAN_STATE]
+    todo += [table for _, table in [*cli._KINDS.values(), *cli._SPACES.values()]]
+    while todo:
+        table = todo.pop()
+        for key, spec in table.items():
+            out.add((id(table), key))
+            kinds = spec.kind if isinstance(spec.kind, list) else [spec.kind]
+            todo += [k for k in kinds if isinstance(k, dict)]
+    return out
+
+
+class TestFieldTables:
+    """Every field of every table refuses what its table says it must:
+    exit 2, a config error quoting the field, and no result file."""
+
+    def test_every_declared_field_is_tried(self):
+        tried = {(id(owner), key) for cfg in BASES.values()
+                 for *_, owner, key in cases(cfg) if owner is not None}
+        assert declared() - tried == set()
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_bad_values_are_config_errors(self, tmp_path, capsys, name):
+        out, path = tmp_path / "out", tmp_path / "config.json"
+        for where, value, quoted, _, _ in cases(BASES[name]):
+            cfg = json.loads(json.dumps(BASES[name]))
+            cfg["output_dir"] = str(out)
+            set_field(cfg, ".".join(where), value)
+            path.write_text(json.dumps(cfg))
+            assert run(str(path)) == 2, (where, value)
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and f"'{quoted}'" in err, (where, value, err)
+            assert not out.exists(), (where, value)
+
+
+DELETE = object()
+# (shipped config, dotted path in it, value or DELETE, the field the error names)
+PROBES = [
+    ("cir_viscosity", "params.tol_facter", 1e-9, "tol_facter"),
+    ("cir_resolvent", "no_such_key", 1, "no_such_key"),
+    ("ou_evi", "params.tol", INF, "tol"),
+    ("cir_resolvent", "params.tol", INF, "tol"),
+    ("cir_viscosity", "params.tol_factor", NAN, "tol_factor"),
+    ("cir_comparison", "params.deltas", [], "deltas"),
+    ("cir_tataru", "params.suites", [], "suites"),
+    ("cir_resolvent", "params.rollout.nodes", [], "nodes"),
+    ("cir_resolvent", "params.rollout.nodes", DELETE, "nodes"),
+    ("ou_flow_contraction", "params.T", INF, "T"),
+    ("ou_quadruplication", "params.x_lo", -2.0, "x_lo"),
+]
+
+
+@pytest.mark.parametrize("name,path,value,key", PROBES)
+def test_probe_is_config_error(tmp_path, capsys, name, path, value, key):
+    """Configs that ran and passed while checking less than they said, or
+    stopped with a traceback: an infinite bound is written as 1e999, which
+    Python's json reads as inf."""
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    cfg["output_dir"] = str(tmp_path / "out")
+    *outer, last = path.split(".")
+    section = cfg
+    for part in outer:
+        section = section[part]
+    if value is DELETE:
+        del section[last]
+    else:
+        section[last] = value
+    (tmp_path / "config.json").write_text(json.dumps(cfg).replace("Infinity", "1e999"))
+    assert run(str(tmp_path / "config.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"'{key}'" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_quadruplication_solves_on_its_grid(tmp_path):
+    """grid.lo and grid.hi are the resolvent's domain: moving them moves
+    the report."""
+    reports = []
+    for lo, hi in ((-2.0, 2.0), (-1.0, 1.0)):
+        cfg = json.loads((CONFIGS / "ou_quadruplication.json").read_text())
+        cfg["params"]["grid"].update(lo=lo, hi=hi)
+        cfg["output_dir"] = str(tmp_path / str(lo))
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert run(str(tmp_path / "config.json")) in (0, 1)
+        reports.append((tmp_path / str(lo) / "quadruplication_report.json").read_bytes())
+    assert reports[0] != reports[1]

@@ -6,14 +6,15 @@
 Each pair runs ``python3 perfbench/run.py --workload W --seed S`` once in
 each checkout, from its root; the side that runs first alternates from
 pair to pair, so a drift in the machine's load falls on both sides
-alike.  Every run's exit code, operation counts and end-to-end metrics go
-to the output file, next to a summary per workload, seed and metric:
-each side's median and quartiles, the number of pairs in which the
-change is better, and a verdict against the bound of that metric in the
-parent's ``BENCHMARK.json``.  If the output file exists, its runs are
-kept and the summary is made again over all of them, so one file can
-gather several seeds.  Only the standard library is used, and nothing
-under either checkout's ``perfbench/`` is changed.
+alike.  Every run's exit code, operation counts and end-to-end metrics,
+and the last lines of its stderr when it exits non-zero, go to the output
+file, next to a summary per workload, seed and metric: each side's
+median and quartiles, the number of pairs in which the change is better,
+and a verdict against the bound of that metric in the parent's
+``BENCHMARK.json``.  If the output file exists, its runs are kept and the
+summary is made again over all of them, so one file can gather several
+seeds.  Only the standard library is used, and nothing under either
+checkout's ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+STDERR_LINES = 40   # kept from the end of a failing run's stderr
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One benchmark run in checkout, at the run length perfbench sets: its
     exit code, operation counts and metric values (none when it printed
-    no result line)."""
+    no result line), and for a run that exits non-zero the last
+    STDERR_LINES lines of its stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     res = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = res.stdout.strip().splitlines()
@@ -39,10 +42,13 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = {}
-    return {"exit": res.returncode,
-            "attempted": result.get("attempted"),
-            "failed": result.get("failed"),
-            "metrics": {k: v["value"] for k, v in result.get("metrics", {}).items()}}
+    run = {"exit": res.returncode,
+           "attempted": result.get("attempted"),
+           "failed": result.get("failed"),
+           "metrics": {k: v["value"] for k, v in result.get("metrics", {}).items()}}
+    if res.returncode != 0:
+        run["stderr"] = res.stderr.splitlines()[-STDERR_LINES:]
+    return run
 
 
 def quartiles(values: list[float]) -> dict:
