@@ -252,7 +252,8 @@ def run_flow(space, p, out: Path, rng):
     if convergence is not None:
         errs = []
         for dt_k in convergence["dts"]:
-            cfg_k = FlowConfig(dt=dt_k, horizon=T)
+            cfg_k = FlowConfig(dt=dt_k, horizon=T, jko_inner_tol=p["jko_inner_tol"],
+                               jko_max_iter=p["jko_max_iter"])
             # the config's own flow, when it is this one, is not run twice
             mms = traj if cfg_k == mms_config else flow_mms(space, x0, cfg_k)
             ref = flow_exact(space, x0, T, dt_k)
@@ -342,7 +343,9 @@ _RESOLVENT = {**_GRID_SOLVE, "rollout": Field({
 
 
 def _grid_solve(space, p, h_fn):
-    return _solve_for(space, p["lambda"], h_fn, p["n_grid"], p["tol"], p["x_lo"], p["x_hi"])
+    # on cir the table has no x_lo or x_hi
+    return _solve_for(space, p["lambda"], h_fn, p["n_grid"], p["tol"], p.get("x_lo"),
+                      p.get("x_hi"))
 
 
 def run_resolvent(space, p, out: Path, rng):
@@ -573,6 +576,25 @@ _CONFIG = {"space": Field({"space": Field(str, choices=tuple(_SPACES)),
            "output_dir": Field(str, "out"), "seed": Field(int, 0)}
 
 
+def _params_table(space: str, kind: str, params: dict) -> dict:
+    """The table a kind's params are read through on the named space.  A
+    tataru config with pairs_in evaluates a table instead of drawing
+    suites.  A field the run would read and then ignore is left out, so
+    that setting it is an unknown key: x_lo and x_hi bound a grid solve
+    on the scalar quadratic space, while cir's grid spans its domain, and
+    only minimizing movement reads jko_inner_tol and jko_max_iter, in
+    mode "mms" or in an mms_convergence study."""
+    if kind == "tataru" and "pairs_in" in params:
+        return _TATARU_PAIRS
+    table = _KINDS[kind][1]
+    unused = set()
+    if space == "cir":
+        unused |= {"x_lo", "x_hi"}
+    if params.get("mode") != "mms" and "mms_convergence" not in params:
+        unused |= {"jko_inner_tol", "jko_max_iter"}
+    return {key: spec for key, spec in table.items() if key not in unused}
+
+
 def read_config(config) -> dict:
     """config read through its tables: the top level's, its space's and its
     kind's.  Raises ConfigError on the first field that breaks them."""
@@ -581,8 +603,7 @@ def read_config(config) -> dict:
     cfg = _read(config, _CONFIG)
     space, kind, params = cfg["space"], cfg["kind"], cfg["params"]
     space["params"] = _read(space["params"], _SPACES[space["space"]][1])
-    cfg["params"] = _read(params, _TATARU_PAIRS if kind == "tataru" and "pairs_in" in params
-                          else _KINDS[kind][1])
+    cfg["params"] = _read(params, _params_table(space["space"], kind, params))
     return cfg
 
 

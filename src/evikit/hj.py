@@ -85,28 +85,37 @@ class GridFunction:
         return StatePoint.of(self.nodes[i])
 
 
+# data function -> its parameters and their defaults
+_DATA_FUNCTIONS = {"affine_clipped": {"slope": 1.0, "intercept": 0.0, "cap": 1.0},
+                   "constant": {"value": 0.0},
+                   "gaussian_bump": {"center": 0.0, "width": 1.0, "height": 1.0}}
+
+
 def make_data_function(name: str, **params):
     """Bounded, uniformly continuous data functions h for the resolvent
-    equation, as named built-ins."""
+    equation, as named built-ins.  A parameter the built-in does not take
+    is a UsageError."""
+    if name not in _DATA_FUNCTIONS:
+        raise UsageError(f"unknown data function '{name}'")
+    defaults = _DATA_FUNCTIONS[name]
+    for key in params:
+        if key not in defaults:
+            raise UsageError(f"data function '{name}' has no parameter '{key}'; "
+                             f"expected one of {sorted(defaults)}")
+    p = {key: float(params.get(key, default)) for key, default in defaults.items()}
     if name == "constant":
-        k = float(params.get("value", 0.0))
+        k = p["value"]
         return lambda x: k + 0.0 * np.asarray(x, dtype=float)
     if name == "affine_clipped":
-        slope = float(params.get("slope", 1.0))
-        intercept = float(params.get("intercept", 0.0))
-        cap = float(params.get("cap", 1.0))
+        slope, intercept, cap = p["slope"], p["intercept"], p["cap"]
         return lambda x: np.minimum(slope * np.asarray(x, dtype=float) + intercept, cap)
-    if name == "gaussian_bump":
-        center = float(params.get("center", 0.0))
-        width = float(params.get("width", 1.0))
-        height = float(params.get("height", 1.0))
-        return lambda x: height * np.exp(-((np.asarray(x, dtype=float) - center) ** 2)
-                                         / (2.0 * width**2))
-    raise UsageError(f"unknown data function '{name}'")
+    center, width, height = p["center"], p["width"], p["height"]
+    return lambda x: height * np.exp(-((np.asarray(x, dtype=float) - center) ** 2)
+                                     / (2.0 * width**2))
 
 
 def builtin_data_functions() -> list[str]:
-    return ["affine_clipped", "constant", "gaussian_bump"]
+    return sorted(_DATA_FUNCTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +287,7 @@ def verify_supersolution(v: GridFunction, tfs: list[LowerTestFunction],
 # ---------------------------------------------------------------------------
 
 _CSV_CHUNK = 2048  # rows of resolvent.csv formatted at a time
+_BLOCK = 8192      # nodes per elementwise pass of the resolvent solve
 
 
 @dataclass
@@ -312,17 +322,18 @@ class ResolventSolution:
 
 
 def _hamiltonian_upwind(drift, sigma, fwd, bwd, val_zero, out_h, out_u, val_b, u_b,
-                        tmp, mask):
-    """Godunov-style discrete Hamiltonian and maximizing control, written
-    into out_h and out_u.
+                        tmp, mask, left_end, right_end):
+    """Godunov-style discrete Hamiltonian and maximizing control on a run
+    of consecutive nodes, written into out_h and out_u.
 
     For each node the control problem sup_u (drift+u) p - u^2/(2 sigma) is
     solved twice, once per one-sided derivative, each branch constrained
     to the drift sign that makes its difference quotient upwind; a branch
     whose constraint fails pins the total drift at zero, with value
-    val_zero = -drift^2/(2 sigma).  The boundary nodes only admit the
-    inward branch (state constraint).  val_b, u_b, tmp (float) and mask
-    (bool) are work buffers of the grid's length.
+    val_zero = -drift^2/(2 sigma).  The grid's boundary nodes only admit
+    the inward branch (state constraint): left_end and right_end say
+    whether the run starts and ends there.  val_b, u_b, tmp (float) and
+    mask (bool) are work buffers of the run's length.
     """
     def branch(p, val, u, upwind):
         # u = sigma p and val = drift p + (0.5 sigma) p^2 where the total
@@ -345,8 +356,10 @@ def _hamiltonian_upwind(drift, sigma, fwd, bwd, val_zero, out_h, out_u, val_b, u
     # mask: where the backward branch is taken
     np.greater_equal(out_h, val_b, out=mask)
     np.logical_not(mask, out=mask)
-    mask[0] = False
-    mask[-1] = True
+    if left_end:
+        mask[0] = False
+    if right_end:
+        mask[-1] = True
     np.copyto(out_h, val_b, where=mask)
     np.copyto(out_u, u_b, where=mask)
 
@@ -377,8 +390,10 @@ def _solve_tridiagonal(band: np.ndarray, f: np.ndarray) -> np.ndarray:
         flapack = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(flapack)
         flapack = sys.modules.setdefault(_FLAPACK, flapack)
-    # the banded solver's check_finite, over the whole band as it does
-    if not (np.isfinite(band).all() and np.isfinite(f).all()):
+    # the banded solver's check_finite, over the whole band as it does: an
+    # array is finite when its largest and smallest entries are (a NaN
+    # entry makes both NaN), a test that builds no array of the band's size
+    if not np.isfinite([band.max(), band.min(), f.max(), f.min()]).all():
         raise ValueError("array must not contain infs or NaNs")
     sup, dia, sub = band
     *_, x, info = flapack.dgtsv(sub[:-1], dia, sup[1:], f, 1, 1, 1, 1)
@@ -397,19 +412,23 @@ def solve_resolvent_1d(xs: np.ndarray, drift: np.ndarray, sigma: np.ndarray,
 
     Each iteration solves the linear upwind system at the current policy
     (an M-matrix, hence the discrete maximum principle) and re-optimizes
-    the control from the one-sided derivatives of the iterate.  The work
-    runs in a fixed set of grid-sized buffers allocated once per call,
-    each holding one thing before the tridiagonal solve and another after:
+    the control from the one-sided derivatives of the iterate.  Only the
+    tridiagonal solve needs grid-sized arrays: the band rows sup, dia,
+    sub, the right-hand side f, which the solve overwrites with the
+    iterate, and the policy.  Every other pass runs over blocks of
+    _BLOCK nodes, in block-sized buffers allocated once per call:
 
-    - the band rows sup, dia, sub hold the system's three diagonals until
-      the solve, which overwrites them; from then until the next assembly
+    - before the solve, co holds a block's drift coefficients
+      lam * c / dx and ahead/behind its upwind directions, from which the
+      block's right-hand side and band entries are written;
+    - after it, dq holds the block's difference quotients, one more than
+      its nodes (fwd = dq[1:], bwd = dq[:-1]), and the Hamiltonian of the
+      block is written into the band rows, which the solve has used up:
       dia holds the discrete Hamiltonian, sup the backward branch's value
-      and sub its control;
-    - diff[:n] holds the drift coefficients lam * c / dx until the solve;
-      from then on diff holds the difference quotients of the iterate,
-      fwd = diff[1:] and bwd = diff[:-1];
-    - f holds the right-hand side, which the solve overwrites with the
-      iterate.
+      and sub its control; tmp then holds the block's residuals.
+
+    Each node goes through the operations of a pass over the whole grid,
+    in the same order, so no bit depends on the block size.
     """
     if lam <= 0:
         raise UsageError("resolvent parameter lambda must be positive")
@@ -417,54 +436,83 @@ def solve_resolvent_1d(xs: np.ndarray, drift: np.ndarray, sigma: np.ndarray,
     dx = float(xs[1] - xs[0])
     band = np.empty((3, n))      # rows: A[j-1, j], A[j, j], A[j+1, j]
     sup, dia, sub = band
-    hval, val_b, u_b = dia, sup, sub   # after the solve
     f = np.empty(n)              # right-hand side, then the solve's result
     policy = np.zeros(n)
-    tmp = np.empty(n)
-    diff = np.empty(n + 1)
-    co = diff[:n]                # before the solve
-    fwd, bwd = diff[1:], diff[:-1]   # after it
-    ahead = np.empty(n, dtype=bool)
-    behind = np.empty(n, dtype=bool)
-    val_zero = np.square(drift)  # total drift pinned at zero
-    np.negative(val_zero, out=val_zero)
-    np.multiply(2.0, sigma, out=tmp)
-    np.divide(val_zero, tmp, out=val_zero)
+    size = min(n, _BLOCK)
+    diff = np.empty(size + 1)    # co before the solve, dq after it
+    tmp = np.empty(size)
+    val_zero = np.empty(size)
+    ahead = np.empty(size, dtype=bool)
+    behind = np.empty(size, dtype=bool)
+    # blocks [s, e) and the inner nodes [lo, hi) among them
+    blocks = [(s, min(s + _BLOCK, n), max(s, 1), min(s + _BLOCK, n - 1))
+              for s in range(0, n, _BLOCK)]
     residual = math.inf
     for it in range(max_iter):
-        np.add(drift, policy, out=co)
-        co[0] = max(co[0], 0.0)
-        co[-1] = min(co[-1], 0.0)
-        np.greater(co, 0.0, out=ahead)    # forward nodes (co[-1] <= 0)
-        np.less(co, 0.0, out=behind)      # backward nodes (co[0] >= 0)
-        np.multiply(lam, co, out=co)
-        np.divide(co, dx, out=co)
-        # rhs = h - lam * policy^2 / (2 sigma)
-        np.square(policy, out=f)
-        np.multiply(2.0, sigma, out=tmp)
-        np.divide(f, tmp, out=f)
-        np.multiply(lam, f, out=f)
-        np.subtract(h_vals, f, out=f)
-        dia.fill(1.0)
-        np.add(dia, co, out=dia, where=ahead)
-        np.subtract(dia, co, out=dia, where=behind)
-        sup.fill(0.0)
-        np.negative(co[:-1], out=sup[1:], where=ahead[:-1])
-        sub.fill(0.0)
-        np.copyto(sub[:-1], co[1:], where=behind[1:])
+        sup[0] = sub[-1] = 0.0   # the band's corners, outside the matrix
+        for s, e, lo, hi in blocks:
+            m = e - s
+            co, t, fwd_nodes, bwd_nodes = diff[:m], tmp[:m], ahead[:m], behind[:m]
+            np.add(drift[s:e], policy[s:e], out=co)
+            if s == 0:
+                co[0] = max(co[0], 0.0)
+            if e == n:
+                co[-1] = min(co[-1], 0.0)
+            np.greater(co, 0.0, out=fwd_nodes)   # forward nodes (not the last)
+            np.less(co, 0.0, out=bwd_nodes)      # backward nodes (not the first)
+            np.multiply(lam, co, out=co)
+            np.divide(co, dx, out=co)
+            # rhs = h - lam * policy^2 / (2 sigma)
+            rhs = f[s:e]
+            np.square(policy[s:e], out=rhs)
+            np.multiply(2.0, sigma[s:e], out=t)
+            np.divide(rhs, t, out=rhs)
+            np.multiply(lam, rhs, out=rhs)
+            np.subtract(h_vals[s:e], rhs, out=rhs)
+            d = dia[s:e]
+            d.fill(1.0)
+            np.add(d, co, out=d, where=fwd_nodes)
+            np.subtract(d, co, out=d, where=bwd_nodes)
+            # node j's coefficient: -co[j] at sup[j + 1] for a forward node
+            # j < n - 1, co[j] at sub[j - 1] for a backward node j > 0
+            ahead_of = sup[s + 1:hi + 1]
+            ahead_of.fill(0.0)
+            np.negative(co[:hi - s], out=ahead_of, where=fwd_nodes[:hi - s])
+            behind_of = sub[lo - 1:e - 1]
+            behind_of.fill(0.0)
+            np.copyto(behind_of, co[lo - s:], where=bwd_nodes[lo - s:])
         f = _solve_tridiagonal(band, f)
 
-        np.subtract(f[1:], f[:-1], out=diff[1:-1])
-        np.divide(diff[1:-1], dx, out=diff[1:-1])
-        diff[0] = diff[1]
-        diff[-1] = diff[-2]
-        _hamiltonian_upwind(drift, sigma, fwd, bwd, val_zero, hval, policy,
-                            val_b, u_b, tmp, ahead)
-        np.multiply(lam, hval, out=tmp)
-        np.subtract(f, tmp, out=tmp)
-        np.subtract(tmp, h_vals, out=tmp)
-        np.abs(tmp, out=tmp)
-        residual = float(np.max(tmp[1:-1]))
+        peaks = []
+        for s, e, lo, hi in blocks:
+            m = e - s
+            dq, t, vz, mask = diff[:m + 1], tmp[:m], val_zero[:m], ahead[:m]
+            # dq[j - s] = (f[j] - f[j - 1]) / dx for lo <= j <= hi; a grid end
+            # repeats its neighbour's quotient
+            inner = dq[lo - s:hi - s + 1]
+            np.subtract(f[lo:hi + 1], f[lo - 1:hi], out=inner)
+            np.divide(inner, dx, out=inner)
+            if s == 0:
+                dq[0] = dq[1]
+            if e == n:
+                dq[m] = dq[m - 1]
+            # the value with the total drift pinned at zero
+            np.square(drift[s:e], out=vz)
+            np.negative(vz, out=vz)
+            np.multiply(2.0, sigma[s:e], out=t)
+            np.divide(vz, t, out=vz)
+            hval = dia[s:e]
+            _hamiltonian_upwind(drift[s:e], sigma[s:e], dq[1:], dq[:-1], vz, hval,
+                                policy[s:e], sup[s:e], sub[s:e], t, mask, s == 0, e == n)
+            np.multiply(lam, hval, out=t)
+            np.subtract(f[s:e], t, out=t)
+            np.subtract(t, h_vals[s:e], out=t)
+            np.abs(t, out=t)
+            if hi > lo:
+                peaks.append(np.max(t[lo - s:hi - s]))
+        # a grid with no inner node has no peak, and np.max raises on it
+        # as it would on the grid's empty inner range
+        residual = float(np.max(peaks))
         if residual <= tol:
             return f, policy, residual, it + 1
     raise NumericalError(

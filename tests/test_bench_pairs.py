@@ -1,6 +1,8 @@
-"""The summary of tools/bench_pairs.py on fixed numbers."""
+"""tools/bench_pairs.py: its summary on fixed numbers, and its runs and
+result-file comparison on fake checkouts."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -87,3 +89,51 @@ def test_a_failing_run_keeps_its_stderr_tail(tmp_path):
                                                    '"metrics": {"run_s": {"value": 1.5}}}\')\n')
     assert bench_pairs.run_once(tmp_path, "w", 0) == {
         "exit": 0, "attempted": 2, "failed": 0, "metrics": {"run_s": 1.5}}
+
+
+FAKE_RUN = """import json, sys, time
+from pathlib import Path
+out = Path(".perfbench_out") / sys.argv[2] / "out"
+for name, text in {names}.items():
+    (out / name).parent.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(text)
+(out / "cfg" / "manifest.json").write_text(json.dumps({{"wall_time_s": time.time()}}))
+print(json.dumps({{"attempted": 1, "failed": 0, "metrics": {{"run_s": {{"value": 1.0}}}}}}))
+"""
+
+
+def fake_checkout(root, names):
+    """A checkout whose perfbench/run.py writes the result files names
+    (path under out/ -> text) and a manifest.json that differs every run."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(FAKE_RUN.format(names=names))
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    return root
+
+
+def test_pairs_compare_result_files_but_not_manifests(tmp_path):
+    same = {"cfg/result.csv": "x,f\r\n1.0,2.0\r\n", "cfg/report.json": "{}"}
+    parent = fake_checkout(tmp_path / "parent", {**same, "only_parent.csv": "1"})
+    change = fake_checkout(tmp_path / "change",
+                           {**same, "cfg/report.json": '{"moved": 1}', "only_change.csv": "1"})
+    out = tmp_path / "BENCH.json"
+    args = ["--parent", str(parent), "--change", str(change), "--workloads", "w",
+            "--pairs", "2", "--out", str(out)]
+    assert bench_pairs.main(args) == 0
+    doc = json.loads(out.read_text())
+    assert [o["pair"] for o in doc["outputs"]] == [1, 2]
+    assert doc["outputs"][0]["files"] == 4 and doc["outputs"][0]["identical"] == 1
+    assert doc["summary"]["w"]["0"]["outputs"] == {
+        "pairs": 2, "files": 8, "identical": 2, "text": "2 of 8 identical",
+        "differ": ["cfg/report.json", "only_change.csv", "only_parent.csv"]}
+
+
+def test_identical_result_files(tmp_path):
+    names = {"a/resolvent.csv": "x\r\n", "b/trajectory.csv": "t\r\n"}
+    checkouts = {"parent": fake_checkout(tmp_path / "p", names),
+                 "change": fake_checkout(tmp_path / "c", names)}
+    for root in checkouts.values():
+        bench_pairs.run_once(root, "w", 0)
+    assert bench_pairs.compare_outputs(checkouts, "w") == {
+        "files": 2, "identical": 2, "differ": []}

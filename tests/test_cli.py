@@ -182,9 +182,9 @@ class TestRunConfigs:
         assert not (tmp_path / "out" / "rollout.json").exists()
 
     def test_mms_convergence_reuses_the_configs_flow(self, tmp_path, monkeypatch):
-        """With default JKO tolerances the run's own minimizing movement is
-        the convergence study's flow at dt, so it is not run twice; other
-        tolerances make it a different flow."""
+        """The run's own minimizing movement is the convergence study's flow
+        at dt, so it is not run twice; the study's flows take the config's
+        JKO tolerances, default or not."""
         flows = []
 
         def counting(space, p, config):
@@ -199,9 +199,27 @@ class TestRunConfigs:
         assert run(self.write_config(tmp_path, cfg)) == 0
         assert [c.dt for c in flows] == [1e-3, 4e-3, 2e-3]
         flows.clear()
-        cfg["params"]["jko_inner_tol"] = 1e-10
+        cfg["params"].update(jko_inner_tol=1e-10, jko_max_iter=400)
         assert run(self.write_config(tmp_path, cfg)) == 0
-        assert [c.dt for c in flows] == [1e-3, 4e-3, 2e-3, 1e-3]
+        assert [c.dt for c in flows] == [1e-3, 4e-3, 2e-3]
+        assert {(c.jko_inner_tol, c.jko_max_iter) for c in flows} == {(1e-10, 400)}
+
+    def test_mms_convergence_takes_jko_fields_in_any_mode(self, tmp_path, monkeypatch):
+        """An exact flow's convergence study runs minimizing movement with
+        the config's JKO fields."""
+        flows = []
+
+        def counting(space, p, config):
+            flows.append(config)
+            return flow_mms(space, p, config)
+
+        flow_mms = evikit.cli.flow_mms
+        monkeypatch.setattr(evikit.cli, "flow_mms", counting)
+        cfg = self.shipped_config(tmp_path, "ou_mms_convergence")
+        cfg["params"]["jko_max_iter"] = 400
+        assert run(self.write_config(tmp_path, cfg)) == 0
+        assert [(c.dt, c.jko_max_iter) for c in flows] == [(4e-3, 400), (2e-3, 400),
+                                                            (1e-3, 400)]
 
     def test_byte_identical_outputs(self, tmp_path):
         cfg = {
@@ -504,6 +522,12 @@ BASES["quadratic_evi"] = {"space": {"space": "quadratic",
                           "kind": "evi", "params": {"x0": [1.0], "T": 0.1, "dt": 0.01,
                                                     "tol": 0.1, "probes": [0.5]}}
 
+# a grid solve on the scalar quadratic space, the one that reads x_lo and x_hi
+BASES["ou_resolvent"] = {"space": {"space": "ou", "params": {"kappa": 1.0}},
+                         "kind": "resolvent",
+                         "params": {"lambda": 1.0, "n_grid": 50, "x_lo": -2.0, "x_hi": 2.0,
+                                    "h": {"name": "constant", "params": {"value": 1.0}}}}
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -628,6 +652,15 @@ PROBES = [
     ("cir_resolvent", "params.rollout.nodes", DELETE, "nodes"),
     ("ou_flow_contraction", "params.T", INF, "T"),
     ("ou_quadruplication", "params.x_lo", -2.0, "x_lo"),
+    # read and then ignored: cir's resolvent grid spans its domain, JKO
+    # tolerances outside minimizing movement, a misspelt data parameter
+    ("cir_resolvent", "params.x_lo", -1.0, "x_lo"),
+    ("cir_viscosity", "params.x_hi", 1.0, "x_hi"),
+    ("cir_comparison", "params.x_lo", 0.5, "x_lo"),
+    ("ou_flow_contraction", "params.jko_inner_tol", 1e-10, "jko_inner_tol"),
+    ("ou_flow_contraction", "params.jko_max_iter", 100, "jko_max_iter"),
+    ("cir_resolvent", "params.h.params.slop", 5.0, "slop"),
+    ("ou_quadruplication", "params.h.params.slope", 1.0, "slope"),
 ]
 
 
@@ -651,6 +684,18 @@ def test_probe_is_config_error(tmp_path, capsys, name, path, value, key):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and f"'{key}'" in err, err
     assert not (tmp_path / "out").exists()
+
+
+def test_quadratic_resolvent_solves_on_x_lo_x_hi(tmp_path):
+    grids = []
+    for lo, hi in ((-2.0, 2.0), (-1.0, 3.0)):
+        cfg = json.loads(json.dumps(BASES["ou_resolvent"]))
+        cfg["params"].update(x_lo=lo, x_hi=hi)
+        cfg["output_dir"] = str(tmp_path / str(lo))
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert run(str(tmp_path / "config.json")) == 0
+        grids.append(json.loads((tmp_path / str(lo) / "resolvent.json").read_text())["grid"])
+    assert grids == [{"n": 50, "lo": -2.0, "hi": 2.0}, {"n": 50, "lo": -1.0, "hi": 3.0}]
 
 
 def test_quadruplication_solves_on_its_grid(tmp_path):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -384,12 +385,12 @@ class TestResolvent:
 
 
 @st.composite
-def resolvent_problems(draw):
-    """Arguments of solve_resolvent_1d: a uniform grid of 2 to 5 000 nodes
-    with CIR drift mu - x and sigma = x, or quadratic drift -grad E
+def resolvent_problems(draw, max_nodes=5000):
+    """Arguments of solve_resolvent_1d: a uniform grid of 2 to max_nodes
+    nodes with CIR drift mu - x and sigma = x, or quadratic drift -grad E
     (zero or quartic perturbation) and sigma = 1; affine-clipped, bump or
     constant data; lambda in [0.2, 5]."""
-    n = draw(st.integers(2, 5000))
+    n = draw(st.integers(2, max_nodes))
     if draw(st.booleans()):
         lo, hi = draw(st.floats(1e-3, 0.5)), draw(st.floats(2.0, 10.0))
         xs = np.linspace(lo, hi, n)
@@ -427,9 +428,27 @@ def outward_slope_problem(half, slope, lam):
     return xs, -0.1 * xs, np.ones(200), lam, h_vals, 1e-8
 
 
+BLOCK = evikit.hj._BLOCK
+
+
+def block_edge_problem(kind, n):
+    """Arguments of solve_resolvent_1d on n nodes: CIR (DESC's domain, a
+    bump at 1.7) or the quartic-perturbed quadratic space on [-3, 3]
+    (clipped affine data)."""
+    if kind == "cir":
+        xs = np.linspace(DESC.x_lo, DESC.x_hi, n)
+        h = make_data_function("gaussian_bump", center=1.7, width=1.0, height=1.0)
+        return xs, DESC.mu - xs, xs, 1.0, h(xs), 1e-6
+    space = make_quadratic(QuadraticDescriptor(dimension=1, kappa=0.5,
+                                               perturbation=make_potential("quartic")))
+    xs = np.linspace(-3.0, 3.0, n)
+    drift = -space.chart_energy_grad_rows(xs[:, None])[:, 0]
+    return xs, drift, np.ones(n), 2.0, H_CLIP(xs), 1e-8
+
+
 class TestBufferedResolvent:
-    """The solver in reused buffers and the chunked writer against the
-    fresh-array versions they replace."""
+    """The solver in block-sized and reused buffers and the chunked writer
+    against the fresh-array versions they replace."""
 
     @given(resolvent_problems())
     @example(outward_slope_problem(1.0, -2.0, 1.0))   # left edge
@@ -438,6 +457,29 @@ class TestBufferedResolvent:
     def test_bit_equal_to_fresh_array_solver(self, problem):
         assert (solve_outcome(solve_resolvent_1d, *problem)
                 == solve_outcome(reference_resolvent_1d, *problem))
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK + 17])
+    @pytest.mark.parametrize("kind", ["cir", "quadratic"])
+    def test_bit_equal_across_block_edges(self, kind, n):
+        problem = block_edge_problem(kind, n)
+        outcome = solve_outcome(solve_resolvent_1d, *problem)
+        assert outcome == solve_outcome(reference_resolvent_1d, *problem)
+        assert outcome[3] > 1
+
+    @pytest.mark.parametrize("kind", ["cir", "quadratic"])
+    def test_stall_across_block_edges_has_reference_residual(self, kind):
+        problem = (*block_edge_problem(kind, 2 * BLOCK + 1), 1)   # max_iter 1
+        outcome = solve_outcome(solve_resolvent_1d, *problem)
+        assert outcome[0] is NumericalError
+        assert outcome == solve_outcome(reference_resolvent_1d, *problem)
+
+    @given(resolvent_problems(max_nodes=60), st.integers(1, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_bit_equal_in_small_blocks(self, problem, block):
+        """Blocks of 1 to 9 nodes put many block edges on small grids."""
+        with mock.patch.object(evikit.hj, "_BLOCK", block):
+            outcome = solve_outcome(solve_resolvent_1d, *problem)
+        assert outcome == solve_outcome(reference_resolvent_1d, *problem)
 
     def test_two_node_grid_raises_like_reference(self):
         xs = np.array([0.5, 1.5])
@@ -476,25 +518,35 @@ class TestBufferedResolvent:
         assert (tmp_path / "chunked.csv").read_bytes() == expected
 
     def test_solve_and_write_memory(self, tmp_path):
-        """The 51 200-node solve stays within 12 grid-sized float arrays,
+        """The 51 200-node solve stays within 10 grid-sized float arrays,
         inputs and result included, and writing its CSV within 1 MB."""
         n = 51200
         h = make_data_function("gaussian_bump", center=1.7, width=1.0, height=1.0)
         solve_resolvent_cir(DESC, 1.0, h, 50, 1e-6)  # loads the LAPACK extension
-        tracemalloc.start()
-        try:
-            sol = solve_resolvent_cir(DESC, 1.0, h, n, 1e-6)
-            solve_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        tracemalloc.start()
-        try:
-            sol.write_csv(tmp_path / "resolvent.csv")
-            write_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert solve_peak <= 12 * 8 * n
+        sol, solve_peak = traced_peak(solve_resolvent_cir, DESC, 1.0, h, n, 1e-6)
+        _, write_peak = traced_peak(sol.write_csv, tmp_path / "resolvent.csv")
+        assert solve_peak <= 10 * 8 * n
         assert write_peak < 1e6
+
+    def test_large_solve_holds_the_band_and_little_more(self):
+        """At 204 800 nodes the block-sized buffers are small beside the
+        grid-sized arrays: the three band rows, the iterate, the policy and
+        the caller's grid, drift and data, eight in all, and the solve
+        stays within 8.5 of them."""
+        n = 204800
+        h = make_data_function("gaussian_bump", center=1.7, width=1.0, height=1.0)
+        solve_resolvent_cir(DESC, 1.0, h, 50, 1e-6)  # loads the LAPACK extension
+        _, solve_peak = traced_peak(solve_resolvent_cir, DESC, 1.0, h, n, 1e-6)
+        assert solve_peak <= 8.5 * 8 * n
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of tracemalloc's traced memory during the call."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_manufactured_solution_first_order():

@@ -8,13 +8,17 @@ each checkout, from its root; the side that runs first alternates from
 pair to pair, so a drift in the machine's load falls on both sides
 alike.  Every run's exit code, operation counts and end-to-end metrics,
 and the last lines of its stderr when it exits non-zero, go to the output
-file, next to a summary per workload, seed and metric: each side's
-median and quartiles, the number of pairs in which the change is better,
-and a verdict against the bound of that metric in the parent's
-``BENCHMARK.json``.  If the output file exists, its runs are kept and the
-summary is made again over all of them, so one file can gather several
-seeds.  Only the standard library is used, and nothing under either
-checkout's ``perfbench/`` is changed.
+file.  After each pair the result files the two runs wrote under
+``.perfbench_out/<workload>/out/`` are compared byte for byte,
+``manifest.json`` left out, since it records wall times.  The output file
+also holds a summary per workload and seed: how many of the compared
+files were identical and the names of those that were not, and for each
+metric each side's median and quartiles, the number of pairs in which
+the change is better, and a verdict against the bound of that metric in
+the parent's ``BENCHMARK.json``.  If the output file exists, its runs
+and comparisons are kept and the summary is made again over all of them,
+so one file can gather several seeds.  Only the standard library is
+used, and nothing under either checkout's ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 STDERR_LINES = 40   # kept from the end of a failing run's stderr
+UNCOMPARED = {"manifest.json"}   # result files that record wall times
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -51,14 +56,36 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     return run
 
 
+def compare_outputs(checkouts: dict, workload: str) -> dict:
+    """The result files of the checkouts' last runs of workload, compared
+    byte for byte: their number over both sides, how many are identical,
+    and the sorted paths, relative to ``out/``, of those that differ or
+    that only one side wrote."""
+    files = {}
+    for side in SIDES:
+        base = checkouts[side] / ".perfbench_out" / workload / "out"
+        files[side] = {p.relative_to(base).as_posix(): p for p in base.rglob("*")
+                       if p.is_file() and p.name not in UNCOMPARED}
+    names = sorted(files["parent"].keys() | files["change"].keys())
+    differ = [name for name in names
+              if not (name in files["parent"] and name in files["change"]
+                      and files["parent"][name].read_bytes() == files["change"][name].read_bytes())]
+    return {"files": len(names), "identical": len(names) - len(differ), "differ": differ}
+
+
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+def summarize(runs: list[dict], metrics: list[dict], outputs: list[dict] = ()) -> dict:
     """{workload: {seed: {"failed": ..., "metrics": {name: ...}}}} over the
     runs, with metrics the parent's ``end_to_end`` list of BENCHMARK.json.
+
+    outputs holds one compare_outputs result a pair, with its workload,
+    seed and pair; a workload and seed that has any gets ``"outputs"``:
+    the files compared over its pairs, how many were identical, the text
+    "n of m identical", and the sorted paths that differed in any pair.
 
     A metric's entry holds each side's median and quartiles over the
     pairs in which both sides reported it, ``change_better`` (the number
@@ -83,6 +110,13 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                      for side in SIDES}
         entry = {"pairs": len(pairs), "failed": failed, "nonzero_exits": bad_exits,
                  "metrics": {}}
+        compared = [o for o in outputs if (o["workload"], o["seed"]) == (workload, seed)]
+        if compared:
+            files = sum(o["files"] for o in compared)
+            identical = sum(o["identical"] for o in compared)
+            entry["outputs"] = {"pairs": len(compared), "files": files, "identical": identical,
+                                "text": f"{identical} of {files} identical",
+                                "differ": sorted({name for o in compared for name in o["differ"]})}
         for metric in metrics:
             name = metric["name"]
             lower = metric["better"] == "lower"
@@ -137,7 +171,7 @@ def main(argv=None) -> int:
     bench = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
-    runs = doc["runs"]
+    runs, outputs = doc["runs"], doc.setdefault("outputs", [])
     for workload in args.workloads:
         start = 1 + max((r["pair"] for r in runs
                          if r["workload"] == workload and r["seed"] == args.seed), default=0)
@@ -150,7 +184,11 @@ def main(argv=None) -> int:
                              **run})
                 print(f"{workload} seed {args.seed} pair {pair} {side}: exit {run['exit']} "
                       f"{json.dumps(run['metrics'])}", flush=True)
-            doc["summary"] = summarize(runs, bench["end_to_end"])
+            compared = compare_outputs(checkouts, workload)
+            outputs.append({"workload": workload, "seed": args.seed, "pair": pair, **compared})
+            print(f"{workload} seed {args.seed} pair {pair}: {compared['identical']} of "
+                  f"{compared['files']} result files identical", flush=True)
+            doc["summary"] = summarize(runs, bench["end_to_end"], outputs)
             args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
