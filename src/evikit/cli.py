@@ -35,7 +35,7 @@ import math
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,16 +46,16 @@ from .core import (ConstructionError, DomainError, NumericalError, Space, StateP
                    check_metric_axioms, check_noise_identity)
 from .potentials import builtin_potentials, make_potential
 from .spaces import (AllenCahnDescriptor, CirDescriptor, QuadraticDescriptor,
-                     Wasserstein1DDescriptor, builtin_spaces, make_allen_cahn, make_cir,
-                     make_ou, make_quadratic, make_wasserstein1d, mccann_check)
+                     Wasserstein1DDescriptor, make_allen_cahn, make_cir, make_ou,
+                     make_quadratic, make_wasserstein1d, mccann_check)
 from .flow import (FlowConfig, flow_any, flow_exact, flow_mms, verify_contraction,
                    verify_energy_identity, verify_evi)
 from .tataru import (tataru_batch_csv, tataru_distance, verify_tataru_flow_lipschitz,
                      verify_tataru_lipschitz, verify_tataru_triangle)
 from .hj import (GridFunction, LowerTestFunction, UpperTestFunction, builtin_data_functions,
                  check_comparison, hamiltonian_sandwich_check, make_data_function,
-                 solve_resolvent_cir, solve_resolvent_quadratic, value_by_rollout,
-                 verify_subsolution, verify_supersolution)
+                 solve_resolvent, value_by_rollout, verify_subsolution,
+                 verify_supersolution)
 from .ekeland import (EkelandProblem, ekeland_optimize, jensen_distance_check, product_penalty,
                       quadruplicate, tataru_matrix, verify_ekeland_result)
 
@@ -319,15 +319,13 @@ def run_tataru(space, p, out: Path, rng):
 
 
 def _solve_for(space, lam, h_fn, n_grid, tol, lo, hi):
-    """The resolvent on n_grid nodes: CIR's grid spans the space's domain,
-    the scalar quadratic space's spans [lo, hi]."""
+    """The resolvent on n_grid nodes spanning [lo, hi], or the space's
+    domain where its table has no lo and hi (see _params_table)."""
     if n_grid < 3:
         raise ConfigError(f"a resolvent grid needs at least 3 nodes, got {n_grid}")
-    if space.name == "cir":
-        return solve_resolvent_cir(space.desc, lam, h_fn, n_grid, tol)
-    if space.name == "quadratic" and space.dimension == 1:
-        return solve_resolvent_quadratic(space, lam, h_fn, lo, hi, n_grid, tol)
-    raise ConfigError(f"resolvent solving is not supported on space '{space.name}'")
+    if lo is None:
+        lo, hi = space.x_lo, space.x_hi
+    return solve_resolvent(space, lam, h_fn, np.linspace(lo, hi, n_grid), tol)
 
 
 # the fields of every kind that solves a resolvent on a grid of n_grid nodes
@@ -343,7 +341,6 @@ _RESOLVENT = {**_GRID_SOLVE, "rollout": Field({
 
 
 def _grid_solve(space, p, h_fn):
-    # on cir the table has no x_lo or x_hi
     return _solve_for(space, p["lambda"], h_fn, p["n_grid"], p["tol"], p.get("x_lo"),
                       p.get("x_hi"))
 
@@ -458,7 +455,7 @@ def run_quadruplication(space, p, out: Path, rng):
     lam, grid, ratio_max, shrink_min = p["lambda"], p["grid"], p["ratio_max"], p["shrink_min"]
     h_fn = p["h"]
     nu0 = _state(space, p["nu0"])
-    domain = (grid["n"], 1e-8, grid["lo"], grid["hi"])
+    domain = (grid["n"], 1e-8, grid.get("lo"), grid.get("hi"))
     sol_u = _solve_for(space, lam, h_fn, *domain)
     sol_v = _solve_for(space, lam, lambda x: p["v_scale"] * h_fn(x), *domain)
     result = quadruplicate(space, sol_u.f, sol_v.f, p["alphas"], nu0)
@@ -523,7 +520,7 @@ def run_properties(space, p, out: Path, rng):
         elif check == "noise_identity":
             pairs = [(space.sample_point(rng), space.sample_point(rng))
                      for _ in range(p["n_pairs"])]
-            worst, tol = check_noise_identity(space, pairs, rng), 1e-4
+            worst, tol = check_noise_identity(space, pairs), 1e-4
         elif check == "jensen":
             worst, tol = jensen_distance_check(space, draw(4, n)), p["jensen_tol"]
         else:
@@ -580,19 +577,24 @@ def _params_table(space: str, kind: str, params: dict) -> dict:
     """The table a kind's params are read through on the named space.  A
     tataru config with pairs_in evaluates a table instead of drawing
     suites.  A field the run would read and then ignore is left out, so
-    that setting it is an unknown key: x_lo and x_hi bound a grid solve
-    on the scalar quadratic space, while cir's grid spans its domain, and
-    only minimizing movement reads jko_inner_tol and jko_max_iter, in
-    mode "mms" or in an mms_convergence study."""
+    that setting it is an unknown key: on cir a grid solve's grid spans
+    the space's domain, so x_lo and x_hi, and quadruplication's grid.lo
+    and grid.hi, bound it only on the scalar quadratic space; only
+    minimizing movement reads jko_inner_tol and jko_max_iter, in mode
+    "mms" or in an mms_convergence study."""
     if kind == "tataru" and "pairs_in" in params:
         return _TATARU_PAIRS
-    table = _KINDS[kind][1]
-    unused = set()
+    unused = set()      # dotted paths of the fields left out
     if space == "cir":
-        unused |= {"x_lo", "x_hi"}
+        unused |= {"x_lo", "x_hi", "grid.lo", "grid.hi"}
     if params.get("mode") != "mms" and "mms_convergence" not in params:
         unused |= {"jko_inner_tol", "jko_max_iter"}
-    return {key: spec for key, spec in table.items() if key not in unused}
+
+    def pruned(table, prefix=""):
+        return {key: (replace(spec, kind=pruned(spec.kind, f"{prefix}{key}."))
+                      if isinstance(spec.kind, dict) else spec)
+                for key, spec in table.items() if prefix + key not in unused}
+    return pruned(_KINDS[kind][1])
 
 
 def read_config(config) -> dict:
@@ -661,7 +663,7 @@ def run(config_path: str) -> int:
 
 def list_builtins() -> int:
     print("spaces:")
-    for name in builtin_spaces():
+    for name in sorted(_SPACES):
         print(f"  {name}")
     print("potentials:")
     for name in builtin_potentials():

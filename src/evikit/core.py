@@ -294,22 +294,18 @@ class Space(ABC):
     def sample_point(self, rng: np.random.Generator) -> StatePoint:
         return StatePoint.of(self.sample_rows(rng, 1)[0])
 
-    def sphere_points(self, p: StatePoint, radius: float,
-                      count: int, rng: np.random.Generator) -> list[StatePoint]:
-        """Points at geodesic distance `radius` from p (chart sphere)."""
+    def sphere_points(self, p: StatePoint, radius: float) -> list[StatePoint]:
+        """The feasible points at geodesic distance `radius` from p on a
+        scalar space, where the chart sphere is the two points y +- r;
+        in higher dimension a finite set of directions misses the
+        steepest one, so any other space is a UsageError."""
+        if self.dimension != 1:
+            raise UsageError(f"space '{self.name}' has dimension {self.dimension}: the "
+                             f"sphere of two points, which definitional slopes and the "
+                             f"noise identity check take their sup over, needs dimension 1")
         y = self.to_chart(p)
-        n = y.size
         out = []
-        if n == 1:
-            dirs = [np.array([1.0]), np.array([-1.0])]
-        else:
-            dirs = []
-            while len(dirs) < count:
-                v = rng.standard_normal(n)
-                nv = np.linalg.norm(v)
-                if nv > 1e-12:
-                    dirs.append(v / nv)
-        for v in dirs[: max(count, 2)]:
+        for v in (1.0, -1.0):
             q = y + (radius / self.chart_scale) * v
             if self._chart_feasible(q):
                 out.append(self.from_chart(q))
@@ -373,9 +369,7 @@ def _energy_rows(space: Space, coords: np.ndarray) -> np.ndarray:
 
 def slope_by_definition(space: Space, fn: Callable[[StatePoint], float],
                         p: StatePoint, scale: float = 1.0,
-                        radii: Sequence[float] = (1e-2, 1e-3, 1e-4),
-                        count: int = 16,
-                        rng: np.random.Generator | None = None) -> float:
+                        radii: Sequence[float] = (1e-2, 1e-3, 1e-4)) -> float:
     """Local slope of `fn` at p, from shrinking geodesic spheres.
 
     For each radius r the quantity max_q (fn(p) - fn(q))^+ / d(p, q) over
@@ -383,13 +377,12 @@ def slope_by_definition(space: Space, fn: Callable[[StatePoint], float],
     extrapolates to radius zero.  The limsup itself is not computable, so
     this is the verifier-grade stand-in used only in cross-checks.
     """
-    rng = rng or np.random.default_rng(0)
     fp = fn(p)
     rs, vals = [], []
     for r in radii:
         rr = r * scale
         best = 0.0
-        for q in space.sphere_points(p, rr, count, rng):
+        for q in space.sphere_points(p, rr):
             d = space.distance(p, q)
             if d <= 0:
                 continue
@@ -452,16 +445,16 @@ def check_kappa_convexity(space: Space, n_geodesics: int = 100,
                         initial=-math.inf))
 
 
-def check_noise_identity(space: Space, pairs: Sequence[tuple[StatePoint, StatePoint]],
-                         rng: np.random.Generator | None = None) -> float:
+def check_noise_identity(space: Space,
+                         pairs: Sequence[tuple[StatePoint, StatePoint]]) -> float:
     """max |d(half-squared-distance slope) - d(pi,rho)| via the definitional
-    slope, on smooth spaces where the identity |d(1/2 d^2(.,rho))|(pi) =
-    d(pi,rho) is expected to hold."""
-    rng = rng or np.random.default_rng(13)
+    slope, on smooth scalar spaces where the identity
+    |d(1/2 d^2(.,rho))|(pi) = d(pi,rho) is expected to hold; sphere_points
+    refuses any other space."""
     worst = 0.0
     for pi, rho in pairs:
         d = space.distance(pi, rho)
         fn = lambda z: 0.5 * space.distance(z, rho) ** 2
-        est = slope_by_definition(space, fn, pi, scale=max(d, 1.0), rng=rng)
+        est = slope_by_definition(space, fn, pi, scale=max(d, 1.0))
         worst = max(worst, abs(est - d))
     return worst

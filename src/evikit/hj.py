@@ -50,7 +50,7 @@ from .core import (
     _energy_rows,
     _squares,
 )
-from .spaces import CirDescriptor, CirSpace, QuadraticSpace
+from .spaces import CirSpace, QuadraticSpace
 from .tataru import tataru_batch
 
 
@@ -522,13 +522,31 @@ def solve_resolvent_1d(xs: np.ndarray, drift: np.ndarray, sigma: np.ndarray,
     )
 
 
-def _solve_on_grid(xs: np.ndarray, drift: np.ndarray, sigma: np.ndarray, lam: float,
-                   h, tol: float) -> ResolventSolution:
-    """solve_resolvent_1d for the data function h, as functions on the grid
-    xs.  h must be finite on the grid, and so must lam * max(sigma) * p^2
-    for its largest difference quotient p: the policy step squares the
-    iterate's difference quotients, which start near the data's, and an
-    overflow there reaches the solve as an infinite right-hand side."""
+def _control(space: Space):
+    """The control problem of a scalar space's formal Hamiltonian: the
+    drift -grad E and the inverse metric sigma = 1/g as functions of a
+    coordinate array, and the interval a rollout clips its states to.
+    On the half-line space Hf = (mu - x) f' + x (f')^2 / 2; on the scalar
+    quadratic space sigma is 1.  Any other space is a UsageError."""
+    if isinstance(space, CirSpace):
+        return (lambda x: space.mu - x), (lambda x: x), (space.x_lo, space.x_hi)
+    if isinstance(space, QuadraticSpace) and space.dimension == 1:
+        return ((lambda x: -space.chart_energy_grad_rows(x[:, None])[:, 0]), np.ones_like,
+                (-8.0, 8.0))
+    raise UsageError(f"space '{space.name}' has no scalar control problem: resolvent "
+                     f"solves and rollouts run on cir and the scalar quadratic space")
+
+
+def solve_resolvent(space: Space, lam: float, h, xs: np.ndarray,
+                    tol: float) -> ResolventSolution:
+    """solve_resolvent_1d for the space's control problem (_control) and
+    the data function h, as functions on the uniform grid xs.  h must be
+    finite on the grid, and so must lam * max(sigma) * p^2 for its largest
+    difference quotient p: the policy step squares the iterate's
+    difference quotients, which start near the data's, and an overflow
+    there reaches the solve as an infinite right-hand side."""
+    drift_fn, sigma_fn, _ = _control(space)
+    drift, sigma = drift_fn(xs), sigma_fn(xs)
     h_vals = np.asarray(h(xs), dtype=float)
     if not np.all(np.isfinite(h_vals)):
         raise UsageError("the data function is not finite on the resolvent grid")
@@ -539,28 +557,6 @@ def _solve_on_grid(xs: np.ndarray, drift: np.ndarray, sigma: np.ndarray, lam: fl
     f, policy, residual, iters = solve_resolvent_1d(xs, drift, sigma, lam, h_vals, tol)
     return ResolventSolution(GridFunction(xs[:, None], f), GridFunction(xs[:, None], policy),
                              residual, lam, iters)
-
-
-def solve_resolvent_cir(desc: CirDescriptor, lam: float, h,
-                        n_grid: int = 800, tol: float = 1e-6) -> ResolventSolution:
-    """Resolvent on the half-line space: Hf = (mu - x) f' + x (f')^2 / 2,
-    i.e. drift mu - x and inverse metric sigma(x) = x, on a uniform grid
-    over the truncated domain."""
-    space = CirSpace(desc)
-    xs = np.linspace(space.x_lo, space.x_hi, n_grid)
-    return _solve_on_grid(xs, space.mu - xs, xs, lam, h, tol)
-
-
-def solve_resolvent_quadratic(space: QuadraticSpace, lam: float, h,
-                              x_lo: float, x_hi: float, n_grid: int = 400,
-                              tol: float = 1e-8) -> ResolventSolution:
-    """Resolvent on the scalar quadratic space: drift -grad E(x), unit
-    inverse metric (used for comparison and quadruplication desk cases)."""
-    if space.dimension != 1:
-        raise UsageError("grid resolvent supports scalar quadratic spaces only")
-    xs = np.linspace(x_lo, x_hi, n_grid)
-    drift = -space.chart_energy_grad_rows(xs[:, None])[:, 0]
-    return _solve_on_grid(xs, drift, np.ones_like(xs), lam, h, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -616,21 +612,14 @@ def value_by_rollout(space: Space, lam: float, h, starts: np.ndarray,
     nodes (linear value interpolation); the policy is then rolled forward
     from every start at once with Euler steps of the controlled drift,
     accumulating exp(-t/lambda) [h/lambda - u^2/(2 sigma)] dt.
-    Trajectories leaving the grid are clipped.
+    States are clipped to the interval of the space's control problem
+    (_control), and values off state_grid are its end values.
 
     starts holds the scalar start coordinates, an (m, 1) array (or (m,));
     the result is the (m,) array of their values, each equal to the value
     of a rollout from that start alone.
     """
-    if isinstance(space, CirSpace):
-        lo, hi = space.x_lo, space.x_hi
-        drift_fn, sigma_fn = (lambda x: space.mu - x), (lambda x: x)
-    elif isinstance(space, QuadraticSpace) and space.dimension == 1:
-        lo, hi = -8.0, 8.0
-        drift_fn = lambda x: -space.chart_energy_grad_rows(x[:, None])[:, 0]
-        sigma_fn = np.ones_like
-    else:
-        raise UsageError("rollout values support scalar spaces only")
+    drift_fn, sigma_fn, (lo, hi) = _control(space)
     if not (dt > 0 and T > 0):
         raise UsageError("a rollout needs a positive time step dt and horizon T")
     xs = np.asarray(state_grid, dtype=float)

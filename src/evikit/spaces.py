@@ -588,10 +588,6 @@ def make_wasserstein1d(desc: Wasserstein1DDescriptor) -> Wasserstein1DSpace:
     return Wasserstein1DSpace(desc)
 
 
-def builtin_spaces() -> list[str]:
-    return ["allen_cahn", "cir", "ou", "quadratic", "wasserstein1d"]
-
-
 # ---------------------------------------------------------------------------
 # McCann admissibility report
 # ---------------------------------------------------------------------------

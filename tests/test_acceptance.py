@@ -29,8 +29,7 @@ from evikit.hj import (
     check_comparison,
     hamiltonian_sandwich_check,
     make_data_function,
-    solve_resolvent_cir,
-    solve_resolvent_quadratic,
+    solve_resolvent,
     value_by_rollout,
     verify_subsolution,
     verify_supersolution,
@@ -53,6 +52,12 @@ from evikit.tataru import (
 
 CIR_DESC = CirDescriptor(mu=1.0, x_lo=1e-3, x_hi=8.0)
 H_CLIP = make_data_function("affine_clipped", slope=1.0, intercept=0.0, cap=2.0)
+
+
+def solve_cir(lam, h):
+    """The resolvent on the 800-node grid spanning CIR_DESC's domain."""
+    space = make_cir(CIR_DESC)
+    return solve_resolvent(space, lam, h, np.linspace(space.x_lo, space.x_hi, 800), 1e-6)
 
 
 def report(criterion, passed, detail, elapsed, budget):
@@ -80,7 +85,7 @@ def heat400():
 
 @pytest.fixture(scope="module")
 def cir_resolvent():
-    return solve_resolvent_cir(CIR_DESC, 1.0, H_CLIP, 800, 1e-6)
+    return solve_cir(1.0, H_CLIP)
 
 
 def test_criterion_01_evi_ou(ou):
@@ -205,8 +210,7 @@ def test_criterion_07_comparison(cir_resolvent):
     ok = abs(same.lhs) <= tol
     details = [f"identical |lhs|={abs(same.lhs):.1e}"]
     for delta in (0.05, 0.1, 0.5):
-        shifted = solve_resolvent_cir(CIR_DESC, 1.0, lambda x: H_CLIP(x) - delta,
-                                      800, 1e-6)
+        shifted = solve_cir(1.0, lambda x: H_CLIP(x) - delta)
         res = check_comparison(base.f, shifted.f, h_grid,
                                GridFunction(base.f.nodes, H_CLIP(xs) - delta), tol)
         ok &= res.lhs <= delta + tol
@@ -277,8 +281,9 @@ def test_criterion_09_ekeland_exactness(ou):
 def test_criterion_10_quadruplication_trend(ou):
     t0 = time.perf_counter()
     h = make_data_function("gaussian_bump", center=0.7, width=0.6, height=1.0)
-    u = solve_resolvent_quadratic(ou, 1.0, h, -2.0, 2.0, 41, 1e-8)
-    v = solve_resolvent_quadratic(ou, 1.0, lambda x: 0.9 * h(x), -2.0, 2.0, 41, 1e-8)
+    xs = np.linspace(-2.0, 2.0, 41)
+    u = solve_resolvent(ou, 1.0, h, xs, 1e-8)
+    v = solve_resolvent(ou, 1.0, lambda x: 0.9 * h(x), xs, 1e-8)
     res = quadruplicate(ou, u.f, v.f, [10.0, 100.0, 1000.0], StatePoint.of(0.0))
     trend = res.trend()
     mono = all(trend[i + 1] <= trend[i] + 1e-15 for i in range(2))

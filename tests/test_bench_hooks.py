@@ -5,8 +5,9 @@ from their arguments and results.  A rename or a changed signature can
 pass every other test and still break the traced run, so this runs, under
 the tracer, a small resolvent config (with rollout), a small viscosity
 config, a minimizing-movement EVI config, a Tataru pairs table without
-a closed-form flow, two Tataru suite configs and two properties configs,
-in a child process started at the repository root.  It checks that the
+a closed-form flow, a small quadruplication config, an Ekeland properties
+check, two Tataru suite configs and two properties configs, in a child
+process started at the repository root.  It checks that the
 counters moved, that the viscosity sweeps make one tataru_batch call per
 anchor, and that neither the suites nor the property checks build a
 StatePoint per sample.  It only reads perfbench/: the child
@@ -36,6 +37,7 @@ print(json.dumps({"codes": codes, "totals": tracer.snapshot(), "runs": runs}))
 """
 
 CIR = {"space": "cir", "params": {"mu": 1.0, "x_lo": 1e-3, "x_hi": 8.0}}
+OU = {"space": "ou", "params": {"kappa": 1.0}}
 H = {"name": "affine_clipped", "params": {"slope": 1.0, "cap": 2.0}}
 # no closed-form flow: EVI and d_T run on minimizing movement
 QUAD_JKO = {"space": "quadratic",
@@ -58,9 +60,16 @@ def test_traced_runs_count_every_hook(tmp_path):
     params["tataru"] = {"pairs_in": str(pairs), "flow_dt": 0.05}
     configs = [(kind, QUAD_JKO if kind in ("evi", "tataru") else CIR, kind, p)
                for kind, p in params.items()]
+    # the Ekeland path: a small OU quadruplication and the exhaustive
+    # Ekeland cell of the properties kind
+    configs.append(("quadruplication", OU, "quadruplication",
+                    {"lambda": 1.0, "h": {"name": "gaussian_bump",
+                                          "params": {"center": 0.7, "width": 0.6}},
+                     "grid": {"n": 41}}))
+    configs.append(("ekeland", OU, "properties", {"checks": ["ekeland"], "ekeland_points": 201}))
     # the OU suites with the d_T(0, e) oracle, at two sample counts
     for n in (5, 50):
-        configs.append((f"suites_{n}", {"space": "ou", "params": {"kappa": 1.0}}, "tataru",
+        configs.append((f"suites_{n}", OU, "tataru",
                         {"n_samples": n, "flow_dt": 0.01, "tol": 1e-3,
                          "oracle": {"pi": [0.0], "rho": [2.718281828459045]}}))
     # the row-drawn property checks, at two sample counts
@@ -85,14 +94,19 @@ def test_traced_runs_count_every_hook(tmp_path):
     for counter in ("core.StatePoint.of.calls", "hj.value_by_rollout.calls",
                     "hj.solve_resolvent_1d.iterations", "cli.write.calls",
                     "tataru.tataru_batch.pairs", "flow.jko_step.calls",
-                    "flow.flow_mms.calls", "flow.verify_evi.calls"):
+                    "flow.flow_mms.calls", "flow.verify_evi.calls",
+                    "ekeland.quadruplicate.calls", "ekeland.tataru_matrix.calls",
+                    "ekeland.ekeland_optimize.calls", "flow.fit_quadratic_lower_bound.calls"):
         assert totals.get(counter, 0) > 0, counter
     # one tataru_batch call per distinct anchor in each of the two reports,
     # however many (a, b) share it
     report = json.loads((tmp_path / "viscosity" / "viscosity_report.json").read_text())
     anchors = {tuple(r["anchor_tataru"]) for r in report["subsolution"]["records"]}
     assert len(report["subsolution"]["records"]) == 4 * len(anchors)
-    assert totals["tataru.tataru_batch.calls"] == 2 * len(anchors)
+    visc = [name for name, *_ in configs].index("viscosity")
+    before, after = ({} if visc == 0 else out["runs"][visc - 1]), out["runs"][visc]
+    assert (after["tataru.tataru_batch.calls"] - before.get("tataru.tataru_batch.calls", 0)
+            == 2 * len(anchors))
     built = [after.get("core.StatePoint.of.calls", 0) - before.get("core.StatePoint.of.calls", 0)
              for before, after in zip(out["runs"][-5:-1], out["runs"][-4:])]
     # the suites' samples are coordinate rows: the two oracle points are the

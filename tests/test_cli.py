@@ -12,6 +12,9 @@ import pytest
 import evikit.cli
 import evikit.cli as cli
 from evikit.cli import _ekeland_exactness_cell, list_builtins, run
+from evikit.core import StatePoint, UsageError
+from evikit.ekeland import quadruplicate
+from evikit.hj import make_data_function, solve_resolvent, value_by_rollout
 from evikit.spaces import CirDescriptor, make_cir, make_ou
 from evikit.tataru import (
     verify_tataru_flow_lipschitz,
@@ -160,7 +163,7 @@ class TestRunConfigs:
 
     @pytest.mark.parametrize("name", ["cir_resolvent", "cir_viscosity", "cir_comparison",
                                       "ou_quadruplication"])
-    @pytest.mark.parametrize("n_grid", [1, 2])
+    @pytest.mark.parametrize("n_grid", [1, 2, -5])
     def test_grid_below_three_nodes_is_config_error(self, tmp_path, capsys, name, n_grid):
         cfg = self.shipped_config(tmp_path, name)
         cfg["params"].pop("rollout", None)
@@ -710,3 +713,87 @@ def test_quadruplication_solves_on_its_grid(tmp_path):
         assert run(str(tmp_path / "config.json")) in (0, 1)
         reports.append((tmp_path / str(lo) / "quadruplication_report.json").read_bytes())
     assert reports[0] != reports[1]
+
+
+CIR_QUADRUPLICATION = {
+    "space": {"space": "cir", "params": {"mu": 1.0, "x_lo": 1e-3, "x_hi": 8.0}},
+    "kind": "quadruplication",
+    "params": {"lambda": 1.0, "grid": {"n": 41}, "nu0": [1.0],
+               "h": {"name": "gaussian_bump",
+                     "params": {"center": 0.7, "width": 0.6, "height": 1.0}}}}
+
+
+@pytest.mark.parametrize("grid,key", [({"lo": -2.0, "hi": 2.0, "n": 41}, "lo"),
+                                      ({"lo": 0.5, "n": 41}, "lo"),
+                                      ({"hi": 3.0}, "hi")])
+def test_cir_quadruplication_grid_bounds_are_unknown_keys(tmp_path, capsys, grid, key):
+    """On cir the grid spans the space's domain, so grid.lo and grid.hi,
+    which the run would ignore, are unknown keys."""
+    cfg = json.loads(json.dumps(CIR_QUADRUPLICATION))
+    cfg["params"]["grid"] = grid
+    cfg["output_dir"] = str(tmp_path / "out")
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert run(str(tmp_path / "config.json")) == 2
+    assert capsys.readouterr().err == (
+        f"config error: unknown config field '{key}'; expected one of ['n']\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cir_quadruplication_solves_on_the_domain(tmp_path):
+    """{"grid": {"n": 41}} on cir writes the report of the two resolvents
+    on the 41-node grid spanning [x_lo, x_hi]."""
+    cfg = json.loads(json.dumps(CIR_QUADRUPLICATION))
+    cfg["output_dir"] = str(tmp_path / "out")
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert run(str(tmp_path / "config.json")) == 0
+    space = make_cir(CirDescriptor(mu=1.0, x_lo=1e-3, x_hi=8.0))
+    h = make_data_function("gaussian_bump", center=0.7, width=0.6, height=1.0)
+    xs = np.linspace(1e-3, 8.0, 41)
+    u = solve_resolvent(space, 1.0, h, xs, 1e-8)
+    v = solve_resolvent(space, 1.0, lambda x: 0.9 * h(x), xs, 1e-8)
+    quadruplicate(space, u.f, v.f, [10.0, 100.0, 1000.0], StatePoint.of(1.0)).write_json(
+        tmp_path / "expected.json")
+    assert ((tmp_path / "out" / "quadruplication_report.json").read_bytes()
+            == (tmp_path / "expected.json").read_bytes())
+
+
+# spaces with no scalar control problem, and the fields each grid-solve kind needs
+NO_CONTROL = {"allen_cahn": {"grid_size": 8, "length": 6.0, "kappa": 1.0},
+              "quadratic": {"dimension": 2},
+              "wasserstein1d": {"m": 8}}
+GRID_SOLVES = {"resolvent": {}, "viscosity": {}, "comparison": {"deltas": [0.1]},
+               "quadruplication": {}}
+
+
+@pytest.mark.parametrize("kind", sorted(GRID_SOLVES))
+@pytest.mark.parametrize("name", sorted(NO_CONTROL))
+def test_grid_solve_needs_a_scalar_control_problem(tmp_path, capsys, name, kind):
+    """Every grid-solve kind on a space without a scalar control problem
+    is exit 2 with the resolvent's own UsageError, which a rollout on that
+    space raises too."""
+    cfg = {"space": {"space": name, "params": NO_CONTROL[name]}, "kind": kind,
+           "params": {"lambda": 1.0, "h": {"name": "constant"}, **GRID_SOLVES[kind]},
+           "output_dir": str(tmp_path / "out")}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert run(str(tmp_path / "config.json")) == 2
+    read = cli.read_config(cfg)
+    space = cli._SPACES[name][0](**read["space"]["params"])
+    with pytest.raises(UsageError) as exc:
+        value_by_rollout(space, 1.0, make_data_function("constant"),
+                         np.zeros((1, space.dimension)), np.zeros(1), 0.1, 1.0,
+                         np.linspace(-1.0, 1.0, 5))
+    assert capsys.readouterr().err == f"config error: {exc.value}\n"
+    assert f"space '{name}' has no scalar control problem" in str(exc.value)
+
+
+def test_noise_identity_above_dimension_one_is_config_error(tmp_path, capsys):
+    """The sup over a sphere of finitely many directions misses the
+    gradient's above dimension 1, where the check read a false violation
+    (0.585 on this config) and exited 1."""
+    cfg = {"space": {"space": "quadratic", "params": {"dimension": 2}}, "kind": "properties",
+           "params": {"checks": ["noise_identity"]}, "output_dir": str(tmp_path / "out")}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert run(str(tmp_path / "config.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: space 'quadratic' has dimension 2"), err
+    assert not (tmp_path / "out" / "properties_report.json").exists()

@@ -184,7 +184,21 @@ def test_noise_identity_on_smooth_spaces():
     for space in (make_ou(1.0), make_cir(CirDescriptor(mu=1.0))):
         pairs = [(space.sample_point(rng), space.sample_point(rng))
                  for _ in range(10)]
-        assert check_noise_identity(space, pairs, rng) <= 1e-4
+        assert check_noise_identity(space, pairs) <= 1e-4
+
+
+@pytest.mark.parametrize("space", [
+    make_quadratic(QuadraticDescriptor(dimension=2)),
+    make_allen_cahn(AllenCahnDescriptor(grid_size=8, length=2 * np.pi, kappa=1.0))],
+    ids=lambda s: f"{s.name}_{s.dimension}")
+def test_noise_identity_refuses_dimension_above_one(space):
+    """Only in one dimension is the sphere the two points p +- r, so only
+    there is the sup over it exact; a finite set of directions elsewhere
+    misses the gradient's and reads a false violation."""
+    rng = np.random.default_rng(13)
+    pairs = [(space.sample_point(rng), space.sample_point(rng))]
+    with pytest.raises(UsageError, match="needs dimension 1"):
+        check_noise_identity(space, pairs)
 
 
 @pytest.mark.parametrize("space", all_spaces(), ids=lambda s: s.name)

@@ -20,7 +20,7 @@ from evikit.ekeland import (
     verify_ekeland_result,
     verify_key_estimates,
 )
-from evikit.hj import GridFunction, make_data_function, solve_resolvent_quadratic
+from evikit.hj import GridFunction, make_data_function, solve_resolvent
 from evikit.spaces import CirDescriptor, make_cir, make_ou
 from evikit.tataru import tataru_distance
 
@@ -287,8 +287,9 @@ def test_verify_result_bit_equal_to_scalar_penalty_reference():
 def make_desk_case(n):
     ou = make_ou(1.0)
     h = make_data_function("gaussian_bump", center=0.7, width=0.6, height=1.0)
-    u = solve_resolvent_quadratic(ou, 1.0, h, -2.0, 2.0, n, 1e-8)
-    v = solve_resolvent_quadratic(ou, 1.0, lambda x: 0.9 * h(x), -2.0, 2.0, n, 1e-8)
+    xs = np.linspace(-2.0, 2.0, n)
+    u = solve_resolvent(ou, 1.0, h, xs, 1e-8)
+    v = solve_resolvent(ou, 1.0, lambda x: 0.9 * h(x), xs, 1e-8)
     return ou, u.f, v.f
 
 

@@ -26,9 +26,8 @@ from evikit.hj import (
     hamiltonian_sandwich_check,
     lower_bound_value,
     make_data_function,
+    solve_resolvent,
     solve_resolvent_1d,
-    solve_resolvent_cir,
-    solve_resolvent_quadratic,
     upper_bound_value,
     value_by_rollout,
     verify_subsolution,
@@ -49,6 +48,12 @@ DESC = CirDescriptor(mu=1.0, x_lo=1e-3, x_hi=8.0)
 H_CLIP = make_data_function("affine_clipped", slope=1.0, intercept=0.0, cap=2.0)
 
 
+def solve_cir(lam, h, n_grid, tol):
+    """The resolvent on the n_grid-node grid spanning DESC's domain."""
+    space = make_cir(DESC)
+    return solve_resolvent(space, lam, h, np.linspace(space.x_lo, space.x_hi, n_grid), tol)
+
+
 @pytest.fixture(scope="module")
 def ou():
     return make_ou(1.0)
@@ -61,7 +66,7 @@ def cir():
 
 @pytest.fixture(scope="module")
 def resolvent():
-    return solve_resolvent_cir(DESC, 1.0, H_CLIP, 800, 1e-6)
+    return solve_cir(1.0, H_CLIP, 800, 1e-6)
 
 
 def eval_upper(tf, pi):
@@ -307,8 +312,7 @@ class TestTestFunctions:
 
 class TestResolvent:
     def test_constant_data_is_fixed_point(self):
-        sol = solve_resolvent_cir(DESC, 1.0, make_data_function("constant", value=3.0),
-                                  200, 1e-9)
+        sol = solve_cir(1.0, make_data_function("constant", value=3.0), 200, 1e-9)
         assert np.max(np.abs(sol.f.values - 3.0)) <= 1e-9
 
     @pytest.mark.parametrize("c", [0.3, -0.4])
@@ -321,7 +325,7 @@ class TestResolvent:
         lam, mu, d = 1.0, DESC.mu, 0.2
         a = (1.0 + lam - math.sqrt((1.0 + lam) ** 2 - 2.0 * lam * c)) / lam
         assert abs(a + lam * a - 0.5 * lam * a * a - c) <= 1e-15
-        sol = solve_resolvent_cir(DESC, lam, lambda x: c * np.asarray(x) + d, n_grid, 1e-10)
+        sol = solve_cir(lam, lambda x: c * np.asarray(x) + d, n_grid, 1e-10)
         xs = sol.f.coords()
         assert np.max(np.abs(sol.f.values - (a * xs + d + lam * mu * a))) <= 1e-9
         assert sol.iterations <= 6
@@ -338,20 +342,20 @@ class TestResolvent:
     def test_small_lambda_recovers_data(self):
         errs = []
         for lam in (1.0, 0.1, 0.01):
-            sol = solve_resolvent_cir(DESC, lam, H_CLIP, 400, 1e-8)
+            sol = solve_cir(lam, H_CLIP, 400, 1e-8)
             errs.append(float(np.max(np.abs(sol.f.values - H_CLIP(sol.f.coords())))))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 0.05
 
     def test_data_monotonicity(self):
-        sol1 = solve_resolvent_cir(DESC, 1.0, H_CLIP, 300, 1e-8)
+        sol1 = solve_cir(1.0, H_CLIP, 300, 1e-8)
         h2 = lambda x: H_CLIP(x) + 0.3 * np.exp(-((x - 1.5) ** 2))
-        sol2 = solve_resolvent_cir(DESC, 1.0, h2, 300, 1e-8)
+        sol2 = solve_cir(1.0, h2, 300, 1e-8)
         assert np.all(sol1.f.values <= sol2.f.values + 1e-9)
 
     def test_nonconvergence_raises_with_residual(self):
         with pytest.raises(NumericalError) as err:
-            solve_resolvent_cir(DESC, 1.0, H_CLIP, 400, 1e-16, )
+            solve_cir(1.0, H_CLIP, 400, 1e-16)
         assert math.isfinite(err.value.residual)
 
     def test_exports(self, resolvent, tmp_path):
@@ -379,7 +383,7 @@ class TestResolvent:
 
     def test_quadratic_space_solver(self, ou):
         h = make_data_function("gaussian_bump", center=0.0, width=1.0, height=1.0)
-        sol = solve_resolvent_quadratic(ou, 1.0, h, -4.0, 4.0, 400, 1e-8)
+        sol = solve_resolvent(ou, 1.0, h, np.linspace(-4.0, 4.0, 400), 1e-8)
         assert sol.residual <= 1e-8
         assert float(np.max(np.abs(sol.f.values))) <= 1.0 + 1e-9
 
@@ -522,8 +526,8 @@ class TestBufferedResolvent:
         inputs and result included, and writing its CSV within 1 MB."""
         n = 51200
         h = make_data_function("gaussian_bump", center=1.7, width=1.0, height=1.0)
-        solve_resolvent_cir(DESC, 1.0, h, 50, 1e-6)  # loads the LAPACK extension
-        sol, solve_peak = traced_peak(solve_resolvent_cir, DESC, 1.0, h, n, 1e-6)
+        solve_cir(1.0, h, 50, 1e-6)  # loads the LAPACK extension
+        sol, solve_peak = traced_peak(solve_cir, 1.0, h, n, 1e-6)
         _, write_peak = traced_peak(sol.write_csv, tmp_path / "resolvent.csv")
         assert solve_peak <= 10 * 8 * n
         assert write_peak < 1e6
@@ -535,8 +539,8 @@ class TestBufferedResolvent:
         stays within 8.5 of them."""
         n = 204800
         h = make_data_function("gaussian_bump", center=1.7, width=1.0, height=1.0)
-        solve_resolvent_cir(DESC, 1.0, h, 50, 1e-6)  # loads the LAPACK extension
-        _, solve_peak = traced_peak(solve_resolvent_cir, DESC, 1.0, h, n, 1e-6)
+        solve_cir(1.0, h, 50, 1e-6)  # loads the LAPACK extension
+        _, solve_peak = traced_peak(solve_cir, 1.0, h, n, 1e-6)
         assert solve_peak <= 8.5 * 8 * n
 
 
@@ -566,7 +570,7 @@ def test_manufactured_solution_first_order():
 
     errors, steps = [], []
     for n in (800, 3200, 12800, 51200):
-        sol = solve_resolvent_cir(DESC, lam, h, n, 1e-9)
+        sol = solve_cir(lam, h, n, 1e-9)
         xs = sol.f.coords()
         errors.append(float(np.max(np.abs(sol.f.values - exact(xs)))))
         steps.append(float(xs[1] - xs[0]))
@@ -668,12 +672,13 @@ def run_child(code: str) -> list[str]:
 
 
 SOLVE_IN_CHILD = (
-    "from evikit.hj import make_data_function, solve_resolvent_cir\n"
-    "from evikit.spaces import CirDescriptor\n"
+    "import numpy as np\n"
+    "from evikit.hj import make_data_function, solve_resolvent\n"
+    "from evikit.spaces import CirDescriptor, make_cir\n"
     "def solve():\n"
-    "    return solve_resolvent_cir(CirDescriptor(mu=1.0, x_lo=1e-3, x_hi=8.0), 1.0,\n"
+    "    return solve_resolvent(make_cir(CirDescriptor(mu=1.0, x_lo=1e-3, x_hi=8.0)), 1.0,\n"
     "        make_data_function('gaussian_bump', center=1.7, width=1.0, height=1.0),\n"
-    "        200).f.values.tobytes()\n"
+    "        np.linspace(1e-3, 8.0, 200), 1e-6).f.values.tobytes()\n"
 )
 
 
@@ -782,7 +787,7 @@ class TestViscosity:
 
     def test_sweeps_match_pointwise_test_functions(self, cir):
         # the grid sweeps against eval_upper / eval_lower at every node
-        sol = solve_resolvent_cir(DESC, 1.0, H_CLIP, 60, 1e-6)
+        sol = solve_cir(1.0, H_CLIP, 60, 1e-6)
         h_grid = GridFunction(sol.f.nodes, H_CLIP(sol.f.coords()))
         for kind, verify in (("upper", verify_subsolution), ("lower", verify_supersolution)):
             tfs = sweep(cir, sol.f, kind, a_values=(1.0,), b_values=(1e-2, 1e-1), n_anchors=2)
@@ -790,7 +795,7 @@ class TestViscosity:
             self.assert_records_match_pointwise(sol.f, tfs, rep, h_grid, kind)
 
     def test_one_tataru_batch_per_anchor(self, cir, monkeypatch):
-        sol = solve_resolvent_cir(DESC, 1.0, H_CLIP, 60, 1e-6)
+        sol = solve_cir(1.0, H_CLIP, 60, 1e-6)
         h_grid = GridFunction(sol.f.nodes, H_CLIP(sol.f.coords()))
         calls = []
 
@@ -987,7 +992,7 @@ class TestComparison:
     def test_shifted_data_bound(self, resolvent, delta):
         xs = resolvent.f.coords()
         tol = 10.0 * (xs[1] - xs[0])
-        sol2 = solve_resolvent_cir(DESC, 1.0, lambda x: H_CLIP(x) - delta, 800, 1e-6)
+        sol2 = solve_cir(1.0, lambda x: H_CLIP(x) - delta, 800, 1e-6)
         res = check_comparison(
             resolvent.f, sol2.f,
             GridFunction(resolvent.f.nodes, H_CLIP(xs)),
