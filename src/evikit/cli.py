@@ -52,7 +52,7 @@ from .flow import (FlowConfig, flow_any, flow_exact, flow_mms, verify_contractio
                    verify_energy_identity, verify_evi)
 from .tataru import (tataru_batch_csv, tataru_distance, verify_tataru_flow_lipschitz,
                      verify_tataru_lipschitz, verify_tataru_triangle)
-from .hj import (GridFunction, LowerTestFunction, UpperTestFunction, builtin_data_functions,
+from .hj import (GridFunction, ViscosityTestFunction, builtin_data_functions,
                  check_comparison, hamiltonian_sandwich_check, make_data_function,
                  solve_resolvent, value_by_rollout, verify_subsolution,
                  verify_supersolution)
@@ -398,18 +398,14 @@ def run_viscosity(space, p, out: Path, rng):
     h_grid = GridFunction(sol.f.nodes, h_fn(xs))
     anchors = [sol.f.point(i) for i in idx]
     a_values, b_values = sweep["a_values"], sweep["b_values"]
-    tfs_up = [UpperTestFunction(space, a, b, 0.0, q, q)
-              for a in a_values for b in b_values for q in anchors]
-    tfs_low = [LowerTestFunction(space, a, b, 0.0, q, q)
-               for a in a_values for b in b_values for q in anchors]
-    rep_sub = verify_subsolution(sol.f, tfs_up, lam, h_grid, tol)
-    rep_sup = verify_supersolution(sol.f, tfs_low, lam, h_grid, tol)
+    tfs = [ViscosityTestFunction(space, a, b, 0.0, q, q)
+           for a in a_values for b in b_values for q in anchors]
+    rep_sub = verify_subsolution(sol.f, tfs, lam, h_grid, tol)
+    rep_sup = verify_supersolution(sol.f, tfs, lam, h_grid, tol)
     _write_json(out / "viscosity_report.json",
                 {"subsolution": rep_sub.to_json(), "supersolution": rep_sup.to_json()})
-    return [("subsolution_sweep", rep_sub.passed,
-             f"{len(tfs_up)} test functions, worst {rep_sub.worst:.3e}"),
-            ("supersolution_sweep", rep_sup.passed,
-             f"{len(tfs_low)} test functions, worst {rep_sup.worst:.3e}")]
+    return [(f"{rep.kind}_sweep", rep.passed,
+             f"{len(tfs)} test functions, worst {rep.worst:.3e}") for rep in (rep_sub, rep_sup)]
 
 
 _COMPARISON = {**_GRID_SOLVE, "tol_factor": Field(float, 10.0), "deltas": Field([float])}
@@ -463,11 +459,8 @@ def run_quadruplication(space, p, out: Path, rng):
     trend = result.trend()
     mono = all(trend[i + 1] <= trend[i] + 1e-15 for i in range(len(trend) - 1))
     ratio = trend[-1] / trend[0] if trend[0] > 0 else 0.0
-    shrinks = []
-    for i in range(len(result.entries) - 1):
-        r0 = abs(result.entries[i][1].key1_residual) + abs(result.entries[i][1].key2_residual)
-        r1 = abs(result.entries[i + 1][1].key1_residual) + abs(result.entries[i + 1][1].key2_residual)
-        shrinks.append(r0 / r1 if r1 > 0 else math.inf)
+    residuals = [abs(rep.key1_residual) + abs(rep.key2_residual) for _, rep in result.entries]
+    shrinks = [r0 / r1 if r1 > 0 else math.inf for r0, r1 in zip(residuals, residuals[1:])]
     return [("trend_nonincreasing", mono, f"{trend}"),
             ("trend_ratio", ratio <= ratio_max, f"{ratio:.4f} <= {ratio_max}"),
             ("key_residual_shrink", all(s >= shrink_min for s in shrinks),

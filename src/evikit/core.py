@@ -186,12 +186,6 @@ class Space(ABC):
         chart array."""
         ...
 
-    def chart_energy_value(self, y: np.ndarray) -> float:
-        return float(self.chart_energy_rows(np.asarray(y, dtype=float)[None])[0])
-
-    def chart_energy_grad(self, y: np.ndarray) -> np.ndarray:
-        return self.chart_energy_grad_rows(np.asarray(y, dtype=float)[None])[0]
-
     # -- metric ------------------------------------------------------------
 
     def validate_point(self, p: StatePoint) -> None:
@@ -227,7 +221,7 @@ class Space(ABC):
 
     def energy(self, p: StatePoint) -> ExtendedReal:
         self.validate_point(p)
-        v = self.chart_energy_value(self.to_chart(p))
+        v = float(self.chart_energy_rows(self.to_chart_rows(p.array[None]))[0])
         return ExtendedReal.INF if math.isinf(v) else ExtendedReal.finite(v)
 
     @abstractmethod
@@ -280,7 +274,7 @@ class Space(ABC):
         times t, which broadcast against y0[..., 0]; the result has shape
         broadcast(t, y0[..., 0]) + (dimension,).  One point (dimension,)
         at n_t times (n_t,) gives the (n_t, dimension) samples of its flow.
-        Chart-level like chart_energy_value: y0 is not validated."""
+        Chart-level like chart_energy_rows: y0 is not validated."""
         raise UnsupportedFlowError(f"{self.name}: no closed-form flow registered")
 
     # -- sampling ------------------------------------------------------------

@@ -5,23 +5,22 @@ The formal Hamiltonian of a linearly controlled gradient flow,
     Hf = -<grad f, grad E> + 1/2 ||grad f||^2,
 
 is not directly meaningful on a metric space.  It is replaced by an upper
-bound H-dagger acting on test functions
+bound H-dagger (sign s = +1) and a mirrored lower bound H-ddagger (s = -1),
+each acting on the test functions of its sign,
 
-    f+(pi) = a/2 d^2(pi, rho) + b d_T(pi, mu) + c,          a, b > 0,
-    g+(pi) = a [E(rho) - E(pi)] - a kappa/2 d^2(pi, rho) + b
-             + a^2/2 d^2(pi, rho) + a b d(pi, rho) + b^2/2,
+    f_s(x) = s a/2 d^2(x, q) + s b d_T(x, t) + c,          a, b > 0,
+    g_s(x) = s a [E(q) - E(x)] - s a kappa/2 d^2(x, q) + s b
+             + a^2/2 d^2(x, q) + s a b d(x, q) + s b^2/2,
 
-and a mirrored lower bound H-ddagger on
+with quadratic anchor q (rho for f+, gamma for f-) and Tataru anchor t
+(mu for f+, pi for f-).
 
-    f-(mu) = -a/2 d^2(gamma, mu) - b d_T(mu, pi) + c,
-    g-(mu) = a [E(mu) - E(gamma)] + a kappa/2 d^2(gamma, mu) - b
-             + a^2/2 d^2(gamma, mu) - a b d(gamma, mu) - b^2/2.
-
-A bounded u is a viscosity subsolution of f - lambda H+ f = h when, along
-an optimizing sequence of u - f+, the inequality u - lambda g+ - h <= 0
-holds in the limit; on a finite grid the optimizing sequence collapses to
-the grid argmax.  The resolvent equation f - lambda Hf = h is solved on
-one-dimensional spaces by policy iteration on a monotone upwind
+A bounded u is a viscosity subsolution of f - lambda H+ f = h (s = +1),
+or a supersolution of f - lambda H- f = h (s = -1), when along an
+optimizing sequence of s (u - f_s) the inequality s (u - lambda g_s - h)
+<= 0 holds in the limit; on a finite grid the optimizing sequence
+collapses to the grid argmax.  The resolvent equation f - lambda Hf = h
+is solved on one-dimensional spaces by policy iteration on a monotone upwind
 discretization of the control form
 
     sup_u { (drift(x) + u) f'(x) - u^2 / (2 sigma(x)) },   sigma = 1/metric,
@@ -123,52 +122,33 @@ def builtin_data_functions() -> list[str]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class UpperTestFunction:
+class ViscosityTestFunction:
+    """The parameters of f+ and of f- (module docstring); each sweep reads
+    them with its own sign."""
+
     space: Space
     a: float
     b: float
     c: float
-    mu: StatePoint
-    rho: StatePoint
+    anchor_tataru: StatePoint
+    anchor_quadratic: StatePoint
     flow_dt: float = 1e-2
 
     def __post_init__(self):
         if self.a <= 0 or self.b <= 0:
-            raise UsageError("upper test function requires a > 0 and b > 0")
-        if self.space.energy(self.rho).infinite:
-            raise UsageError("upper test function requires E(rho) < inf")
+            raise UsageError("a test function requires a > 0 and b > 0")
+        if self.space.energy(self.anchor_quadratic).infinite:
+            raise UsageError("a test function requires E(anchor_quadratic) < inf")
 
 
-@dataclass
-class LowerTestFunction:
-    space: Space
-    a: float
-    b: float
-    c: float
-    pi: StatePoint
-    gamma: StatePoint
-    flow_dt: float = 1e-2
-
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise UsageError("lower test function requires a > 0 and b > 0")
-        if self.space.energy(self.gamma).infinite:
-            raise UsageError("lower test function requires E(gamma) < inf")
-
-
-def upper_bound_value(space: Space, a: float, b: float, e_anchor, e_pi, d, d2):
-    """g+ at distance d (d2 = d ** 2) from the anchor rho with E(rho) =
-    e_anchor, where E(pi) = e_pi; -inf where e_pi = +inf.  Numbers or
-    arrays that broadcast."""
-    return (a * (e_anchor - e_pi) - 0.5 * a * space.kappa * d2
-            + b + 0.5 * a**2 * d2 + a * b * d + 0.5 * b**2)
-
-
-def lower_bound_value(space: Space, a: float, b: float, e_anchor, e_mu, d, d2):
-    """g- at distance d (d2 = d ** 2) from the anchor gamma with E(gamma) =
-    e_anchor, where E(mu) = e_mu; +inf where e_mu = +inf."""
-    return (a * (e_mu - e_anchor) + 0.5 * a * space.kappa * d2
-            - b + 0.5 * a**2 * d2 - a * b * d - 0.5 * b**2)
+def hamiltonian_bound(space: Space, sign: int, a: float, b: float, e_anchor, e, d, d2):
+    """g+ (sign +1) or g- (sign -1) at distance d (d2 = d ** 2) from the
+    quadratic anchor with energy e_anchor, where the energy is e; -inf for
+    g+ and +inf for g- where e = +inf.  Numbers or arrays that broadcast.
+    Multiplying by +-1 and adding a negated term are exact, so each sign
+    gives the bits of its bound written out."""
+    return (sign * a * (e_anchor - e) - sign * 0.5 * a * space.kappa * d2 + sign * b
+            + 0.5 * a**2 * d2 + sign * a * b * d + sign * 0.5 * b**2)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +168,13 @@ class ViscosityRecord:
 
 @dataclass
 class ViscosityReport:
-    kind: str
+    sign: int
     tol: float
     records: list[ViscosityRecord] = field(default_factory=list)
+
+    @property
+    def kind(self) -> str:
+        return "subsolution" if self.sign > 0 else "supersolution"
 
     @property
     def passed(self) -> bool:
@@ -199,9 +183,7 @@ class ViscosityReport:
     @property
     def worst(self) -> float:
         """Worst signed violation: positive beyond tol means failure."""
-        if self.kind == "supersolution":
-            return max((-r.inequality_value for r in self.records), default=-math.inf)
-        return max((r.inequality_value for r in self.records), default=-math.inf)
+        return max((self.sign * r.inequality_value for r in self.records), default=-math.inf)
 
     def to_json(self) -> dict:
         return {
@@ -220,66 +202,55 @@ def _grid_charts(grid: GridFunction, tfs) -> list[np.ndarray]:
     return [charts[id(tf.space)] for tf in tfs]
 
 
-def _grid_tataru(tfs, charts: list[np.ndarray], anchors: list[StatePoint]) -> list[np.ndarray]:
-    """d_T(grid, anchor) for each test function.  The vector depends on
-    the space, the anchor and flow_dt, not on a, b or c, so each distinct
-    (space, anchor, flow_dt) makes one tataru_batch call and its test
-    functions share the result."""
+def _grid_tataru(tfs, charts: list[np.ndarray]) -> list[np.ndarray]:
+    """d_T(grid, anchor_tataru) for each test function.  The vector
+    depends on the space, the anchor and flow_dt, not on a, b or c, so
+    each distinct (space, anchor, flow_dt) makes one tataru_batch call and
+    its test functions share the result."""
     cache = {}
     out = []
-    for tf, chart, anchor in zip(tfs, charts, anchors):
-        key = (id(tf.space), anchor.coords, tf.flow_dt)
+    for tf, chart in zip(tfs, charts):
+        key = (id(tf.space), tf.anchor_tataru.coords, tf.flow_dt)
         if key not in cache:
-            cache[key] = tataru_batch(tf.space, chart, anchor, tf.flow_dt)
+            cache[key] = tataru_batch(tf.space, chart, tf.anchor_tataru, tf.flow_dt)
         out.append(cache[key])
     return out
 
 
-def verify_subsolution(u: GridFunction, tfs: list[UpperTestFunction],
-                       lam: float, h: GridFunction, tol: float) -> ViscosityReport:
-    """For each test function, locate the grid argmax of u - f+ (the
-    discrete stand-in for the optimizing sequence) and check
-    u - lambda g+ - h <= tol there.  d_T(., mu) on the grid is computed by
-    one tataru_batch call per distinct (space, mu, flow_dt)."""
-    report = ViscosityReport("subsolution", tol)
+def _sweep(u: GridFunction, tfs: list[ViscosityTestFunction], lam: float,
+           h: GridFunction, tol: float, sign: int) -> ViscosityReport:
+    """For each test function, locate the grid argmax of sign (u - f) for
+    f its f+ (sign +1) or f- (sign -1), the discrete stand-in for the
+    optimizing sequence, and check sign (u - lambda g - h) <= tol there.
+    d_T(., anchor_tataru) on the grid is computed by one tataru_batch
+    call per distinct (space, anchor_tataru, flow_dt)."""
+    report = ViscosityReport(sign, tol)
     charts = _grid_charts(u, tfs)
-    dts = _grid_tataru(tfs, charts, [tf.mu for tf in tfs])
-    for tf, chart, dt_vals in zip(tfs, charts, dts):
-        sp = tf.space
-        d = _chart_distances(sp, chart, sp.to_chart(tf.rho))
-        f_plus = 0.5 * tf.a * d**2 + tf.b * dt_vals + tf.c
-        i_star = int(np.argmax(u.values - f_plus))
+    for tf, chart, dt_vals in zip(tfs, charts, _grid_tataru(tfs, charts)):
+        sp, q = tf.space, tf.anchor_quadratic
+        d = _chart_distances(sp, chart, sp.to_chart(q))
+        f = sign * 0.5 * tf.a * d**2 + sign * tf.b * dt_vals + tf.c
+        i_star = int(np.argmax(sign * (u.values - f)))
         d_i = float(d[i_star])
-        g_val = upper_bound_value(sp, tf.a, tf.b, float(sp.energy(tf.rho)),
+        g_val = hamiltonian_bound(sp, sign, tf.a, tf.b, float(sp.energy(q)),
                                   float(sp.energy(u.point(i_star))), d_i, d_i**2)
         val = u.values[i_star] - lam * g_val - h.values[i_star]
         report.records.append(ViscosityRecord(
-            tf.a, tf.b, tf.rho.to_json(), tf.mu.to_json(), i_star,
-            float(val), bool(val <= tol)))
+            tf.a, tf.b, q.to_json(), tf.anchor_tataru.to_json(), i_star,
+            float(val), bool(sign * val <= tol)))
     return report
 
 
-def verify_supersolution(v: GridFunction, tfs: list[LowerTestFunction],
+def verify_subsolution(u: GridFunction, tfs: list[ViscosityTestFunction],
+                       lam: float, h: GridFunction, tol: float) -> ViscosityReport:
+    """u - lambda g+ - h <= tol at the grid argmax of u - f+ (_sweep)."""
+    return _sweep(u, tfs, lam, h, tol, 1)
+
+
+def verify_supersolution(v: GridFunction, tfs: list[ViscosityTestFunction],
                          lam: float, h: GridFunction, tol: float) -> ViscosityReport:
-    """Mirror of verify_subsolution: argmin of v - f-, check
-    v - lambda g- - h >= -tol there, with one tataru_batch call per
-    distinct (space, pi, flow_dt)."""
-    report = ViscosityReport("supersolution", tol)
-    charts = _grid_charts(v, tfs)
-    dts = _grid_tataru(tfs, charts, [tf.pi for tf in tfs])
-    for tf, chart, dt_vals in zip(tfs, charts, dts):
-        sp = tf.space
-        d = _chart_distances(sp, chart, sp.to_chart(tf.gamma))
-        f_minus = -0.5 * tf.a * d**2 - tf.b * dt_vals + tf.c
-        i_star = int(np.argmin(v.values - f_minus))
-        d_i = float(d[i_star])
-        g_val = lower_bound_value(sp, tf.a, tf.b, float(sp.energy(tf.gamma)),
-                                  float(sp.energy(v.point(i_star))), d_i, d_i**2)
-        val = v.values[i_star] - lam * g_val - h.values[i_star]
-        report.records.append(ViscosityRecord(
-            tf.a, tf.b, tf.gamma.to_json(), tf.pi.to_json(), i_star,
-            float(val), bool(val >= -tol)))
-    return report
+    """v - lambda g- - h >= -tol at the grid argmin of v - f- (_sweep)."""
+    return _sweep(v, tfs, lam, h, tol, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -620,13 +591,17 @@ def value_by_rollout(space: Space, lam: float, h, starts: np.ndarray,
     of a rollout from that start alone.
     """
     drift_fn, sigma_fn, (lo, hi) = _control(space)
+    if not lam > 0:
+        raise UsageError("resolvent parameter lambda must be positive")
     if not (dt > 0 and T > 0):
         raise UsageError("a rollout needs a positive time step dt and horizon T")
     xs = np.asarray(state_grid, dtype=float)
     if xs.size < 2:
         raise UsageError("a rollout state grid needs at least 2 nodes")
-    h_vals = np.asarray(h(xs), dtype=float)
     us = np.asarray(control_grid, dtype=float)
+    if us.size == 0:
+        raise UsageError("a rollout control grid needs at least 1 control")
+    h_vals = np.asarray(h(xs), dtype=float)
     beta = math.exp(-dt / lam)
     # exact within-step discount integral for a piecewise-constant integrand
     dfac = lam * (1.0 - beta)
@@ -721,8 +696,10 @@ def hamiltonian_sandwich_check(space: Space, a_values, anchors, samples,
     drift = np.vecdot(y - ya, space.chart_energy_grad_rows(y))  # (y - y_anchor) . dE/dy
     out = []
     for a in a_values:
-        h_up = -a * drift + 0.5 * a**2 * d2
-        h_low = a * drift + 0.5 * a**2 * d2
-        out += [h_up - upper_bound_value(space, a, b0, e_anchor, e_pi, d, d2),
-                lower_bound_value(space, a, b0, e_anchor, e_pi, d, d2) - h_low]
+        for sign in (1, -1):
+            # sign (H_exact - g) as sign H_exact - sign g, which keeps the
+            # bits of g- - H_exact, a +0 where the two are equal included
+            h_exact = -sign * a * drift + 0.5 * a**2 * d2
+            g = hamiltonian_bound(space, sign, a, b0, e_anchor, e_pi, d, d2)
+            out.append(sign * h_exact - sign * g)
     return float(np.max(out, initial=-math.inf))

@@ -24,8 +24,7 @@ from evikit.flow import FlowConfig, flow_exact, flow_mms, verify_contraction, \
     verify_energy_identity, verify_evi
 from evikit.hj import (
     GridFunction,
-    LowerTestFunction,
-    UpperTestFunction,
+    ViscosityTestFunction,
     check_comparison,
     hamiltonian_sandwich_check,
     make_data_function,
@@ -177,12 +176,10 @@ def test_criterion_06_resolvent_viscosity(cir, cir_resolvent):
     tol = 10.0 * dx
     h_grid = GridFunction(sol.f.nodes, H_CLIP(xs))
     idx = np.linspace(40, 760, 5).astype(int)
-    ups = [UpperTestFunction(cir, a, b, 0.0, sol.f.point(i), sol.f.point(i))
+    tfs = [ViscosityTestFunction(cir, a, b, 0.0, sol.f.point(i), sol.f.point(i))
            for a in (0.5, 1.0, 2.0, 4.0) for b in (1e-3, 1e-2, 1e-1) for i in idx]
-    lows = [LowerTestFunction(cir, a, b, 0.0, sol.f.point(i), sol.f.point(i))
-            for a in (0.5, 1.0, 2.0, 4.0) for b in (1e-3, 1e-2, 1e-1) for i in idx]
-    rep_sub = verify_subsolution(sol.f, ups, 1.0, h_grid, tol)
-    rep_sup = verify_supersolution(sol.f, lows, 1.0, h_grid, tol)
+    rep_sub = verify_subsolution(sol.f, tfs, 1.0, h_grid, tol)
+    rep_sup = verify_supersolution(sol.f, tfs, 1.0, h_grid, tol)
     dt = 5e-3
     us = np.linspace(-3.0, 3.0, 21)
     band_ok = True
@@ -196,7 +193,7 @@ def test_criterion_06_resolvent_viscosity(cir, cir_resolvent):
     report(6, sol.residual <= 1e-6 and rep_sub.passed and rep_sup.passed
            and band_ok,
            f"resolvent residual={sol.residual:.2e} <= 1e-6; sweeps "
-           f"({len(ups)}+{len(lows)} tfs) pass at tol={tol:.3f}; rollout in band",
+           f"({len(tfs)}+{len(tfs)} tfs) pass at tol={tol:.3f}; rollout in band",
            elapsed, 300.0)
 
 

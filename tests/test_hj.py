@@ -19,16 +19,14 @@ import evikit.hj
 from evikit.core import NumericalError, StatePoint, UsageError
 from evikit.hj import (
     GridFunction,
-    LowerTestFunction,
     ResolventSolution,
-    UpperTestFunction,
+    ViscosityTestFunction,
     check_comparison,
+    hamiltonian_bound,
     hamiltonian_sandwich_check,
-    lower_bound_value,
     make_data_function,
     solve_resolvent,
     solve_resolvent_1d,
-    upper_bound_value,
     value_by_rollout,
     verify_subsolution,
     verify_supersolution,
@@ -69,34 +67,45 @@ def resolvent():
     return solve_cir(1.0, H_CLIP, 800, 1e-6)
 
 
+def g_plus(space, a, b, e_anchor, e_pi, d, d2):
+    """g+ as written in the hj docstring, at distance d (d2 = d ** 2) from
+    rho with E(rho) = e_anchor, where E(pi) = e_pi."""
+    return (a * (e_anchor - e_pi) - 0.5 * a * space.kappa * d2
+            + b + 0.5 * a**2 * d2 + a * b * d + 0.5 * b**2)
+
+
+def g_minus(space, a, b, e_anchor, e_mu, d, d2):
+    """g- as written in the hj docstring, at distance d (d2 = d ** 2) from
+    gamma with E(gamma) = e_anchor, where E(mu) = e_mu."""
+    return (a * (e_mu - e_anchor) + 0.5 * a * space.kappa * d2
+            - b + 0.5 * a**2 * d2 - a * b * d - 0.5 * b**2)
+
+
 def eval_upper(tf, pi):
     """(f+, g+) at pi, one point at a time; g+ = -inf when E(pi) = +inf."""
-    sp = tf.space
-    d = sp.distance(pi, tf.rho)
-    dt_val = tataru_distance(sp, pi, tf.mu, tf.flow_dt).value
+    sp, rho, mu = tf.space, tf.anchor_quadratic, tf.anchor_tataru
+    d = sp.distance(pi, rho)
+    dt_val = tataru_distance(sp, pi, mu, tf.flow_dt).value
     f_val = 0.5 * tf.a * d**2 + tf.b * dt_val + tf.c
-    g_val = upper_bound_value(sp, tf.a, tf.b, float(sp.energy(tf.rho)),
-                              float(sp.energy(pi)), d, d**2)
+    g_val = g_plus(sp, tf.a, tf.b, float(sp.energy(rho)), float(sp.energy(pi)), d, d**2)
     return f_val, g_val
 
 
 def eval_lower(tf, mu):
     """(f-, g-) at mu, one point at a time; g- = +inf when E(mu) = +inf."""
-    sp = tf.space
-    d = sp.distance(tf.gamma, mu)
-    dt_val = tataru_distance(sp, mu, tf.pi, tf.flow_dt).value
+    sp, gamma, pi = tf.space, tf.anchor_quadratic, tf.anchor_tataru
+    d = sp.distance(gamma, mu)
+    dt_val = tataru_distance(sp, mu, pi, tf.flow_dt).value
     f_val = -0.5 * tf.a * d**2 - tf.b * dt_val + tf.c
-    g_val = lower_bound_value(sp, tf.a, tf.b, float(sp.energy(tf.gamma)),
-                              float(sp.energy(mu)), d, d**2)
+    g_val = g_minus(sp, tf.a, tf.b, float(sp.energy(gamma)), float(sp.energy(mu)), d, d**2)
     return f_val, g_val
 
 
-def sweep(space, grid, kind, a_values=(0.5, 1.0, 2.0, 4.0),
-          b_values=(1e-3, 1e-2, 1e-1), n_anchors=5):
+def sweep(space, grid, a_values=(0.5, 1.0, 2.0, 4.0), b_values=(1e-3, 1e-2, 1e-1),
+          n_anchors=5):
     n = len(grid.nodes)
     idx = np.linspace(0.05 * n, 0.95 * n, n_anchors).astype(int)
-    cls = UpperTestFunction if kind == "upper" else LowerTestFunction
-    return [cls(space, a, b, 0.0, grid.point(i), grid.point(i))
+    return [ViscosityTestFunction(space, a, b, 0.0, grid.point(i), grid.point(i))
             for a in a_values for b in b_values for i in idx]
 
 
@@ -248,13 +257,13 @@ def csv_writer_bytes(path, xs, fs, us):
 
 class TestTestFunctions:
     def test_upper_at_coincident_anchors(self, ou):
-        tf = UpperTestFunction(ou, 2.0, 0.3, 1.5, StatePoint.of(1.0), StatePoint.of(1.0))
+        tf = ViscosityTestFunction(ou, 2.0, 0.3, 1.5, StatePoint.of(1.0), StatePoint.of(1.0))
         f_val, g_val = eval_upper(tf, StatePoint.of(1.0))
         assert f_val == pytest.approx(1.5)
         assert g_val == pytest.approx(0.3 + 0.5 * 0.09)
 
     def test_lower_at_coincident_anchors(self, ou):
-        tf = LowerTestFunction(ou, 2.0, 0.3, 1.5, StatePoint.of(1.0), StatePoint.of(1.0))
+        tf = ViscosityTestFunction(ou, 2.0, 0.3, 1.5, StatePoint.of(1.0), StatePoint.of(1.0))
         f_val, g_val = eval_lower(tf, StatePoint.of(1.0))
         assert f_val == pytest.approx(1.5)
         assert g_val == pytest.approx(-0.3 - 0.5 * 0.09)
@@ -263,34 +272,34 @@ class TestTestFunctions:
         # a=1, b=0.1, c=0, rho=1, mu=0, pi=2; the flow from mu=0 is
         # constant so d_T(2, 0) = 2, and term by term
         #   g = (1/2 - 2) - 1/2 + 0.1 + 1/2 + 0.1 + 0.005 = -1.295
-        tf = UpperTestFunction(ou, 1.0, 0.1, 0.0, StatePoint.of(0.0), StatePoint.of(1.0))
+        tf = ViscosityTestFunction(ou, 1.0, 0.1, 0.0, StatePoint.of(0.0), StatePoint.of(1.0))
         f_val, g_val = eval_upper(tf, StatePoint.of(2.0))
         assert f_val == pytest.approx(0.7, abs=1e-9)
         assert g_val == pytest.approx(-1.295, abs=1e-12)
 
     def test_lower_mirror_example(self, ou):
-        tf = LowerTestFunction(ou, 1.0, 0.1, 0.0, StatePoint.of(0.0), StatePoint.of(1.0))
+        tf = ViscosityTestFunction(ou, 1.0, 0.1, 0.0, StatePoint.of(0.0), StatePoint.of(1.0))
         f_val, g_val = eval_lower(tf, StatePoint.of(2.0))
         assert f_val == pytest.approx(-0.5 - 0.1 * 2.0, abs=1e-9)
         assert g_val == pytest.approx((2.0 - 0.5) + 0.5 - 0.1 + 0.5 - 0.1 - 0.005,
                                       abs=1e-12)
 
     def test_infinite_energy_propagates_to_bounds(self, cir):
-        tf_up = UpperTestFunction(cir, 1.0, 0.1, 0.0, StatePoint.of(1.0), StatePoint.of(1.0))
+        tf_up = ViscosityTestFunction(cir, 1.0, 0.1, 0.0, StatePoint.of(1.0), StatePoint.of(1.0))
         _, g_up = eval_upper(tf_up, StatePoint.of(0.0))  # E(0) = +inf
         assert g_up == -math.inf
-        tf_low = LowerTestFunction(cir, 1.0, 0.1, 0.0, StatePoint.of(1.0), StatePoint.of(1.0))
+        tf_low = ViscosityTestFunction(cir, 1.0, 0.1, 0.0, StatePoint.of(1.0), StatePoint.of(1.0))
         _, g_low = eval_lower(tf_low, StatePoint.of(0.0))
         assert g_low == math.inf
 
     def test_parameter_validation(self, ou, cir):
         with pytest.raises(UsageError):
-            UpperTestFunction(ou, -1.0, 0.1, 0.0, StatePoint.of(0.0), StatePoint.of(1.0))
+            ViscosityTestFunction(ou, -1.0, 0.1, 0.0, StatePoint.of(0.0), StatePoint.of(1.0))
         with pytest.raises(UsageError):
-            UpperTestFunction(ou, 1.0, 0.0, 0.0, StatePoint.of(0.0), StatePoint.of(1.0))
+            ViscosityTestFunction(ou, 1.0, 0.0, 0.0, StatePoint.of(0.0), StatePoint.of(1.0))
         with pytest.raises(UsageError):
             # anchor rho needs finite energy
-            UpperTestFunction(cir, 1.0, 0.1, 0.0, StatePoint.of(1.0), StatePoint.of(0.0))
+            ViscosityTestFunction(cir, 1.0, 0.1, 0.0, StatePoint.of(1.0), StatePoint.of(0.0))
 
     def test_bounds_invariant_under_energy_recentering(self):
         base = make_ou(1.0)
@@ -298,12 +307,28 @@ class TestTestFunctions:
                                                      energy_offset=3.7))
         pts = [StatePoint.of(v) for v in (-1.0, 0.3, 2.0)]
         for pi in pts:
-            tf0 = UpperTestFunction(base, 1.5, 0.2, 0.1, pts[0], pts[1])
-            tf1 = UpperTestFunction(shifted, 1.5, 0.2, 0.1, pts[0], pts[1])
+            tf0 = ViscosityTestFunction(base, 1.5, 0.2, 0.1, pts[0], pts[1])
+            tf1 = ViscosityTestFunction(shifted, 1.5, 0.2, 0.1, pts[0], pts[1])
             assert eval_upper(tf0, pi) == eval_upper(tf1, pi)
-            lf0 = LowerTestFunction(base, 1.5, 0.2, 0.1, pts[0], pts[1])
-            lf1 = LowerTestFunction(shifted, 1.5, 0.2, 0.1, pts[0], pts[1])
-            assert eval_lower(lf0, pi) == eval_lower(lf1, pi)
+            assert eval_lower(tf0, pi) == eval_lower(tf1, pi)
+
+    @given(kappa=st.floats(-4.0, 4.0), a=st.floats(1e-3, 8.0), b=st.floats(1e-6, 2.0),
+           e_anchor=st.floats(-50.0, 50.0),
+           points=st.lists(st.tuples(st.one_of(st.floats(-50.0, 50.0), st.just(math.inf)),
+                                     st.floats(0.0, 20.0)), min_size=1, max_size=8))
+    @example(kappa=-1.5, a=2.0, b=0.3, e_anchor=1.0, points=[(math.inf, 0.5), (1.0, 0.0)])
+    @settings(max_examples=200, deadline=None)
+    def test_signed_bound_bit_equal_to_written_out_bounds(self, kappa, a, b, e_anchor, points):
+        """hamiltonian_bound with sign +1 and -1 against g+ and g- as
+        written in the hj docstring, on Python floats and on arrays, with
+        infinite energies and negative moduli among the draws."""
+        space = make_quadratic(QuadraticDescriptor(dimension=1, kappa=kappa))
+        e, d = (np.array(col) for col in zip(*points))
+        for args in ((float(e[0]), float(d[0]), float(d[0]) ** 2), (e, d, d**2)):
+            for sign, written_out in ((1, g_plus), (-1, g_minus)):
+                got = hamiltonian_bound(space, sign, a, b, e_anchor, *args)
+                want = written_out(space, a, b, e_anchor, *args)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -740,22 +765,20 @@ class TestViscosity:
     def test_zero_solution_zero_data_passes(self, ou):
         zero = GridFunction(np.linspace(-2, 2, 81)[:, None], np.zeros(81))
         anchor = StatePoint.of(0.0)  # the energy minimizer
-        tfs = [UpperTestFunction(ou, 1.0, 0.1, 0.0, anchor, anchor)]
+        tfs = [ViscosityTestFunction(ou, 1.0, 0.1, 0.0, anchor, anchor)]
         rep = verify_subsolution(zero, tfs, 1.0, zero, 1e-9)
         assert rep.passed
-        low = [LowerTestFunction(ou, 1.0, 0.1, 0.0, anchor, anchor)]
-        rep2 = verify_supersolution(zero, low, 1.0, zero, 1e-9)
+        rep2 = verify_supersolution(zero, tfs, 1.0, zero, 1e-9)
         assert rep2.passed
 
     def test_resolvent_passes_both_sweeps(self, cir, resolvent):
         xs = resolvent.f.coords()
         tol = 10.0 * (xs[1] - xs[0])
         h_grid = GridFunction(resolvent.f.nodes, H_CLIP(xs))
-        ups = sweep(cir, resolvent.f, "upper")
-        lows = sweep(cir, resolvent.f, "lower")
-        assert len(ups) >= 50 and len(lows) >= 50
-        rep_sub = verify_subsolution(resolvent.f, ups, 1.0, h_grid, tol)
-        rep_sup = verify_supersolution(resolvent.f, lows, 1.0, h_grid, tol)
+        tfs = sweep(cir, resolvent.f)
+        assert len(tfs) >= 50
+        rep_sub = verify_subsolution(resolvent.f, tfs, 1.0, h_grid, tol)
+        rep_sup = verify_supersolution(resolvent.f, tfs, 1.0, h_grid, tol)
         assert rep_sub.passed, rep_sub.worst
         assert rep_sup.passed, rep_sup.worst
 
@@ -764,13 +787,10 @@ class TestViscosity:
         tol = 10.0 * (xs[1] - xs[0])
         h_grid = GridFunction(resolvent.f.nodes, H_CLIP(xs))
         bad_up = GridFunction(resolvent.f.nodes, resolvent.f.values + 5.0)
-        ups = sweep(cir, resolvent.f, "upper", a_values=(1.0,),
-                    b_values=(1e-2,))
-        assert not verify_subsolution(bad_up, ups, 1.0, h_grid, tol).passed
+        tfs = sweep(cir, resolvent.f, a_values=(1.0,), b_values=(1e-2,))
+        assert not verify_subsolution(bad_up, tfs, 1.0, h_grid, tol).passed
         bad_low = GridFunction(resolvent.f.nodes, resolvent.f.values - 5.0)
-        lows = sweep(cir, resolvent.f, "lower", a_values=(1.0,),
-                     b_values=(1e-2,))
-        assert not verify_supersolution(bad_low, lows, 1.0, h_grid, tol).passed
+        assert not verify_supersolution(bad_low, tfs, 1.0, h_grid, tol).passed
 
     @staticmethod
     def assert_records_match_pointwise(grid, tfs, rep, h_grid, kind):
@@ -790,7 +810,7 @@ class TestViscosity:
         sol = solve_cir(1.0, H_CLIP, 60, 1e-6)
         h_grid = GridFunction(sol.f.nodes, H_CLIP(sol.f.coords()))
         for kind, verify in (("upper", verify_subsolution), ("lower", verify_supersolution)):
-            tfs = sweep(cir, sol.f, kind, a_values=(1.0,), b_values=(1e-2, 1e-1), n_anchors=2)
+            tfs = sweep(cir, sol.f, a_values=(1.0,), b_values=(1e-2, 1e-1), n_anchors=2)
             rep = verify(sol.f, tfs, 1.0, h_grid, 1.0)
             self.assert_records_match_pointwise(sol.f, tfs, rep, h_grid, kind)
 
@@ -804,9 +824,9 @@ class TestViscosity:
             return tataru_batch(*args)
 
         monkeypatch.setattr(evikit.hj, "tataru_batch", counting)
-        for kind, verify in (("upper", verify_subsolution), ("lower", verify_supersolution)):
-            tfs = sweep(cir, sol.f, kind)
-            assert len(tfs) == 60
+        tfs = sweep(cir, sol.f)
+        assert len(tfs) == 60
+        for verify in (verify_subsolution, verify_supersolution):
             calls.clear()
             verify(sol.f, tfs, 1.0, h_grid, 1.0)
             assert len(calls) == 5 and len(set(calls)) == 5
@@ -821,11 +841,10 @@ class TestViscosity:
         xs = np.linspace(-2.0, 2.0, 31)
         zero = GridFunction(xs[:, None], np.zeros(31))
         anchor = StatePoint.of(1.5)
-        for kind, verify, cls, values in (
-                ("upper", verify_subsolution, UpperTestFunction, -xs),
-                ("lower", verify_supersolution, LowerTestFunction, xs)):
-            tfs = [cls(space, 1.0, 1.0, 0.0, anchor, anchor, flow_dt)
-                   for space, flow_dt in ((quartic, 0.1), (quartic, 0.5), (make_ou(1.0), 0.1))]
+        tfs = [ViscosityTestFunction(space, 1.0, 1.0, 0.0, anchor, anchor, flow_dt)
+               for space, flow_dt in ((quartic, 0.1), (quartic, 0.5), (make_ou(1.0), 0.1))]
+        for kind, verify, values in (("upper", verify_subsolution, -xs),
+                                     ("lower", verify_supersolution, xs)):
             grid = GridFunction(zero.nodes, values)
             rep = verify(grid, tfs, 1.0, zero, 1.0)
             assert [r.argopt_index for r in rep.records] == [23, 25, 25]
@@ -834,11 +853,11 @@ class TestViscosity:
     def test_report_json(self, cir, resolvent, tmp_path):
         xs = resolvent.f.coords()
         h_grid = GridFunction(resolvent.f.nodes, H_CLIP(xs))
-        ups = sweep(cir, resolvent.f, "upper", a_values=(1.0,), b_values=(1e-2,))
-        rep = verify_subsolution(resolvent.f, ups, 1.0, h_grid, 0.1)
+        tfs = sweep(cir, resolvent.f, a_values=(1.0,), b_values=(1e-2,))
+        rep = verify_subsolution(resolvent.f, tfs, 1.0, h_grid, 0.1)
         payload = rep.to_json()
         assert payload["kind"] == "subsolution"
-        assert len(payload["records"]) == len(ups)
+        assert len(payload["records"]) == len(tfs)
 
 
 # ---------------------------------------------------------------------------
@@ -960,6 +979,14 @@ class TestRollout:
         with pytest.raises(UsageError, match="positive time step dt and horizon T"):
             value_by_rollout(ou, 1.0, H_CLIP, [0.0], np.zeros(1), dt, T,
                              np.linspace(-1.0, 1.0, 5))
+
+    @pytest.mark.parametrize("lam,us", [(0.0, np.zeros(1)), (-1.0, np.zeros(1)),
+                                        (math.nan, np.zeros(1)), (1.0, np.zeros(0))])
+    def test_lambda_and_control_grid_checked(self, ou, lam, us):
+        # at lambda 0 the discount divides by zero; at lambda -1 a value
+        # came back; an empty control grid reached numpy's max
+        with pytest.raises(UsageError, match="lambda must be positive|at least 1 control"):
+            value_by_rollout(ou, lam, H_CLIP, [0.5], us, 0.1, 1.0, np.linspace(-1.0, 1.0, 5))
 
     def test_single_start_is_one_row(self, cir):
         us = np.linspace(-2, 2, 11)

@@ -145,7 +145,8 @@ def ref_sandwich(space, a_values, anchors, samples, b=1e-6):
     def formal(a, anchor, pi, sign):
         y, ya = space.to_chart(pi), space.to_chart(anchor)
         d2 = space.distance(pi, anchor) ** 2
-        return float(-sign * a * np.dot(y - ya, space.chart_energy_grad(y)) + 0.5 * a**2 * d2)
+        grad = space.chart_energy_grad_rows(y[None])[0]
+        return float(-sign * a * np.dot(y - ya, grad) + 0.5 * a**2 * d2)
 
     k = space.kappa
     worst = -math.inf
