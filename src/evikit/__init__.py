@@ -24,7 +24,7 @@ from .spaces import (
     make_wasserstein1d,
     mccann_check,
 )
-from .flow import FlowConfig, Trajectory, flow_exact, flow_mms
+from .flow import Trajectory, flow_exact, flow_mms
 from .tataru import TataruResult, tataru_distance
 
 __version__ = "0.1.0"
@@ -35,7 +35,6 @@ __all__ = [
     "ConstructionError",
     "DomainError",
     "ExtendedReal",
-    "FlowConfig",
     "NumericalError",
     "QuadraticDescriptor",
     "Space",

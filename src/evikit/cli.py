@@ -42,13 +42,13 @@ import numpy as np
 
 from . import __version__
 from .core import (ConstructionError, DomainError, NumericalError, Space, StatePoint,
-                   UsageError, check_geodesic_property, check_kappa_convexity,
-                   check_metric_axioms, check_noise_identity)
+                   UnsupportedFlowError, UsageError, check_geodesic_property,
+                   check_kappa_convexity, check_metric_axioms, check_noise_identity)
 from .potentials import builtin_potentials, make_potential
 from .spaces import (AllenCahnDescriptor, CirDescriptor, QuadraticDescriptor,
                      Wasserstein1DDescriptor, make_allen_cahn, make_cir, make_ou,
                      make_quadratic, make_wasserstein1d, mccann_check)
-from .flow import (FlowConfig, flow_any, flow_exact, flow_mms, verify_contraction,
+from .flow import (flow_any, flow_exact, flow_exact_at, flow_mms, verify_contraction,
                    verify_energy_identity, verify_evi)
 from .tataru import (tataru_batch_csv, tataru_distance, verify_tataru_flow_lipschitz,
                      verify_tataru_lipschitz, verify_tataru_triangle)
@@ -217,9 +217,7 @@ _FLOW = {"x0": Field(_STATE), "T": Field(float, positive=True),
          "energy_tol": Field(float, None),
          "contraction": Field({"q0": Field(_STATE), "tol": Field(float, 1e-6)}, None),
          "mms_convergence": Field({"dts": Field([float], positive=True),
-                                   "ratio_range": Field([float, float], [1.7, 2.3])}, None),
-         "jko_inner_tol": Field(float, 1e-9, positive=True),
-         "jko_max_iter": Field(int, 500, positive=True)}
+                                   "ratio_range": Field([float, float], [1.7, 2.3])}, None)}
 
 
 def run_flow(space, p, out: Path, rng):
@@ -230,13 +228,10 @@ def run_flow(space, p, out: Path, rng):
     contraction, convergence = p["contraction"], p["mms_convergence"]
     if contraction is not None:
         q0 = _state(space, contraction["q0"])
-    mms_config = None
     if p["mode"] == "exact":
         traj = flow_exact(space, x0, T, dt)
     elif p["mode"] == "mms":
-        mms_config = FlowConfig(dt=dt, horizon=T, jko_inner_tol=p["jko_inner_tol"],
-                                jko_max_iter=p["jko_max_iter"])
-        traj = flow_mms(space, x0, mms_config)
+        traj = flow_mms(space, x0, T, dt)
     else:
         traj = flow_any(space, x0, T, dt)
     traj.to_csv(out / "trajectory.csv")
@@ -252,12 +247,12 @@ def run_flow(space, p, out: Path, rng):
     if convergence is not None:
         errs = []
         for dt_k in convergence["dts"]:
-            cfg_k = FlowConfig(dt=dt_k, horizon=T, jko_inner_tol=p["jko_inner_tol"],
-                               jko_max_iter=p["jko_max_iter"])
             # the config's own flow, when it is this one, is not run twice
-            mms = traj if cfg_k == mms_config else flow_mms(space, x0, cfg_k)
-            ref = flow_exact(space, x0, T, dt_k)
-            errs.append(space.distance(mms.end, ref.end))
+            mms = traj if p["mode"] == "mms" and dt_k == dt else flow_mms(space, x0, T, dt_k)
+            # the closed form at the time the minimizing movement ends, which
+            # is past T when dt_k does not divide it
+            ref = flow_exact_at(space, x0, mms.times[-1:])
+            errs.append(space.distance(mms.end, StatePoint.of(ref[0])))
         ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
         lo_r, hi_r = convergence["ratio_range"]
         ok = all(lo_r <= r <= hi_r for r in ratios)
@@ -459,7 +454,7 @@ def run_quadruplication(space, p, out: Path, rng):
     trend = result.trend()
     mono = all(trend[i + 1] <= trend[i] + 1e-15 for i in range(len(trend) - 1))
     ratio = trend[-1] / trend[0] if trend[0] > 0 else 0.0
-    residuals = [abs(rep.key1_residual) + abs(rep.key2_residual) for _, rep in result.entries]
+    residuals = [abs(rep.key1_residual) + abs(rep.key2_residual) for rep in result.entries]
     shrinks = [r0 / r1 if r1 > 0 else math.inf for r0, r1 in zip(residuals, residuals[1:])]
     return [("trend_nonincreasing", mono, f"{trend}"),
             ("trend_ratio", ratio <= ratio_max, f"{ratio:.4f} <= {ratio_max}"),
@@ -572,16 +567,11 @@ def _params_table(space: str, kind: str, params: dict) -> dict:
     suites.  A field the run would read and then ignore is left out, so
     that setting it is an unknown key: on cir a grid solve's grid spans
     the space's domain, so x_lo and x_hi, and quadruplication's grid.lo
-    and grid.hi, bound it only on the scalar quadratic space; only
-    minimizing movement reads jko_inner_tol and jko_max_iter, in mode
-    "mms" or in an mms_convergence study."""
+    and grid.hi, bound it only on the scalar quadratic space."""
     if kind == "tataru" and "pairs_in" in params:
         return _TATARU_PAIRS
-    unused = set()      # dotted paths of the fields left out
-    if space == "cir":
-        unused |= {"x_lo", "x_hi", "grid.lo", "grid.hi"}
-    if params.get("mode") != "mms" and "mms_convergence" not in params:
-        unused |= {"jko_inner_tol", "jko_max_iter"}
+    # dotted paths of the fields left out
+    unused = {"x_lo", "x_hi", "grid.lo", "grid.hi"} if space == "cir" else set()
 
     def pruned(table, prefix=""):
         return {key: (replace(spec, kind=pruned(spec.kind, f"{prefix}{key}."))
@@ -624,9 +614,10 @@ def run(config_path: str) -> int:
     kind = cfg["kind"]
     try:
         assertions = _KINDS[kind][0](space, cfg["params"], out, rng)
-    except (ConfigError, UsageError, DomainError) as exc:
+    except (ConfigError, UsageError, DomainError, UnsupportedFlowError) as exc:
         # DomainError: a point of the config or of an input table lies
-        # outside the space
+        # outside the space; UnsupportedFlowError: a closed-form flow asked
+        # of a state that has none
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

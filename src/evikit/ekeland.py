@@ -34,8 +34,8 @@ the (n,)*4 product array.  The finite-set principle under a Tataru product penal
 criterion 9 and by the `ekeland` check of the properties kind.
 
 Along a growing weight schedule the auxiliary terms a Psi + Xi decay
-toward zero, and the drift/squared-distance bounds tested by
-verify_key_estimates tighten accordingly.
+toward zero, and the drift/squared-distance key bounds that quadruplicate
+reports at each maximizer tighten accordingly.
 """
 
 from __future__ import annotations
@@ -194,23 +194,6 @@ def product_penalty(dt_matrix: np.ndarray, weights: tuple[float, ...]):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class QuadrupleState:
-    pi: StatePoint
-    rho: StatePoint
-    mu: StatePoint
-    gamma: StatePoint
-    alpha: float
-    eps_alpha: float
-    nu0: StatePoint
-    c1: float
-    c2: float
-
-    def __post_init__(self):
-        if not 0.0 < self.eps_alpha < 1.0 / 3.0:
-            raise UsageError("eps_alpha must lie in (0, 1/3)")
-
-
-@dataclass
 class QuadrupleReport:
     alpha: float
     eps: float
@@ -230,26 +213,17 @@ class QuadrupleReport:
 
 @dataclass
 class QuadruplicationResult:
-    entries: list[tuple[QuadrupleState, QuadrupleReport]]
+    entries: list[QuadrupleReport]
     sup_gap: float            # sup over the grid of u - v
     gap_constant: float       # fitted C in sup(u-v) <= Phi_a + C a^{-1/2}
 
     def trend(self) -> list[float]:
-        return [rep.alpha_psi + rep.xi for _, rep in self.entries]
+        return [rep.alpha_psi + rep.xi for rep in self.entries]
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump([rep.to_json() for _, rep in self.entries], fh,
+            json.dump([rep.to_json() for rep in self.entries], fh,
                       indent=2, sort_keys=True)
-
-
-def _ebar_values(space: Space, chart: np.ndarray, nu0: StatePoint,
-                 c1: float, c2: float) -> np.ndarray:
-    """Ebar = E + c1/2 d^2(., nu0) + c2 at each chart row, +inf outside
-    the energy domain."""
-    e = space.chart_energy_rows(chart)
-    d2 = _squares(_chart_distances(space, chart, space.to_chart(nu0)))
-    return np.where(np.isinf(e), math.inf, e + 0.5 * c1 * d2 + c2)
 
 
 def argmax_by_elimination(u: np.ndarray, v: np.ndarray, sq: np.ndarray,
@@ -317,6 +291,14 @@ def quadruplicate(space: Space, u: GridFunction, v: GridFunction,
     - mu (argmax_by_elimination), in O(n^2) time and memory per alpha; its
     tie rule is np.argmax's on the dense product grid, the first maximizer
     in C order of (pi, rho, mu, gamma).
+
+    At the maximizer, four grid indices, both key bounds are reported as
+    signed residuals, from the grid's energies and Fisher information:
+    key1 pairs the weighted energy-difference combination against
+    -eps/(1-eps) I(rho) - eps/(1+eps) I(gamma), and key2 the weighted
+    squared-distance gap against +eps/(1-eps) I(rho) + eps/(1+eps)
+    I(gamma).  They are expected to shrink along a growing alpha schedule;
+    callers flag failures of that trend.
     """
     if not np.array_equal(u.nodes, v.nodes):
         raise UsageError("u and v must share one grid")
@@ -328,10 +310,14 @@ def quadruplicate(space: Space, u: GridFunction, v: GridFunction,
     sq = space.chart_scale**2 * (
         np.sum((chart[:, None, :] - chart[None, :, :]) ** 2, axis=2)
     )
-    ebar = _ebar_values(space, chart, nu0, c1, c2)
-    if np.any(np.isinf(ebar)):
+    energy = space.chart_energy_rows(chart)
+    if np.any(np.isinf(energy)):
         raise UsageError("quadruplication grids must lie in the energy domain")
+    # Ebar = E + c1/2 d^2(., nu0) + c2
+    ebar = energy + 0.5 * c1 * _squares(_chart_distances(space, chart, space.to_chart(nu0))) + c2
+    info = space.information_rows(u.nodes)
     sup_gap = float(np.max(u.values - v.values))
+    k = space.kappa
 
     entries = []
     worst_c = 0.0
@@ -341,6 +327,8 @@ def quadruplicate(space: Space, u: GridFunction, v: GridFunction,
         i_rho0, i_gamma0 = int(i_pi0), int(i_mu0)  # same grid, finite energy
         s0 = 1.5 * ebar[i_rho0] + ebar[i_gamma0]
         eps = min(0.25, 0.5 / (alpha * (s0 + 1.0)))
+        if not 0.0 < eps < 1.0 / 3.0:
+            raise UsageError("eps_alpha must lie in (0, 1/3)")
 
         wm = 1.0 / (1.0 - eps)
         wp = 1.0 / (1.0 + eps)
@@ -351,46 +339,21 @@ def quadruplicate(space: Space, u: GridFunction, v: GridFunction,
         psi = (0.5 * wm * sq[i_pi, i_rho] + 0.5 * sq[i_rho, i_gamma]
                + 0.5 * wp * sq[i_gamma, i_mu])
         xi = eps * wm * ebar[i_rho] + eps * wp * ebar[i_gamma]
-        state = QuadrupleState(u.point(i_pi), u.point(i_rho), u.point(i_mu),
-                               u.point(i_gamma), alpha, eps, nu0, c1, c2)
-        key = verify_key_estimates(space, state)
-        entries.append((state, QuadrupleReport(
-            alpha, eps, float(phi), float(psi), float(xi), float(alpha * psi),
-            key["residual1"], key["residual2"])))
+        e_pi, e_rho, e_mu, e_gamma = energy[[i_pi, i_rho, i_mu, i_gamma]].tolist()
+        i_r, i_g = info[[i_rho, i_gamma]].tolist()
+        if math.isinf(i_r) or math.isinf(i_g):
+            raise UsageError("key estimates need finite information at rho and gamma")
+        d2_pr, d2_gm = _squares(_chart_distances(space, chart[[i_pi, i_gamma]],
+                                                 chart[[i_rho, i_mu]])).tolist()
+        key1 = (alpha * (wm * (e_rho - e_pi + 0.5 * k * d2_pr)
+                         - wp * (e_mu - e_gamma - 0.5 * k * d2_pr))
+                - (-eps * wm * i_r - eps * wp * i_g))
+        key2 = (0.5 * alpha**2 * wm * d2_pr - 0.5 * alpha**2 * wp * d2_gm
+                - (eps * wm * i_r + eps * wp * i_g))
+        entries.append(QuadrupleReport(alpha, eps, float(phi), float(psi), float(xi),
+                                       float(alpha * psi), key1, key2))
         worst_c = max(worst_c, (sup_gap - phi) * math.sqrt(alpha))
     return QuadruplicationResult(entries, sup_gap, worst_c)
-
-
-def verify_key_estimates(space: Space, q: QuadrupleState) -> dict:
-    """Both sides of the drift and squared-distance key bounds at a
-    quadruple, with the vanishing terms reported as signed residuals.
-
-    residual1 pairs the weighted energy-difference combination against
-    -eps/(1-eps) I(rho) - eps/(1+eps) I(gamma); residual2 pairs the
-    weighted squared-distance gap against +eps/(1-eps) I(rho) +
-    eps/(1+eps) I(gamma).  Residuals are expected to shrink along a
-    growing alpha schedule; callers flag failures of that trend.
-    """
-    eps, alpha = q.eps_alpha, q.alpha
-    wm, wp = 1.0 / (1.0 - eps), 1.0 / (1.0 + eps)
-    e_pi, e_rho = float(space.energy(q.pi)), float(space.energy(q.rho))
-    e_mu, e_gamma = float(space.energy(q.mu)), float(space.energy(q.gamma))
-    i_rho, i_gamma = float(space.information(q.rho)), float(space.information(q.gamma))
-    if math.isinf(i_rho) or math.isinf(i_gamma):
-        raise UsageError("key estimates need finite information at rho and gamma")
-    d2_pr = space.distance(q.pi, q.rho) ** 2
-    d2_gm = space.distance(q.gamma, q.mu) ** 2
-    k = space.kappa
-    lhs1 = alpha * (wm * (e_rho - e_pi + 0.5 * k * d2_pr)
-                    - wp * (e_mu - e_gamma - 0.5 * k * d2_pr))
-    rhs1 = -eps * wm * i_rho - eps * wp * i_gamma
-    lhs2 = 0.5 * alpha**2 * wm * d2_pr - 0.5 * alpha**2 * wp * d2_gm
-    rhs2 = eps * wm * i_rho + eps * wp * i_gamma
-    return {
-        "alpha": alpha, "eps": eps,
-        "lhs1": lhs1, "rhs1": rhs1, "residual1": lhs1 - rhs1,
-        "lhs2": lhs2, "rhs2": rhs2, "residual2": lhs2 - rhs2,
-    }
 
 
 # ---------------------------------------------------------------------------

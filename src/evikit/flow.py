@@ -15,9 +15,15 @@ step of many trajectories in lockstep, with each row's arithmetic that
 of ``jko_step``, which is how the Tataru scan flows the second arguments
 of many pairs at once.  Both stay, since on one row ``jko_rows`` runs
 slower than ``jko_step``: it pays for its per-row masks and indexing in
-every iteration.  A ``Trajectory`` holds its samples as an (n_t, dim) coordinate array, so
-the verifiers below work on all samples at once through the space's row
-hooks.
+every iteration.  Every inner solve stops at the step tolerance
+JKO_INNER_TOL or fails at JKO_MAX_ITER iterations.
+
+``flow_exact``, ``flow_mms`` and ``flow_any`` take (space, p, T, dt).
+Minimizing movement takes ceil(T/dt) steps, so it can end past T, where
+the closed form ends; a check that pairs the two takes the closed form at
+the minimizing-movement times (``flow_exact_at``).  A ``Trajectory`` holds
+its samples as an (n_t, dim) coordinate array, so the verifiers below work
+on all samples at once through the space's row hooks.
 
 Verifiers cover the standard consequences of the evolution variational
 inequality: the EVI inequality itself with the upper-right derivative
@@ -44,6 +50,11 @@ from .core import (
     _squares,
 )
 
+# the inner minimizing-movement solve: its step tolerance, relative to
+# max(1, |y_prev|), and its iteration cap
+JKO_INNER_TOL = 1e-9
+JKO_MAX_ITER = 500
+
 
 # ---------------------------------------------------------------------------
 # Data types
@@ -57,7 +68,6 @@ class Trajectory:
 
     times: np.ndarray
     coords: np.ndarray
-    space_id: str
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -87,20 +97,6 @@ class Trajectory:
             fh.write(",".join(header) + "\r\n")
             fh.writelines(",".join(map(repr, [t, *row.tolist()])) + "\r\n"
                           for t, row in zip(self.times.tolist(), self.coords))
-
-
-@dataclass
-class FlowConfig:
-    dt: float
-    horizon: float
-    jko_inner_tol: float = 1e-9
-    jko_max_iter: int = 500
-
-    def __post_init__(self):
-        if self.dt <= 0 or self.horizon <= 0 or self.dt > self.horizon:
-            raise UsageError("flow config requires 0 < dt <= horizon")
-        if self.jko_inner_tol <= 0:
-            raise UsageError("jko_inner_tol must be positive")
 
 
 @dataclass
@@ -145,22 +141,29 @@ def _time_grid(T: float, dt: float) -> np.ndarray:
     return times
 
 
-def flow_exact(space: Space, p: StatePoint, T: float, dt: float) -> Trajectory:
-    """Closed-form trajectory sampled at multiples of dt.
+def flow_exact_at(space: Space, p: StatePoint, times: np.ndarray) -> np.ndarray:
+    """The closed-form flow from p at each of times, as an (n_t, dim)
+    coordinate array.
 
     Raises UnsupportedFlowError when no closed form is registered for the
-    state's family; callers fall back to flow_mms.  p is validated once,
-    and each time is one exact_flow_rows call on p's row, so a closed form
-    keeps its per-time math.exp bits (exact_flow_chart's np.exp over all
-    times can differ in the last bit).
+    state's family.  p is validated once, and each time is one
+    exact_flow_rows call on p's row, so a closed form keeps its per-time
+    math.exp bits (exact_flow_chart's np.exp over all times can differ in
+    the last bit).
     """
     space.validate_point(p)
-    times = _time_grid(T, dt)
     row = p.array[None, :]
     coords = np.concatenate([space.exact_flow_rows(row, t) for t in times.tolist()])
     if not np.isfinite(coords).all():
         raise UsageError("StatePoint coordinates must be finite")
-    return Trajectory(times, coords, space.name)
+    return coords
+
+
+def flow_exact(space: Space, p: StatePoint, T: float, dt: float) -> Trajectory:
+    """Closed-form trajectory sampled at the multiples of dt up to T, and
+    at T; callers without a closed form fall back to flow_mms."""
+    times = _time_grid(T, dt)
+    return Trajectory(times, flow_exact_at(space, p, times))
 
 
 def jko_step(space: Space, y_prev: np.ndarray, dt: float,
@@ -293,30 +296,32 @@ def finite_coords(space: Space, y: np.ndarray) -> np.ndarray:
     return coords
 
 
-def flow_mms(space: Space, p: StatePoint, config: FlowConfig) -> Trajectory:
-    """Minimizing-movement (JKO) trajectory of length ceil(T/dt) + 1.
+def flow_mms(space: Space, p: StatePoint, T: float, dt: float) -> Trajectory:
+    """Minimizing-movement (JKO) trajectory of ceil(T/dt) steps of dt,
+    for 0 < dt <= T.
 
     The chart iterates are stacked and converted to coordinates once; the
     first sample keeps p's own coordinates."""
+    if not 0.0 < dt <= T:
+        raise UsageError(f"minimizing movement needs 0 < dt <= T, got dt={dt}, T={T}")
     space.validate_point(p)
-    n = int(math.ceil(config.horizon / config.dt - 1e-12))
-    times = config.dt * np.arange(n + 1)
+    n = int(math.ceil(T / dt - 1e-12))
+    times = dt * np.arange(n + 1)
     y = space.to_chart(p)
     coords = np.empty((n + 1, y.size))
     coords[0] = p.coords
     for k in range(1, n + 1):
         # a step that returns has converged, so its chart point is finite
-        coords[k] = y = jko_step(space, y, config.dt, config.jko_inner_tol,
-                                 config.jko_max_iter)
+        coords[k] = y = jko_step(space, y, dt, JKO_INNER_TOL, JKO_MAX_ITER)
     coords[1:] = finite_coords(space, coords[1:])
-    return Trajectory(times, coords, space.name)
+    return Trajectory(times, coords)
 
 
 def flow_any(space: Space, p: StatePoint, T: float, dt: float) -> Trajectory:
     """Exact flow when registered for p's family, else minimizing movement."""
     if space.has_exact_flow(p):
         return flow_exact(space, p, T, dt)
-    return flow_mms(space, p, FlowConfig(dt=dt, horizon=T))
+    return flow_mms(space, p, T, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +364,16 @@ def verify_evi(space: Space, traj: Trajectory, probes: list[StatePoint]) -> EviR
 
 def verify_contraction(space: Space, p: StatePoint, q: StatePoint,
                        T: float, dt: float) -> float:
-    """max_t [ d(p(t), q(t)) - exp(-kappa t) d(p, q) ] over the time grid."""
-    tp = flow_any(space, p, T, dt)
-    tq = flow_any(space, q, T, dt)
+    """max_t [ d(p(t), q(t)) - exp(-kappa t) d(p, q) ] over the time grid:
+    flow_exact's when both flows have a closed form, else flow_mms's, on
+    which a closed-form flow is taken at the same times."""
+    flows = [None if space.has_exact_flow(x) else flow_mms(space, x, T, dt) for x in (p, q)]
+    times = next((f.times for f in flows if f is not None), _time_grid(T, dt))
+    tp, tq = (flow_exact_at(space, x, times) if f is None else f.coords
+              for x, f in zip((p, q), flows))
     d0 = space.distance(p, q)
-    n = min(len(tp.times), len(tq.times))
-    dist = _chart_distances(space, space.to_chart_rows(tp.coords[:n]),
-                            space.to_chart_rows(tq.coords[:n]))
-    decay = np.array([math.exp(-space.kappa * t) for t in tp.times[:n].tolist()])
+    dist = _chart_distances(space, space.to_chart_rows(tp), space.to_chart_rows(tq))
+    decay = np.array([math.exp(-space.kappa * t) for t in times.tolist()])
     return float(np.max(dist - decay * d0, initial=-math.inf))
 
 

@@ -375,6 +375,11 @@ def _solve_tridiagonal(band: np.ndarray, f: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_lambda(lam: float) -> None:
+    if not (math.isfinite(lam) and lam > 0):
+        raise UsageError(f"resolvent parameter lambda must be positive and finite, got {lam}")
+
+
 def solve_resolvent_1d(xs: np.ndarray, drift: np.ndarray, sigma: np.ndarray,
                        lam: float, h_vals: np.ndarray, tol: float = 1e-6,
                        max_iter: int = 200) -> tuple[np.ndarray, np.ndarray, float, int]:
@@ -401,8 +406,7 @@ def solve_resolvent_1d(xs: np.ndarray, drift: np.ndarray, sigma: np.ndarray,
     Each node goes through the operations of a pass over the whole grid,
     in the same order, so no bit depends on the block size.
     """
-    if lam <= 0:
-        raise UsageError("resolvent parameter lambda must be positive")
+    _check_lambda(lam)
     n = xs.size
     dx = float(xs[1] - xs[0])
     band = np.empty((3, n))      # rows: A[j-1, j], A[j, j], A[j+1, j]
@@ -516,6 +520,7 @@ def solve_resolvent(space: Space, lam: float, h, xs: np.ndarray,
     difference quotient p: the policy step squares the iterate's
     difference quotients, which start near the data's, and an overflow
     there reaches the solve as an infinite right-hand side."""
+    _check_lambda(lam)
     drift_fn, sigma_fn, _ = _control(space)
     drift, sigma = drift_fn(xs), sigma_fn(xs)
     h_vals = np.asarray(h(xs), dtype=float)
@@ -590,9 +595,8 @@ def value_by_rollout(space: Space, lam: float, h, starts: np.ndarray,
     the result is the (m,) array of their values, each equal to the value
     of a rollout from that start alone.
     """
+    _check_lambda(lam)
     drift_fn, sigma_fn, (lo, hi) = _control(space)
-    if not lam > 0:
-        raise UsageError("resolvent parameter lambda must be positive")
     if not (dt > 0 and T > 0):
         raise UsageError("a rollout needs a positive time step dt and horizon T")
     xs = np.asarray(state_grid, dtype=float)

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Space, StatePoint, UsageError, _chart_distances, _suite_samples
-from .flow import FlowConfig, finite_coords, flow_mms, jko_rows
+from .flow import JKO_INNER_TOL, JKO_MAX_ITER, finite_coords, flow_mms, jko_rows
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Bound on the (pairs x scan times x dimension) chart array of one scan
@@ -156,24 +156,20 @@ def _sampled_scan(space: Space, y_rho: np.ndarray, d0: np.ndarray, flow_dt: floa
     together, and each drops out after its own ceil(d0 / step) steps.  A
     row's samples are bit for bit those of flow_mms on that pair alone
     (the chart of the stored coordinates).  One y_rho row is flowed once,
-    by flow_mms, as far as the largest d0, and the pairs share prefixes."""
+    by flow_mms, as far as the largest d0, and the pairs whose step is
+    that flow's share its prefixes; a pair with a shorter d0 steps alone."""
     dim = y_rho.shape[1]
+    shared_dt = None
 
     def chart_of(y):
         return space.to_chart_rows(finite_coords(space, y))
 
     if len(y_rho) == 1:
         horizon = float(d0.max())
-        traj = flow_mms(space, space.from_chart(y_rho[0]),
-                        FlowConfig(dt=min(flow_dt, horizon), horizon=horizon))
-        shared_t, shared_y = traj.times, space.to_chart_rows(traj.coords)
-
-        def scan(rows):
-            counts = np.ceil(d0[rows] / shared_t[1] - 1e-12).astype(np.int64) + 1
-            width = int(counts.max())
-            return (np.broadcast_to(shared_t[:width], (len(rows), width)), counts,
-                    np.broadcast_to(shared_y[:width], (len(rows), width, dim)))
-        return scan
+        shared_dt = min(flow_dt, horizon)
+        shared_y = space.to_chart_rows(
+            flow_mms(space, space.from_chart(y_rho[0]), horizon, shared_dt).coords)
+        y_rho = np.broadcast_to(y_rho, (len(d0), dim))
 
     def scan(rows):
         d = d0[rows]
@@ -181,16 +177,19 @@ def _sampled_scan(space: Space, y_rho: np.ndarray, d0: np.ndarray, flow_dt: floa
         steps = np.ceil(d / dt - 1e-12).astype(np.int64)
         times = np.zeros((len(rows), int(steps.max()) + 1))
         states = np.zeros(times.shape + (dim,))
-        for step in np.unique(dt):
+        for step in np.unique(dt).tolist():
             live = np.flatnonzero(dt == step)
-            cfg = FlowConfig(dt=float(step), horizon=float(d[live].max()))
-            times[live] = cfg.dt * np.arange(times.shape[1])
+            times[live] = step * np.arange(times.shape[1])
+            if step == shared_dt:
+                width = int(steps[live].max()) + 1
+                states[live, :width] = shared_y[:width]
+                continue
             y = chart_of(y_rho[rows[live]])
             states[live, 0] = y
             for k in range(1, int(steps[live].max()) + 1):
                 stay = steps[live] >= k
                 live, y = live[stay], y[stay]
-                y = jko_rows(space, y, cfg.dt, cfg.jko_inner_tol, cfg.jko_max_iter)
+                y = jko_rows(space, y, step, JKO_INNER_TOL, JKO_MAX_ITER)
                 states[live, k] = chart_of(y)
         return times, steps + 1, states
     return scan
@@ -378,8 +377,7 @@ def _flowed_rows(space: Space, coords: np.ndarray, r: float) -> np.ndarray:
     if exact.any():
         out[exact] = space.exact_flow_rows(coords[exact], r)
     for i in np.flatnonzero(~exact):
-        start = StatePoint(tuple(coords[i].tolist()))
-        out[i] = flow_mms(space, start, FlowConfig(dt=r / 4.0, horizon=r)).end.coords
+        out[i] = flow_mms(space, StatePoint(tuple(coords[i].tolist())), r, r / 4.0).coords[-1]
     return out
 
 

@@ -186,13 +186,12 @@ class TestRunConfigs:
 
     def test_mms_convergence_reuses_the_configs_flow(self, tmp_path, monkeypatch):
         """The run's own minimizing movement is the convergence study's flow
-        at dt, so it is not run twice; the study's flows take the config's
-        JKO tolerances, default or not."""
-        flows = []
+        at dt, so it is not run twice."""
+        steps = []
 
-        def counting(space, p, config):
-            flows.append(config)
-            return flow_mms(space, p, config)
+        def counting(space, p, T, dt):
+            steps.append(dt)
+            return flow_mms(space, p, T, dt)
 
         flow_mms = evikit.cli.flow_mms
         monkeypatch.setattr(evikit.cli, "flow_mms", counting)
@@ -200,29 +199,30 @@ class TestRunConfigs:
                   "mms_convergence": {"dts": [4e-3, 2e-3, 1e-3]}}
         cfg = self.base_config(tmp_path, kind="flow", params=params)
         assert run(self.write_config(tmp_path, cfg)) == 0
-        assert [c.dt for c in flows] == [1e-3, 4e-3, 2e-3]
-        flows.clear()
-        cfg["params"].update(jko_inner_tol=1e-10, jko_max_iter=400)
+        assert steps == [1e-3, 4e-3, 2e-3]
+
+    def test_mms_convergence_compares_at_equal_times(self, tmp_path, capsys):
+        """Minimizing movement at dt = 0.3 ends at 1.2 and at 0.15 or 0.075
+        at 1.05, past T = 1: each end is compared with the closed form at
+        its own time, not at T (which read ratios 2.20 and 1.76)."""
+        params = {"x0": [1.0], "T": 1.0, "dt": 0.075,
+                  "mms_convergence": {"dts": [0.3, 0.15, 0.075], "ratio_range": [1.0, 3.0]}}
+        cfg = self.base_config(tmp_path, kind="flow", params=params)
         assert run(self.write_config(tmp_path, cfg)) == 0
-        assert [c.dt for c in flows] == [1e-3, 4e-3, 2e-3]
-        assert {(c.jko_inner_tol, c.jko_max_iter) for c in flows} == {(1e-10, 400)}
+        assert "mms_convergence: ratios ['1.88', '1.94']" in capsys.readouterr().out
 
-    def test_mms_convergence_takes_jko_fields_in_any_mode(self, tmp_path, monkeypatch):
-        """An exact flow's convergence study runs minimizing movement with
-        the config's JKO fields."""
-        flows = []
-
-        def counting(space, p, config):
-            flows.append(config)
-            return flow_mms(space, p, config)
-
-        flow_mms = evikit.cli.flow_mms
-        monkeypatch.setattr(evikit.cli, "flow_mms", counting)
-        cfg = self.shipped_config(tmp_path, "ou_mms_convergence")
-        cfg["params"]["jko_max_iter"] = 400
-        assert run(self.write_config(tmp_path, cfg)) == 0
-        assert [(c.dt, c.jko_max_iter) for c in flows] == [(4e-3, 400), (2e-3, 400),
-                                                            (1e-3, 400)]
+    @pytest.mark.parametrize("params", [{"mode": "exact"},
+                                        {"mms_convergence": {"dts": [0.02, 0.01]}}])
+    def test_flow_without_closed_form_is_config_error(self, tmp_path, capsys, params):
+        """A closed form asked of a state that has none: the quartic
+        quadratic space registers no closed-form flow."""
+        cfg = self.base_config(
+            tmp_path, kind="flow",
+            space={"space": "quadratic", "params": {"perturbation": "quartic"}},
+            params={"x0": [1.0], "T": 0.1, "dt": 0.01, **params})
+        assert run(self.write_config(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err == (
+            "config error: quadratic flow with perturbation has no closed form\n")
 
     def test_byte_identical_outputs(self, tmp_path):
         cfg = {
@@ -655,13 +655,16 @@ PROBES = [
     ("cir_resolvent", "params.rollout.nodes", DELETE, "nodes"),
     ("ou_flow_contraction", "params.T", INF, "T"),
     ("ou_quadruplication", "params.x_lo", -2.0, "x_lo"),
-    # read and then ignored: cir's resolvent grid spans its domain, JKO
-    # tolerances outside minimizing movement, a misspelt data parameter
+    # read and then ignored: cir's resolvent grid spans its domain, a
+    # misspelt data parameter
     ("cir_resolvent", "params.x_lo", -1.0, "x_lo"),
     ("cir_viscosity", "params.x_hi", 1.0, "x_hi"),
     ("cir_comparison", "params.x_lo", 0.5, "x_lo"),
+    # no flow reads JKO tolerances: the inner solve's are fixed
     ("ou_flow_contraction", "params.jko_inner_tol", 1e-10, "jko_inner_tol"),
     ("ou_flow_contraction", "params.jko_max_iter", 100, "jko_max_iter"),
+    ("wasserstein_heat_mms", "params.jko_inner_tol", 1e-10, "jko_inner_tol"),
+    ("ou_mms_convergence", "params.jko_max_iter", 400, "jko_max_iter"),
     ("cir_resolvent", "params.h.params.slop", 5.0, "slop"),
     ("ou_quadruplication", "params.h.params.slope", 1.0, "slope"),
 ]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import evikit.ekeland
 from evikit.core import StatePoint, UsageError
 from evikit.ekeland import (
     EkelandProblem,
@@ -18,10 +19,10 @@ from evikit.ekeland import (
     quadruplicate,
     tataru_matrix,
     verify_ekeland_result,
-    verify_key_estimates,
 )
 from evikit.hj import GridFunction, make_data_function, solve_resolvent
-from evikit.spaces import CirDescriptor, make_cir, make_ou
+from evikit.potentials import make_potential
+from evikit.spaces import CirDescriptor, QuadraticDescriptor, make_cir, make_ou, make_quadratic
 from evikit.tataru import tataru_distance
 
 
@@ -303,11 +304,11 @@ def assert_trend_and_estimates(res):
     assert all(trend[i + 1] <= trend[i] + 1e-15 for i in range(2))
     assert trend[-1] <= 0.1 * trend[0]
     # weighted-gap bound: sup(u - v) <= Phi_alpha + C alpha^{-1/2}
-    for _, rep in res.entries:
+    for rep in res.entries:
         assert res.sup_gap <= rep.phi + res.gap_constant / math.sqrt(rep.alpha) + 1e-12
     # the vanishing terms shrink along the schedule
-    r1 = [abs(rep.key1_residual) for _, rep in res.entries]
-    r2 = [abs(rep.key2_residual) for _, rep in res.entries]
+    r1 = [abs(rep.key1_residual) for rep in res.entries]
+    r2 = [abs(rep.key2_residual) for rep in res.entries]
     assert r1[0] / r1[1] >= 1.5 and r1[1] / r1[2] >= 1.5
     assert r2[0] / r2[1] >= 1.5 and r2[1] / r2[2] >= 1.5
 
@@ -366,14 +367,87 @@ def test_elimination_matches_dense_argmax(case):
     assert argmax_by_elimination(*case) == dense_argmax(*case)
 
 
+def record_maximizers(monkeypatch):
+    """The (alpha, eps, maximizer indices) of every argmax_by_elimination
+    call quadruplicate makes, in a list filled as it runs."""
+    seen = []
+
+    def recording(u, v, sq, ebar, alpha, eps):
+        idx = argmax_by_elimination(u, v, sq, ebar, alpha, eps)
+        seen.append((alpha, eps, idx))
+        return idx
+
+    monkeypatch.setattr(evikit.ekeland, "argmax_by_elimination", recording)
+    return seen
+
+
+def one_point_key_estimates(space, pi, rho, mu, gamma, alpha, eps):
+    """(key1, key2) residuals by the one-point route quadruplicate once
+    took: space.energy, space.information and space.distance at the
+    quadruple's StatePoints."""
+    wm, wp = 1.0 / (1.0 - eps), 1.0 / (1.0 + eps)
+    e_pi, e_rho = float(space.energy(pi)), float(space.energy(rho))
+    e_mu, e_gamma = float(space.energy(mu)), float(space.energy(gamma))
+    i_rho, i_gamma = float(space.information(rho)), float(space.information(gamma))
+    d2_pr = space.distance(pi, rho) ** 2
+    d2_gm = space.distance(gamma, mu) ** 2
+    k = space.kappa
+    lhs1 = alpha * (wm * (e_rho - e_pi + 0.5 * k * d2_pr)
+                    - wp * (e_mu - e_gamma - 0.5 * k * d2_pr))
+    rhs1 = -eps * wm * i_rho - eps * wp * i_gamma
+    lhs2 = 0.5 * alpha**2 * wm * d2_pr - 0.5 * alpha**2 * wp * d2_gm
+    rhs2 = eps * wm * i_rho + eps * wp * i_gamma
+    return lhs1 - rhs1, lhs2 - rhs2
+
+
+@pytest.mark.parametrize("case", ["ou", "cir", "quartic"])
+def test_key_estimates_bit_equal_to_one_point_reference(case, monkeypatch):
+    space, lo, hi, nu0 = {
+        "ou": (make_ou(1.0), -2.0, 2.0, 0.0),
+        "cir": (make_cir(CirDescriptor(mu=1.0, x_lo=1e-3, x_hi=8.0)), 0.05, 4.0, 1.0),
+        "quartic": (make_quadratic(QuadraticDescriptor(
+            dimension=1, kappa=1.0, perturbation=make_potential("quartic"))), -2.0, 2.0, 0.0),
+    }[case]
+    xs = np.linspace(lo, hi, 31)
+    seen = record_maximizers(monkeypatch)
+    for h in (make_data_function("gaussian_bump", center=0.5 * (lo + hi), width=0.6),
+              make_data_function("affine_clipped", slope=0.5, cap=1.0)):
+        u = solve_resolvent(space, 1.0, h, xs, 1e-8).f
+        v = solve_resolvent(space, 1.0, lambda x: 0.9 * h(x), xs, 1e-8).f
+        seen.clear()
+        res = quadruplicate(space, u, v, [10.0, 100.0, 1000.0], StatePoint.of(nu0))
+        assert len(seen) == len(res.entries) == 3
+        for rep, (alpha, eps, idx) in zip(res.entries, seen):
+            ref = one_point_key_estimates(space, *(u.point(i) for i in idx), alpha, eps)
+            assert (repr(rep.key1_residual), repr(rep.key2_residual)) == tuple(map(repr, ref))
+
+
+def test_key_estimates_bit_equal_on_a_plane_grid(monkeypatch):
+    # in two dimensions the table the maximizer reads, scale^2 times a sum
+    # of squares, can differ from space.distance ** 2 in the last bit, and
+    # taking d^2 from it moves the first maximizer's residuals here
+    space = make_quadratic(QuadraticDescriptor(
+        dimension=2, kappa=1.0, perturbation=make_potential("quartic")))
+    nodes = np.random.default_rng(91).uniform(-1.5, 1.5, (200, 2))
+    u = GridFunction(nodes, 2.0 * nodes[:, 0] + nodes[:, 1])
+    v = GridFunction(nodes, 0.9 * u.values)
+    seen = record_maximizers(monkeypatch)
+    res = quadruplicate(space, u, v, [10.0, 100.0, 1000.0], StatePoint.of([0.0, 0.0]))
+    assert len(set(seen[0][2])) == 4
+    for rep, (alpha, eps, idx) in zip(res.entries, seen, strict=True):
+        ref = one_point_key_estimates(space, *(u.point(i) for i in idx), alpha, eps)
+        assert (repr(rep.key1_residual), repr(rep.key2_residual)) == tuple(map(repr, ref))
+
+
 class TestQuadruplication:
-    def test_zero_functions_collapse_to_diagonal(self):
+    def test_zero_functions_collapse_to_diagonal(self, monkeypatch):
         ou = make_ou(1.0)
         zero = GridFunction(np.linspace(-1.0, 1.0, 11)[:, None], np.zeros(11))
+        seen = record_maximizers(monkeypatch)
         res = quadruplicate(ou, zero, zero, [10.0, 100.0], StatePoint.of(0.0))
-        for state, rep in res.entries:
+        for rep, (_, _, (pi, rho, mu, gamma)) in zip(res.entries, seen, strict=True):
             assert rep.psi == 0.0
-            assert state.pi == state.rho == state.mu == state.gamma
+            assert pi == rho == mu == gamma
 
     def test_desk_case_trend_and_estimates(self, desk_case):
         ou, u, v = desk_case
@@ -383,12 +457,12 @@ class TestQuadruplication:
     def test_eps_rule_satisfies_selection_inequality(self, desk_case):
         ou, u, v = desk_case
         res = quadruplicate(ou, u, v, [10.0, 100.0], StatePoint.of(0.0))
-        for state, rep in res.entries:
-            assert 0.0 < state.eps_alpha < 1.0 / 3.0
+        for rep in res.entries:
+            assert 0.0 < rep.eps < 1.0 / 3.0
             # Xi at the warm start obeys Xi + eps < 1/alpha by construction;
             # at the optimizer Xi is reported and finite
             assert rep.xi >= 0.0
-            assert state.eps_alpha <= 1.0 / state.alpha
+            assert rep.eps <= 1.0 / rep.alpha
 
     def test_fine_grid_trend_and_memory(self):
         # the dense (n,)*4 objective would take 5.4 GB at n = 161; the
@@ -415,26 +489,21 @@ class TestQuadruplication:
 
 
 class TestKeyEstimates:
-    def test_diagonal_at_minimizer_is_trivial(self):
+    def test_diagonal_at_minimizer_is_trivial(self, monkeypatch):
+        # zero data: the maximizer is the energy's minimizer 0 four times
         ou = make_ou(1.0)
-        from evikit.ekeland import QuadrupleState
+        zero = GridFunction(np.linspace(-1.0, 1.0, 11)[:, None], np.zeros(11))
+        seen = record_maximizers(monkeypatch)
+        res = quadruplicate(ou, zero, zero, [100.0], StatePoint.of(0.0))
+        assert seen[0][2] == (5, 5, 5, 5)
+        assert res.entries[0].key1_residual == 0.0 and res.entries[0].key2_residual == 0.0
 
-        origin = StatePoint.of(0.0)
-        q = QuadrupleState(origin, origin, origin, origin, alpha=100.0,
-                           eps_alpha=0.01, nu0=origin, c1=1.0, c2=0.0)
-        rep = verify_key_estimates(ou, q)
-        assert rep["lhs1"] == 0.0 and rep["rhs1"] == 0.0
-        assert rep["lhs2"] == 0.0 and rep["rhs2"] == 0.0
-
-    def test_infinite_information_rejected(self):
-        cir = make_cir(CirDescriptor(mu=1.0))
-        from evikit.ekeland import QuadrupleState
-
-        good, bad = StatePoint.of(1.0), StatePoint.of(0.0)
-        q = QuadrupleState(good, bad, good, good, alpha=10.0, eps_alpha=0.01,
-                           nu0=good, c1=1.0, c2=0.0)
-        with pytest.raises(UsageError):
-            verify_key_estimates(cir, q)
+    def test_infinite_information_rejected(self, monkeypatch):
+        ou = make_ou(1.0)
+        monkeypatch.setattr(ou, "information_rows", lambda coords: np.full(len(coords), math.inf))
+        zero = GridFunction(np.linspace(-1.0, 1.0, 11)[:, None], np.zeros(11))
+        with pytest.raises(UsageError, match="finite information"):
+            quadruplicate(ou, zero, zero, [10.0], StatePoint.of(0.0))
 
 
 class TestJensen:

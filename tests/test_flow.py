@@ -19,7 +19,6 @@ from evikit.core import (
 )
 from evikit.flow import (
     EviReport,
-    FlowConfig,
     ProbeRecord,
     Trajectory,
     _refine_minimum,
@@ -124,8 +123,7 @@ class TestExactFlows:
         ]
         for space, p, T, dt in cases:
             times = _time_grid(T, dt)
-            route = Trajectory(times, [space.exact_flow(p, float(t)).coords for t in times],
-                               space.name)
+            route = Trajectory(times, [space.exact_flow(p, float(t)).coords for t in times])
             route.to_csv(tmp_path / "route.csv")
             flow_exact(space, p, T, dt).to_csv(tmp_path / "trajectory.csv")
             assert ((tmp_path / "trajectory.csv").read_bytes()
@@ -176,26 +174,26 @@ class TestExactFlows:
 
 class TestMinimizingMovement:
     def test_ou_first_order_accuracy(self, ou):
-        traj = flow_mms(ou, StatePoint.of(1.0), FlowConfig(dt=1e-3, horizon=1.0))
+        traj = flow_mms(ou, StatePoint.of(1.0), 1.0, 1e-3)
         assert abs(traj.end.coords[0] - math.exp(-1.0)) <= 1e-3
         assert traj.coords.shape == (1001, 1)
 
     def test_stationary_start_stays_constant(self, ou, cir):
         for space, p in ((ou, StatePoint.of(0.0)), (cir, StatePoint.of(1.0))):
-            traj = flow_mms(space, p, FlowConfig(dt=1e-2, horizon=0.2))
+            traj = flow_mms(space, p, 0.2, 1e-2)
             assert all(space.distance(traj.point(i), p) <= 1e-9
                        for i in range(len(traj.times)))
 
     def test_first_order_convergence_ratio(self, ou):
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
-            traj = flow_mms(ou, StatePoint.of(1.0), FlowConfig(dt=dt, horizon=1.0))
+            traj = flow_mms(ou, StatePoint.of(1.0), 1.0, dt)
             errs.append(abs(traj.end.coords[0] - math.exp(-1.0)))
         for i in range(2):
             assert 1.7 <= errs[i] / errs[i + 1] <= 2.3
 
     def test_cir_mms_matches_closed_form(self, cir):
-        traj = flow_mms(cir, StatePoint.of(3.0), FlowConfig(dt=1e-3, horizon=1.0))
+        traj = flow_mms(cir, StatePoint.of(3.0), 1.0, 1e-3)
         exact = 1.0 + 2.0 * math.exp(-1.0)
         assert abs(traj.end.coords[0] - exact) <= 2e-3
 
@@ -203,15 +201,15 @@ class TestMinimizingMovement:
         cases = [(ou, StatePoint.of(2.0)), (cir, StatePoint.of(3.0)),
                  (heat_space, heat_space.gaussian_state(0.2, 0.8))]
         for space, p in cases:
-            traj = flow_mms(space, p, FlowConfig(dt=1e-2, horizon=0.3))
+            traj = flow_mms(space, p, 0.3, 1e-2)
             vals = [float(space.energy(traj.point(i))) for i in range(len(traj.times))]
             assert all(vals[i + 1] <= vals[i] + 1e-10 for i in range(len(vals) - 1))
 
-    def test_bad_config_rejected(self):
-        with pytest.raises(UsageError):
-            FlowConfig(dt=-1e-3, horizon=1.0)
-        with pytest.raises(UsageError):
-            FlowConfig(dt=2.0, horizon=1.0)
+    def test_bad_config_rejected(self, ou):
+        # flow_mms checks 0 < dt <= T itself
+        for T, dt in ((1.0, -1e-3), (1.0, 0.0), (1.0, 2.0), (-1.0, 0.1), (1.0, math.nan)):
+            with pytest.raises(UsageError, match="0 < dt <= T"):
+                flow_mms(ou, StatePoint.of(1.0), T, dt)
 
 
 class CountingQuadratic(QuadraticSpace):
@@ -394,11 +392,11 @@ class TestEviMatchesLoop:
         report = self.assert_same(ou, traj, [StatePoint.of(0.7), StatePoint.of(0.0)])
         assert [r.t for r in report.records] == [0.0, 0.0]
         # CIR samples at x = 0 have infinite energy and are skipped
-        traj = Trajectory(np.arange(5) * 0.1, [[0.0], [2.0], [0.0], [1.5], [0.0]], "cir")
+        traj = Trajectory(np.arange(5) * 0.1, [[0.0], [2.0], [0.0], [1.5], [0.0]])
         report = self.assert_same(cir, traj, [StatePoint.of(1.0), StatePoint.of(0.4)])
         assert {r.t for r in report.records} <= {0.1, 0.30000000000000004}
         # only infinite-energy samples: no record at all
-        traj = Trajectory(np.array([0.0, 0.1]), [[0.0], [1.0]], "cir")
+        traj = Trajectory(np.array([0.0, 0.1]), [[0.0], [1.0]])
         report = self.assert_same(cir, traj, [StatePoint.of(1.0)])
         assert report.records == [] and report.max_violation == -math.inf
 
@@ -408,17 +406,22 @@ class TestEviMatchesLoop:
         # its numpy square, and the record carries that bit
         d = 1.8509723469979271
         assert d ** 2 != float(np.square(d))
-        traj = Trajectory(np.array([0.0, 1e-3]), [[d], [d * math.exp(-1e-3)]], "ou")
+        traj = Trajectory(np.array([0.0, 1e-3]), [[d], [d * math.exp(-1e-3)]])
         self.assert_same(ou, traj, [StatePoint.of(0.0)])
 
 
 def loop_contraction(space, p, q, T, dt):
+    """verify_contraction one sample at a time, on flow_mms's times when
+    either start has no closed form, where a closed form is taken by
+    space.exact_flow at each of them."""
     tp, tq = flow_any(space, p, T, dt), flow_any(space, q, T, dt)
+    times = tq.times if space.has_exact_flow(p) else tp.times
     d0 = space.distance(p, q)
     worst = -math.inf
-    for i, t in enumerate(tp.times[:min(len(tp.times), len(tq.times))]):
-        worst = max(worst, space.distance(tp.point(i), tq.point(i))
-                    - math.exp(-space.kappa * t) * d0)
+    for i, t in enumerate(times.tolist()):
+        at = [space.exact_flow(x, t) if space.has_exact_flow(x) else tr.point(i)
+              for x, tr in ((p, tp), (q, tq))]
+        worst = max(worst, space.distance(*at) - math.exp(-space.kappa * t) * d0)
     return worst
 
 
@@ -428,8 +431,16 @@ def test_contraction_matches_loop(ou, cir, heat_space):
              (quadratic(1, "quartic"), StatePoint.of(1.0), StatePoint.of(-0.5), 0.3, 1e-2),
              (heat_space, heat_space.gaussian_state(0.0, 1.0),
               heat_space.gaussian_state(0.3, 2.0), 1.0, 1e-2)]
+    # a closed-form start against one without: minimizing movement ends at
+    # 0.3, past T, and pairing that sample with the closed form at 0.25
+    # read a violation of 0.033
+    w8 = make_wasserstein1d(Wasserstein1DDescriptor(m=8, internal=make_potential("entropy")))
+    gauss = w8.gaussian_state(0.0, 1.0)
+    stretched = StatePoint.of(gauss.array * np.linspace(1.0, 1.01, 8))
+    cases += [(w8, gauss, stretched, 0.25, 0.1), (w8, stretched, gauss, 0.25, 0.1)]
     for space, p, q, T, dt in cases:
         assert verify_contraction(space, p, q, T, dt) == loop_contraction(space, p, q, T, dt)
+    assert verify_contraction(w8, gauss, stretched, 0.25, 0.1) == 0.0
 
 
 def loop_quadratic_lower_bound(space, nu0, c1, sample_count, rng):
@@ -641,7 +652,7 @@ class TestEnergyIdentity:
                  (singular, flow_exact(singular, StatePoint.of(2.0), 1.0, 1e-3)),
                  # an interior state with a flat gap has infinite information
                  (heat_space, Trajectory(np.array([0.0, 0.1, 0.2]),
-                                         np.array([gauss, flat, gauss]), heat_space.name))]
+                                         np.array([gauss, flat, gauss])))]
         for space, traj in trajs:
             assert verify_energy_identity(space, traj) == loop_energy_identity(space, traj)
         assert verify_energy_identity(*trajs[-1]) == math.inf
@@ -688,13 +699,13 @@ class TestTrajectory:
     def test_validation(self):
         two = np.array([[1.0], [1.0]])
         with pytest.raises(UsageError):
-            Trajectory(np.array([0.0, 0.0]), two, "ou")
+            Trajectory(np.array([0.0, 0.0]), two)
         with pytest.raises(UsageError):
-            Trajectory(np.array([0.1, 0.2]), two, "ou")
+            Trajectory(np.array([0.1, 0.2]), two)
         with pytest.raises(UsageError):
-            Trajectory(np.array([0.0]), two, "ou")
+            Trajectory(np.array([0.0]), two)
         with pytest.raises(UsageError):
-            Trajectory(np.array([0.0, 0.1]), np.array([1.0, 1.0]), "ou")
+            Trajectory(np.array([0.0, 0.1]), np.array([1.0, 1.0]))
 
     def test_csv_export_header(self, ou, tmp_path):
         traj = flow_exact(ou, StatePoint.of(1.0), 0.01, 1e-2)
@@ -708,7 +719,7 @@ class TestTrajectory:
         """to_csv writes whole rows itself; its bytes are csv.writer's."""
         coords = np.array([[-0.0, 5e-324, 1e308], [1e-300, -1e308, 0.1],
                            [math.pi, -5e-324, 0.0]])
-        traj = Trajectory(np.array([0.0, 5e-324, 0.30000000000000004]), coords, "quadratic")
+        traj = Trajectory(np.array([0.0, 5e-324, 0.30000000000000004]), coords)
         traj.to_csv(tmp_path / "traj.csv")
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             writer = csv.writer(fh)

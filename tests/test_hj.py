@@ -981,12 +981,20 @@ class TestRollout:
                              np.linspace(-1.0, 1.0, 5))
 
     @pytest.mark.parametrize("lam,us", [(0.0, np.zeros(1)), (-1.0, np.zeros(1)),
-                                        (math.nan, np.zeros(1)), (1.0, np.zeros(0))])
+                                        (math.nan, np.zeros(1)), (1.0, np.zeros(0)),
+                                        (math.inf, np.zeros(1))])
     def test_lambda_and_control_grid_checked(self, ou, lam, us):
         # at lambda 0 the discount divides by zero; at lambda -1 a value
-        # came back; an empty control grid reached numpy's max
+        # came back; at lambda inf the discount was inf * 0, a NaN value;
+        # an empty control grid reached numpy's max
         with pytest.raises(UsageError, match="lambda must be positive|at least 1 control"):
             value_by_rollout(ou, lam, H_CLIP, [0.5], us, 0.1, 1.0, np.linspace(-1.0, 1.0, 5))
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_resolvent_lambda_checked_first(self, ou, lam):
+        # lambda nan or inf was refused as data "too steep for the resolvent grid"
+        with pytest.raises(UsageError, match="lambda must be positive and finite"):
+            solve_resolvent(ou, lam, H_CLIP, np.linspace(-1.0, 1.0, 5), 1e-8)
 
     def test_single_start_is_one_row(self, cir):
         us = np.linspace(-2, 2, 11)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from evikit.core import DomainError, NumericalError, StatePoint, UsageError
-from evikit.flow import FlowConfig, _time_grid, flow_any, flow_exact, flow_mms
+from evikit.flow import _time_grid, flow_any, flow_exact, flow_mms
 from evikit.potentials import make_potential
 from evikit.spaces import (
     CirDescriptor,
@@ -137,18 +137,15 @@ def scalar_tataru(space, pi, rho, flow_dt):
 
 def per_pair_sampled_scan(space, y_rho, d0, flow_dt):
     """The scan that the lockstep one replaced: flow_mms on each pair's
-    rho alone (one shared flow for a single y_rho row), its samples
-    stacked through space.to_chart."""
+    rho alone (the one y_rho row for every pair when there is one), its
+    samples stacked through space.to_chart."""
     def flow(y, horizon):
-        traj = flow_mms(space, space.from_chart(y),
-                        FlowConfig(dt=min(flow_dt, horizon), horizon=horizon))
+        traj = flow_mms(space, space.from_chart(y), horizon, min(flow_dt, horizon))
         return traj.times, np.stack([space.to_chart(traj.point(i))
                                      for i in range(len(traj.times))])
 
-    shared = flow(y_rho[0], float(d0.max())) if len(y_rho) == 1 else None
-
     def scan(rows):
-        flows = [shared or flow(y_rho[i], float(d0[i])) for i in rows]
+        flows = [flow(y_rho[i % len(y_rho)], float(d0[i])) for i in rows]
         counts = np.array([math.ceil(d0[i] / t[1] - 1e-12) + 1
                            for i, (t, _) in zip(rows, flows)])
         times = np.zeros((len(rows), int(counts.max())))
@@ -494,11 +491,25 @@ class TestPairKernel:
         assert_kernel_matches_scalar(space, pairs, 1e-2, tol=0.0)
         t_star = _tataru_rows(space, [pairs[-2][0].coords], [pairs[-2][1].coords], 1e-2)[1][0]
         assert t_star == pytest.approx(1.0, abs=1e-2)
-        # tataru_batch flows rho once; pairs with d0 >= flow_dt see the same samples
+        # tataru_batch flows rho once, and a pair's value is its own: pairs
+        # with d0 >= flow_dt see the same samples, and those with
+        # 0 < d0 < flow_dt step at d0
         rho = pairs[-2][1]
-        pis = [StatePoint.of(y) for y in ([0.0, 0.0], [0.5, 0.1], [2.0, -0.3], [math.e, 0.0])]
+        pis = [StatePoint.of(y) for y in ([0.0, 0.0], [0.5, 0.1], [2.0, -0.3], [math.e, 0.0],
+                                          [math.e - 0.006, 0.0], [math.e, 0.002])]
         batch = tataru_batch(space, np.stack([space.to_chart(p) for p in pis]), rho, 1e-2)
         assert list(batch) == [scalar_tataru(space, pi, rho, 1e-2)[0] for pi in pis]
+
+    def test_batch_value_does_not_depend_on_the_batch(self):
+        # a pair with d0 < flow_dt once took the step of the batch's shared flow
+        space = make_quadratic(QuadraticDescriptor(
+            dimension=1, kappa=1.0, perturbation=make_potential("zero")))
+        rho, pi = StatePoint.of(3.0), StatePoint.of(2.994)
+        alone = tataru_distance(space, pi, rho, 1e-2).value
+        assert alone == scalar_tataru(space, pi, rho, 1e-2)[0] == 0.002012000052425352
+        for others in ([], [0.5], [2.999, 0.5]):
+            batch = tataru_batch(space, np.array([[2.994], *([x] for x in others)]), rho, 1e-2)
+            assert batch[0] == alone
 
 
 class TestLockstepScan:
@@ -529,8 +540,10 @@ class TestLockstepScan:
         order = np.argsort(d0, kind="stable")
         self.assert_scans_match(space, y_rho, d0, flow_dt, order)
         self.assert_scans_match(space, y_rho, d0, flow_dt, order[5:9])
-        # one flowing rho shared by every pair
-        self.assert_scans_match(space, y_rho[:1], d0, flow_dt, order[3:])
+        # one flowing rho for every pair: those whose d0 is below flow_dt
+        # step at d0, as they would alone
+        self.assert_scans_match(space, y_rho[:1], d0, flow_dt, order)
+        self.assert_scans_match(space, y_rho[:1], d0[:2], flow_dt, np.arange(2))
 
 
     def test_blocks_stay_bounded(self, monkeypatch):
