@@ -140,8 +140,11 @@ class Space(ABC):
     chart_energy_grad_rows, sample_rows and slope_rows, plus the chart and
     projection row hooks if its chart is not the identity or it has a
     feasible set.  The one-point forms are their one-row cases, here
-    only.  All operations are pure; instances are immutable after
-    construction and safe to share across threads.
+    only.  A space of dimension 1 may also override _scalar_chart, the
+    energy, gradient and projection of its chart on Python floats, which
+    the minimizing-movement step calls instead of the row hooks; by
+    default it wraps the row hooks.  All operations are pure; instances
+    are immutable after construction and safe to share across threads.
     """
 
     name: str = "abstract"
@@ -185,6 +188,23 @@ class Space(ABC):
         """Energy gradient (n, dimension) at each row of an (n, dimension)
         chart array."""
         ...
+
+    def _scalar_chart(self) -> tuple[Callable[[float], float], Callable[[float], float],
+                                     Callable[[float], float]]:
+        """The chart energy, energy gradient and projection of a space of
+        dimension 1, as functions of one Python float.  A space overrides
+        this with float arithmetic that has its row hooks' bits; by default
+        each is its row hook on a (1, 1) array."""
+        def energy(y):
+            return float(self.chart_energy_rows(np.array([[y]]))[0])
+
+        def gradient(y):
+            return float(self.chart_energy_grad_rows(np.array([[y]]))[0, 0])
+
+        def project(y):
+            return float(self.project_chart_rows(np.array([[y]]))[0, 0])
+
+        return energy, gradient, project
 
     # -- metric ------------------------------------------------------------
 

@@ -13,10 +13,16 @@ transport space) pool-adjacent-violators feasibility projection.
 ``jko_step`` takes one step of one trajectory; ``jko_rows`` takes one
 step of many trajectories in lockstep, with each row's arithmetic that
 of ``jko_step``, which is how the Tataru scan flows the second arguments
-of many pairs at once.  Both stay, since on one row ``jko_rows`` runs
-slower than ``jko_step``: it pays for its per-row masks and indexing in
-every iteration.  Every inner solve stops at the step tolerance
-JKO_INNER_TOL or fails at JKO_MAX_ITER iterations.
+of many pairs at once.  ``jko_step`` writes its Barzilai-Borwein/Armijo
+loop once, on the primitives the dimension picks: on a space of
+dimension 1, Python floats and the space's ``_scalar_chart`` hooks
+(numpy costs 0.4-2 us a call on a one-element array, float arithmetic
+about 0.05 us); otherwise ``np.vdot`` and the row hooks on one
+(1, dimension) row.  ``jko_rows`` is the bit reference for both.  Both
+functions stay, since on one row ``jko_rows`` runs slower than
+``jko_step``: it pays for its per-row masks and indexing in every
+iteration.  Every inner solve stops at the step tolerance JKO_INNER_TOL
+or fails at JKO_MAX_ITER iterations.
 
 ``flow_exact``, ``flow_mms`` and ``flow_any`` take (space, p, T, dt).
 Minimizing movement takes ceil(T/dt) steps, so it can end past T, where
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,7 +140,11 @@ class EviReport:
 # ---------------------------------------------------------------------------
 
 def _time_grid(T: float, dt: float) -> np.ndarray:
-    """Multiples of dt up to T, with T itself appended when missed."""
+    """Multiples of dt up to T, with T itself appended when missed, for
+    finite dt > 0 and T >= 0."""
+    if not (0.0 < dt < math.inf and 0.0 <= T < math.inf):
+        raise UsageError(f"a closed-form flow needs finite dt > 0 and T >= 0, "
+                         f"got dt={dt}, T={T}")
     n = int(math.floor(T / dt + 1e-12))
     times = dt * np.arange(n + 1)
     if times[-1] < T - 1e-12 * max(1.0, T):
@@ -168,47 +179,67 @@ def flow_exact(space: Space, p: StatePoint, T: float, dt: float) -> Trajectory:
 
 def jko_step(space: Space, y_prev: np.ndarray, dt: float,
              inner_tol: float, max_iter: int) -> np.ndarray:
-    """One minimizing-movement step in chart coordinates, calling the
-    space's row hooks on one (1, dimension) row."""
-    s2 = space.chart_scale**2
+    """One minimizing-movement step from the chart point y_prev
+    (dimension,), as a new (dimension,) array.
 
+    On a space of dimension 1 the step runs on Python floats, through the
+    space's _scalar_chart; otherwise on one (1, dimension) row, through
+    the row hooks, with np.vdot (np.dot's bits on the flattened row).
+    Both take the same arithmetic in the same order, so the float path
+    has the bits of the row path (and of jko_rows), without numpy's cost
+    per call on one-element arrays."""
+    s2 = space.chart_scale**2
+    scalar = space.dimension == 1
+    if scalar:
+        energy, gradient, project = space._scalar_chart()
+        dot, y_prev = operator.mul, float(y_prev[0])
+    else:
+        def energy(y):
+            return float(space.chart_energy_rows(y)[0])
+
+        gradient, project, dot = space.chart_energy_grad_rows, space.project_chart_rows, np.vdot
+        y_prev = y_prev[None]
+
+    # each dot goes through float(), so the row path's scalar arithmetic
+    # is on Python floats, as on the float path (numpy scalars would warn
+    # on overflow)
     def objective(y):
         diff = y - y_prev
-        energy = float(space.chart_energy_rows(y[None])[0])
-        return energy + s2 * float(np.dot(diff, diff)) / (2 * dt)
+        return energy(y) + s2 * float(dot(diff, diff)) / (2 * dt)
 
     def grad(y):
-        return space.chart_energy_grad_rows(y[None])[0] + s2 * (y - y_prev) / dt
+        return gradient(y) + s2 * (y - y_prev) / dt
 
-    y = y_prev.copy()
+    y = y_prev
     fy = objective(y)
     if not math.isfinite(fy):
         raise NumericalError("minimizing movement started outside the energy domain")
     g = grad(y)
     step = dt / s2
-    scale = max(1.0, math.sqrt(float(np.dot(y_prev, y_prev))))  # np.linalg.norm's bits
+    scale = max(1.0, math.sqrt(float(dot(y_prev, y_prev))))  # np.linalg.norm's bits
     for _ in range(max_iter):
-        y_new = space.project_chart_rows((y - step * g)[None])[0]
+        y_new = project(y - step * g)
         d = y_new - y
-        dn2 = float(np.dot(d, d))
+        dn2 = float(dot(d, d))
         if math.sqrt(dn2) <= inner_tol * scale:
-            return y_new
+            return np.array([y_new]) if scalar else y_new[0]
         f_new = objective(y_new)
         backtracks = 0
         while (not math.isfinite(f_new)
-               or f_new > fy + float(np.dot(g, d)) + 0.5 * dn2 / step) and backtracks < 60:
+               or f_new > fy + float(dot(g, d)) + 0.5 * dn2 / step) and backtracks < 60:
             step *= 0.5
-            y_new = space.project_chart_rows((y - step * g)[None])[0]
+            y_new = project(y - step * g)
             d = y_new - y
-            dn2 = float(np.dot(d, d))
+            dn2 = float(dot(d, d))
             f_new = objective(y_new)
             backtracks += 1
         g_new = grad(y_new)
-        sy = float(np.dot(d, g_new - g))
+        sy = float(dot(d, g_new - g))
         step = dn2 / sy if sy > 1e-30 else dt / s2
         step = min(max(step, 1e-14), 1e8)
         y, fy, g = y_new, f_new, g_new
-    resid = float(np.linalg.norm(grad(y)))
+    g = grad(y)
+    resid = math.sqrt(float(dot(g, g)))  # np.linalg.norm's bits
     raise NumericalError(
         f"inner minimizing-movement solve did not converge (gradient norm {resid:.3e})",
         residual=resid,

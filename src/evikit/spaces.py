@@ -210,9 +210,7 @@ class QuadraticSpace(Space):
 
     def chart_energy_rows(self, y: np.ndarray) -> np.ndarray:
         # row-wise vecdot and last-axis sums give each row's np.dot and
-        # np.sum bits; on jko_step's one-row calls, Python float arithmetic
-        # and the sum method cost less than numpy's scalar-array operations
-        # and np.sum's wrapper
+        # np.sum bits
         y = np.asarray(y, dtype=float)
         e = np.array([0.5 * self.kappa * v + self.desc.energy_offset
                       for v in np.vecdot(y, y).tolist()])
@@ -226,6 +224,18 @@ class QuadraticSpace(Space):
         if self.perturbation is not None:
             g = g + self.perturbation.df(y)
         return g
+
+    def _scalar_chart(self):
+        kappa, half_kappa, offset = self.kappa, 0.5 * self.kappa, self.desc.energy_offset
+        pert = self.perturbation
+        # R has no feasible set, so the projection is the identity
+        if pert is None:
+            return (lambda y: half_kappa * (y * y) + offset, lambda y: kappa * y, float)
+        # the perturbation on a one-element array, which keeps numpy's bits
+        # (its power can differ from a float ** in the last bit)
+        return (lambda y: half_kappa * (y * y) + offset + float(pert(np.array([y]))[0]),
+                lambda y: kappa * y + float(pert.df(np.array([y]))[0]),
+                float)
 
     def slope_rows(self, coords: np.ndarray) -> np.ndarray:
         g = self.chart_energy_grad_rows(self.validate_rows(coords))

@@ -13,6 +13,7 @@ import evikit.flow
 from evikit.core import (
     DomainError,
     NumericalError,
+    Space,
     StatePoint,
     UnsupportedFlowError,
     UsageError,
@@ -36,6 +37,7 @@ from evikit.flow import (
 from evikit.potentials import make_potential
 from evikit.spaces import (
     CirDescriptor,
+    CirSpace,
     QuadraticDescriptor,
     QuadraticSpace,
     Wasserstein1DDescriptor,
@@ -129,6 +131,23 @@ class TestExactFlows:
             assert ((tmp_path / "trajectory.csv").read_bytes()
                     == (tmp_path / "route.csv").read_bytes())
 
+    @pytest.mark.parametrize("T, dt", [(1.0, 0.0), (1.0, -0.1), (1.0, math.nan),
+                                       (1.0, math.inf), (-1.0, 0.1), (math.nan, 0.1),
+                                       (math.inf, 0.1)])
+    def test_bad_times_rejected(self, ou, T, dt):
+        """Each was a ZeroDivisionError, ValueError, IndexError or
+        OverflowError out of the time grid, or for dt = inf a UsageError on
+        non-finite coordinates; verify_contraction on two closed forms
+        takes the same grid."""
+        with pytest.raises(UsageError, match="needs finite dt > 0 and T >= 0"):
+            flow_exact(ou, StatePoint.of(1.0), T, dt)
+        with pytest.raises(UsageError, match="needs finite dt > 0 and T >= 0"):
+            verify_contraction(ou, StatePoint.of(1.0), StatePoint.of(-0.5), T, dt)
+
+    def test_horizon_zero_and_dt_past_it(self, ou):
+        assert flow_exact(ou, StatePoint.of(1.0), 0.0, 0.1).times.tolist() == [0.0]
+        assert flow_exact(ou, StatePoint.of(1.0), 0.5, 2.0).times.tolist() == [0.0, 0.5]
+
     def test_start_validated_and_samples_finite(self, cir):
         with pytest.raises(DomainError):
             flow_exact(cir, StatePoint.of(-1.0), 1.0, 0.1)
@@ -213,10 +232,12 @@ class TestMinimizingMovement:
 
 
 class CountingQuadratic(QuadraticSpace):
-    """A quadratic space that counts jko_step's calls of the row hooks,
-    each on one row: every inner iteration projects once and every
-    backtrack once more, and every iteration but the converging one
-    takes one gradient (plus the gradient at the start)."""
+    """A quadratic space that counts jko_step's projections and gradients:
+    every inner iteration projects once and every backtrack once more,
+    and every iteration but the converging one takes one gradient (plus
+    the gradient at the start).  In dimension 1 jko_step calls the float
+    hooks of _scalar_chart, elsewhere the row hooks on one row; each is
+    counted."""
 
     def __init__(self, desc):
         super().__init__(desc)
@@ -229,6 +250,19 @@ class CountingQuadratic(QuadraticSpace):
     def chart_energy_grad_rows(self, y):
         self.gradients += 1
         return super().chart_energy_grad_rows(y)
+
+    def _scalar_chart(self):
+        energy, gradient, project = super()._scalar_chart()
+
+        def counted_gradient(y):
+            self.gradients += 1
+            return gradient(y)
+
+        def counted_project(y):
+            self.projections += 1
+            return project(y)
+
+        return energy, counted_gradient, counted_project
 
 
 def quadratic(dimension, perturbation, kappa=1.0):
@@ -266,6 +300,29 @@ class TestJkoRows:
         y_prev = np.resize(np.array(starts), (math.ceil(len(starts) / dimension), dimension))
         assert_rows_match_steps(space, y_prev, dt)
 
+    @given(mu=st.floats(0.2, 3.0), x_lo=st.sampled_from([1e-4, 1e-3, 0.05]),
+           dt=st.floats(1e-3, 0.5),
+           logs=st.lists(st.floats(0.0, 7.0), min_size=1, max_size=24))
+    @settings(max_examples=80, deadline=None)
+    def test_drawn_cir_rows_match_jko_step(self, mu, x_lo, dt, logs):
+        """CIR from starts sqrt(x_lo) e^u, many of them near the lower cut,
+        where the first trial step overshoots and the projection clips."""
+        space = make_cir(CirDescriptor(mu=mu, x_lo=x_lo))
+        y_prev = np.minimum(math.sqrt(x_lo) * np.exp(logs), math.sqrt(space.x_hi))[:, None]
+        assert_rows_match_steps(space, y_prev, dt)
+
+    def test_cir_starts_near_the_cut_clip(self):
+        """Starts at and near the lower cut sqrt(x_lo) reach the projection's
+        clipping: the first trial step, along the energy gradient at the
+        start, lands past sqrt(x_hi)."""
+        space = make_cir(CirDescriptor(mu=1.0))
+        energy, gradient, project = space._scalar_chart()
+        y_prev, dt = math.sqrt(space.x_lo) * np.array([[1.0], [1.01], [1.5]]), 0.3
+        for y in y_prev[:, 0].tolist():
+            trial = y - dt / space.chart_scale**2 * gradient(y)
+            assert trial > math.sqrt(space.x_hi) and project(trial) == math.sqrt(space.x_hi)
+        assert_rows_match_steps(space, y_prev, dt)
+
     def test_rows_converge_apart_and_backtrack(self):
         """Spread starts: the rows stop at different iterations, and some
         of them backtrack, in 1-d and 3-d, with and without the quartic."""
@@ -298,6 +355,82 @@ class TestJkoRows:
     def test_start_outside_the_domain_raises(self, cir):
         with pytest.raises(NumericalError):
             jko_rows(cir, np.array([[1.0], [0.0]]), 0.1, 1e-9, 500)
+
+
+def row_hook_space(space):
+    """space with the base Space._scalar_chart, which calls the row hooks
+    on (1, 1) arrays: jko_step's path before the float hooks."""
+    cls = type(f"RowHook{type(space).__name__}", (type(space),),
+                {"_scalar_chart": Space._scalar_chart})
+    return cls(space.desc)
+
+
+FLOAT_SPACES = [
+    ("ou", lambda: make_ou(1.0)),
+    ("quartic", lambda: quadratic(1, "quartic", 0.7)),
+    ("offset", lambda: make_quadratic(QuadraticDescriptor(
+        kappa=1.3, perturbation=make_potential("power", alpha=3.0), energy_offset=-0.25))),
+]
+
+# CIR keeps the base _scalar_chart, the row hooks on (1, 1) arrays, under
+# jko_step's float loop
+SCALAR_SPACES = FLOAT_SPACES + [
+    ("cir", lambda: make_cir(CirDescriptor(mu=1.3))),
+    ("cir_bounded", lambda: make_cir(CirDescriptor(mu=0.7, x_lo=1e-3, x_hi=8.0))),
+]
+
+
+class TestScalarChart:
+    """jko_step on Python floats against the row hooks on (1, 1) arrays
+    and against jko_rows, bit for bit, on the spaces that override
+    _scalar_chart and on CIR, which does not."""
+
+    @pytest.mark.parametrize("name, make", FLOAT_SPACES)
+    def test_float_hooks_equal_row_hooks(self, name, make):
+        space = make()
+        (energy, gradient, project), rows = space._scalar_chart(), Space._scalar_chart(space)
+        for y in np.linspace(-4.0, 9.0, 131).tolist() + [0.0]:
+            assert repr(energy(y)) == repr(rows[0](y))
+            assert repr(gradient(y)) == repr(rows[1](y))
+            assert repr(project(y)) == repr(rows[2](y))
+
+    @pytest.mark.parametrize("name, make", SCALAR_SPACES)
+    def test_residual_at_the_cap_is_the_same(self, name, make):
+        space = make()
+        for y, dt in ((2.5, 0.3), (0.04, 0.1), (1.9, 0.02)):
+            residuals = []
+            for run in (lambda: jko_step(space, np.array([y]), dt, 1e-9, 2),
+                        lambda: jko_step(row_hook_space(space), np.array([y]), dt, 1e-9, 2),
+                        lambda: jko_rows(space, np.array([[y]]), dt, 1e-9, 2)):
+                with pytest.raises(NumericalError, match="did not converge") as info:
+                    run()
+                residuals.append(info.value.residual)
+            assert math.isfinite(residuals[0])
+            assert len({repr(r) for r in residuals}) == 1
+
+    @pytest.mark.parametrize("name, make", SCALAR_SPACES)
+    def test_start_outside_the_domain_is_the_same(self, name, make):
+        space = make()
+        y = 0.0 if isinstance(space, CirSpace) else math.nan
+        messages = []
+        for run in (lambda: jko_step(space, np.array([y]), 0.1, 1e-9, 500),
+                    lambda: jko_step(row_hook_space(space), np.array([y]), 0.1, 1e-9, 500),
+                    lambda: jko_rows(space, np.array([[y]]), 0.1, 1e-9, 500)):
+            with pytest.raises(NumericalError) as info:
+                run()
+            messages.append((str(info.value), repr(info.value.residual)))
+        assert messages[0][0] == "minimizing movement started outside the energy domain"
+        assert len(set(messages)) == 1
+
+    @pytest.mark.parametrize("name, make", FLOAT_SPACES)
+    def test_flow_mms_equals_the_row_hook_path(self, name, make):
+        space = make()
+        for x0 in (1.7, 0.3, -2.2):
+            for T, dt in ((1.0, 1e-2), (0.35, 0.1)):
+                fast = flow_mms(space, StatePoint.of(x0), T, dt)
+                slow = flow_mms(row_hook_space(space), StatePoint.of(x0), T, dt)
+                assert fast.times.tobytes() == slow.times.tobytes()
+                assert fast.coords.tobytes() == slow.coords.tobytes()
 
 
 # ---------------------------------------------------------------------------
