@@ -13,15 +13,10 @@ from .core import (
     UsageError,
 )
 from .spaces import (
-    AllenCahnDescriptor,
-    CirDescriptor,
-    QuadraticDescriptor,
-    Wasserstein1DDescriptor,
-    make_allen_cahn,
-    make_cir,
-    make_ou,
-    make_quadratic,
-    make_wasserstein1d,
+    AllenCahnSpace,
+    CirSpace,
+    QuadraticSpace,
+    Wasserstein1DSpace,
     mccann_check,
 )
 from .flow import Trajectory, flow_exact, flow_mms
@@ -30,27 +25,22 @@ from .tataru import TataruResult, tataru_distance
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllenCahnDescriptor",
-    "CirDescriptor",
+    "AllenCahnSpace",
+    "CirSpace",
     "ConstructionError",
     "DomainError",
     "ExtendedReal",
     "NumericalError",
-    "QuadraticDescriptor",
+    "QuadraticSpace",
     "Space",
     "StatePoint",
     "TataruResult",
     "Trajectory",
     "UnsupportedFlowError",
     "UsageError",
-    "Wasserstein1DDescriptor",
+    "Wasserstein1DSpace",
     "flow_exact",
     "flow_mms",
-    "make_allen_cahn",
-    "make_cir",
-    "make_ou",
-    "make_quadratic",
-    "make_wasserstein1d",
     "mccann_check",
     "tataru_distance",
     "__version__",

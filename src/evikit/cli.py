@@ -45,9 +45,8 @@ from .core import (ConstructionError, DomainError, NumericalError, Space, StateP
                    UnsupportedFlowError, UsageError, check_geodesic_property,
                    check_kappa_convexity, check_metric_axioms, check_noise_identity)
 from .potentials import builtin_potentials, make_potential
-from .spaces import (AllenCahnDescriptor, CirDescriptor, QuadraticDescriptor,
-                     Wasserstein1DDescriptor, make_allen_cahn, make_cir, make_ou,
-                     make_quadratic, make_wasserstein1d, mccann_check)
+from .spaces import (AllenCahnSpace, CirSpace, QuadraticSpace, Wasserstein1DSpace,
+                     mccann_check)
 from .flow import (flow_any, flow_exact, flow_exact_at, flow_mms, verify_contraction,
                    verify_energy_identity, verify_evi)
 from .tataru import (tataru_batch_csv, tataru_distance, verify_tataru_flow_lipschitz,
@@ -159,20 +158,20 @@ def _read(section: dict, table: dict) -> dict:
 _GAUSSIAN_STATE = {"gaussian": Field({"mean": Field(float, 0.0),
                                       "sd": Field(float, 1.0, positive=True)})}
 
-# space name -> (factory taking the read parameters, their table)
+# space name -> (its class, the table of its constructor's parameters)
 _SPACES = {
-    "allen_cahn": (lambda **p: make_allen_cahn(AllenCahnDescriptor(**p)),
+    "allen_cahn": (AllenCahnSpace,
                    {"grid_size": Field(int, positive=True),
                     "length": Field(float, positive=True),
                     "kappa": Field(float, 0.0), "well": Field(_POTENTIAL, None)}),
-    "cir": (lambda **p: make_cir(CirDescriptor(**p)),
+    "cir": (CirSpace,
             {"mu": Field(float, positive=True), "x_lo": Field(float, 1e-4),
              "x_hi": Field(float, None)}),
-    "ou": (make_ou, {"kappa": Field(float, 1.0)}),
-    "quadratic": (lambda **p: make_quadratic(QuadraticDescriptor(**p)),
+    "ou": (QuadraticSpace, {"kappa": Field(float, 1.0)}),
+    "quadratic": (QuadraticSpace,
                   {"dimension": Field(int, 1, positive=True), "kappa": Field(float, 1.0),
                    "perturbation": Field(_POTENTIAL, None)}),
-    "wasserstein1d": (lambda **p: make_wasserstein1d(Wasserstein1DDescriptor(**p)),
+    "wasserstein1d": (Wasserstein1DSpace,
                       {"m": Field(int, positive=True), "internal": Field(_POTENTIAL, None),
                        "potential": Field(_POTENTIAL, None),
                        "interaction": Field(_POTENTIAL, None),
@@ -527,7 +526,7 @@ def _ekeland_exactness_cell(space, params):
     n_line = params["ekeland_points"]
     xs = np.linspace(-5.0, 5.0, n_line)
     g = np.sin(3.0 * xs) - 0.1 * xs**2
-    line = EkelandProblem(list(range(n_line)), g, lambda j: np.abs(xs - xs[j]), 0.05, 0)
+    line = EkelandProblem(g, lambda j: np.abs(xs - xs[j]), 0.05, 0)
     res = verify_ekeland_result(line, ekeland_optimize(line))
     ok = (res["inv1_slack"] >= -1e-12 and res["inv2_max"] <= 1e-12
           and res["uniqueness_margin"] > 0.0)
@@ -537,7 +536,7 @@ def _ekeland_exactness_cell(space, params):
     n = len(base)
     g4 = np.random.default_rng(9).normal(0.0, 1.0, n**4)
     pen = product_penalty(tataru_matrix(space, base, 1e-2), (1.0, 1.0, 1.0, 1.0))
-    prod = EkelandProblem(list(range(n**4)), g4, pen, 0.2, 0)
+    prod = EkelandProblem(g4, pen, 0.2, 0)
     res2 = verify_ekeland_result(prod, ekeland_optimize(prod))
     ok = ok and (res2["inv1_slack"] >= -1e-12 and res2["inv2_max"] <= 1e-12
                  and res2["uniqueness_margin"] > 0.0)

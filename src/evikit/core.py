@@ -48,7 +48,8 @@ class DomainError(ValueError):
 
 
 class ConstructionError(ValueError):
-    """A descriptor invariant failed; the message names the predicate."""
+    """A space or potential rejected its parameters; the message names the
+    predicate that failed."""
 
 
 class NumericalError(RuntimeError):

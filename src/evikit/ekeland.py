@@ -66,13 +66,12 @@ from .tataru import tataru_batch
 
 @dataclass
 class EkelandProblem:
-    """A finite-set instance: candidates, objective values, penalty.
+    """A finite-set instance: objective values, penalty.
 
-    `penalty(j)` evaluates B(points[k], points[j]) for every k at once, as
-    an array over the candidates.
+    The candidates are the indices of g_values; `penalty(j)` evaluates
+    B(k, j) for every candidate k at once, as an array over the candidates.
     """
 
-    points: object                 # sequence of candidates
     g_values: np.ndarray           # objective, -inf allowed, bounded above
     penalty: object                # callable (j) -> array over all candidates
     delta: float
@@ -82,11 +81,9 @@ class EkelandProblem:
         self.g_values = np.asarray(self.g_values, dtype=float)
         if self.delta <= 0:
             raise UsageError("ekeland delta must be positive")
-        if len(self.g_values) != len(self.points):
-            raise UsageError("objective values and candidate set sizes differ")
         if np.any(np.isposinf(self.g_values)) or np.any(np.isnan(self.g_values)):
             raise UsageError("objective must be bounded above and well defined")
-        if not 0 <= self.x_hat < len(self.points):
+        if not 0 <= self.x_hat < len(self.g_values):
             raise UsageError("x_hat index out of range")
 
 

@@ -223,17 +223,24 @@ def _sweep(u: GridFunction, tfs: list[ViscosityTestFunction], lam: float,
     f its f+ (sign +1) or f- (sign -1), the discrete stand-in for the
     optimizing sequence, and check sign (u - lambda g - h) <= tol there.
     d_T(., anchor_tataru) on the grid is computed by one tataru_batch
-    call per distinct (space, anchor_tataru, flow_dt)."""
+    call per distinct (space, anchor_tataru, flow_dt); the node energies
+    are one chart_energy_rows call per space, and each distinct anchor's
+    energy is read once."""
     report = ViscosityReport(sign, tol)
     charts = _grid_charts(u, tfs)
+    node_e, anchor_e = {}, {}   # energies by id(space) and by (id(space), anchor)
     for tf, chart, dt_vals in zip(tfs, charts, _grid_tataru(tfs, charts)):
         sp, q = tf.space, tf.anchor_quadratic
+        if id(sp) not in node_e:
+            node_e[id(sp)] = sp.chart_energy_rows(chart)
+        if (id(sp), q) not in anchor_e:
+            anchor_e[id(sp), q] = float(sp.energy(q))
         d = _chart_distances(sp, chart, sp.to_chart(q))
         f = sign * 0.5 * tf.a * d**2 + sign * tf.b * dt_vals + tf.c
         i_star = int(np.argmax(sign * (u.values - f)))
         d_i = float(d[i_star])
-        g_val = hamiltonian_bound(sp, sign, tf.a, tf.b, float(sp.energy(q)),
-                                  float(sp.energy(u.point(i_star))), d_i, d_i**2)
+        g_val = hamiltonian_bound(sp, sign, tf.a, tf.b, anchor_e[id(sp), q],
+                                  float(node_e[id(sp)][i_star]), d_i, d_i**2)
         val = u.values[i_star] - lam * g_val - h.values[i_star]
         report.records.append(ViscosityRecord(
             tf.a, tf.b, q.to_json(), tf.anchor_tataru.to_json(), i_star,

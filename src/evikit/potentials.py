@@ -112,13 +112,3 @@ def make_potential(name: str, **params) -> Potential:
         )
     return _BUILTIN_FACTORIES[name](**params)
 
-
-def sampled_convexity_check(pot: Potential, lo: float, hi: float,
-                            modulus: float = 0.0, n: int = 400) -> float:
-    """Worst violation of f'' >= modulus by symmetric second differences
-    on a uniform grid; nonpositive means the sampled check passed."""
-    xs = np.linspace(lo, hi, n)
-    h = (hi - lo) / (n - 1)
-    vals = pot(xs)
-    second = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h**2
-    return float(np.max(modulus - second)) if second.size else 0.0

@@ -35,54 +35,22 @@ from .core import (
     UnsupportedFlowError,
     UsageError,
 )
-from .potentials import Potential, sampled_convexity_check
+from .potentials import Potential
 
 _DENSITY_FLOOR = 1e-12
 
 
-# ---------------------------------------------------------------------------
-# Descriptors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CirDescriptor:
-    """Half-line space parameters; the domain is truncated to [x_lo, x_hi]
-    for flows and resolvent solves (the energy blows up toward 0, which
-    keeps trajectories away from the lower cut)."""
-
-    mu: float
-    x_lo: float = 1e-4
-    x_hi: float | None = None
-
-    def resolved_hi(self) -> float:
-        return 50.0 * self.mu if self.x_hi is None else self.x_hi
-
-
-@dataclass(frozen=True)
-class QuadraticDescriptor:
-    dimension: int = 1
-    kappa: float = 1.0
-    perturbation: Potential | None = None  # convex, applied coordinatewise
-    energy_offset: float = 0.0  # recentering constant, leaves the flow unchanged
-    scale: float = 2.0  # sampling scale for property checks
-
-
-@dataclass(frozen=True)
-class AllenCahnDescriptor:
-    grid_size: int
-    length: float
-    kappa: float
-    well: Potential | None = None  # convex C^1, F(0) = 0, F >= 0
-
-
-@dataclass(frozen=True)
-class Wasserstein1DDescriptor:
-    m: int
-    internal: Potential | None = None      # F, checked via mccann_check
-    potential: Potential | None = None     # V, kappa_V-convex
-    interaction: Potential | None = None   # W, even, kappa_W-convex, kappa_W >= 0
-    kappa_v: float = 0.0   # the space's modulus kappa
-    kappa_w: float = 0.0   # checked convexity of W; not added to kappa
+def _check_convex(pot: Potential, what: str, half_width: float, modulus: float,
+                  tol: float) -> None:
+    """Raise a ConstructionError naming what unless pot'' >= modulus up to
+    tol, by symmetric second differences on 400 points of [-half_width,
+    half_width]."""
+    xs = np.linspace(-half_width, half_width, 400)
+    vals = pot(xs)
+    second = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / (2.0 * half_width / 399) ** 2
+    viol = float(np.max(modulus - second))
+    if viol > tol:
+        raise ConstructionError(f"{what} violated by {viol:.2e} (sampled second differences)")
 
 
 # ---------------------------------------------------------------------------
@@ -99,27 +67,24 @@ class CirSpace(Space):
     flow satisfies the EVI with modulus kappa = 1/2.  Equivalently, the
     coupled-flow dissipation d/dt 1/2 d^2 = -2 (mu/sqrt(xy) + 1)
     (sqrt x - sqrt y)^2 <= -1/2 d^2.
+
+    Flows and resolvent solves truncate the domain to [x_lo, x_hi], with
+    x_hi = 50 mu unless given (the energy blows up toward 0, which keeps
+    trajectories away from the lower cut).
     """
 
     name = "cir"
-    dimension = 1
-    tol_metric = 1e-9
+    kappa = 0.5
     tol_geo = 1e-9
     chart_scale = 2.0
 
-    def __init__(self, desc: CirDescriptor):
-        hi = desc.resolved_hi()
-        if not (0.0 < desc.x_lo < desc.mu < hi):
-            raise ConstructionError(
-                f"cir descriptor requires 0 < x_lo < mu < x_hi, got "
-                f"x_lo={desc.x_lo}, mu={desc.mu}, x_hi={hi}"
-            )
-        self.desc = desc
-        self.mu = desc.mu
-        self.x_lo = desc.x_lo
-        self.x_hi = hi
-        self.kappa = 0.5
-        self._e0 = desc.mu - desc.mu * math.log(desc.mu)
+    def __init__(self, mu: float, x_lo: float = 1e-4, x_hi: float | None = None):
+        hi = 50.0 * mu if x_hi is None else x_hi
+        if not (0.0 < x_lo < mu < hi):
+            raise ConstructionError(f"cir space requires 0 < x_lo < mu < x_hi, got "
+                                    f"x_lo={x_lo}, mu={mu}, x_hi={hi}")
+        self.mu, self.x_lo, self.x_hi = mu, x_lo, hi
+        self._e0 = mu - mu * math.log(mu)
 
     def validate_rows(self, coords: np.ndarray) -> np.ndarray:
         coords = super().validate_rows(coords)
@@ -185,34 +150,28 @@ class CirSpace(Space):
 # ---------------------------------------------------------------------------
 
 class QuadraticSpace(Space):
-    """R^n, Euclidean metric, E(x) = kappa |x|^2/2 + sum_i F(x_i)."""
+    """R^n, Euclidean metric, E(x) = kappa |x|^2/2 + sum_i F(x_i) + energy_offset
+    for a convex perturbation F; the offset recentres E and leaves the flow
+    unchanged, and scale is the spread of sample_rows."""
 
     name = "quadratic"
-    tol_metric = 1e-9
     tol_geo = 1e-9
-    chart_scale = 1.0
 
-    def __init__(self, desc: QuadraticDescriptor):
-        if desc.dimension < 1:
-            raise ConstructionError("quadratic descriptor requires dimension >= 1")
-        if desc.perturbation is not None:
-            viol = sampled_convexity_check(desc.perturbation, -desc.scale * 4,
-                                           desc.scale * 4)
-            if viol > 1e-8:
-                raise ConstructionError(
-                    f"perturbation convexity violated by {viol:.2e} (sampled "
-                    "second differences)"
-                )
-        self.desc = desc
-        self.dimension = desc.dimension
-        self.kappa = desc.kappa
-        self.perturbation = desc.perturbation
+    def __init__(self, dimension: int = 1, kappa: float = 1.0,
+                 perturbation: Potential | None = None, energy_offset: float = 0.0,
+                 scale: float = 2.0):
+        if dimension < 1:
+            raise ConstructionError("quadratic space requires dimension >= 1")
+        if perturbation is not None:
+            _check_convex(perturbation, "perturbation convexity", 4.0 * scale, 0.0, 1e-8)
+        self.dimension, self.kappa, self.perturbation = dimension, kappa, perturbation
+        self.energy_offset, self.scale = energy_offset, scale
 
     def chart_energy_rows(self, y: np.ndarray) -> np.ndarray:
         # row-wise vecdot and last-axis sums give each row's np.dot and
         # np.sum bits
         y = np.asarray(y, dtype=float)
-        e = np.array([0.5 * self.kappa * v + self.desc.energy_offset
+        e = np.array([0.5 * self.kappa * v + self.energy_offset
                       for v in np.vecdot(y, y).tolist()])
         if self.perturbation is not None:
             e = e + self.perturbation(y).sum(axis=-1)
@@ -226,7 +185,7 @@ class QuadraticSpace(Space):
         return g
 
     def _scalar_chart(self):
-        kappa, half_kappa, offset = self.kappa, 0.5 * self.kappa, self.desc.energy_offset
+        kappa, half_kappa, offset = self.kappa, 0.5 * self.kappa, self.energy_offset
         pert = self.perturbation
         # R has no feasible set, so the projection is the identity
         if pert is None:
@@ -256,7 +215,7 @@ class QuadraticSpace(Space):
         return decay[..., None] * np.asarray(y0, dtype=float)
 
     def sample_rows(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.normal(0.0, self.desc.scale, (n, self.dimension))
+        return rng.normal(0.0, self.scale, (n, self.dimension))
 
 
 # ---------------------------------------------------------------------------
@@ -272,32 +231,23 @@ class AllenCahnSpace(Space):
     dissipative); the metric slope is || Lap rho - F'(rho) - kappa rho ||."""
 
     name = "allen_cahn"
+    tol_geo = 1e-9
 
-    def __init__(self, desc: AllenCahnDescriptor):
-        if desc.grid_size < 4:
-            raise ConstructionError("allen_cahn descriptor requires grid_size >= 4")
-        if desc.length <= 0:
-            raise ConstructionError("allen_cahn descriptor requires length > 0")
-        well = desc.well
+    def __init__(self, grid_size: int, length: float, kappa: float = 0.0,
+                 well: Potential | None = None):
+        if grid_size < 4:
+            raise ConstructionError("allen_cahn space requires grid_size >= 4")
+        if length <= 0:
+            raise ConstructionError("allen_cahn space requires length > 0")
         if well is not None:
             if abs(float(well(0.0))) > 1e-12:
                 raise ConstructionError("well potential must satisfy F(0) = 0")
-            samples = np.linspace(-5.0, 5.0, 201)
-            if float(np.min(well(samples))) < -1e-12:
+            if float(np.min(well(np.linspace(-5.0, 5.0, 201)))) < -1e-12:
                 raise ConstructionError("well potential must be nonnegative (F >= 0)")
-            viol = sampled_convexity_check(well, -5.0, 5.0)
-            if viol > 1e-8:
-                raise ConstructionError(
-                    f"well potential convexity violated by {viol:.2e}"
-                )
-        self.desc = desc
-        self.dimension = desc.grid_size
-        self.kappa = desc.kappa
-        self.dx = desc.length / desc.grid_size
-        self.well = well
+            _check_convex(well, "well potential convexity", 5.0, 0.0, 1e-8)
+        self.dimension, self.kappa, self.well = grid_size, kappa, well
+        self.dx = length / grid_size
         self.chart_scale = math.sqrt(self.dx)
-        self.tol_metric = 1e-9
-        self.tol_geo = 1e-9
 
     def laplacian(self, rho: np.ndarray) -> np.ndarray:
         """The circulant stencil along the last axis of rho (..., grid_size)."""
@@ -366,37 +316,26 @@ class Wasserstein1DSpace(Space):
     Villani, Rev. Mat. Iberoam. 19 (2003))."""
 
     name = "wasserstein1d"
+    tol_metric = 1e-6
 
-    def __init__(self, desc: Wasserstein1DDescriptor):
-        if desc.m < 4:
-            raise ConstructionError("wasserstein1d descriptor requires m >= 4")
-        if desc.kappa_w < 0:
+    def __init__(self, m: int, internal: Potential | None = None,
+                 potential: Potential | None = None, interaction: Potential | None = None,
+                 kappa_v: float = 0.0, kappa_w: float = 0.0):
+        if m < 4:
+            raise ConstructionError("wasserstein1d space requires m >= 4")
+        if kappa_w < 0:
             raise ConstructionError("interaction modulus kappa_w must be >= 0")
-        if desc.potential is not None:
-            viol = sampled_convexity_check(desc.potential, -8.0, 8.0, desc.kappa_v)
-            if viol > 1e-6:
-                raise ConstructionError(
-                    f"potential kappa_v-convexity violated by {viol:.2e}"
-                )
-        if desc.interaction is not None:
+        if potential is not None:
+            _check_convex(potential, "potential kappa_v-convexity", 8.0, kappa_v, 1e-6)
+        if interaction is not None:
             xs = np.linspace(-8.0, 8.0, 101)
-            if float(np.max(np.abs(desc.interaction(xs) - desc.interaction(-xs)))) > 1e-10:
+            if float(np.max(np.abs(interaction(xs) - interaction(-xs)))) > 1e-10:
                 raise ConstructionError("interaction kernel must be even")
-            viol = sampled_convexity_check(desc.interaction, -8.0, 8.0, desc.kappa_w)
-            if viol > 1e-6:
-                raise ConstructionError(
-                    f"interaction kappa_w-convexity violated by {viol:.2e}"
-                )
-        self.desc = desc
-        self.m = desc.m
-        self.dimension = desc.m
-        self.internal = desc.internal
-        self.potential = desc.potential
-        self.interaction = desc.interaction
-        self.kappa = desc.kappa_v
-        self.chart_scale = 1.0 / math.sqrt(desc.m)
-        self.tol_metric = 1e-6
-        self.tol_geo = 1e-6
+            _check_convex(interaction, "interaction kappa_w-convexity", 8.0, kappa_w, 1e-6)
+        self.m = self.dimension = m
+        self.internal, self.potential, self.interaction = internal, potential, interaction
+        self.kappa = kappa_v
+        self.chart_scale = 1.0 / math.sqrt(m)
 
     @property
     def levels(self) -> np.ndarray:
@@ -571,31 +510,6 @@ def wasserstein_information_rows(space: Wasserstein1DSpace, coords: np.ndarray) 
             w_row += np.sum(space.interaction.df(q_row[:, None] - q_row[None, :]), axis=1) / m
     out[live] = np.mean(w**2, axis=1)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Factories
-# ---------------------------------------------------------------------------
-
-def make_cir(desc: CirDescriptor) -> CirSpace:
-    return CirSpace(desc)
-
-
-def make_quadratic(desc: QuadraticDescriptor) -> QuadraticSpace:
-    return QuadraticSpace(desc)
-
-
-def make_ou(kappa: float = 1.0) -> QuadraticSpace:
-    """Scalar Ornstein-Uhlenbeck space: E(x) = kappa x^2 / 2 on R."""
-    return QuadraticSpace(QuadraticDescriptor(dimension=1, kappa=kappa))
-
-
-def make_allen_cahn(desc: AllenCahnDescriptor) -> AllenCahnSpace:
-    return AllenCahnSpace(desc)
-
-
-def make_wasserstein1d(desc: Wasserstein1DDescriptor) -> Wasserstein1DSpace:
-    return Wasserstein1DSpace(desc)
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,9 @@ from evikit.hj import (
 )
 from evikit.potentials import Potential, make_potential
 from evikit.spaces import (
-    CirDescriptor,
-    Wasserstein1DDescriptor,
-    make_cir,
-    make_ou,
-    make_wasserstein1d,
+    CirSpace,
+    QuadraticSpace,
+    Wasserstein1DSpace,
     mccann_check,
 )
 from evikit.tataru import (
@@ -49,13 +47,12 @@ from evikit.tataru import (
     verify_tataru_triangle,
 )
 
-CIR_DESC = CirDescriptor(mu=1.0, x_lo=1e-3, x_hi=8.0)
 H_CLIP = make_data_function("affine_clipped", slope=1.0, intercept=0.0, cap=2.0)
 
 
 def solve_cir(lam, h):
-    """The resolvent on the 800-node grid spanning CIR_DESC's domain."""
-    space = make_cir(CIR_DESC)
+    """The resolvent on the 800-node grid spanning CIR's domain [1e-3, 8]."""
+    space = CirSpace(mu=1.0, x_lo=1e-3, x_hi=8.0)
     return solve_resolvent(space, lam, h, np.linspace(space.x_lo, space.x_hi, 800), 1e-6)
 
 
@@ -68,18 +65,17 @@ def report(criterion, passed, detail, elapsed, budget):
 
 @pytest.fixture(scope="module")
 def ou():
-    return make_ou(1.0)
+    return QuadraticSpace()
 
 
 @pytest.fixture(scope="module")
 def cir():
-    return make_cir(CIR_DESC)
+    return CirSpace(mu=1.0, x_lo=1e-3, x_hi=8.0)
 
 
 @pytest.fixture(scope="module")
 def heat400():
-    return make_wasserstein1d(Wasserstein1DDescriptor(
-        m=400, internal=make_potential("entropy")))
+    return Wasserstein1DSpace(m=400, internal=make_potential("entropy"))
 
 
 @pytest.fixture(scope="module")
@@ -157,8 +153,7 @@ def test_criterion_05_mms_convergence(ou):
         errs.append(abs(traj.end.coords[0] - math.exp(-1.0)))
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     ratios_ok = all(1.7 <= r <= 2.3 for r in ratios)
-    w200 = make_wasserstein1d(Wasserstein1DDescriptor(
-        m=200, internal=make_potential("entropy")))
+    w200 = Wasserstein1DSpace(m=200, internal=make_potential("entropy"))
     traj = flow_mms(w200, w200.gaussian_state(0.0, 1.0), 0.5, 1e-3)
     w2_err = w200.distance(traj.end, w200.gaussian_state(0.0, math.sqrt(2.0)))
     elapsed = time.perf_counter() - t0
@@ -234,13 +229,11 @@ def _shipped_ekeland_problems(ou):
     problems = []
     xs = np.arange(101) / 10.0
     problems.append(("parabola", EkelandProblem(
-        [StatePoint.of(v) for v in xs], -(xs - 3.14) ** 2,
-        lambda j: np.abs(xs - xs[j]), 0.1, 0), 31))
+        -(xs - 3.14) ** 2, lambda j: np.abs(xs - xs[j]), 0.1, 0), 31))
     ys = np.linspace(-5.0, 5.0, 100_000)
     g = np.sin(3.0 * ys) - 0.1 * ys**2
-    problems.append(("rugged_1e5", EkelandProblem(
-        list(range(len(ys))), g, lambda j: np.abs(ys - ys[j]), 0.05, 0),
-        int(np.argmax(g))))
+    problems.append(("rugged_1e5", EkelandProblem(g, lambda j: np.abs(ys - ys[j]), 0.05, 0),
+                     int(np.argmax(g))))
     base = [StatePoint.of(v) for v in np.linspace(-1.5, 1.5, 7)]
     dt_m = tataru_matrix(ou, base, 1e-2)
     n = len(base)
@@ -248,7 +241,7 @@ def _shipped_ekeland_problems(ou):
     rng = np.random.default_rng(55)
     g4 = rng.normal(0.0, 1.0, n**4)
     pen = product_penalty(dt_m, (1.0 / (1.0 - eps), 1.0, 1.0 / (1.0 + eps), 1.0))
-    problems.append(("tataru_product", EkelandProblem(list(range(n**4)), g4, pen, 0.2, 0), 0))
+    problems.append(("tataru_product", EkelandProblem(g4, pen, 0.2, 0), 0))
     return problems
 
 
@@ -262,8 +255,7 @@ def test_criterion_09_ekeland_exactness(ou):
         good = (chk["inv1_slack"] >= -1e-12 and chk["inv2_max"] <= 1e-12
                 and chk["uniqueness_margin"] > 0.0)
         # consequence (a) from a near-optimal start
-        prob2 = EkelandProblem(prob.points, prob.g_values, prob.penalty,
-                               prob.delta, near_start)
+        prob2 = EkelandProblem(prob.g_values, prob.penalty, prob.delta, near_start)
         res2 = ekeland_optimize(prob2)
         chk2 = verify_ekeland_result(prob2, res2)
         if chk2["near_optimal_start"]:

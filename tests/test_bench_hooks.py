@@ -9,7 +9,7 @@ a closed-form flow, a small quadruplication config, an Ekeland properties
 check, two Tataru suite configs and two properties configs, in a child
 process started at the repository root.  It checks that the
 counters moved, that the viscosity sweeps make one tataru_batch call per
-anchor, and that neither the suites nor the property checks build a
+anchor and build no StatePoint beyond the anchors, and that neither the suites nor the property checks build a
 StatePoint per sample.  It only reads perfbench/: the child
 writes no bytecode and its results go to tmp_path.
 """
@@ -107,6 +107,10 @@ def test_traced_runs_count_every_hook(tmp_path):
     before, after = ({} if visc == 0 else out["runs"][visc - 1]), out["runs"][visc]
     assert (after["tataru.tataru_batch.calls"] - before.get("tataru.tataru_batch.calls", 0)
             == 2 * len(anchors))
+    # the anchors are the only StatePoints the viscosity config builds: the
+    # sweeps read node energies from the grid's chart rows
+    assert (after["core.StatePoint.of.calls"] - before.get("core.StatePoint.of.calls", 0)
+            == params["viscosity"]["sweep"]["n_anchors"])
     built = [after.get("core.StatePoint.of.calls", 0) - before.get("core.StatePoint.of.calls", 0)
              for before, after in zip(out["runs"][-5:-1], out["runs"][-4:])]
     # the suites' samples are coordinate rows: the two oracle points are the

@@ -1,5 +1,6 @@
 """Command-line runner: exit codes, determinism, manifest, built-ins."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -9,13 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import evikit
 import evikit.cli
 import evikit.cli as cli
 from evikit.cli import _ekeland_exactness_cell, list_builtins, run
 from evikit.core import StatePoint, UsageError
 from evikit.ekeland import quadruplicate
 from evikit.hj import make_data_function, solve_resolvent, value_by_rollout
-from evikit.spaces import CirDescriptor, make_cir, make_ou
+from evikit.spaces import CirSpace, QuadraticSpace
 from evikit.tataru import (
     verify_tataru_flow_lipschitz,
     verify_tataru_lipschitz,
@@ -272,7 +274,7 @@ class TestRunConfigs:
                "output_dir": str(tmp_path / "out"), "seed": 5}
         assert run(self.write_config(tmp_path, cfg)) == 0
         report = json.loads((tmp_path / "out" / "tataru_report.json").read_text())
-        space, rng = make_cir(CirDescriptor(mu=1.0)), np.random.default_rng(5)
+        space, rng = CirSpace(mu=1.0), np.random.default_rng(5)
         for suite, k, verify in (("triangle", 3, verify_tataru_triangle),
                                  ("lipschitz", 4, verify_tataru_lipschitz),
                                  ("flow_lipschitz", 2, verify_tataru_flow_lipschitz)):
@@ -462,7 +464,7 @@ class TestEkelandCell:
 
         tataru_matrix = evikit.cli.tataru_matrix
         monkeypatch.setattr(evikit.cli, "tataru_matrix", recording)
-        ok, _ = _ekeland_exactness_cell(make_ou(1.0), {"ekeland_points": 201})
+        ok, _ = _ekeland_exactness_cell(QuadraticSpace(), {"ekeland_points": 201})
         assert ok
         (base, matrix), = seen
         assert len({p.coords for p in base}) == len(base) == 6
@@ -640,6 +642,25 @@ class TestFieldTables:
             assert err.startswith("config error: ") and f"'{quoted}'" in err, (where, value, err)
             assert not out.exists(), (where, value)
 
+    @pytest.mark.parametrize("name", sorted(cli._SPACES))
+    def test_space_tables_match_the_constructors(self, name):
+        """Every field of a space's table is a parameter of its class,
+        every required parameter a required field, and where both have a
+        default the two are equal."""
+        cls, table = cli._SPACES[name]
+        params = inspect.signature(cls).parameters
+        assert set(table) <= set(params)
+        for key, param in params.items():
+            if param.default is inspect.Parameter.empty:
+                assert key in table and table[key].default is cli._REQUIRED, key
+        for key, spec in table.items():
+            if spec.default is not cli._REQUIRED:
+                assert spec.default == params[key].default, key
+
+
+def test_public_names_resolve():
+    assert [name for name in evikit.__all__ if not hasattr(evikit, name)] == []
+
 
 DELETE = object()
 # (shipped config, dotted path in it, value or DELETE, the field the error names)
@@ -749,7 +770,7 @@ def test_cir_quadruplication_solves_on_the_domain(tmp_path):
     cfg["output_dir"] = str(tmp_path / "out")
     (tmp_path / "config.json").write_text(json.dumps(cfg))
     assert run(str(tmp_path / "config.json")) == 0
-    space = make_cir(CirDescriptor(mu=1.0, x_lo=1e-3, x_hi=8.0))
+    space = CirSpace(mu=1.0, x_lo=1e-3, x_hi=8.0)
     h = make_data_function("gaussian_bump", center=0.7, width=0.6, height=1.0)
     xs = np.linspace(1e-3, 8.0, 41)
     u = solve_resolvent(space, 1.0, h, xs, 1e-8)

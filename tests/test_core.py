@@ -20,27 +20,21 @@ from evikit.core import (
 )
 from evikit.potentials import make_potential
 from evikit.spaces import (
-    AllenCahnDescriptor,
-    CirDescriptor,
-    QuadraticDescriptor,
-    Wasserstein1DDescriptor,
-    make_allen_cahn,
-    make_cir,
-    make_ou,
-    make_quadratic,
-    make_wasserstein1d,
+    AllenCahnSpace,
+    CirSpace,
+    QuadraticSpace,
+    Wasserstein1DSpace,
 )
 
 def all_spaces():
     return [
-        make_ou(1.0),
-        make_quadratic(QuadraticDescriptor(dimension=3, kappa=0.5)),
-        make_cir(CirDescriptor(mu=1.0)),
-        make_allen_cahn(AllenCahnDescriptor(
+        QuadraticSpace(),
+        QuadraticSpace(dimension=3, kappa=0.5),
+        CirSpace(mu=1.0),
+        AllenCahnSpace(
             grid_size=32, length=2 * math.pi, kappa=1.0,
-            well=make_potential("quartic"))),
-        make_wasserstein1d(Wasserstein1DDescriptor(
-            m=64, internal=make_potential("entropy"))),
+            well=make_potential("quartic")),
+        Wasserstein1DSpace(m=64, internal=make_potential("entropy")),
     ]
 
 
@@ -113,32 +107,32 @@ def test_geodesic_endpoints_exact(space):
 
 
 def test_degenerate_geodesic_is_constant():
-    ou = make_ou(1.0)
+    ou = QuadraticSpace()
     p = StatePoint.of(1.3)
     for t in (0.0, 0.3, 1.0):
         assert ou.geodesic_point(p, p, t) == p
 
 
 def test_geodesic_parameter_out_of_range():
-    ou = make_ou(1.0)
+    ou = QuadraticSpace()
     with pytest.raises(UsageError):
         ou.geodesic_point(StatePoint.of(0.0), StatePoint.of(1.0), 1.5)
 
 
 def test_dimension_mismatch_is_usage_error():
-    ou = make_ou(1.0)
+    ou = QuadraticSpace()
     with pytest.raises(UsageError):
         ou.distance(StatePoint.of([1.0, 2.0]), StatePoint.of(1.0))
 
 
 def test_cir_negative_coordinate_is_domain_error():
-    cir = make_cir(CirDescriptor(mu=1.0))
+    cir = CirSpace(mu=1.0)
     with pytest.raises(DomainError):
         cir.distance(StatePoint.of(-1.0), StatePoint.of(1.0))
 
 
 def test_euclidean_geodesic_midpoint():
-    ou = make_ou(1.0)
+    ou = QuadraticSpace()
     mid = ou.geodesic_point(StatePoint.of(0.0), StatePoint.of(2.0), 0.5)
     assert mid.coords[0] == pytest.approx(1.0)
 
@@ -147,7 +141,7 @@ def test_euclidean_geodesic_midpoint():
        st.floats(min_value=0.05, max_value=20.0))
 @settings(max_examples=300, deadline=None)
 def test_cir_distance_closed_form(x, y):
-    cir = make_cir(CirDescriptor(mu=1.0))
+    cir = CirSpace(mu=1.0)
     d = cir.distance(StatePoint.of(x), StatePoint.of(y))
     assert d == pytest.approx(2.0 * abs(math.sqrt(x) - math.sqrt(y)), abs=1e-12)
 
@@ -169,11 +163,11 @@ def test_information_is_squared_slope(space):
 
 
 def test_slope_by_definition_matches_closed_forms():
-    cir = make_cir(CirDescriptor(mu=1.0))
+    cir = CirSpace(mu=1.0)
     p = StatePoint.of(4.0)
     est = slope_by_definition(cir, lambda z: float(cir.energy(z)), p, scale=1.0)
     assert est == pytest.approx(1.5, abs=1e-5)
-    ou = make_ou(1.0)
+    ou = QuadraticSpace()
     est = slope_by_definition(ou, lambda z: float(ou.energy(z)), StatePoint.of(3.0),
                               scale=1.0)
     assert est == pytest.approx(3.0, abs=1e-6)
@@ -181,15 +175,15 @@ def test_slope_by_definition_matches_closed_forms():
 
 def test_noise_identity_on_smooth_spaces():
     rng = np.random.default_rng(13)
-    for space in (make_ou(1.0), make_cir(CirDescriptor(mu=1.0))):
+    for space in (QuadraticSpace(), CirSpace(mu=1.0)):
         pairs = [(space.sample_point(rng), space.sample_point(rng))
                  for _ in range(10)]
         assert check_noise_identity(space, pairs) <= 1e-4
 
 
 @pytest.mark.parametrize("space", [
-    make_quadratic(QuadraticDescriptor(dimension=2)),
-    make_allen_cahn(AllenCahnDescriptor(grid_size=8, length=2 * np.pi, kappa=1.0))],
+    QuadraticSpace(dimension=2),
+    AllenCahnSpace(grid_size=8, length=2 * np.pi, kappa=1.0)],
     ids=lambda s: f"{s.name}_{s.dimension}")
 def test_noise_identity_refuses_dimension_above_one(space):
     """Only in one dimension is the sphere the two points p +- r, so only

@@ -22,14 +22,14 @@ from evikit.ekeland import (
 )
 from evikit.hj import GridFunction, make_data_function, solve_resolvent
 from evikit.potentials import make_potential
-from evikit.spaces import CirDescriptor, QuadraticDescriptor, make_cir, make_ou, make_quadratic
+from evikit.spaces import CirSpace, QuadraticSpace
 from evikit.tataru import tataru_distance
 
 
 def validate_penalty(problem, rng=None, n_samples=50, tol=1e-9):
     """Sampled checks of B >= 0, B(x,x) = 0 and the triangle inequality."""
     rng = rng or np.random.default_rng(5)
-    n = len(problem.points)
+    n = len(problem.g_values)
     for _ in range(n_samples):
         i, j, k = (int(rng.integers(n)) for _ in range(3))
         bij = problem.penalty(j)[i]
@@ -43,8 +43,7 @@ def validate_penalty(problem, rng=None, n_samples=50, tol=1e-9):
 
 def line_problem(g_values, delta, x_hat):
     xs = np.arange(len(g_values)) / 10.0
-    pts = [StatePoint.of(v) for v in xs]
-    return EkelandProblem(pts, g_values, lambda j: np.abs(xs - xs[j]), delta, x_hat)
+    return EkelandProblem(g_values, lambda j: np.abs(xs - xs[j]), delta, x_hat)
 
 
 class TestEkelandPrinciple:
@@ -104,13 +103,14 @@ class TestEkelandPrinciple:
         assert chk["inv2_max"] <= 1e-10
 
     def test_problem_validation(self):
-        pts = [StatePoint.of(v) for v in (0.0, 1.0)]
         zero = lambda j: np.zeros(2)
         with pytest.raises(UsageError):
-            EkelandProblem(pts, np.zeros(2), zero, -1.0, 0)
+            EkelandProblem(np.zeros(2), zero, -1.0, 0)
         with pytest.raises(UsageError):
-            EkelandProblem(pts, np.array([0.0, math.inf]), zero, 1.0, 0)
-        bad = EkelandProblem(pts, np.zeros(2), lambda j: np.where(np.arange(2) != j, -1.0, 0.0),
+            EkelandProblem(np.array([0.0, math.inf]), zero, 1.0, 0)
+        with pytest.raises(UsageError):
+            EkelandProblem(np.zeros(2), zero, 1.0, 2)
+        bad = EkelandProblem(np.zeros(2), lambda j: np.where(np.arange(2) != j, -1.0, 0.0),
                              1.0, 0)
         with pytest.raises(UsageError):
             validate_penalty(bad)
@@ -131,21 +131,21 @@ class TestTataruPenalty:
     quadruples are index tuples into the base points."""
 
     def test_vanishes_on_diagonal(self):
-        ou = make_ou(1.0)
+        ou = QuadraticSpace()
         B = tataru_product_penalty(ou, [StatePoint.of(v) for v in (0.0, 1.0, 2.0, 3.0)], 0.1)
         x = (0, 1, 2, 3)
         assert B(x, x) == 0.0
 
     def test_weight_arithmetic(self):
         # differing only in the first slot by d_T = 2 -> 2 / (1 - eps)
-        ou = make_ou(1.0)
+        ou = QuadraticSpace()
         B = tataru_product_penalty(ou, [StatePoint.of(v) for v in (0.0, 1.0, 2.0, 3.0)], 0.1)
         x1 = (0, 1, 2, 3)
         x2 = (2, 1, 2, 3)
         assert B(x2, x1) == pytest.approx(2.0 / 0.9, abs=1e-6)
 
     def test_triangle_inequality_sampled(self):
-        ou = make_ou(1.0)
+        ou = QuadraticSpace()
         rng = np.random.default_rng(3)
         for _ in range(25):
             points = [ou.sample_point(rng) for _ in range(12)]
@@ -155,7 +155,7 @@ class TestTataruPenalty:
 
 
 def test_tataru_matrix_matches_pairwise_distance():
-    cir = make_cir(CirDescriptor(mu=1.0))
+    cir = CirSpace(mu=1.0)
     rng = np.random.default_rng(29)
     base = [cir.sample_point(rng) for _ in range(6)]
     dt_m = tataru_matrix(cir, base, 1e-2)
@@ -193,7 +193,7 @@ class TestProductPenalty:
 
     @pytest.fixture(scope="class")
     def matrices(self):
-        ou = make_ou(1.0)
+        ou = QuadraticSpace()
         base = [StatePoint.of(v) for v in np.linspace(-1.5, 1.5, 5)]
         # a Tataru matrix, and an asymmetric one whose entries span many
         # magnitudes, so the order of the four-term sum shows in the bits
@@ -265,7 +265,7 @@ def test_verify_result_bit_equal_to_scalar_penalty_reference():
         cases.append((line_problem(g, float(rng.uniform(0.01, 10.0)),
                                    int(rng.integers(len(g)))),
                       lambda i, j, pts=pts: abs(pts[i] - pts[j])))
-    ou = make_ou(1.0)
+    ou = QuadraticSpace()
     dt_m = tataru_matrix(ou, [StatePoint.of(v) for v in np.linspace(-1.5, 1.5, 5)], 1e-2)
     rough = np.exp(rng.uniform(-20.0, 20.0, (5, 5)))
     for matrix in (dt_m, rough):
@@ -273,8 +273,7 @@ def test_verify_result_bit_equal_to_scalar_penalty_reference():
             ref, _ = decode_product_penalty(matrix, weights)
             g4 = rng.normal(0.0, 1.0, 5**4)
             for x_hat in (0, 312, int(np.argmax(g4))):
-                cases.append((EkelandProblem(list(range(5**4)), g4,
-                                             product_penalty(matrix, weights), 0.2, x_hat),
+                cases.append((EkelandProblem(g4, product_penalty(matrix, weights), 0.2, x_hat),
                               ref))
     moved = 0
     for problem, pointwise in cases:
@@ -286,7 +285,7 @@ def test_verify_result_bit_equal_to_scalar_penalty_reference():
 
 
 def make_desk_case(n):
-    ou = make_ou(1.0)
+    ou = QuadraticSpace()
     h = make_data_function("gaussian_bump", center=0.7, width=0.6, height=1.0)
     xs = np.linspace(-2.0, 2.0, n)
     u = solve_resolvent(ou, 1.0, h, xs, 1e-8)
@@ -403,10 +402,10 @@ def one_point_key_estimates(space, pi, rho, mu, gamma, alpha, eps):
 @pytest.mark.parametrize("case", ["ou", "cir", "quartic"])
 def test_key_estimates_bit_equal_to_one_point_reference(case, monkeypatch):
     space, lo, hi, nu0 = {
-        "ou": (make_ou(1.0), -2.0, 2.0, 0.0),
-        "cir": (make_cir(CirDescriptor(mu=1.0, x_lo=1e-3, x_hi=8.0)), 0.05, 4.0, 1.0),
-        "quartic": (make_quadratic(QuadraticDescriptor(
-            dimension=1, kappa=1.0, perturbation=make_potential("quartic"))), -2.0, 2.0, 0.0),
+        "ou": (QuadraticSpace(), -2.0, 2.0, 0.0),
+        "cir": (CirSpace(mu=1.0, x_lo=1e-3, x_hi=8.0), 0.05, 4.0, 1.0),
+        "quartic": (QuadraticSpace(
+            dimension=1, kappa=1.0, perturbation=make_potential("quartic")), -2.0, 2.0, 0.0),
     }[case]
     xs = np.linspace(lo, hi, 31)
     seen = record_maximizers(monkeypatch)
@@ -426,8 +425,7 @@ def test_key_estimates_bit_equal_on_a_plane_grid(monkeypatch):
     # in two dimensions the table the maximizer reads, scale^2 times a sum
     # of squares, can differ from space.distance ** 2 in the last bit, and
     # taking d^2 from it moves the first maximizer's residuals here
-    space = make_quadratic(QuadraticDescriptor(
-        dimension=2, kappa=1.0, perturbation=make_potential("quartic")))
+    space = QuadraticSpace(dimension=2, kappa=1.0, perturbation=make_potential("quartic"))
     nodes = np.random.default_rng(91).uniform(-1.5, 1.5, (200, 2))
     u = GridFunction(nodes, 2.0 * nodes[:, 0] + nodes[:, 1])
     v = GridFunction(nodes, 0.9 * u.values)
@@ -441,7 +439,7 @@ def test_key_estimates_bit_equal_on_a_plane_grid(monkeypatch):
 
 class TestQuadruplication:
     def test_zero_functions_collapse_to_diagonal(self, monkeypatch):
-        ou = make_ou(1.0)
+        ou = QuadraticSpace()
         zero = GridFunction(np.linspace(-1.0, 1.0, 11)[:, None], np.zeros(11))
         seen = record_maximizers(monkeypatch)
         res = quadruplicate(ou, zero, zero, [10.0, 100.0], StatePoint.of(0.0))
@@ -491,7 +489,7 @@ class TestQuadruplication:
 class TestKeyEstimates:
     def test_diagonal_at_minimizer_is_trivial(self, monkeypatch):
         # zero data: the maximizer is the energy's minimizer 0 four times
-        ou = make_ou(1.0)
+        ou = QuadraticSpace()
         zero = GridFunction(np.linspace(-1.0, 1.0, 11)[:, None], np.zeros(11))
         seen = record_maximizers(monkeypatch)
         res = quadruplicate(ou, zero, zero, [100.0], StatePoint.of(0.0))
@@ -499,7 +497,7 @@ class TestKeyEstimates:
         assert res.entries[0].key1_residual == 0.0 and res.entries[0].key2_residual == 0.0
 
     def test_infinite_information_rejected(self, monkeypatch):
-        ou = make_ou(1.0)
+        ou = QuadraticSpace()
         monkeypatch.setattr(ou, "information_rows", lambda coords: np.full(len(coords), math.inf))
         zero = GridFunction(np.linspace(-1.0, 1.0, 11)[:, None], np.zeros(11))
         with pytest.raises(UsageError, match="finite information"):
@@ -508,21 +506,21 @@ class TestKeyEstimates:
 
 class TestJensen:
     def test_equal_points_trivial(self):
-        ou = make_ou(1.0)
+        ou = QuadraticSpace()
         assert jensen_distance_check(ou, np.full((1, 4, 1), 0.5)) <= 0.0
 
     def test_euclidean_samples(self):
-        ou = make_ou(1.0)
+        ou = QuadraticSpace()
         quads = ou.sample_rows(np.random.default_rng(5), 4 * 2000).reshape(2000, 4, 1)
         assert jensen_distance_check(ou, quads) <= 1e-12
 
     def test_cir_samples(self):
-        cir = make_cir(CirDescriptor(mu=1.0))
+        cir = CirSpace(mu=1.0)
         quads = cir.sample_rows(np.random.default_rng(7), 4 * 500).reshape(500, 4, 1)
         assert jensen_distance_check(cir, quads) <= 1e-9
 
     def test_weights_out_of_range_rejected(self):
-        ou = make_ou(1.0)
+        ou = QuadraticSpace()
         with pytest.raises(UsageError):
             jensen_distance_check(ou, np.zeros((1, 4, 1)), eps_grid=(0.4,))
 

@@ -36,32 +36,25 @@ from evikit.flow import (
 )
 from evikit.potentials import make_potential
 from evikit.spaces import (
-    CirDescriptor,
     CirSpace,
-    QuadraticDescriptor,
     QuadraticSpace,
-    Wasserstein1DDescriptor,
-    make_cir,
-    make_ou,
-    make_quadratic,
-    make_wasserstein1d,
+    Wasserstein1DSpace,
 )
 
 
 @pytest.fixture(scope="module")
 def ou():
-    return make_ou(1.0)
+    return QuadraticSpace()
 
 
 @pytest.fixture(scope="module")
 def cir():
-    return make_cir(CirDescriptor(mu=1.0))
+    return CirSpace(mu=1.0)
 
 
 @pytest.fixture(scope="module")
 def heat_space():
-    return make_wasserstein1d(Wasserstein1DDescriptor(
-        m=200, internal=make_potential("entropy")))
+    return Wasserstein1DSpace(m=200, internal=make_potential("entropy"))
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +97,7 @@ class TestExactFlows:
         assert heat_space.distance(flowed, heat_space.gaussian_state(0.0, 2.0)) < 1e-12
 
     def test_no_closed_form_raises(self):
-        space = make_quadratic(QuadraticDescriptor(
-            dimension=1, kappa=1.0, perturbation=make_potential("quartic")))
+        space = QuadraticSpace(dimension=1, kappa=1.0, perturbation=make_potential("quartic"))
         with pytest.raises(UnsupportedFlowError):
             flow_exact(space, StatePoint.of(1.0), 1.0, 0.1)
 
@@ -115,9 +107,9 @@ class TestExactFlows:
         T and grids that append it."""
         cases = [
             (ou, StatePoint.of(-2.3), 1.0, 1e-3),
-            (make_quadratic(QuadraticDescriptor(dimension=3, kappa=0.7)),
+            (QuadraticSpace(dimension=3, kappa=0.7),
              StatePoint.of([1.0, -2.0, 0.5]), 0.7, 3e-3),
-            (make_quadratic(QuadraticDescriptor(dimension=2, kappa=-0.4)),
+            (QuadraticSpace(dimension=2, kappa=-0.4),
              StatePoint.of([0.3, -1.1]), 1.3, 0.07),
             (cir, StatePoint.of(0.07), 2.0, 1e-3),
             (cir, StatePoint.of(6.5), 0.5, 0.03),
@@ -151,7 +143,7 @@ class TestExactFlows:
     def test_start_validated_and_samples_finite(self, cir):
         with pytest.raises(DomainError):
             flow_exact(cir, StatePoint.of(-1.0), 1.0, 0.1)
-        growing = make_quadratic(QuadraticDescriptor(dimension=1, kappa=-1.0))
+        growing = QuadraticSpace(dimension=1, kappa=-1.0)
         with pytest.raises(UsageError, match="must be finite"), np.errstate(over="ignore"):
             flow_exact(growing, StatePoint.of(1e308), 10.0, 1.0)
 
@@ -160,7 +152,7 @@ class TestExactFlows:
         times = np.concatenate([[0.0], np.geomspace(1e-4, 5.0, 40)])
         cases = [
             (ou, StatePoint.of(-2.3)),
-            (make_quadratic(QuadraticDescriptor(dimension=3, kappa=0.7)),
+            (QuadraticSpace(dimension=3, kappa=0.7),
              StatePoint.of([1.0, -2.0, 0.5])),
             (cir, StatePoint.of(0.07)),
             (cir, StatePoint.of(6.5)),
@@ -174,8 +166,7 @@ class TestExactFlows:
                 assert np.max(np.abs(row - expected)) <= 1e-12
 
     def test_chart_flow_without_closed_form_raises(self, heat_space):
-        space = make_quadratic(QuadraticDescriptor(
-            dimension=1, kappa=1.0, perturbation=make_potential("quartic")))
+        space = QuadraticSpace(dimension=1, kappa=1.0, perturbation=make_potential("quartic"))
         with pytest.raises(UnsupportedFlowError):
             space.exact_flow_chart(np.array([1.0]), [0.0, 0.1])
         uniform = np.linspace(-1.0, 1.0, heat_space.m)
@@ -239,8 +230,8 @@ class CountingQuadratic(QuadraticSpace):
     hooks of _scalar_chart, elsewhere the row hooks on one row; each is
     counted."""
 
-    def __init__(self, desc):
-        super().__init__(desc)
+    def __init__(self, **params):
+        super().__init__(**params)
         self.projections = self.gradients = 0
 
     def project_chart_rows(self, y):
@@ -266,8 +257,8 @@ class CountingQuadratic(QuadraticSpace):
 
 
 def quadratic(dimension, perturbation, kappa=1.0):
-    return make_quadratic(QuadraticDescriptor(
-        dimension=dimension, kappa=kappa, perturbation=make_potential(perturbation)))
+    return QuadraticSpace(
+        dimension=dimension, kappa=kappa, perturbation=make_potential(perturbation))
 
 
 def assert_rows_match_steps(space, y_prev, dt, inner_tol=1e-9, max_iter=500):
@@ -307,7 +298,7 @@ class TestJkoRows:
     def test_drawn_cir_rows_match_jko_step(self, mu, x_lo, dt, logs):
         """CIR from starts sqrt(x_lo) e^u, many of them near the lower cut,
         where the first trial step overshoots and the projection clips."""
-        space = make_cir(CirDescriptor(mu=mu, x_lo=x_lo))
+        space = CirSpace(mu=mu, x_lo=x_lo)
         y_prev = np.minimum(math.sqrt(x_lo) * np.exp(logs), math.sqrt(space.x_hi))[:, None]
         assert_rows_match_steps(space, y_prev, dt)
 
@@ -315,7 +306,7 @@ class TestJkoRows:
         """Starts at and near the lower cut sqrt(x_lo) reach the projection's
         clipping: the first trial step, along the energy gradient at the
         start, lands past sqrt(x_hi)."""
-        space = make_cir(CirDescriptor(mu=1.0))
+        space = CirSpace(mu=1.0)
         energy, gradient, project = space._scalar_chart()
         y_prev, dt = math.sqrt(space.x_lo) * np.array([[1.0], [1.01], [1.5]]), 0.3
         for y in y_prev[:, 0].tolist():
@@ -333,7 +324,8 @@ class TestJkoRows:
                 y_prev = rng.normal(size=(12, dimension)) * np.geomspace(1e-3, 5.0, 12)[:, None]
                 y_prev[0] = 0.0  # the minimizer: converges at the first iteration
                 assert_rows_match_steps(space, y_prev, 0.3)
-                counting = CountingQuadratic(space.desc)
+                counting = CountingQuadratic(dimension=space.dimension, kappa=space.kappa,
+                                              perturbation=space.perturbation)
                 iterations, backtracks = set(), 0
                 for y in y_prev:
                     counting.projections = counting.gradients = 0
@@ -362,21 +354,23 @@ def row_hook_space(space):
     on (1, 1) arrays: jko_step's path before the float hooks."""
     cls = type(f"RowHook{type(space).__name__}", (type(space),),
                 {"_scalar_chart": Space._scalar_chart})
-    return cls(space.desc)
+    hooked = object.__new__(cls)  # with space's attributes, not rebuilt
+    hooked.__dict__.update(vars(space))
+    return hooked
 
 
 FLOAT_SPACES = [
-    ("ou", lambda: make_ou(1.0)),
+    ("ou", lambda: QuadraticSpace()),
     ("quartic", lambda: quadratic(1, "quartic", 0.7)),
-    ("offset", lambda: make_quadratic(QuadraticDescriptor(
-        kappa=1.3, perturbation=make_potential("power", alpha=3.0), energy_offset=-0.25))),
+    ("offset", lambda: QuadraticSpace(
+        kappa=1.3, perturbation=make_potential("power", alpha=3.0), energy_offset=-0.25)),
 ]
 
 # CIR keeps the base _scalar_chart, the row hooks on (1, 1) arrays, under
 # jko_step's float loop
 SCALAR_SPACES = FLOAT_SPACES + [
-    ("cir", lambda: make_cir(CirDescriptor(mu=1.3))),
-    ("cir_bounded", lambda: make_cir(CirDescriptor(mu=0.7, x_lo=1e-3, x_hi=8.0))),
+    ("cir", lambda: CirSpace(mu=1.3)),
+    ("cir_bounded", lambda: CirSpace(mu=0.7, x_lo=1e-3, x_hi=8.0)),
 ]
 
 
@@ -567,7 +561,7 @@ def test_contraction_matches_loop(ou, cir, heat_space):
     # a closed-form start against one without: minimizing movement ends at
     # 0.3, past T, and pairing that sample with the closed form at 0.25
     # read a violation of 0.033
-    w8 = make_wasserstein1d(Wasserstein1DDescriptor(m=8, internal=make_potential("entropy")))
+    w8 = Wasserstein1DSpace(m=8, internal=make_potential("entropy"))
     gauss = w8.gaussian_state(0.0, 1.0)
     stretched = StatePoint.of(gauss.array * np.linspace(1.0, 1.01, 8))
     cases += [(w8, gauss, stretched, 0.25, 0.1), (w8, stretched, gauss, 0.25, 0.1)]
@@ -653,12 +647,11 @@ def test_refined_lower_bound_bit_equal_on_drawn_starts(name):
     stage and compass search scored one StatePoint at a time, bit for bit,
     from drawn centres nu0; few samples leave the search work to do."""
     space, c1 = {
-        "ou": (make_ou(1.0), 1.0),
-        "cir": (make_cir(CirDescriptor(mu=1.0)), 0.5),
-        "cir_bounded": (make_cir(CirDescriptor(mu=2.0, x_lo=0.3, x_hi=5.0)), 2.0),
+        "ou": (QuadraticSpace(), 1.0),
+        "cir": (CirSpace(mu=1.0), 0.5),
+        "cir_bounded": (CirSpace(mu=2.0, x_lo=0.3, x_hi=5.0), 2.0),
         "quadratic_quartic": (quadratic(3, "quartic"), 0.2),
-        "transport": (make_wasserstein1d(Wasserstein1DDescriptor(
-            m=6, internal=make_potential("entropy"))), 1.0),
+        "transport": (Wasserstein1DSpace(m=6, internal=make_potential("entropy")), 1.0),
     }[name]
     for row in space.sample_rows(np.random.default_rng(41), 40):
         nu0 = StatePoint.of(row)
@@ -676,8 +669,8 @@ def test_refinement_follows_the_one_candidate_search(name):
     ends where the one-candidate-at-a-time search ends, bit for bit, after
     1, 2, 5 and 200 sweeps; the half-line's projection clips candidates at
     its bounds."""
-    space = {"ou": make_ou(1.0), "quadratic3": make_quadratic(QuadraticDescriptor(dimension=3)),
-             "cir_bounded": make_cir(CirDescriptor(mu=2.0, x_lo=0.3, x_hi=5.0))}[name]
+    space = {"ou": QuadraticSpace(), "quadratic3": QuadraticSpace(dimension=3),
+             "cir_bounded": CirSpace(mu=2.0, x_lo=0.3, x_hi=5.0)}[name]
 
     def rugged_rows(y):
         return np.sum(np.sin(7.0 * y) + 0.05 * y**2, axis=1)
@@ -774,7 +767,7 @@ class TestEnergyIdentity:
         assert verify_energy_identity(heat_space, traj) <= 1e-2
 
     def test_matches_statepoint_loop(self, ou, cir, heat_space):
-        singular = SingularStartQuadratic(QuadraticDescriptor(dimension=1, kappa=1.0))
+        singular = SingularStartQuadratic(dimension=1, kappa=1.0)
         gauss = heat_space.gaussian_state(0.2, 0.7).array
         flat = gauss.copy()
         flat[5] = flat[6]
@@ -802,7 +795,7 @@ class TestQuadraticLowerBound:
         assert c2 == pytest.approx(0.0, abs=1e-9)
 
     def test_concave_energy_with_compensating_c1(self):
-        space = make_quadratic(QuadraticDescriptor(dimension=1, kappa=-1.0))
+        space = QuadraticSpace(dimension=1, kappa=-1.0)
         c2, est = fit_quadratic_lower_bound(space, StatePoint.of(0.0), 2.0)
         assert est == pytest.approx(0.0, abs=1e-9)
 

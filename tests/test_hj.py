@@ -33,33 +33,29 @@ from evikit.hj import (
 )
 from evikit.potentials import make_potential
 from evikit.spaces import (
-    CirDescriptor,
     CirSpace,
-    QuadraticDescriptor,
-    make_cir,
-    make_ou,
-    make_quadratic,
+    QuadraticSpace,
 )
 from evikit.tataru import tataru_batch, tataru_distance
 
-DESC = CirDescriptor(mu=1.0, x_lo=1e-3, x_hi=8.0)
+BOUNDED = CirSpace(mu=1.0, x_lo=1e-3, x_hi=8.0)
 H_CLIP = make_data_function("affine_clipped", slope=1.0, intercept=0.0, cap=2.0)
 
 
 def solve_cir(lam, h, n_grid, tol):
-    """The resolvent on the n_grid-node grid spanning DESC's domain."""
-    space = make_cir(DESC)
-    return solve_resolvent(space, lam, h, np.linspace(space.x_lo, space.x_hi, n_grid), tol)
+    """The resolvent on the n_grid-node grid spanning BOUNDED's domain."""
+    return solve_resolvent(BOUNDED, lam, h, np.linspace(BOUNDED.x_lo, BOUNDED.x_hi, n_grid),
+                           tol)
 
 
 @pytest.fixture(scope="module")
 def ou():
-    return make_ou(1.0)
+    return QuadraticSpace()
 
 
 @pytest.fixture(scope="module")
 def cir():
-    return make_cir(DESC)
+    return BOUNDED
 
 
 @pytest.fixture(scope="module")
@@ -302,9 +298,8 @@ class TestTestFunctions:
             ViscosityTestFunction(cir, 1.0, 0.1, 0.0, StatePoint.of(1.0), StatePoint.of(0.0))
 
     def test_bounds_invariant_under_energy_recentering(self):
-        base = make_ou(1.0)
-        shifted = make_quadratic(QuadraticDescriptor(dimension=1, kappa=1.0,
-                                                     energy_offset=3.7))
+        base = QuadraticSpace()
+        shifted = QuadraticSpace(dimension=1, kappa=1.0, energy_offset=3.7)
         pts = [StatePoint.of(v) for v in (-1.0, 0.3, 2.0)]
         for pi in pts:
             tf0 = ViscosityTestFunction(base, 1.5, 0.2, 0.1, pts[0], pts[1])
@@ -322,7 +317,7 @@ class TestTestFunctions:
         """hamiltonian_bound with sign +1 and -1 against g+ and g- as
         written in the hj docstring, on Python floats and on arrays, with
         infinite energies and negative moduli among the draws."""
-        space = make_quadratic(QuadraticDescriptor(dimension=1, kappa=kappa))
+        space = QuadraticSpace(dimension=1, kappa=kappa)
         e, d = (np.array(col) for col in zip(*points))
         for args in ((float(e[0]), float(d[0]), float(d[0]) ** 2), (e, d, d**2)):
             for sign, written_out in ((1, g_plus), (-1, g_minus)):
@@ -347,7 +342,7 @@ class TestResolvent:
         the resolvent f = A x + B, where A + lambda A - lambda A^2 / 2 = c
         (the root nearest c) and B = d + lambda mu A.  Upwind differences
         are exact on affine functions, so the solve matches f to rounding."""
-        lam, mu, d = 1.0, DESC.mu, 0.2
+        lam, mu, d = 1.0, BOUNDED.mu, 0.2
         a = (1.0 + lam - math.sqrt((1.0 + lam) ** 2 - 2.0 * lam * c)) / lam
         assert abs(a + lam * a - 0.5 * lam * a * a - c) <= 1e-15
         sol = solve_cir(lam, lambda x: c * np.asarray(x) + d, n_grid, 1e-10)
@@ -428,8 +423,8 @@ def resolvent_problems(draw, max_nodes=5000):
         lo = -draw(st.floats(1.0, 6.0))
         hi = -lo
         perturbation = make_potential(draw(st.sampled_from(["zero", "quartic"])))
-        space = make_quadratic(QuadraticDescriptor(dimension=1, kappa=draw(st.floats(0.1, 3.0)),
-                                                   perturbation=perturbation))
+        space = QuadraticSpace(dimension=1, kappa=draw(st.floats(0.1, 3.0)),
+                               perturbation=perturbation)
         xs = np.linspace(lo, hi, n)
         drift, sigma = -space.chart_energy_grad_rows(xs[:, None])[:, 0], np.ones(n)
     kind = draw(st.sampled_from(["affine_clipped", "gaussian_bump", "constant"]))
@@ -461,15 +456,14 @@ BLOCK = evikit.hj._BLOCK
 
 
 def block_edge_problem(kind, n):
-    """Arguments of solve_resolvent_1d on n nodes: CIR (DESC's domain, a
+    """Arguments of solve_resolvent_1d on n nodes: CIR (BOUNDED's domain, a
     bump at 1.7) or the quartic-perturbed quadratic space on [-3, 3]
     (clipped affine data)."""
     if kind == "cir":
-        xs = np.linspace(DESC.x_lo, DESC.x_hi, n)
+        xs = np.linspace(BOUNDED.x_lo, BOUNDED.x_hi, n)
         h = make_data_function("gaussian_bump", center=1.7, width=1.0, height=1.0)
-        return xs, DESC.mu - xs, xs, 1.0, h(xs), 1e-6
-    space = make_quadratic(QuadraticDescriptor(dimension=1, kappa=0.5,
-                                               perturbation=make_potential("quartic")))
+        return xs, BOUNDED.mu - xs, xs, 1.0, h(xs), 1e-6
+    space = QuadraticSpace(dimension=1, kappa=0.5, perturbation=make_potential("quartic"))
     xs = np.linspace(-3.0, 3.0, n)
     drift = -space.chart_energy_grad_rows(xs[:, None])[:, 0]
     return xs, drift, np.ones(n), 2.0, H_CLIP(xs), 1e-8
@@ -518,19 +512,19 @@ class TestBufferedResolvent:
         assert outcome == solve_outcome(reference_resolvent_1d, *problem)
 
     def test_steep_bump_stalls_with_reference_residual(self):
-        xs = np.linspace(DESC.x_lo, DESC.x_hi, 12800)
+        xs = np.linspace(BOUNDED.x_lo, BOUNDED.x_hi, 12800)
         h = make_data_function("gaussian_bump", center=2.5, width=0.5, height=1.2)
-        problem = (xs, DESC.mu - xs, xs, 1.0, h(xs), 1e-6)
+        problem = (xs, BOUNDED.mu - xs, xs, 1.0, h(xs), 1e-6)
         outcome = solve_outcome(solve_resolvent_1d, *problem)
         assert outcome[0] is NumericalError
         assert outcome == solve_outcome(reference_resolvent_1d, *problem)
 
     def test_returns_fresh_arrays(self):
-        xs = np.linspace(DESC.x_lo, DESC.x_hi, 300)
+        xs = np.linspace(BOUNDED.x_lo, BOUNDED.x_hi, 300)
         h_vals = H_CLIP(xs)
-        first = solve_resolvent_1d(xs, DESC.mu - xs, xs, 1.0, h_vals, 1e-8)
+        first = solve_resolvent_1d(xs, BOUNDED.mu - xs, xs, 1.0, h_vals, 1e-8)
         kept = first[0].copy(), first[1].copy()
-        solve_resolvent_1d(xs, DESC.mu - xs, xs, 0.5, h_vals + 0.25, 1e-8)
+        solve_resolvent_1d(xs, BOUNDED.mu - xs, xs, 0.5, h_vals + 0.25, 1e-8)
         assert np.array_equal(first[0], kept[0]) and np.array_equal(first[1], kept[1])
         assert not np.shares_memory(first[0], first[1])
         assert np.array_equal(h_vals, H_CLIP(xs))
@@ -583,7 +577,7 @@ def test_manufactured_solution_first_order():
     F = exp(-(x - 2)^2 / 0.5) / 2 the data h = F - lambda [(mu - x) F' +
     x F'^2 / 2] has the resolvent f = F.  The upwind scheme is first
     order, so the sup error falls like dx."""
-    lam, mu = 1.0, DESC.mu
+    lam, mu = 1.0, BOUNDED.mu
 
     def exact(x):
         return 0.5 * np.exp(-((x - 2.0) ** 2) / 0.5)
@@ -699,9 +693,9 @@ def run_child(code: str) -> list[str]:
 SOLVE_IN_CHILD = (
     "import numpy as np\n"
     "from evikit.hj import make_data_function, solve_resolvent\n"
-    "from evikit.spaces import CirDescriptor, make_cir\n"
+    "from evikit.spaces import CirSpace\n"
     "def solve():\n"
-    "    return solve_resolvent(make_cir(CirDescriptor(mu=1.0, x_lo=1e-3, x_hi=8.0)), 1.0,\n"
+    "    return solve_resolvent(CirSpace(mu=1.0, x_lo=1e-3, x_hi=8.0), 1.0,\n"
     "        make_data_function('gaussian_bump', center=1.7, width=1.0, height=1.0),\n"
     "        np.linspace(1e-3, 8.0, 200), 1e-6).f.values.tobytes()\n"
 )
@@ -836,13 +830,12 @@ class TestViscosity:
         # closed-form flow, where d_T depends on flow_dt, and one on a second
         # space.  A d_T reused across flow_dt or spaces moves the argmax of
         # -x - f+ (and of x - f-) by two nodes.
-        quartic = make_quadratic(QuadraticDescriptor(
-            perturbation=make_potential("quartic", coeff=0.5)))
+        quartic = QuadraticSpace(perturbation=make_potential("quartic", coeff=0.5))
         xs = np.linspace(-2.0, 2.0, 31)
         zero = GridFunction(xs[:, None], np.zeros(31))
         anchor = StatePoint.of(1.5)
         tfs = [ViscosityTestFunction(space, 1.0, 1.0, 0.0, anchor, anchor, flow_dt)
-               for space, flow_dt in ((quartic, 0.1), (quartic, 0.5), (make_ou(1.0), 0.1))]
+               for space, flow_dt in ((quartic, 0.1), (quartic, 0.5), (QuadraticSpace(), 0.1))]
         for kind, verify, values in (("upper", verify_subsolution, -xs),
                                      ("lower", verify_supersolution, xs)):
             grid = GridFunction(zero.nodes, values)
@@ -924,7 +917,7 @@ class TestRollout:
                  (ou, make_data_function("gaussian_bump", center=0.5, width=1.0, height=1.0),
                   np.array([-6.0, -2.0, -0.3, 1.9, 2.0, 5.0]), 5e-2, 2.0,
                   np.linspace(-2.0, 2.0, 101)),
-                 (cir, H_CLIP, np.array([DESC.x_lo, 0.5, 1.3, 4.0, 6.0]), 5e-2, 2.0,
+                 (cir, H_CLIP, np.array([BOUNDED.x_lo, 0.5, 1.3, 4.0, 6.0]), 5e-2, 2.0,
                   np.linspace(0.5, 4.0, 200))]
         for space, h, starts, dt, T, grid in cases:
             for us in controls:
@@ -959,7 +952,7 @@ class TestRollout:
     def test_next_states_on_nodes_bit_equal_to_scalar_rollout(self):
         # kappa 0 leaves the drift at zero, so on a unit-spaced grid with
         # dt * u integral every next state is a node or clipped to an end
-        flat = make_quadratic(QuadraticDescriptor(dimension=1, kappa=0.0))
+        flat = QuadraticSpace(dimension=1, kappa=0.0)
         grid = np.linspace(-8.0, 8.0, 17)
         us = np.array([-8.0, -4.0, 0.0, 4.0, 8.0])
         h = make_data_function("gaussian_bump", center=1.0, width=2.0, height=1.0)
@@ -1068,7 +1061,7 @@ class TestSandwich:
     def test_wrong_modulus_violates_bound(self):
         """With the modulus forced to 1 the upper bound fails on the
         half-line: the sandwich check is sharp enough to detect it."""
-        cir = make_cir(CirDescriptor(mu=1.0))
+        cir = CirSpace(mu=1.0)
         cir.kappa = 1.0
         assert hamiltonian_sandwich_check(cir, (1.0,), [[0.25]], [[4.0]]) > 0.5
 

@@ -25,29 +25,21 @@ from evikit.ekeland import jensen_distance_check
 from evikit.hj import hamiltonian_sandwich_check
 from evikit.potentials import make_potential
 from evikit.spaces import (
-    AllenCahnDescriptor,
-    CirDescriptor,
-    QuadraticDescriptor,
+    AllenCahnSpace,
+    CirSpace,
     QuadraticSpace,
-    Wasserstein1DDescriptor,
-    make_allen_cahn,
-    make_cir,
-    make_ou,
-    make_quadratic,
-    make_wasserstein1d,
+    Wasserstein1DSpace,
 )
 
 SPACES = [
-    make_ou(1.0),
-    make_quadratic(QuadraticDescriptor(dimension=3, kappa=0.5,
-                                       perturbation=make_potential("quartic"))),
-    make_cir(CirDescriptor(mu=1.0)),
-    make_allen_cahn(AllenCahnDescriptor(grid_size=64, length=2 * math.pi, kappa=1.0,
-                                        well=make_potential("quartic"))),
-    make_wasserstein1d(Wasserstein1DDescriptor(m=50, internal=make_potential("entropy"))),
-    make_wasserstein1d(Wasserstein1DDescriptor(
+    QuadraticSpace(),
+    QuadraticSpace(dimension=3, kappa=0.5, perturbation=make_potential("quartic")),
+    CirSpace(mu=1.0),
+    AllenCahnSpace(grid_size=64, length=2 * math.pi, kappa=1.0, well=make_potential("quartic")),
+    Wasserstein1DSpace(m=50, internal=make_potential("entropy")),
+    Wasserstein1DSpace(
         m=20, internal=make_potential("entropy"), potential=make_potential("quadratic"),
-        interaction=make_potential("quadratic"), kappa_v=1.0, kappa_w=1.0)),
+        interaction=make_potential("quadratic"), kappa_v=1.0, kappa_w=1.0),
 ]
 IDS = ["ou", "quadratic3_quartic", "cir", "allen_cahn64", "transport50",
        "transport20_interacting"]
@@ -221,7 +213,7 @@ def test_degenerate_geodesics_keep_their_end_points():
     # p == q, t = 0 and t = 1 give the end points themselves: on the
     # half-line chart y = sqrt(x) a round trip through the chart need not,
     # and sqrt(x) ** 2 != x for each of these x
-    cir = make_cir(CirDescriptor(mu=1.0))
+    cir = CirSpace(mu=1.0)
     xs = [0.7, 0.3, 2.9, 5.1, 1.3]
     assert all(math.sqrt(x) ** 2 != x for x in xs)
     for x, y in zip(xs, xs[1:]):
@@ -242,7 +234,7 @@ class FixedRows(QuadraticSpace):
     turn."""
 
     def __init__(self, rows):
-        super().__init__(QuadraticDescriptor(dimension=1, kappa=1.0))
+        super().__init__(dimension=1, kappa=1.0)
         self.rows, self.taken = np.asarray(rows, dtype=float), 0
 
     def sample_rows(self, rng, n):
@@ -257,7 +249,7 @@ def test_squared_distances_are_python_float_powers():
     drawn = np.random.default_rng(41).uniform(-3.0, 3.0, (40000, 2)).tolist()
     odd = [(a, b) for a, b in drawn if abs(a - b) ** 2 != abs(a - b) * abs(a - b)]
     pairs = (odd + drawn)[:20]
-    ou = make_ou(1.0)
+    ou = QuadraticSpace()
     for a, b in pairs:  # one pair at a time, so no max hides a last bit
         quad = np.array([[[a], [b], [a], [b]]])
         assert_same_float(jensen_distance_check(ou, quad),
@@ -273,7 +265,7 @@ class CensoredQuadratic(QuadraticSpace):
     sample_rows yields rows of infinite energy."""
 
     def __init__(self, keep):
-        super().__init__(QuadraticDescriptor(dimension=1, kappa=1.0))
+        super().__init__(dimension=1, kappa=1.0)
         self.keep = keep
 
     def chart_energy_rows(self, y):

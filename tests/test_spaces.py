@@ -19,15 +19,10 @@ from evikit.core import (
 from evikit.flow import flow_any, verify_contraction, verify_evi
 from evikit.potentials import Potential, make_potential
 from evikit.spaces import (
-    AllenCahnDescriptor,
-    CirDescriptor,
-    QuadraticDescriptor,
-    Wasserstein1DDescriptor,
-    make_allen_cahn,
-    make_cir,
-    make_ou,
-    make_quadratic,
-    make_wasserstein1d,
+    AllenCahnSpace,
+    CirSpace,
+    QuadraticSpace,
+    Wasserstein1DSpace,
     mccann_check,
     pava_nondecreasing,
     wasserstein_information_rows,
@@ -40,7 +35,7 @@ from evikit.spaces import (
 
 class TestCir:
     def setup_method(self):
-        self.space = make_cir(CirDescriptor(mu=1.0))
+        self.space = CirSpace(mu=1.0)
 
     def test_energy_minimum_at_mu(self):
         assert float(self.space.energy(StatePoint.of(1.0))) == pytest.approx(0.0)
@@ -56,7 +51,7 @@ class TestCir:
 
     def test_construction_errors_name_predicate(self):
         with pytest.raises(ConstructionError, match="x_lo < mu"):
-            make_cir(CirDescriptor(mu=1.0, x_lo=2.0))
+            CirSpace(mu=1.0, x_lo=2.0)
 
     def test_infinitesimal_half_convexity(self):
         """Coupled-flow dissipation <= -1/2 d^2 via the chart formulas."""
@@ -86,14 +81,13 @@ class TestCir:
 
 class TestQuadratic:
     def test_ou_energy_and_slope(self):
-        ou = make_ou(1.0)
+        ou = QuadraticSpace()
         assert float(ou.energy(StatePoint.of(2.0))) == pytest.approx(2.0)
         assert float(ou.slope(StatePoint.of(3.0))) == pytest.approx(3.0)
         assert float(ou.information(StatePoint.of(3.0))) == pytest.approx(9.0)
 
     def test_perturbed_energy(self):
-        space = make_quadratic(QuadraticDescriptor(
-            dimension=2, kappa=1.0, perturbation=make_potential("quartic")))
+        space = QuadraticSpace(dimension=2, kappa=1.0, perturbation=make_potential("quartic"))
         val = float(space.energy(StatePoint.of([1.0, 2.0])))
         assert val == pytest.approx(0.5 * 5.0 + 0.25 * (1.0 + 16.0))
 
@@ -101,7 +95,7 @@ class TestQuadratic:
         concave = Potential("neg", lambda s: -np.asarray(s) ** 2,
                             lambda s: -2.0 * np.asarray(s))
         with pytest.raises(ConstructionError, match="convexity"):
-            make_quadratic(QuadraticDescriptor(dimension=1, perturbation=concave))
+            QuadraticSpace(dimension=1, perturbation=concave)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +104,7 @@ class TestQuadratic:
 
 class TestAllenCahn:
     def make(self, kappa=1.0, well=None, n=64):
-        return make_allen_cahn(AllenCahnDescriptor(
-            grid_size=n, length=2 * math.pi, kappa=kappa, well=well))
+        return AllenCahnSpace(grid_size=n, length=2 * math.pi, kappa=kappa, well=well)
 
     def test_zero_field_has_zero_energy(self):
         space = self.make(kappa=1.0, well=make_potential("quartic"))
@@ -204,9 +197,9 @@ class TestWasserstein1D:
     def make(self, m=400, internal="entropy", potential=None, interaction=None,
              kappa_v=0.0, kappa_w=0.0):
         mk = lambda s: None if s is None else make_potential(s)
-        return make_wasserstein1d(Wasserstein1DDescriptor(
+        return Wasserstein1DSpace(
             m=m, internal=mk(internal), potential=mk(potential),
-            interaction=mk(interaction), kappa_v=kappa_v, kappa_w=kappa_w))
+            interaction=mk(interaction), kappa_v=kappa_v, kappa_w=kappa_w)
 
     def test_w2_between_gaussians(self):
         space = self.make(m=400)
@@ -335,12 +328,11 @@ class TestWasserstein1D:
         odd = Potential("odd", lambda s: np.asarray(s, dtype=float) ** 3,
                         lambda s: 3.0 * np.asarray(s, dtype=float) ** 2)
         with pytest.raises(ConstructionError, match="even"):
-            self.make(interaction=None, m=16) and make_wasserstein1d(
-                Wasserstein1DDescriptor(m=16, interaction=odd))
+            self.make(interaction=None, m=16) and Wasserstein1DSpace(m=16, interaction=odd)
 
     def test_negative_kappa_w_rejected(self):
         with pytest.raises(ConstructionError, match="kappa_w"):
-            make_wasserstein1d(Wasserstein1DDescriptor(m=16, kappa_w=-1.0))
+            Wasserstein1DSpace(m=16, kappa_w=-1.0)
 
     def test_directional_derivative_bounded_by_slope(self):
         """Along plain quantile geodesics between smooth densities the
@@ -359,6 +351,26 @@ class TestWasserstein1D:
                 mid = space.geodesic_point(rho, pi, t)
                 quotients.append((float(space.energy(mid)) - e_rho) / t)
             assert min(quotients) <= bound + 0.02 * max(1.0, abs(bound))
+
+
+# 1 - cos s: even, zero at 0, nonnegative and concave near pi
+BUMPY = Potential("bumpy", lambda s: 1.0 - np.cos(np.asarray(s, dtype=float)),
+                  lambda s: np.sin(np.asarray(s, dtype=float)))
+
+
+@pytest.mark.parametrize("build, words", [
+    (lambda: QuadraticSpace(perturbation=BUMPY), "perturbation convexity"),
+    (lambda: AllenCahnSpace(grid_size=8, length=1.0, well=BUMPY), "well potential convexity"),
+    (lambda: Wasserstein1DSpace(m=8, potential=BUMPY), "potential kappa_v-convexity"),
+    (lambda: Wasserstein1DSpace(m=8, interaction=BUMPY), "interaction kappa_w-convexity"),
+    (lambda: Wasserstein1DSpace(m=8, potential=make_potential("quadratic"), kappa_v=2.0),
+     "potential kappa_v-convexity violated by 1.00e\\+00"),
+    (lambda: Wasserstein1DSpace(m=8, interaction=make_potential("quadratic"), kappa_w=1.5),
+     "interaction kappa_w-convexity violated by 5.00e-01"),
+], ids=["perturbation", "well", "potential", "interaction", "kappa_v", "kappa_w"])
+def test_each_convexity_check_rejects(build, words):
+    with pytest.raises(ConstructionError, match=words):
+        build()
 
 
 def test_pava_projects_onto_monotone_vectors():
@@ -422,12 +434,11 @@ def test_pava_matches_pooling_loop_on_drawn_vectors(values, presorted):
 # ---------------------------------------------------------------------------
 
 CHART_SPACES = {
-    "cir": make_cir(CirDescriptor(mu=1.0)),
-    "ou": make_ou(1.0),
-    "quadratic3": make_quadratic(QuadraticDescriptor(dimension=3, kappa=0.5)),
+    "cir": CirSpace(mu=1.0),
+    "ou": QuadraticSpace(),
+    "quadratic3": QuadraticSpace(dimension=3, kappa=0.5),
     # no override: the default identity chart
-    "allen_cahn": make_allen_cahn(AllenCahnDescriptor(grid_size=4, length=2 * math.pi,
-                                                       kappa=1.0)),
+    "allen_cahn": AllenCahnSpace(grid_size=4, length=2 * math.pi, kappa=1.0),
 }
 
 
@@ -456,7 +467,7 @@ def test_chart_rows_equal_to_chart_row_by_row(name, values, n_rows):
 
 def quadratic_sample_point(space, rng):
     """QuadraticSpace.sample_point before it became a row draw."""
-    return StatePoint.of(rng.normal(0.0, space.desc.scale, space.dimension))
+    return StatePoint.of(rng.normal(0.0, space.scale, space.dimension))
 
 
 def cir_sample_point(space, rng):
@@ -486,18 +497,18 @@ def wasserstein_sample_point(space, rng):
 
 
 SAMPLE_SPACES = {
-    "ou": (make_ou(1.0), quadratic_sample_point),
-    "quadratic3": (make_quadratic(QuadraticDescriptor(dimension=3, kappa=0.5, scale=1.5)),
+    "ou": (QuadraticSpace(), quadratic_sample_point),
+    "quadratic3": (QuadraticSpace(dimension=3, kappa=0.5, scale=1.5),
                    quadratic_sample_point),
-    "cir": (make_cir(CirDescriptor(mu=1.0)), cir_sample_point),
+    "cir": (CirSpace(mu=1.0), cir_sample_point),
     # the draw range clipped by the domain on both sides
-    "cir_bounded": (make_cir(CirDescriptor(mu=2.0, x_lo=0.3, x_hi=5.0)), cir_sample_point),
+    "cir_bounded": (CirSpace(mu=2.0, x_lo=0.3, x_hi=5.0), cir_sample_point),
     # six coefficient draws a point, drawn as one array
-    "allen_cahn": (make_allen_cahn(AllenCahnDescriptor(grid_size=6, length=2 * math.pi,
-                                                        kappa=1.0)), allen_cahn_sample_point),
+    "allen_cahn": (AllenCahnSpace(grid_size=6, length=2 * math.pi,
+                                  kappa=1.0), allen_cahn_sample_point),
     # interleaved draws: one point's mean, spread and values at a time
-    "wasserstein1d": (make_wasserstein1d(Wasserstein1DDescriptor(
-        m=5, internal=make_potential("entropy"))), wasserstein_sample_point),
+    "wasserstein1d": (Wasserstein1DSpace(
+        m=5, internal=make_potential("entropy")), wasserstein_sample_point),
 }
 
 
@@ -540,7 +551,7 @@ def cir_project(space, y):
 
 def quadratic_energy(space, y):
     y = np.asarray(y, dtype=float)
-    e = 0.5 * space.kappa * float(np.dot(y, y)) + space.desc.energy_offset
+    e = 0.5 * space.kappa * float(np.dot(y, y)) + space.energy_offset
     if space.perturbation is not None:
         e += float(np.sum(space.perturbation(y)))
     return e
@@ -613,8 +624,7 @@ def identity_project(space, y):
 
 
 def transport(m, **pots):
-    return make_wasserstein1d(Wasserstein1DDescriptor(
-        m=m, **{k: make_potential(v) for k, v in pots.items()}))
+    return Wasserstein1DSpace(m=m, **{k: make_potential(v) for k, v in pots.items()})
 
 
 def wasserstein_edge_rows(space, rows):
@@ -639,19 +649,18 @@ def cir_log_rows(space, rows):
 
 # name: (space, energy, gradient, projection, extra rows in chart coordinates)
 REFERENCE_SPACES = {
-    "cir": (make_cir(CirDescriptor(mu=1.0)), cir_energy, cir_grad, cir_project,
+    "cir": (CirSpace(mu=1.0), cir_energy, cir_grad, cir_project,
             cir_log_rows),
-    "cir_bounded": (make_cir(CirDescriptor(mu=2.0, x_lo=0.3, x_hi=5.0)), cir_energy, cir_grad,
+    "cir_bounded": (CirSpace(mu=2.0, x_lo=0.3, x_hi=5.0), cir_energy, cir_grad,
                     cir_project, None),
-    "ou": (make_ou(1.0), quadratic_energy, quadratic_grad, identity_project, None),
-    "quadratic_quartic": (make_quadratic(QuadraticDescriptor(
-        dimension=7, kappa=0.5, perturbation=make_potential("quartic"), energy_offset=0.3)),
+    "ou": (QuadraticSpace(), quadratic_energy, quadratic_grad, identity_project, None),
+    "quadratic_quartic": (QuadraticSpace(
+        dimension=7, kappa=0.5, perturbation=make_potential("quartic"), energy_offset=0.3),
         quadratic_energy, quadratic_grad, identity_project, None),
-    "allen_cahn": (make_allen_cahn(AllenCahnDescriptor(grid_size=16, length=2 * math.pi,
-                                                        kappa=1.0)),
+    "allen_cahn": (AllenCahnSpace(grid_size=16, length=2 * math.pi, kappa=1.0),
                    allen_cahn_energy, allen_cahn_grad, identity_project, None),
-    "allen_cahn_well": (make_allen_cahn(AllenCahnDescriptor(
-        grid_size=37, length=3.0, kappa=0.5, well=make_potential("quartic"))),
+    "allen_cahn_well": (AllenCahnSpace(
+        grid_size=37, length=3.0, kappa=0.5, well=make_potential("quartic")),
         allen_cahn_energy, allen_cahn_grad, identity_project, None),
     "entropy": (transport(37, internal="entropy"), wasserstein_energy, wasserstein_grad,
                 wasserstein_project, wasserstein_edge_rows),
@@ -730,14 +739,13 @@ def point_information(slope):
 
 # name: (space, the space's one-point slope before slope_rows)
 SLOPE_SPACES = {
-    "cir": (make_cir(CirDescriptor(mu=1.0)), cir_slope),
-    "ou": (make_ou(1.0), quadratic_slope),
-    "quadratic_quartic": (make_quadratic(QuadraticDescriptor(
-        dimension=3, kappa=0.5, perturbation=make_potential("quartic"))), quadratic_slope),
-    "allen_cahn": (make_allen_cahn(AllenCahnDescriptor(grid_size=16, length=2 * math.pi,
-                                                        kappa=1.0)), allen_cahn_slope),
-    "allen_cahn_well": (make_allen_cahn(AllenCahnDescriptor(
-        grid_size=37, length=3.0, kappa=0.5, well=make_potential("quartic"))),
+    "cir": (CirSpace(mu=1.0), cir_slope),
+    "ou": (QuadraticSpace(), quadratic_slope),
+    "quadratic_quartic": (QuadraticSpace(
+        dimension=3, kappa=0.5, perturbation=make_potential("quartic")), quadratic_slope),
+    "allen_cahn": (AllenCahnSpace(grid_size=16, length=2 * math.pi, kappa=1.0), allen_cahn_slope),
+    "allen_cahn_well": (AllenCahnSpace(
+        grid_size=37, length=3.0, kappa=0.5, well=make_potential("quartic")),
         allen_cahn_slope),
     "entropy": (transport(37, internal="entropy"), wasserstein_slope),
     "entropy_potential_interaction": (
@@ -781,8 +789,8 @@ def test_slope_rows_bit_equal_to_one_point_slope(name):
 # ---------------------------------------------------------------------------
 
 def test_validate_rows_is_validate_point_row_by_row():
-    cir = make_cir(CirDescriptor(mu=1.0))
-    transport = make_wasserstein1d(Wasserstein1DDescriptor(m=4))
+    cir = CirSpace(mu=1.0)
+    transport = Wasserstein1DSpace(m=4)
     cir.validate_rows(np.array([[0.0], [2.5]]))
     with pytest.raises(DomainError, match="-0.5"):
         cir.validate_rows(np.array([[1.0], [-0.5], [-2.0]]))
@@ -824,7 +832,7 @@ def test_exact_flow_rows_keep_exact_flow_arithmetic(name):
 
 
 def test_exact_flow_rows_per_row_flags():
-    transport = make_wasserstein1d(Wasserstein1DDescriptor(m=6, internal=make_potential("entropy")))
+    transport = Wasserstein1DSpace(m=6, internal=make_potential("entropy"))
     gauss = transport.gaussian_state(0.3, 1.2).array
     rows = np.array([gauss, gauss + np.linspace(0.0, 0.1, 6), gauss - 1.0])
     assert transport.has_exact_flow_rows(rows).tolist() == [True, False, True]
@@ -833,7 +841,7 @@ def test_exact_flow_rows_per_row_flags():
         transport.exact_flow_rows(rows, 0.1)
     flowed = transport.exact_flow_rows(rows[[0, 2]], 0.1)
     assert flowed.tobytes() == transport.exact_flow_chart(rows[[0, 2]], 0.1).tobytes()
-    perturbed = make_quadratic(QuadraticDescriptor(perturbation=make_potential("zero")))
+    perturbed = QuadraticSpace(perturbation=make_potential("zero"))
     assert not perturbed.has_exact_flow_rows(np.zeros((3, 1))).any()
     with pytest.raises(UnsupportedFlowError):
         perturbed.exact_flow(StatePoint.of(1.0), 0.1)

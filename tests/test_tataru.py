@@ -13,14 +13,9 @@ from evikit.core import DomainError, NumericalError, StatePoint, UsageError
 from evikit.flow import _time_grid, flow_any, flow_exact, flow_mms
 from evikit.potentials import make_potential
 from evikit.spaces import (
-    CirDescriptor,
-    QuadraticDescriptor,
+    CirSpace,
     QuadraticSpace,
-    Wasserstein1DDescriptor,
-    make_cir,
-    make_ou,
-    make_quadratic,
-    make_wasserstein1d,
+    Wasserstein1DSpace,
 )
 from evikit.tataru import (
     _BLOCK_ELEMENTS,
@@ -301,12 +296,12 @@ def assert_kernel_matches_scalar(space, pairs, flow_dt, tol=1e-12):
 
 @pytest.fixture(scope="module")
 def ou():
-    return make_ou(1.0)
+    return QuadraticSpace()
 
 
 @pytest.fixture(scope="module")
 def cir():
-    return make_cir(CirDescriptor(mu=1.0))
+    return CirSpace(mu=1.0)
 
 
 class TestDistance:
@@ -402,8 +397,7 @@ class TestDistance:
             assert np.max(np.abs(batch - scalar)) <= 1e-12
 
     def test_chart_kernel_matches_statepoint_route(self, ou, cir):
-        heat = make_wasserstein1d(Wasserstein1DDescriptor(
-            m=100, internal=make_potential("entropy")))
+        heat = Wasserstein1DSpace(m=100, internal=make_potential("entropy"))
         rng = np.random.default_rng(53)
 
         def gaussian():
@@ -463,8 +457,7 @@ class TestPairKernel:
             assert_kernel_matches_scalar(space, pairs, self.FLOW_DT)
 
     def test_gaussian_transport_pairs(self):
-        heat = make_wasserstein1d(Wasserstein1DDescriptor(
-            m=100, internal=make_potential("entropy")))
+        heat = Wasserstein1DSpace(m=100, internal=make_potential("entropy"))
         rng = np.random.default_rng(67)
 
         def gaussian():
@@ -478,8 +471,7 @@ class TestPairKernel:
     def test_minimizing_movement_pairs_are_bit_identical(self):
         # the zero perturbation registers no closed form, so rho flows by
         # minimizing movement and the refinement uses the interpolant
-        space = make_quadratic(QuadraticDescriptor(
-            dimension=2, kappa=1.0, perturbation=make_potential("zero")))
+        space = QuadraticSpace(dimension=2, kappa=1.0, perturbation=make_potential("zero"))
         rng = np.random.default_rng(71)
         pairs = []
         for step in (0.0, 0.002, 0.01, 0.3, 0.8):
@@ -502,8 +494,7 @@ class TestPairKernel:
 
     def test_batch_value_does_not_depend_on_the_batch(self):
         # a pair with d0 < flow_dt once took the step of the batch's shared flow
-        space = make_quadratic(QuadraticDescriptor(
-            dimension=1, kappa=1.0, perturbation=make_potential("zero")))
+        space = QuadraticSpace(dimension=1, kappa=1.0, perturbation=make_potential("zero"))
         rho, pi = StatePoint.of(3.0), StatePoint.of(2.994)
         alone = tataru_distance(space, pi, rho, 1e-2).value
         assert alone == scalar_tataru(space, pi, rho, 1e-2)[0] == 0.002012000052425352
@@ -528,8 +519,8 @@ class TestLockstepScan:
     @pytest.mark.parametrize("dimension,perturbation", [(1, "zero"), (1, "quartic"),
                                                         (2, "zero"), (3, "quartic")])
     def test_pairs_flow_in_lockstep(self, dimension, perturbation):
-        space = make_quadratic(QuadraticDescriptor(
-            dimension=dimension, kappa=1.0, perturbation=make_potential(perturbation)))
+        space = QuadraticSpace(
+            dimension=dimension, kappa=1.0, perturbation=make_potential(perturbation))
         rng = np.random.default_rng(73)
         flow_dt = 2 ** -6
         y_rho = rng.uniform(-2.5, 2.5, (14, dimension))
@@ -555,9 +546,8 @@ class TestLockstepScan:
         the result."""
         import evikit.tataru as tataru
 
-        mms = make_quadratic(QuadraticDescriptor(
-            dimension=2, kappa=1.0, perturbation=make_potential("zero")))
-        closed = make_quadratic(QuadraticDescriptor(dimension=2, kappa=1.0))
+        mms = QuadraticSpace(dimension=2, kappa=1.0, perturbation=make_potential("zero"))
+        closed = QuadraticSpace(dimension=2, kappa=1.0)
         rng = np.random.default_rng(79)
         pis = mms.sample_rows(rng, 16)
         rhos = np.array([p + rng.uniform(-0.8, 0.8, 2) for p in pis])
@@ -609,18 +599,17 @@ class TestClosedFormScan:
 
     @staticmethod
     def spaces():
-        heat = make_wasserstein1d(Wasserstein1DDescriptor(
-            m=40, internal=make_potential("entropy")))
+        heat = Wasserstein1DSpace(m=40, internal=make_potential("entropy"))
         z = ndtri(heat.levels)
         return [
-            ("ou", make_ou(1.0), None),
-            ("cir", make_cir(CirDescriptor(mu=1.0)), None),
-            ("quadratic 3-d", make_quadratic(QuadraticDescriptor(dimension=3, kappa=0.7)),
+            ("ou", QuadraticSpace(), None),
+            ("cir", CirSpace(mu=1.0), None),
+            ("quadratic 3-d", QuadraticSpace(dimension=3, kappa=0.7),
              None),
             ("quadratic 1-d, kappa < 0",
-             make_quadratic(QuadraticDescriptor(dimension=1, kappa=-0.5)), None),
+             QuadraticSpace(dimension=1, kappa=-0.5), None),
             ("quadratic 2-d, kappa < 0",
-             make_quadratic(QuadraticDescriptor(dimension=2, kappa=-0.3)), None),
+             QuadraticSpace(dimension=2, kappa=-0.3), None),
             # Gaussian quantile vectors: the family with a closed-form flow
             ("heat", heat, lambda rng, k: (rng.normal(0.0, 0.5, (k, 1))
                                            + np.exp(rng.uniform(-0.5, 0.7, (k, 1))) * z)),
@@ -689,7 +678,7 @@ class TestClosedFormScan:
                 out[np.broadcast_to(late, out.shape[:-1])] = np.nan
                 return out
 
-        space = StoppedOu(QuadraticDescriptor(dimension=1, kappa=1.0))
+        space = StoppedOu(dimension=1, kappa=1.0)
         rng = np.random.default_rng(97)
         d0 = rng.uniform(0.05, 1.0, 40)
         y_pi, y_rho = np.zeros((40, 1)), d0[:, None]
@@ -748,8 +737,7 @@ class TestSuites:
         assert verify_tataru_triangle(ou, [[[0.4], [0.4], [-1.0]]]) <= 1e-12
 
     def test_triangle_on_transport_gaussians(self):
-        space = make_wasserstein1d(Wasserstein1DDescriptor(
-            m=100, internal=make_potential("entropy")))
+        space = Wasserstein1DSpace(m=100, internal=make_potential("entropy"))
         rng = np.random.default_rng(47)
         triples = []
         for _ in range(15):
@@ -831,13 +819,12 @@ class TestArraySuites:
 
     def test_closed_form_spaces(self, ou, cir):
         rng = np.random.default_rng(83)
-        quad3 = make_quadratic(QuadraticDescriptor(dimension=3, kappa=0.7))
+        quad3 = QuadraticSpace(dimension=3, kappa=0.7)
         for space in (ou, cir, quad3):
             self.assert_suites_match(space, space.sample_rows(rng, 4 * 60), 60, 5e-3)
 
     def test_gaussian_transport_states(self):
-        heat = make_wasserstein1d(Wasserstein1DDescriptor(
-            m=100, internal=make_potential("entropy")))
+        heat = Wasserstein1DSpace(m=100, internal=make_potential("entropy"))
         rng = np.random.default_rng(89)
         rows = np.array([heat.gaussian_state(rng.normal(0, 0.5),
                                              math.exp(rng.uniform(-0.5, 0.7))).coords
@@ -847,15 +834,14 @@ class TestArraySuites:
     def test_minimizing_movement_rows(self):
         # no closed form: the scan and the flow-Lipschitz offsets both flow
         # by minimizing movement
-        space = make_quadratic(QuadraticDescriptor(
+        space = QuadraticSpace(
             dimension=2, kappa=1.0, perturbation=make_potential("quartic", coeff=0.2),
-            scale=0.6))
+            scale=0.6)
         self.assert_suites_match(space, space.sample_rows(np.random.default_rng(97), 16),
                                  4, 0.05)
 
     def test_mixed_exactness_transport_rows(self):
-        space = make_wasserstein1d(Wasserstein1DDescriptor(
-            m=8, internal=make_potential("entropy")))
+        space = Wasserstein1DSpace(m=8, internal=make_potential("entropy"))
         rows = mixed_transport_rows(space, np.random.default_rng(101), 12)
         assert space.has_exact_flow_rows(rows).tolist() == [True, False] * 6
         self.assert_suites_match(space, rows, 3, 0.1)
@@ -885,11 +871,10 @@ class TestBatchCsv:
 
     def test_mixed_exactness_tables(self, tmp_path, ou, cir):
         rng = np.random.default_rng(103)
-        perturbed = make_quadratic(QuadraticDescriptor(
+        perturbed = QuadraticSpace(
             dimension=2, kappa=1.0, perturbation=make_potential("quartic", coeff=0.2),
-            scale=0.6))
-        transport = make_wasserstein1d(Wasserstein1DDescriptor(
-            m=8, internal=make_potential("entropy")))
+            scale=0.6)
+        transport = Wasserstein1DSpace(m=8, internal=make_potential("entropy"))
         rows = mixed_transport_rows(transport, rng, 8)
         assert transport.has_exact_flow_rows(rows).tolist() == [True, False] * 4
         # rho rows alternate between Gaussian and not
