@@ -12,8 +12,11 @@ Barzilai-Borwein trial step, backtracking line search and (for the
 transport space) pool-adjacent-violators feasibility projection.
 ``jko_step`` takes one step of one trajectory; ``jko_rows`` takes one
 step of many trajectories in lockstep, with each row's arithmetic that
-of ``jko_step``, which is how the Tataru scan flows the second arguments
-of many pairs at once.  ``jko_step`` writes its Barzilai-Borwein/Armijo
+of ``jko_step``.  The Tataru scan flows the second arguments of many
+pairs by ``jko_rows`` on a numpy-backed chart of dimension 1 and on every
+space of higher dimension, and by one float ``jko_step`` per pair where
+the space's ``_scalar_chart`` is pure float arithmetic, which is cheaper
+there.  ``jko_step`` writes its Barzilai-Borwein/Armijo
 loop once, on the primitives the dimension picks: on a space of
 dimension 1, Python floats and the space's ``_scalar_chart`` hooks
 (numpy costs 0.4-2 us a call on a one-element array, float arithmetic

@@ -171,8 +171,7 @@ class QuadraticSpace(Space):
         # row-wise vecdot and last-axis sums give each row's np.dot and
         # np.sum bits
         y = np.asarray(y, dtype=float)
-        e = np.array([0.5 * self.kappa * v + self.energy_offset
-                      for v in np.vecdot(y, y).tolist()])
+        e = (0.5 * self.kappa) * np.vecdot(y, y) + self.energy_offset
         if self.perturbation is not None:
             e = e + self.perturbation(y).sum(axis=-1)
         return e
@@ -190,11 +189,20 @@ class QuadraticSpace(Space):
         # R has no feasible set, so the projection is the identity
         if pert is None:
             return (lambda y: half_kappa * (y * y) + offset, lambda y: kappa * y, float)
+        if pert.name == "zero":
+            # the row hooks add the zero perturbation's 0.0, which turns a
+            # -0.0 into 0.0; so does + 0.0
+            return (lambda y: half_kappa * (y * y) + offset + 0.0,
+                    lambda y: kappa * y + 0.0, float)
         # the perturbation on a one-element array, which keeps numpy's bits
         # (its power can differ from a float ** in the last bit)
         return (lambda y: half_kappa * (y * y) + offset + float(pert(np.array([y]))[0]),
                 lambda y: kappa * y + float(pert.df(np.array([y]))[0]),
                 float)
+
+    def _float_chart(self) -> bool:
+        return self.dimension == 1 and (self.perturbation is None
+                                        or self.perturbation.name == "zero")
 
     def slope_rows(self, coords: np.ndarray) -> np.ndarray:
         g = self.chart_energy_grad_rows(self.validate_rows(coords))
@@ -351,8 +359,12 @@ class Wasserstein1DSpace(Space):
     def project_chart_rows(self, y: np.ndarray) -> np.ndarray:
         """pava_nondecreasing of each row, on the rows that need it: a row
         that is already nondecreasing is kept as it is."""
-        y = np.array(y, dtype=float)
-        for i in (~(y[:, 1:] >= y[:, :-1]).all(axis=1)).nonzero()[0]:
+        y = np.asarray(y, dtype=float)
+        ordered = y[:, 1:] >= y[:, :-1]
+        if ordered.all():
+            return y
+        y = y.copy()
+        for i in (~ordered.all(axis=1)).nonzero()[0]:
             y[i] = pava_nondecreasing(y[i])
         return y
 
@@ -366,12 +378,29 @@ class Wasserstein1DSpace(Space):
         e = np.zeros(len(q))
         if self.internal is not None:
             g = self.gaps(q)
-            dead = ((g <= 0.0) | (1.0 / np.maximum(g, 1e-300) < _DENSITY_FLOOR)).any(axis=1)
-            if dead.any():
-                e[dead] = math.inf
-                e[~dead] = self.chart_energy_rows(q[~dead])
-                return e
-            e += (self.internal(1.0 / g) * g).sum(axis=1) / self.m
+            # a gap <= 0 or a gap density 1/g below the floor kills its row;
+            # 1/g falls as g grows, so the array's smallest and largest gap
+            # clear all its rows at once (an array without gaps too), and
+            # only an array they do not clear, a NaN gap among them, takes
+            # the elementwise tests
+            lo, hi = float(g.min(initial=math.inf)), float(g.max(initial=-math.inf))
+            if not (lo > 0.0 and 1.0 / max(hi, 1e-300) >= _DENSITY_FLOOR):
+                dead = ((g <= 0.0) | (1.0 / np.maximum(g, 1e-300) < _DENSITY_FLOOR)).any(axis=1)
+                if dead.any():
+                    e[dead] = math.inf
+                    e[~dead] = self.chart_energy_rows(q[~dead])
+                    return e
+            if self.internal.name == "entropy":
+                # every density s = 1/g is >= 1e-12 or NaN here, where the
+                # integrand's np.where and np.maximum change no bit (a NaN
+                # gap gives a NaN term either way)
+                s = 1.0 / g
+                a = np.log(s)
+                a *= s
+                a *= g
+            else:
+                a = self.internal(1.0 / g) * g
+            e += a.sum(axis=1) / self.m
         if self.potential is not None:
             e += self.potential(q).sum(axis=1) / self.m
         if self.interaction is not None:  # one (m, m) table at a time
@@ -386,7 +415,15 @@ class Wasserstein1DSpace(Space):
             # d/dg [F(1/g) g] = F(1/g) - F'(1/g)/g, which is
             # (1/m) * dA/dg * dg/dQ with dg/dQ = +-m
             rho = 1.0 / self.gaps(q)
-            dAdg = self.internal(rho) - self.internal.df(rho) * rho
+            if self.internal.name == "entropy":
+                # the integrand and its derivative share one log
+                log = np.log(np.maximum(rho, 1e-300))
+                dAdg = np.where(rho > 0, rho * log, 0.0)
+                log += 1.0
+                log *= rho
+                dAdg -= log
+            else:
+                dAdg = self.internal(rho) - self.internal.df(rho) * rho
             grad[:, 1:] += dAdg
             grad[:, :-1] -= dAdg
         if self.potential is not None:

@@ -483,7 +483,7 @@ class TestShippedConfigs:
         paths = sorted(CONFIGS.glob("*.json"))
         for path in paths:
             cli.read_config(json.loads(path.read_text()))
-        assert len(paths) == 14
+        assert len(paths) == 15
 
     def test_benchmark_configs_read(self, tmp_path, monkeypatch):
         """Every config the benchmark writes, at seeds 0-4, reads through

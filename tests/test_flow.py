@@ -364,6 +364,8 @@ FLOAT_SPACES = [
     ("quartic", lambda: quadratic(1, "quartic", 0.7)),
     ("offset", lambda: QuadraticSpace(
         kappa=1.3, perturbation=make_potential("power", alpha=3.0), energy_offset=-0.25)),
+    ("zero", lambda: QuadraticSpace(
+        kappa=1.3, perturbation=make_potential("zero"), energy_offset=-0.25)),
 ]
 
 # CIR keeps the base _scalar_chart, the row hooks on (1, 1) arrays, under
@@ -383,10 +385,21 @@ class TestScalarChart:
     def test_float_hooks_equal_row_hooks(self, name, make):
         space = make()
         (energy, gradient, project), rows = space._scalar_chart(), Space._scalar_chart(space)
-        for y in np.linspace(-4.0, 9.0, 131).tolist() + [0.0]:
+        for y in np.linspace(-4.0, 9.0, 131).tolist() + [0.0, -0.0]:
             assert repr(energy(y)) == repr(rows[0](y))
             assert repr(gradient(y)) == repr(rows[1](y))
             assert repr(project(y)) == repr(rows[2](y))
+
+    def test_float_chart_only_without_numpy(self):
+        """_float_chart holds for the scalar quadratic space without a
+        perturbation or with the zero one, whose hooks are float
+        arithmetic alone, and not where a hook calls numpy."""
+        spaces = dict(SCALAR_SPACES)
+        assert {name: spaces[name]()._float_chart() for name in spaces} == {
+            "ou": True, "quartic": False, "offset": False, "zero": True,
+            "cir": False, "cir_bounded": False}
+        assert not quadratic(2, "zero")._float_chart()
+        assert not QuadraticSpace(dimension=3)._float_chart()
 
     @pytest.mark.parametrize("name, make", SCALAR_SPACES)
     def test_residual_at_the_cap_is_the_same(self, name, make):

@@ -21,7 +21,7 @@ RECORDED = json.loads((golden.GOLDEN / golden.VERSIONS).read_text())
 def test_shipped_configs_write_the_golden_files(tmp_path):
     exits = golden.run_configs(tmp_path)
     assert exits == {path.stem: 0 for path in golden.CONFIGS.glob("*.json")}
-    assert len(golden.result_files(tmp_path)) == 16
+    assert len(golden.result_files(tmp_path)) == 17
     assert golden.differences(tmp_path, same_stack=golden.versions() == RECORDED) == []
 
 

@@ -705,6 +705,158 @@ def test_row_hooks_bit_equal_to_one_point_code(name):
 
 
 # ---------------------------------------------------------------------------
+# Row hooks against the generic row expressions they replaced
+# ---------------------------------------------------------------------------
+
+def generic_transport_energy_rows(space, y):
+    """Wasserstein1DSpace.chart_energy_rows with the elementwise dead-row
+    masks and the integrand through the potential, as written before the
+    gap reductions and the entropy's s log s."""
+    q = np.asarray(y, dtype=float)
+    e = np.zeros(len(q))
+    if space.internal is not None:
+        g = space.gaps(q)
+        dead = ((g <= 0.0) | (1.0 / np.maximum(g, 1e-300) < 1e-12)).any(axis=1)
+        if dead.any():
+            e[dead] = math.inf
+            e[~dead] = generic_transport_energy_rows(space, q[~dead])
+            return e
+        e += (space.internal(1.0 / g) * g).sum(axis=1) / space.m
+    if space.potential is not None:
+        e += space.potential(q).sum(axis=1) / space.m
+    if space.interaction is not None:
+        e += [0.5 * float(np.sum(space.interaction(row[:, None] - row[None, :]))) / space.m**2
+              for row in q]
+    return e
+
+
+def generic_transport_grad_rows(space, y):
+    """Wasserstein1DSpace.chart_energy_grad_rows with the integrand and its
+    derivative each through the potential, two logs for the entropy."""
+    q = np.asarray(y, dtype=float)
+    grad = np.zeros_like(q)
+    if space.internal is not None:
+        rho = 1.0 / space.gaps(q)
+        dAdg = space.internal(rho) - space.internal.df(rho) * rho
+        grad[:, 1:] += dAdg
+        grad[:, :-1] -= dAdg
+    if space.potential is not None:
+        grad += space.potential.df(q) / space.m
+    if space.interaction is not None:
+        for g_row, q_row in zip(grad, q):
+            g_row += space.interaction.df(q_row[:, None] - q_row[None, :]).sum(axis=1) / space.m**2
+    return grad
+
+
+def generic_transport_project_rows(space, y):
+    """Wasserstein1DSpace.project_chart_rows as a copy in every case."""
+    y = np.array(y, dtype=float)
+    for i in (~(y[:, 1:] >= y[:, :-1]).all(axis=1)).nonzero()[0]:
+        y[i] = pava_nondecreasing(y[i])
+    return y
+
+
+def float_reprs(values):
+    """The repr of every number: equal lists are equal bits, up to the
+    payload of a NaN."""
+    return [repr(v) for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def transport_odd_rows(space, rows):
+    """rows, then one row each with a zero gap, a gap whose density lies
+    past the floor, a decreasing entry and a NaN, then a NaN with each of
+    the other three in the same row, and a huge but live gap."""
+    base = rows[:8]
+    odd = [base[i % len(base)].copy() for i in range(8)]
+    odd[0][5] = odd[0][4]
+    odd[1][-1] = odd[1][-2] + 2e12 / space.m
+    odd[2][[3, 4]] = odd[2][[4, 3]]
+    odd[3][6] = math.nan
+    for row in odd[4:7]:
+        row[1] = math.nan
+    odd[4][5] = odd[4][4]
+    odd[5][-1] = odd[5][-2] + 2e12 / space.m
+    odd[6][[3, 4]] = odd[6][[4, 3]]
+    odd[7][-1] = odd[7][-2] + 0.5e12 / space.m
+    return np.vstack([rows, odd])
+
+
+TRANSPORT_HOOK_SPACES = {
+    "entropy": lambda: transport(200, internal="entropy"),
+    "entropy_small": lambda: transport(8, internal="entropy"),
+    "power": lambda: Wasserstein1DSpace(m=31, internal=make_potential("power", alpha=2.5)),
+    "entropy_potential_interaction": lambda: transport(
+        23, internal="entropy", potential="quadratic", interaction="quadratic"),
+    "potential_interaction": lambda: transport(12, potential="quartic", interaction="quadratic"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPORT_HOOK_SPACES))
+def test_transport_hooks_bit_equal_to_generic_rows(name):
+    """The transport space's energy, gradient and projection rows equal
+    the generic row expressions, bit for bit: on sampled rows, on rows with
+    a zero gap, a gap past the density floor, a decreasing entry or a NaN,
+    on all of them as one array, on the sampled rows alone as one array
+    and on each row alone."""
+    space = TRANSPORT_HOOK_SPACES[name]()
+    rng = np.random.default_rng(29)
+    rows = transport_odd_rows(space, space.to_chart_rows(space.sample_rows(rng, 40)))
+    moved = rows + rng.normal(0.0, 0.3, rows.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for y in (rows, moved, rows[:-8]):
+            want = (generic_transport_energy_rows(space, y),
+                    generic_transport_grad_rows(space, y),
+                    generic_transport_project_rows(space, y))
+            got = (space.chart_energy_rows(y), space.chart_energy_grad_rows(y),
+                   space.project_chart_rows(y))
+            for g, w in zip(got, want):
+                assert float_reprs(g) == float_reprs(w)
+            for i, row in enumerate(y):
+                assert float_reprs(space.chart_energy_rows(row[None])) == float_reprs(want[0][i])
+                assert (float_reprs(space.chart_energy_grad_rows(row[None]))
+                        == float_reprs(want[1][i]))
+    if space.internal is not None:
+        # the zero gap, the floor, the decreasing entry and each of them
+        # with a NaN are dead; a NaN alone and the huge live gap are not
+        energy = space.chart_energy_rows(rows[-8:])
+        assert np.isinf(energy).tolist() == [True, True, True, False, True, True, True, False]
+        assert math.isnan(energy[3]) and math.isfinite(energy[7])
+
+
+def test_transport_projection_keeps_an_ordered_array():
+    """An array whose rows are all nondecreasing comes back as it is; one
+    with a decreasing row comes back as a new array, its input unchanged."""
+    space = transport(9, internal="entropy")
+    rows = space.to_chart_rows(space.sample_rows(np.random.default_rng(31), 4))
+    assert space.project_chart_rows(rows) is rows
+    bent = rows.copy()
+    bent[2, [3, 4]] = bent[2, [4, 3]]
+    before = bent.tobytes()
+    out = space.project_chart_rows(bent)
+    assert out is not bent and bent.tobytes() == before
+    assert out.tobytes() == generic_transport_project_rows(space, bent).tobytes()
+
+
+def test_quadratic_energy_rows_bit_equal_to_row_list():
+    """chart_energy_rows' (kappa / 2) * vecdot + offset equals the Python
+    float expression it replaced, row by row, with and without a
+    perturbation, at a nonzero offset and on +-0.0 rows."""
+    rng = np.random.default_rng(37)
+    for dimension, kappa, offset, pert in ((1, 1.0, 0.0, None), (1, 1.3, -0.25, "zero"),
+                                           (3, 0.7, 0.3, "quartic"), (2, 2.5, -0.0, None),
+                                           (4, 0.1, 1e-17, "quadratic")):
+        space = QuadraticSpace(dimension=dimension, kappa=kappa, energy_offset=offset,
+                               perturbation=None if pert is None else make_potential(pert))
+        y = np.vstack([rng.normal(0.0, 3.0, (40, dimension)), np.zeros((1, dimension)),
+                       np.full((1, dimension), -0.0), rng.normal(0.0, 1e-9, (3, dimension))])
+        want = np.array([0.5 * space.kappa * v + space.energy_offset
+                         for v in np.vecdot(y, y).tolist()])
+        if space.perturbation is not None:
+            want = want + space.perturbation(y).sum(axis=-1)
+        assert float_reprs(space.chart_energy_rows(y)) == float_reprs(want)
+
+
+# ---------------------------------------------------------------------------
 # Row slopes against the one-point slopes they replace
 # ---------------------------------------------------------------------------
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from evikit.core import DomainError, NumericalError, StatePoint, UsageError
-from evikit.flow import _time_grid, flow_any, flow_exact, flow_mms
+from evikit.flow import (JKO_INNER_TOL, _time_grid, flow_any, flow_exact, flow_mms, jko_rows,
+                         jko_step)
 from evikit.potentials import make_potential
 from evikit.spaces import (
     CirSpace,
@@ -536,6 +537,59 @@ class TestLockstepScan:
         self.assert_scans_match(space, y_rho[:1], d0, flow_dt, order)
         self.assert_scans_match(space, y_rho[:1], d0[:2], flow_dt, np.arange(2))
 
+    @pytest.mark.parametrize("dimension,perturbation,lockstep", [
+        (1, "zero", False), (1, None, False), (1, "quartic", True), (2, "zero", True)])
+    def test_float_charts_step_row_by_row(self, monkeypatch, dimension, perturbation,
+                                          lockstep):
+        """A space with a float chart takes one jko_step per row and step,
+        and no jko_rows call; a numpy-backed chart, or a dimension above 1,
+        steps in lockstep; both give per_pair_sampled_scan's samples."""
+        import evikit.tataru as tataru
+
+        calls = {"jko_rows": 0, "jko_step": 0}
+
+        def counted(name):
+            fn = getattr(tataru, name)
+
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(tataru, name, counted(name))
+        space = QuadraticSpace(dimension=dimension, kappa=0.8, perturbation=(
+            None if perturbation is None else make_potential(perturbation)))
+        rng = np.random.default_rng(83)
+        flow_dt = 2 ** -5
+        y_rho = rng.uniform(-2.5, 2.5, (9, dimension))
+        d0 = np.concatenate([[0.4 * flow_dt, 3 * flow_dt], rng.uniform(0.05, 0.8, 7)])
+        self.assert_scans_match(space, y_rho, d0, flow_dt, np.argsort(d0, kind="stable"))
+        row_steps = int(np.ceil(d0 / np.minimum(flow_dt, d0) - 1e-12).sum())
+        if lockstep:
+            assert calls["jko_rows"] > 0 and calls["jko_step"] == 0
+        else:
+            assert calls == {"jko_rows": 0, "jko_step": row_steps}
+
+    @pytest.mark.parametrize("perturbation", ["zero", "quartic"])
+    def test_row_at_the_cap_raises_as_jko_rows(self, monkeypatch, perturbation):
+        """At the iteration cap both routes raise jko_rows' NumericalError:
+        the residual of the first row that does not converge, here row 1,
+        since row 0 starts at the minimizer."""
+        import evikit.tataru as tataru
+
+        space = QuadraticSpace(perturbation=make_potential(perturbation))
+        y_rho, d0, flow_dt = np.array([[0.0], [1.5], [-2.0], [0.7]]), np.full(4, 0.3), 0.05
+        monkeypatch.setattr(tataru, "JKO_MAX_ITER", 1)
+        residuals = []
+        for run in (lambda: jko_rows(space, y_rho, flow_dt, JKO_INNER_TOL, 1),
+                    lambda: _sampled_scan(space, y_rho, d0, flow_dt)(np.arange(4)),
+                    lambda: jko_step(space, y_rho[1], flow_dt, JKO_INNER_TOL, 1),
+                    lambda: jko_step(space, y_rho[2], flow_dt, JKO_INNER_TOL, 1)):
+            with pytest.raises(NumericalError, match="did not converge") as info:
+                run()
+            residuals.append(repr(info.value.residual))
+        assert residuals[0] == residuals[1] == residuals[2] != residuals[3]
 
     def test_blocks_stay_bounded(self, monkeypatch):
         """Every scan block's arrays hold at most _BLOCK_ELEMENTS chart
