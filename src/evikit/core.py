@@ -144,8 +144,7 @@ class Space(ABC):
     only.  A space of dimension 1 may also override _scalar_chart, the
     energy, gradient and projection of its chart on Python floats, which
     the minimizing-movement step calls instead of the row hooks; by
-    default it wraps the row hooks.  _float_chart says whether those
-    hooks make no numpy call.  All operations are pure; instances
+    default it wraps the row hooks.  All operations are pure; instances
     are immutable after construction and safe to share across threads.
     """
 
@@ -195,10 +194,8 @@ class Space(ABC):
                                      Callable[[float], float]]:
         """The chart energy, energy gradient and projection of a space of
         dimension 1, as functions of one Python float.  A space overrides
-        this with float arithmetic that has its row hooks' bits, or with
-        numpy calls on one-element arrays where float arithmetic would
-        move a bit (then _float_chart stays False); by default each is
-        its row hook on a (1, 1) array."""
+        this with float arithmetic that has its row hooks' bits; by default
+        each is its row hook on a (1, 1) array."""
         def energy(y):
             return float(self.chart_energy_rows(np.array([[y]]))[0])
 
@@ -209,13 +206,6 @@ class Space(ABC):
             return float(self.project_chart_rows(np.array([[y]]))[0, 0])
 
         return energy, gradient, project
-
-    def _float_chart(self) -> bool:
-        """Whether _scalar_chart's hooks are Python float arithmetic alone,
-        with no numpy call: the Tataru scan steps the flows of such a space
-        one at a time, on jko_step's floats, and all others in lockstep
-        through jko_rows.  False by default."""
-        return False
 
     # -- metric ------------------------------------------------------------
 

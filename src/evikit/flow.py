@@ -10,22 +10,17 @@ minimizing-movement scheme
 is solved by projected descent in the space's flat chart with a
 Barzilai-Borwein trial step, backtracking line search and (for the
 transport space) pool-adjacent-violators feasibility projection.
-``jko_step`` takes one step of one trajectory; ``jko_rows`` takes one
-step of many trajectories in lockstep, with each row's arithmetic that
-of ``jko_step``.  The Tataru scan flows the second arguments of many
-pairs by ``jko_rows`` on a numpy-backed chart of dimension 1 and on every
-space of higher dimension, and by one float ``jko_step`` per pair where
-the space's ``_scalar_chart`` is pure float arithmetic, which is cheaper
-there.  ``jko_step`` writes its Barzilai-Borwein/Armijo
-loop once, on the primitives the dimension picks: on a space of
-dimension 1, Python floats and the space's ``_scalar_chart`` hooks
-(numpy costs 0.4-2 us a call on a one-element array, float arithmetic
-about 0.05 us); otherwise ``np.vdot`` and the row hooks on one
-(1, dimension) row.  ``jko_rows`` is the bit reference for both.  Both
-functions stay, since on one row ``jko_rows`` runs slower than
-``jko_step``: it pays for its per-row masks and indexing in every
-iteration.  Every inner solve stops at the step tolerance JKO_INNER_TOL
-or fails at JKO_MAX_ITER iterations.
+``jko_step`` takes one step of one trajectory, and the Tataru scan flows
+the second arguments of many pairs by one ``jko_step`` per pair and
+step.  ``jko_step`` writes its Barzilai-Borwein/Armijo loop once, on the
+primitives the dimension picks: on a space of dimension 1, Python floats
+and the space's ``_scalar_chart`` hooks (numpy costs 0.4-2 us a call on
+a one-element array, float arithmetic about 0.05 us); otherwise
+``np.vdot`` and the row hooks on one (1, dimension) row.  ``jko_rows``
+takes one step of many trajectories in lockstep, with each row's
+arithmetic that of ``jko_step``, and is the bit reference for both
+paths; no library code calls it.  Every inner solve stops at the step
+tolerance JKO_INNER_TOL or fails at JKO_MAX_ITER iterations.
 
 ``flow_exact``, ``flow_mms`` and ``flow_any`` take (space, p, T, dt).
 Minimizing movement takes ceil(T/dt) steps, so it can end past T, where
@@ -259,8 +254,7 @@ def jko_rows(space: Space, y_prev: np.ndarray, dt: float,
     y_prev[i] bit for bit.  A row that has converged is frozen while the
     others iterate; a row still moving after max_iter iterations raises
     NumericalError.  The rows share the energy calls (the space's *_rows
-    hooks), which is what makes stepping many flows in lockstep cheaper
-    than stepping them one at a time.
+    hooks).  The tests hold jko_step to it, bit for bit.
     """
     s2 = space.chart_scale**2
     y_prev = np.asarray(y_prev, dtype=float)

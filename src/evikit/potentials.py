@@ -31,6 +31,40 @@ class Potential:
         z = np.asarray(z, dtype=float)
         return z * self.df(z) - self.f(z)
 
+    def gap_energy(self, g):
+        """A(g) = F(1/g) g, the internal energy per unit mass of a quantile
+        gap g, on an array of gaps with 0 < g <= 1e300 (or NaN)."""
+        return self(1.0 / g) * g
+
+    def gap_energy_dg(self, g):
+        """dA/dg = F(1/g) - F'(1/g)/g on an array of gaps g."""
+        rho = 1.0 / g
+        return self(rho) - self.df(rho) * rho
+
+
+class _Entropy(Potential):
+    """F(s) = s log s, with gap_energy and gap_energy_dg in fewer numpy
+    calls than the generic forms, bit for bit."""
+
+    def gap_energy(self, g):
+        # s = 1/g >= 1e-300 > 0 on the gaps allowed, so f's np.where and
+        # np.maximum change no bit
+        s = 1.0 / g
+        a = np.log(s)
+        a *= s
+        a *= g
+        return a
+
+    def gap_energy_dg(self, g):
+        # f and df share one log
+        rho = 1.0 / g
+        log = np.log(np.maximum(rho, 1e-300))
+        dadg = np.where(rho > 0, rho * log, 0.0)
+        log += 1.0
+        log *= rho
+        dadg -= log
+        return dadg
+
 
 def _entropy() -> Potential:
     def f(s):
@@ -42,7 +76,7 @@ def _entropy() -> Potential:
         s = np.asarray(s, dtype=float)
         return np.log(np.maximum(s, 1e-300)) + 1.0
 
-    return Potential("entropy", f, df)
+    return _Entropy("entropy", f, df)
 
 
 def _power(alpha: float) -> Potential:

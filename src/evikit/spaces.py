@@ -200,10 +200,6 @@ class QuadraticSpace(Space):
                 lambda y: kappa * y + float(pert.df(np.array([y]))[0]),
                 float)
 
-    def _float_chart(self) -> bool:
-        return self.dimension == 1 and (self.perturbation is None
-                                        or self.perturbation.name == "zero")
-
     def slope_rows(self, coords: np.ndarray) -> np.ndarray:
         g = self.chart_energy_grad_rows(self.validate_rows(coords))
         return np.sqrt(np.vecdot(g, g))  # np.linalg.norm's bits
@@ -390,17 +386,7 @@ class Wasserstein1DSpace(Space):
                     e[dead] = math.inf
                     e[~dead] = self.chart_energy_rows(q[~dead])
                     return e
-            if self.internal.name == "entropy":
-                # every density s = 1/g is >= 1e-12 or NaN here, where the
-                # integrand's np.where and np.maximum change no bit (a NaN
-                # gap gives a NaN term either way)
-                s = 1.0 / g
-                a = np.log(s)
-                a *= s
-                a *= g
-            else:
-                a = self.internal(1.0 / g) * g
-            e += a.sum(axis=1) / self.m
+            e += self.internal.gap_energy(g).sum(axis=1) / self.m
         if self.potential is not None:
             e += self.potential(q).sum(axis=1) / self.m
         if self.interaction is not None:  # one (m, m) table at a time
@@ -414,16 +400,7 @@ class Wasserstein1DSpace(Space):
         if self.internal is not None:
             # d/dg [F(1/g) g] = F(1/g) - F'(1/g)/g, which is
             # (1/m) * dA/dg * dg/dQ with dg/dQ = +-m
-            rho = 1.0 / self.gaps(q)
-            if self.internal.name == "entropy":
-                # the integrand and its derivative share one log
-                log = np.log(np.maximum(rho, 1e-300))
-                dAdg = np.where(rho > 0, rho * log, 0.0)
-                log += 1.0
-                log *= rho
-                dAdg -= log
-            else:
-                dAdg = self.internal(rho) - self.internal.df(rho) * rho
+            dAdg = self.internal.gap_energy_dg(self.gaps(q))
             grad[:, 1:] += dAdg
             grad[:, :-1] -= dAdg
         if self.potential is not None:

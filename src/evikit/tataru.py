@@ -25,14 +25,10 @@ refinement rule:
   own d(pi, rho) column;
 * otherwise the flow is computed by minimizing movement and the
   refinement queries the chart-linear interpolant of its samples.  Each
-  pair's rho flows over [0, d(pi, rho)] on its own samples, and the rows of
-  a scan block with the same step take it together, each dropping out
-  after its own number of steps, with every sample bit for bit that of the
-  pair's own ``flow_mms``.  A space whose ``_scalar_chart`` is pure Python
-  float arithmetic (``Space._float_chart``) steps each row by the float
-  ``flow.jko_step``; a numpy-backed one-dimensional chart, and every space
-  of dimension above 1, steps the rows in lockstep through
-  ``flow.jko_rows``, whose shared array calls are cheaper there.
+  pair's rho flows over [0, d(pi, rho)] on its own samples by
+  ``flow.jko_step``, one step of one row at a time (on Python floats in
+  dimension 1), and drops out after its own number of steps, with every
+  sample bit for bit that of the pair's own ``flow_mms``.
 
 Both scans compute phi by one routine, in one buffer of the block's chart
 differences: square, sum over the last axis (np.linalg.norm's arithmetic),
@@ -60,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Space, StatePoint, UsageError, _chart_distances, _suite_samples
-from .flow import JKO_INNER_TOL, JKO_MAX_ITER, finite_coords, flow_mms, jko_rows, jko_step
+from .flow import JKO_INNER_TOL, JKO_MAX_ITER, finite_coords, flow_mms, jko_step
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Bound on the (pairs x scan times x dimension) chart array of one scan
@@ -155,11 +151,9 @@ def _closed_form_scan(space: Space, y_pi: np.ndarray, y_rho: np.ndarray,
 def _sampled_scan(space: Space, y_rho: np.ndarray, d0: np.ndarray, flow_dt: float):
     """Scan rows on minimizing-movement samples at step min(flow_dt, d0).
 
-    Each pair flows its own rho over [0, d0], and a block's pairs flow
-    side by side: the rows with the same step take it together, and each
-    drops out after its own ceil(d0 / step) steps.  A step is one
-    flow.jko_step per row on a space with a float chart
-    (Space._float_chart), else one flow.jko_rows call on all the rows.  A
+    Each pair flows its own rho over [0, d0] by flow.jko_step, in row
+    order, and drops out after its own ceil(d0 / step) steps, so a row at
+    the iteration cap raises as the first such row of flow.jko_rows.  A
     row's samples are bit for bit those of flow_mms on that pair alone
     (the chart of the stored coordinates).  One y_rho row is flowed once,
     by flow_mms, as far as the largest d0, and the pairs whose step is
@@ -169,16 +163,6 @@ def _sampled_scan(space: Space, y_rho: np.ndarray, d0: np.ndarray, flow_dt: floa
 
     def chart_of(y):
         return space.to_chart_rows(finite_coords(space, y))
-
-    if space._float_chart():
-        # one float jko_step per row is cheaper than jko_rows' array calls;
-        # rows step in order, so a row at the cap raises as in jko_rows
-        def step_rows(y, dt):
-            return np.array([jko_step(space, row, dt, JKO_INNER_TOL, JKO_MAX_ITER)
-                             for row in y])
-    else:
-        def step_rows(y, dt):
-            return jko_rows(space, y, dt, JKO_INNER_TOL, JKO_MAX_ITER)
 
     if len(y_rho) == 1:
         horizon = float(d0.max())
@@ -205,7 +189,8 @@ def _sampled_scan(space: Space, y_rho: np.ndarray, d0: np.ndarray, flow_dt: floa
             for k in range(1, int(steps[live].max()) + 1):
                 stay = steps[live] >= k
                 live, y = live[stay], y[stay]
-                y = step_rows(y, step)
+                y = np.array([jko_step(space, row, step, JKO_INNER_TOL, JKO_MAX_ITER)
+                              for row in y])
                 states[live, k] = chart_of(y)
         return times, steps + 1, states
     return scan

@@ -390,17 +390,6 @@ class TestScalarChart:
             assert repr(gradient(y)) == repr(rows[1](y))
             assert repr(project(y)) == repr(rows[2](y))
 
-    def test_float_chart_only_without_numpy(self):
-        """_float_chart holds for the scalar quadratic space without a
-        perturbation or with the zero one, whose hooks are float
-        arithmetic alone, and not where a hook calls numpy."""
-        spaces = dict(SCALAR_SPACES)
-        assert {name: spaces[name]()._float_chart() for name in spaces} == {
-            "ou": True, "quartic": False, "offset": False, "zero": True,
-            "cir": False, "cir_bounded": False}
-        assert not quadratic(2, "zero")._float_chart()
-        assert not QuadraticSpace(dimension=3)._float_chart()
-
     @pytest.mark.parametrize("name, make", SCALAR_SPACES)
     def test_residual_at_the_cap_is_the_same(self, name, make):
         space = make()

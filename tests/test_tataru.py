@@ -505,7 +505,7 @@ class TestPairKernel:
 
 
 class TestLockstepScan:
-    """The lockstep minimizing-movement scan against per_pair_sampled_scan:
+    """The minimizing-movement scan against per_pair_sampled_scan:
     the same counts, and the same times and samples, bit for bit, within
     every row's count."""
 
@@ -537,27 +537,20 @@ class TestLockstepScan:
         self.assert_scans_match(space, y_rho[:1], d0, flow_dt, order)
         self.assert_scans_match(space, y_rho[:1], d0[:2], flow_dt, np.arange(2))
 
-    @pytest.mark.parametrize("dimension,perturbation,lockstep", [
-        (1, "zero", False), (1, None, False), (1, "quartic", True), (2, "zero", True)])
-    def test_float_charts_step_row_by_row(self, monkeypatch, dimension, perturbation,
-                                          lockstep):
-        """A space with a float chart takes one jko_step per row and step,
-        and no jko_rows call; a numpy-backed chart, or a dimension above 1,
-        steps in lockstep; both give per_pair_sampled_scan's samples."""
+    @pytest.mark.parametrize("dimension,perturbation", [
+        (1, "zero"), (1, None), (1, "quartic"), (2, "zero")])
+    def test_rows_step_one_at_a_time(self, monkeypatch, dimension, perturbation):
+        """Each row takes one jko_step per step of its own, and no more."""
         import evikit.tataru as tataru
 
-        calls = {"jko_rows": 0, "jko_step": 0}
+        calls = []
+        step = tataru.jko_step
 
-        def counted(name):
-            fn = getattr(tataru, name)
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
 
-            def call(*args):
-                calls[name] += 1
-                return fn(*args)
-            return call
-
-        for name in calls:
-            monkeypatch.setattr(tataru, name, counted(name))
+        monkeypatch.setattr(tataru, "jko_step", counted)
         space = QuadraticSpace(dimension=dimension, kappa=0.8, perturbation=(
             None if perturbation is None else make_potential(perturbation)))
         rng = np.random.default_rng(83)
@@ -565,15 +558,11 @@ class TestLockstepScan:
         y_rho = rng.uniform(-2.5, 2.5, (9, dimension))
         d0 = np.concatenate([[0.4 * flow_dt, 3 * flow_dt], rng.uniform(0.05, 0.8, 7)])
         self.assert_scans_match(space, y_rho, d0, flow_dt, np.argsort(d0, kind="stable"))
-        row_steps = int(np.ceil(d0 / np.minimum(flow_dt, d0) - 1e-12).sum())
-        if lockstep:
-            assert calls["jko_rows"] > 0 and calls["jko_step"] == 0
-        else:
-            assert calls == {"jko_rows": 0, "jko_step": row_steps}
+        assert len(calls) == int(np.ceil(d0 / np.minimum(flow_dt, d0) - 1e-12).sum())
 
     @pytest.mark.parametrize("perturbation", ["zero", "quartic"])
     def test_row_at_the_cap_raises_as_jko_rows(self, monkeypatch, perturbation):
-        """At the iteration cap both routes raise jko_rows' NumericalError:
+        """At the iteration cap the scan raises jko_rows' NumericalError:
         the residual of the first row that does not converge, here row 1,
         since row 0 starts at the minimizer."""
         import evikit.tataru as tataru
